@@ -21,9 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SystemConstants, ensure_finite
-
-WEIGHT_TOL = 1e-9
+from .core import WEIGHT_SUM_TOL, SystemConstants, ensure_finite
 
 
 class FixedPointError(RuntimeError):
@@ -90,7 +88,7 @@ class WeightAssignment:
     def check(self) -> None:
         if np.any(self.rho < 0.0):
             raise ValueError("weights must be non-negative")
-        if self.any_participant and abs(self.rho.sum() - 1.0) > WEIGHT_TOL:
+        if self.any_participant and abs(self.rho.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {self.rho.sum()!r}")
 
 
@@ -223,16 +221,15 @@ def filtering_probability(tau_i: float, k_t: float, h: int) -> float:
     Clients at or above the threshold are never filtered. The result lies in
     [0, 1] whenever ``h`` is at least the largest iteration count.
     """
-    if h < 1:
-        raise ValueError("h must be >= 1")
-    if tau_i >= k_t:
-        return 0.0
-    return float((k_t - tau_i) / h)
+    return float(filtering_probabilities([tau_i], k_t, h)[0])
 
 
 def filtering_probabilities(tau, k_t: float, h: int) -> np.ndarray:
+    """``filtering_probability`` for every entry of ``tau``."""
+    if h < 1:
+        raise ValueError("h must be >= 1")
     tau = np.asarray(tau, dtype=float)
-    return np.array([filtering_probability(t, k_t, h) for t in tau])
+    return np.where(tau >= k_t, 0.0, (k_t - tau) / h)
 
 
 def sample_participation(probabilities, rng) -> np.ndarray:
@@ -262,17 +259,13 @@ def dms_weights(
     """
     tau = np.asarray(tau, dtype=float)
     mask = np.ones(tau.size, dtype=bool) if eligible is None else np.asarray(eligible, dtype=bool)
-    draws = rng.random(tau.size)
-    zeros = np.zeros(tau.size, dtype=int)
-    if not mask.any():
-        return WeightAssignment(rho=np.zeros(tau.size), method="dms", participation=zeros)
-    h_t = int(tau[mask].max())
-    k_t = dms_threshold(tau[mask])
     p = np.zeros(tau.size)
+    h_t = int(tau[mask].max()) if mask.any() else 0
     if h_t >= 1:
-        p[mask] = filtering_probabilities(tau[mask], k_t, h_t)
-    beta = mask & (draws >= p)
+        p[mask] = filtering_probabilities(tau[mask], dms_threshold(tau[mask]), h_t)
+    beta = mask & (sample_participation(p, rng) == 1)
     if not beta.any():
+        zeros = np.zeros(tau.size, dtype=int)
         return WeightAssignment(rho=np.zeros(tau.size), method="dms", participation=zeros)
     spaced = iteration_spaced_weights(tau, beta, constants, h=max(h_t, 1))
     return WeightAssignment(
@@ -347,23 +340,25 @@ def bound_optimal_weights(
     tau_now = tau_hist[-1] * mask
     denom_scale = 2.0 * constants.eta**2 * constants.N * sigma**2
 
+    def d_vector(rho: np.ndarray, sum_rho_tau: float) -> np.ndarray:
+        """Per-client constant aggregate of the optimality system."""
+        return (
+            r0
+            + constants.eta**2 * constants.N * sigma**2 * float((rho**2) @ s1)
+            + coefs.a * gamma * sum_rho_tau
+            + coefs.c * float(rho @ s3)
+        )
+
     def step(rho: np.ndarray) -> np.ndarray:
         sum_rho_tau = float(rho @ s1)
-        sum_rho_sq_tau = float((rho**2) @ s1)
-        sum_rho_tau_sq = float(rho @ s3)
         w_denom = 1.0 + coefs.b * sum_rho_tau
         if shared_noise_sums:
             noise_part = constants.eta**2 * constants.N * float((sigma**2 * rho**2) @ s1)
             noniid_part = coefs.a * float((gamma * rho) @ s1)
-            d_const = r0 + noise_part + noniid_part + coefs.c * sum_rho_tau_sq
+            d_const = r0 + noise_part + noniid_part + coefs.c * float(rho @ s3)
             d_vec = np.full(n, d_const)
         else:
-            d_vec = (
-                r0
-                + constants.eta**2 * constants.N * sigma**2 * sum_rho_sq_tau
-                + coefs.a * gamma * sum_rho_tau
-                + coefs.c * sum_rho_tau_sq
-            )
+            d_vec = d_vector(rho, sum_rho_tau)
         return (coefs.b * d_vec + (coefs.a * gamma + coefs.c * tau_now) * w_denom) / (
             w_denom * denom_scale
         )
@@ -388,14 +383,7 @@ def bound_optimal_weights(
     # d is the mean constant aggregate over clients, e its masked analog, and
     # f_coef the converged denominator factor.
     sum_rho_tau = float(rho @ s1)
-    sum_rho_sq_tau = float((rho**2) @ s1)
-    sum_rho_tau_sq = float(rho @ s3)
-    d_values = (
-        r0
-        + constants.eta**2 * constants.N * sigma**2 * sum_rho_sq_tau
-        + coefs.a * gamma * sum_rho_tau
-        + coefs.c * sum_rho_tau_sq
-    )
+    d_values = d_vector(rho, sum_rho_tau)
     converged = BoundCoefficients(
         a=coefs.a,
         b=coefs.b,

@@ -43,7 +43,7 @@ from .scenarios import (
     apply_client_selection,
     two_tier_speed_profile,
 )
-from .scheduler import ALL_STRATEGIES, participation_frequency, run_strategy
+from .scheduler import STRATEGIES, participation_frequency, run_strategy
 
 METRICS_SCHEMA_VERSION = 1
 ENV_OUT_DIR = "TSFL_OUT_DIR"
@@ -72,15 +72,19 @@ def load_config(path: str | Path) -> dict:
     return config
 
 
-def _task_spec(config: dict) -> TaskSpec:
-    raw = config.get("task", {})
+def _known_keys(config: dict, section: str, accepted: set) -> dict:
+    """``config[section]``, which must be an object whose keys are all accepted."""
+    raw = config.get(section, {})
     if not isinstance(raw, dict):
-        raise ConfigError("config.task: must be an object")
-    allowed = {f.name for f in dataclasses.fields(TaskSpec)}
-    unknown = set(raw) - allowed
+        raise ConfigError(f"config.{section}: must be an object")
+    unknown = set(raw) - accepted
     if unknown:
-        raise ConfigError(f"config.task: unknown keys {sorted(unknown)}")
-    fixed = dict(raw)
+        raise ConfigError(f"config.{section}: unknown keys {sorted(unknown)}")
+    return raw
+
+
+def _task_spec(config: dict) -> TaskSpec:
+    fixed = dict(_known_keys(config, "task", {f.name for f in dataclasses.fields(TaskSpec)}))
     if "curvature_range" in fixed:
         fixed["curvature_range"] = tuple(fixed["curvature_range"])
     try:
@@ -126,16 +130,24 @@ def _inline_scenario(obj: dict, task: TaskSpec) -> Scenario:
     )
 
 
-def _preset_scenario(name: str, config: dict, task: TaskSpec) -> Scenario:
+# The scenario_options keys each preset accepts: its factory's named parameters.
+_PRESET_OPTIONS = {
+    name: {p.name for p in inspect.signature(factory).parameters.values()
+           if p.kind is not p.VAR_KEYWORD}
+    for name, factory in PRESETS.items()
+}
+
+
+def _preset_scenario(name: str, options: dict, config: dict, task: TaskSpec) -> Scenario:
     if name not in PRESETS:
         raise ConfigError(
             f"config.scenario: unknown preset {name!r}; choose from {sorted(PRESETS)}"
         )
-    factory = PRESETS[name]
-    options = dict(config.get("scenario_options", {}))
-    accepted = set(inspect.signature(factory).parameters)
-    kwargs = {k: v for k, v in options.items() if k in accepted}
-    scenario = factory(**kwargs)
+    kwargs = {k: v for k, v in options.items() if k in _PRESET_OPTIONS[name]}
+    try:
+        scenario = PRESETS[name](**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config.scenario_options: {exc}") from exc
     scenario = dataclasses.replace(
         scenario,
         task=task,
@@ -146,12 +158,13 @@ def _preset_scenario(name: str, config: dict, task: TaskSpec) -> Scenario:
 
 def build_scenarios(config: dict) -> list[Scenario]:
     task = _task_spec(config)
+    options = _known_keys(config, "scenario_options", set().union(*_PRESET_OPTIONS.values()))
     raw = config.get("scenario", "case1")
     entries = raw if isinstance(raw, list) else [raw]
     scenarios = []
     for entry in entries:
         if isinstance(entry, str):
-            scenario = _preset_scenario(entry, config, task)
+            scenario = _preset_scenario(entry, options, config, task)
         elif isinstance(entry, dict):
             scenario = _inline_scenario(entry, task)
         else:
@@ -164,13 +177,7 @@ def build_scenarios(config: dict) -> list[Scenario]:
 
 
 def build_constants(config: dict) -> SystemConstants:
-    raw = config.get("constants", {})
-    if not isinstance(raw, dict):
-        raise ConfigError("config.constants: must be an object")
-    allowed = {f.name for f in dataclasses.fields(SystemConstants)}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"config.constants: unknown keys {sorted(unknown)}")
+    raw = _known_keys(config, "constants", {f.name for f in dataclasses.fields(SystemConstants)})
     try:
         return SystemConstants(**raw)
     except (TypeError, ValueError) as exc:
@@ -203,15 +210,15 @@ def validate_run_config(config: dict) -> list[str]:
     if not isinstance(strategies, list) or not strategies:
         raise ConfigError("config.strategies: a non-empty list of strategy names is required")
     for i, name in enumerate(strategies):
-        if name not in ALL_STRATEGIES:
+        if name not in STRATEGIES:
             raise ConfigError(
                 f"config.strategies[{i}]: unknown strategy {name!r}; "
-                f"choose from {sorted(ALL_STRATEGIES)}"
+                f"choose from {sorted(STRATEGIES)}"
             )
+        _run_kwargs(config, name)
     build_scenarios(config)
     build_constants(config)
-    for scenario in ("dummy",):
-        expand_seeds(config, scenario, strategies[0])
+    expand_seeds(config, "dummy", strategies[0])
     return list(strategies)
 
 
@@ -353,23 +360,17 @@ def _cell_dir(out_dir: Path, scenario: str, strategy: str, index: int) -> Path:
 
 
 def _run_kwargs(config: dict, strategy: str) -> dict:
-    runner = config.get("runner", {})
+    runner = _known_keys(config, "runner", {k for spec in STRATEGIES.values() for k in spec.options})
     kwargs = {
         "probe_count": int(config.get("estimate_probes", 4)),
         "equality_theta": bool(config.get("equality_theta", False)),
     }
-    if strategy == "sfl" and "required_iterations" in runner:
-        kwargs["required_iterations"] = int(runner["required_iterations"])
-    if strategy == "fedasync":
-        if "variant" in runner:
-            kwargs["variant"] = runner["variant"]
-        if "local_iterations" in runner:
-            kwargs["local_iterations"] = int(runner["local_iterations"])
-    if strategy == "semiasync":
-        if "buffer_size" in runner:
-            kwargs["buffer_size"] = int(runner["buffer_size"])
-        if "local_iterations" in runner:
-            kwargs["local_iterations"] = int(runner["local_iterations"])
+    for key, kind in STRATEGIES[strategy].options.items():
+        if key in runner:
+            try:
+                kwargs[key] = kind(runner[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"config.runner.{key}: {exc}") from exc
     return kwargs
 
 

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+from collections.abc import Callable
 
 import numpy as np
 
 from .aggregation import (
     WeightAssignment,
+    aggregate,
     bound_optimal_weights,
     dms_weights,
     fedasync_update,
@@ -28,17 +30,6 @@ from .analysis import estimate_dissimilarity
 from .core import IntervalRecord, RunLog, SystemConstants
 from .scenarios import Scenario
 from .training import estimate_constants, local_train
-
-INTERVAL_STRATEGIES = (
-    "fedavg",
-    "fedprox",
-    "tsfl-uniform",
-    "tsfl-corollary1",
-    "tsfl-theorem2",
-    "tsfl-dms",
-)
-EVENT_STRATEGIES = ("fedasync", "semiasync", "sfl")
-ALL_STRATEGIES = INTERVAL_STRATEGIES + EVENT_STRATEGIES
 
 
 class _RunSetup:
@@ -137,48 +128,78 @@ class _RunSetup:
         return log
 
 
-def _interval_weights(
-    strategy: str,
-    setup: _RunSetup,
-    tau: np.ndarray,
-    eligible: np.ndarray,
-    tau_history: list,
-    beta_history: list,
-    r0: float,
-) -> tuple[WeightAssignment, np.ndarray]:
-    """Weights plus the participation flags to record for one interval."""
-    c = setup.constants
-    if strategy == "tsfl-dms":
-        assignment = dms_weights(tau, c, setup.server_rng, eligible=eligible)
-        return assignment, assignment.participation
-    if not eligible.any():
-        return WeightAssignment(rho=np.zeros(tau.size), method="uniform"), eligible.astype(int)
-    if strategy in ("fedavg", "fedprox"):
-        sizes = np.array([p.data_size for p in setup.profiles], dtype=float)
-        rho = np.zeros(tau.size)
-        rho[eligible] = fedavg_weights(sizes[eligible]).rho
-        return WeightAssignment(rho=rho, method="fedavg"), eligible.astype(int)
-    if strategy == "tsfl-uniform":
-        return uniform_weights(eligible), eligible.astype(int)
-    if strategy == "tsfl-corollary1":
-        return iteration_spaced_weights(tau, eligible, c), eligible.astype(int)
-    if strategy == "tsfl-theorem2":
-        sigma = np.asarray(setup.sigma_i, dtype=float)
-        if np.any(sigma <= 0.0):
-            raise ValueError(
-                "tsfl-theorem2 needs positive per-client noise bounds; "
-                "run with probe estimation or configure sigma_i"
-            )
-        assignment = bound_optimal_weights(
-            np.array(tau_history + [tau.tolist()]),
-            c,
-            sigma,
-            setup.task.gamma_noniid,
-            beta_history=np.array(beta_history + [eligible.astype(int).tolist()]),
-            r0=r0,
-        )
-        return assignment, eligible.astype(int)
-    raise ValueError(f"unknown interval strategy {strategy!r}")
+# Strategy table. A weight rule maps (setup, tau, eligible, tau_history,
+# beta_history), the histories ending with the current interval, to the
+# interval's WeightAssignment. Rules and runner adapters look engines and
+# runners up as module globals at call time, so rebinding one of those names
+# (to trace it, say) reaches every strategy that uses it.
+
+
+def _needs_eligible(rule):
+    """All-zero weights, without calling ``rule``, when no upload reached the server."""
+    return lambda setup, tau, eligible, *history: (
+        rule(setup, tau, eligible, *history) if eligible.any()
+        else WeightAssignment(rho=np.zeros(tau.size), method="none")
+    )
+
+
+def _fedavg_rule(setup, tau, eligible, *_):
+    sizes = np.array([p.data_size for p in setup.profiles], dtype=float)
+    rho = np.zeros(tau.size)
+    rho[eligible] = fedavg_weights(sizes[eligible]).rho
+    return WeightAssignment(rho=rho, method="fedavg")
+
+
+def _theorem2_rule(setup, tau, eligible, tau_history, beta_history):
+    r0 = float(np.sum((setup.w0 - setup.task.w_star) ** 2))
+    return bound_optimal_weights(tau_history, setup.constants, setup.sigma_i,
+                                 setup.task.gamma_noniid, beta_history=beta_history, r0=r0)
+
+
+def _run_interval(scenario, strategy, constants, seed, **kwargs):
+    return run_tsfl(scenario, strategy, constants, seed, **kwargs)
+
+
+def _run_buffered(scenario, _, constants, seed, buffer_size=None, **kwargs):
+    size = max(1, scenario.n_clients // 2) if buffer_size is None else buffer_size
+    return run_semi_async(scenario, size, constants, seed, **kwargs)
+
+
+@dataclasses.dataclass(frozen=True)
+class Strategy:
+    """One strategy: ``run(scenario, name, constants, seed, **kwargs)``; the
+    interval weight rule, for strategies run by ``run_tsfl``; the config
+    ``runner`` keys it accepts, with the type each value is converted to; and
+    whether local training adds the FedProx proximal term."""
+
+    run: Callable[..., RunLog] = _run_interval
+    weights: Callable[..., WeightAssignment] | None = None
+    options: dict[str, type] = dataclasses.field(default_factory=dict)
+    proximal: bool = False
+
+
+STRATEGIES: dict[str, Strategy] = {
+    "fedavg": Strategy(weights=_needs_eligible(_fedavg_rule)),
+    "fedprox": Strategy(weights=_needs_eligible(_fedavg_rule), proximal=True),
+    "tsfl-uniform": Strategy(weights=_needs_eligible(
+        lambda setup, tau, eligible, *_: uniform_weights(eligible))),
+    "tsfl-corollary1": Strategy(weights=_needs_eligible(
+        lambda setup, tau, eligible, *_: iteration_spaced_weights(tau, eligible, setup.constants))),
+    "tsfl-theorem2": Strategy(weights=_needs_eligible(_theorem2_rule)),
+    # Weighed even with nobody eligible: the filter draw consumes the server
+    # stream every interval.
+    "tsfl-dms": Strategy(weights=lambda setup, tau, eligible, *_: dms_weights(
+        tau, setup.constants, setup.server_rng, eligible=eligible)),
+    "fedasync": Strategy(
+        lambda scenario, _, constants, seed, **kwargs: run_afl(scenario, constants, seed, **kwargs),
+        options={"variant": str, "local_iterations": int}),
+    "semiasync": Strategy(_run_buffered, options={"buffer_size": int, "local_iterations": int}),
+    "sfl": Strategy(
+        lambda scenario, _, constants, seed, **kwargs: run_sfl(scenario, constants, seed, **kwargs),
+        options={"required_iterations": int}),
+}
+INTERVAL_STRATEGIES = tuple(name for name, spec in STRATEGIES.items() if spec.weights)
+ALL_STRATEGIES = tuple(STRATEGIES)
 
 
 def run_tsfl(
@@ -199,17 +220,16 @@ def run_tsfl(
     marked non-aggregated. Wall clock advances by exactly one interval length
     per interval.
     """
-    if strategy not in INTERVAL_STRATEGIES:
+    spec = STRATEGIES.get(strategy)
+    if spec is None or spec.weights is None:
         raise ValueError(f"{strategy!r} is not an interval strategy")
     setup = _RunSetup(scenario, constants, seed, probe_count, equality_theta, w0)
     c = setup.constants
     n, d = scenario.n_clients, setup.task.dimension
     log = setup.new_log(strategy, seed)
     w = setup.w0.copy()
-    w_star = np.asarray(setup.analysis_inputs["w_star"])
-    r0 = float(np.sum((w - w_star) ** 2))
-    tau_history: list = []
-    beta_history: list = []
+    tau_history = np.zeros((c.T, n), dtype=int)
+    beta_history = np.zeros((c.T, n), dtype=int)
 
     for t in range(c.T):
         tau = np.array(
@@ -219,12 +239,14 @@ def run_tsfl(
         loss = setup.task.global_loss(w)
         grad = setup.task.global_grad(w)
         eligible = tau >= scenario.min_upload_iterations
+        tau_history[t] = tau
+        beta_history[t] = eligible
 
-        assignment, beta = _interval_weights(
-            strategy, setup, tau, eligible, tau_history, beta_history, r0
-        )
+        assignment = spec.weights(setup, tau, eligible, tau_history[: t + 1], beta_history[: t + 1])
+        beta = eligible.astype(int) if assignment.participation is None else assignment.participation
+        beta_history[t] = beta
 
-        prox_center = w.copy() if strategy == "fedprox" else None
+        prox_center = w.copy() if spec.proximal else None
         local_models = np.empty((n, d))
         for i in range(n):
             if tau[i] == 0:
@@ -232,11 +254,9 @@ def run_tsfl(
             else:
                 local_models[i] = setup.train(i, w, int(tau[i]), prox_center=prox_center)
 
-        if assignment.any_participant:
-            w = assignment.rho @ local_models
-            aggregated = True
-        else:
-            aggregated = False
+        aggregated = assignment.any_participant
+        if aggregated:
+            w = aggregate(local_models, assignment)
 
         log.records.append(
             IntervalRecord(
@@ -251,8 +271,6 @@ def run_tsfl(
                 model=w.copy(),
             )
         )
-        tau_history.append(tau.tolist())
-        beta_history.append(np.asarray(beta, dtype=int).tolist())
 
     return setup.finish(log, w)
 
@@ -293,7 +311,7 @@ def run_sfl(
         local_models = np.empty((n, d))
         for i in range(n):
             local_models[i] = setup.train(i, w, required)
-        w = assignment.rho @ local_models
+        w = aggregate(local_models, assignment)
         clock += round_seconds
         log.records.append(
             IntervalRecord(
@@ -497,17 +515,12 @@ def run_strategy(
     seed: int,
     **kwargs,
 ) -> RunLog:
-    """Dispatch a strategy name to its runner."""
-    if strategy in INTERVAL_STRATEGIES:
-        return run_tsfl(scenario, strategy, constants, seed, **kwargs)
-    if strategy == "sfl":
-        return run_sfl(scenario, constants, seed, **kwargs)
-    if strategy == "fedasync":
-        return run_afl(scenario, constants, seed, **kwargs)
-    if strategy == "semiasync":
-        buffer_size = kwargs.pop("buffer_size", max(1, scenario.n_clients // 2))
-        return run_semi_async(scenario, buffer_size, constants, seed, **kwargs)
-    raise ValueError(f"unknown strategy {strategy!r}; choose from {ALL_STRATEGIES}")
+    """Run a strategy by name; ``kwargs`` go to its runner."""
+    try:
+        spec = STRATEGIES[strategy]
+    except KeyError:
+        raise ValueError(f"unknown strategy {strategy!r}; choose from {ALL_STRATEGIES}") from None
+    return spec.run(scenario, strategy, constants, seed, **kwargs)
 
 
 def participation_frequency(log: RunLog) -> np.ndarray:

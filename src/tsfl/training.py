@@ -345,7 +345,6 @@ class EstimatedConstants:
     L_hat: float
     G_hat: float
     sigma_hat: np.ndarray
-    gamma_hat: np.ndarray
     source: dict
 
 
@@ -354,8 +353,8 @@ def estimate_constants(task, clients: list[ClientProfile], probe_count: int, rng
 
     The gradient bound is the largest stochastic-gradient norm seen across
     probe points; the per-client noise bound is the largest observed deviation
-    from the full-batch gradient. Smoothness and optimum distances are exact
-    for quadratic tasks and probed or descended-to otherwise.
+    from the full-batch gradient. Smoothness is exact for quadratic tasks and
+    probed otherwise.
     """
     if probe_count < 1:
         raise ValueError("probe_count must be >= 1")
@@ -373,9 +372,7 @@ def estimate_constants(task, clients: list[ClientProfile], probe_count: int, rng
 
     if task.kind == "quadratic":
         l_hat = task.smoothness
-        gamma_hat = task.gamma_noniid.copy()
         source["L"] = "exact"
-        source["Gamma"] = "exact"
     else:
         l_hat = 0.0
         for w, v in zip(probes, probes[1:] + probes[:1]):
@@ -385,9 +382,5 @@ def estimate_constants(task, clients: list[ClientProfile], probe_count: int, rng
             for i in range(task.n_clients):
                 ratio = float(np.linalg.norm(task.local_grad(i, w) - task.local_grad(i, v))) / gap
                 l_hat = max(l_hat, ratio)
-        gamma_hat = task.gamma_noniid.copy()
         source["L"] = "probed"
-        source["Gamma"] = "descended"
-    return EstimatedConstants(
-        L_hat=float(l_hat), G_hat=float(g_max), sigma_hat=sigma_hat, gamma_hat=gamma_hat, source=source
-    )
+    return EstimatedConstants(L_hat=float(l_hat), G_hat=float(g_max), sigma_hat=sigma_hat, source=source)

@@ -11,6 +11,7 @@ from tsfl.aggregation import (
     dms_weights,
     fedasync_update,
     fedavg_weights,
+    filtering_probabilities,
     filtering_probability,
     iteration_spaced_weights,
     aggregate,
@@ -252,6 +253,14 @@ def test_filtering_probability_examples():
     assert filtering_probability(4, 2.5, 4) == 0.0
 
 
+def test_filtering_probabilities_match_plain_loop():
+    tau = [0, 1, 2, 2.5, 3, 4]
+    expected = [0.0 if t >= 2.5 else (2.5 - t) / 4 for t in tau]
+    assert filtering_probabilities(tau, 2.5, 4).tolist() == expected
+    with pytest.raises(ValueError):
+        filtering_probabilities(tau, 2.5, 0)
+
+
 def test_filtering_probability_monotone_in_tau():
     values = [filtering_probability(t, 3.0, 6) for t in range(7)]
     assert all(a >= b for a, b in zip(values, values[1:]))
@@ -331,9 +340,14 @@ def test_dms_respects_eligibility_mask():
 
 def test_dms_no_eligible_clients_returns_empty_assignment():
     c = _constants(N=2)
-    wa = dms_weights([1, 2], c, np.random.default_rng(0), eligible=[False, False])
+    rng = np.random.default_rng(0)
+    wa = dms_weights([1, 2], c, rng, eligible=[False, False])
     assert not wa.any_participant
     assert wa.participation.tolist() == [0, 0]
+    # The filter draw still takes one uniform per client.
+    replay = np.random.default_rng(0)
+    replay.random(2)
+    assert rng.random() == replay.random()
 
 
 # --- simplex projection -------------------------------------------------------

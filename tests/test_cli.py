@@ -6,6 +6,7 @@ import pytest
 
 from tsfl.cli import (
     ConfigError,
+    _run_kwargs,
     build_report,
     cell_seed,
     latency_table,
@@ -281,6 +282,43 @@ def test_validate_run_config_catches_bad_constants():
         validate_run_config(small_config(task={"kind": "quadratic", "oops": 1}))
     with pytest.raises(ConfigError, match="seeds"):
         validate_run_config(small_config(seeds=0))
+
+
+@pytest.mark.parametrize(
+    "overrides, location",
+    [
+        ({"runner": {"bufer_size": 2}}, "config.runner: unknown keys ['bufer_size']"),
+        ({"runner": {"buffer_size": "x"}}, "config.runner.buffer_size:"),
+        ({"runner": [1]}, "config.runner: must be an object"),
+        ({"scenario_options": {"n_client": 4}}, "config.scenario_options: unknown keys ['n_client']"),
+        ({"scenario_options": {"n_clients": "x"}}, "config.scenario_options:"),
+        ({"scenario_options": [1]}, "config.scenario_options: must be an object"),
+    ],
+)
+def test_unread_or_malformed_options_are_config_errors(tmp_path, capsys, overrides, location):
+    config = small_config(strategies=["semiasync", "fedavg"], **overrides)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert location in capsys.readouterr().err
+
+
+def test_options_apply_where_accepted(tmp_path):
+    # tau is a homogeneous-only option and buffer_size a semiasync-only one;
+    # each reaches the runs that accept it and is ignored by the rest.
+    config = small_config(
+        scenario=["case1", "homogeneous"],
+        scenario_options={"n_clients": 4, "data_size": 64, "batch_size": 8, "tau": 2},
+        strategies=["semiasync", "fedavg"],
+        runner={"buffer_size": "3"},
+        seeds=1,
+    )
+    assert _run_kwargs(config, "semiasync")["buffer_size"] == 3
+    assert "buffer_size" not in _run_kwargs(config, "fedavg")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 0
+    raw = json.loads((out / "runs" / "homogeneous__fedavg__s000" / "runlog.json").read_text())
+    assert raw["scenario"]["mean_tau"] == [2.0] * 4
 
 
 def test_load_config_rejects_non_object(tmp_path):

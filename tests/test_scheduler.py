@@ -6,6 +6,7 @@ import pytest
 from tsfl.core import SystemConstants
 from tsfl.scenarios import FixedIterations, Scenario, TaskSpec, preset
 from tsfl.scheduler import (
+    ALL_STRATEGIES,
     participation_frequency,
     run_afl,
     run_semi_async,
@@ -272,11 +273,10 @@ def test_theorem2_strategy_requires_noise_estimates():
 def test_run_strategy_dispatch():
     scenario = dataclasses.replace(preset("homogeneous", n_clients=4, tau=2, data_size=64), batch_size=8)
     constants = SystemConstants(eta=0.02, L=1.0, N=4, H=2, T=3, sigma_global=1.0)
-    for strategy in ("fedavg", "fedprox", "tsfl-uniform", "tsfl-corollary1", "tsfl-dms",
-                     "sfl", "fedasync", "semiasync"):
-        log = run_strategy(scenario, strategy, constants, seed=1)
+    for strategy in ALL_STRATEGIES:
+        log = run_strategy(scenario, strategy, constants, seed=1, probe_count=2)
         assert log.intervals == 3
-        assert log.strategy in (strategy, "sfl", "fedasync", "semiasync")
+        assert log.strategy == strategy
     with pytest.raises(ValueError):
         run_strategy(scenario, "nope", constants, seed=1)
 

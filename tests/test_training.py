@@ -197,9 +197,9 @@ def test_estimate_constants_symmetric_centers():
         centers=[np.array([-1.0]), np.array([1.0])],
         offsets=[np.zeros((4, 1)), np.zeros((4, 1))],
     )
-    est = estimate_constants(task, _profiles(task), 3, np.random.default_rng(0))
+    estimate_constants(task, _profiles(task), 3, np.random.default_rng(0))
     assert task.w_star == pytest.approx(0.0)
-    assert est.gamma_hat == pytest.approx([1.0, 1.0])
+    assert task.gamma_noniid == pytest.approx([1.0, 1.0])
 
 
 def test_logistic_optimum_distance_matches_long_descent_oracle():
