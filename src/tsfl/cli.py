@@ -72,6 +72,14 @@ def load_config(path: str | Path) -> dict:
     return config
 
 
+def _cast(kind, value, location: str):
+    """``kind(value)``, or a ConfigError naming ``location`` when that fails."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{location}: expected {kind.__name__}, got {value!r}") from exc
+
+
 def _known_keys(config: dict, section: str, accepted: set) -> dict:
     """``config[section]``, which must be an object whose keys are all accepted."""
     raw = config.get(section, {})
@@ -93,46 +101,67 @@ def _task_spec(config: dict) -> TaskSpec:
         raise ConfigError(f"config.task: {exc}") from exc
 
 
-def _process_from_spec(spec: dict) -> object:
+def _process_from_spec(spec: dict, location: str) -> object:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{location}: must be an object")
     kind = spec.get("kind")
-    if kind == "fixed":
-        return FixedIterations(int(spec["tau"]))
-    if kind == "gaussian-floor":
-        return GaussianFloorIterations(float(spec["mean"]), float(spec["std"]))
-    raise ConfigError(f"config.scenario.processes: unknown process kind {kind!r}")
+    try:
+        if kind == "fixed":
+            return FixedIterations(_cast(int, spec["tau"], f"{location}.tau"))
+        if kind == "gaussian-floor":
+            return GaussianFloorIterations(
+                _cast(float, spec["mean"], f"{location}.mean"),
+                _cast(float, spec["std"], f"{location}.std"),
+            )
+    except KeyError as exc:
+        raise ConfigError(f"{location}: missing key {exc.args[0]!r}") from exc
+    raise ConfigError(f"{location}: unknown process kind {kind!r}")
 
 
 def _inline_scenario(obj: dict, task: TaskSpec) -> Scenario:
     try:
-        n_clients = int(obj["n_clients"])
+        n_clients = _cast(int, obj["n_clients"], "config.scenario.n_clients")
         raw_processes = obj["processes"]
     except KeyError as exc:
         raise ConfigError(f"config.scenario: missing key {exc.args[0]!r}") from exc
-    specs = [_process_from_spec(s) for s in raw_processes]
+    if not isinstance(raw_processes, list) or not raw_processes:
+        raise ConfigError("config.scenario.processes: must be a non-empty list")
+    specs = [
+        _process_from_spec(s, f"config.scenario.processes[{k}]")
+        for k, s in enumerate(raw_processes)
+    ]
     # Fewer specs than clients tiles them over contiguous equal blocks.
     if len(specs) < n_clients:
         pieces = len(specs)
         specs = [specs[min(i * pieces // n_clients, pieces - 1)] for i in range(n_clients)]
     sizes = obj.get("data_sizes", 1024)
-    if isinstance(sizes, (int, float)):
-        sizes = [int(sizes)] * n_clients
+    if isinstance(sizes, list):
+        sizes = [_cast(int, s, f"config.scenario.data_sizes[{k}]") for k, s in enumerate(sizes)]
+    else:
+        sizes = [_cast(int, sizes, "config.scenario.data_sizes")] * n_clients
+    required = obj.get("required_iterations")
+    if required is not None:
+        required = _cast(int, required, "config.scenario.required_iterations")
     return Scenario(
         name=obj.get("name", "custom"),
         processes=specs,
-        data_sizes=list(sizes),
-        batch_size=int(obj.get("batch_size", 32)),
+        data_sizes=sizes,
+        batch_size=_cast(int, obj.get("batch_size", 32), "config.scenario.batch_size"),
         task=task,
-        interval_length=float(obj.get("interval_length", 1.0)),
-        overhead=float(obj.get("overhead", 0.0)),
-        required_iterations=obj.get("required_iterations"),
-        min_upload_iterations=int(obj.get("min_upload_iterations", 0)),
+        interval_length=_cast(float, obj.get("interval_length", 1.0), "config.scenario.interval_length"),
+        overhead=_cast(float, obj.get("overhead", 0.0), "config.scenario.overhead"),
+        required_iterations=required,
+        min_upload_iterations=_cast(
+            int, obj.get("min_upload_iterations", 0), "config.scenario.min_upload_iterations"
+        ),
         full_batch=bool(obj.get("full_batch", False)),
     )
 
 
-# The scenario_options keys each preset accepts: its factory's named parameters.
+# The scenario_options keys each preset accepts, its factory's named
+# parameters, each with the type of its default, which a value is converted to.
 _PRESET_OPTIONS = {
-    name: {p.name for p in inspect.signature(factory).parameters.values()
+    name: {p.name: type(p.default) for p in inspect.signature(factory).parameters.values()
            if p.kind is not p.VAR_KEYWORD}
     for name, factory in PRESETS.items()
 }
@@ -143,7 +172,11 @@ def _preset_scenario(name: str, options: dict, config: dict, task: TaskSpec) -> 
         raise ConfigError(
             f"config.scenario: unknown preset {name!r}; choose from {sorted(PRESETS)}"
         )
-    kwargs = {k: v for k, v in options.items() if k in _PRESET_OPTIONS[name]}
+    kwargs = {
+        key: _cast(kind, options[key], f"config.scenario_options.{key}")
+        for key, kind in _PRESET_OPTIONS[name].items()
+        if key in options
+    }
     try:
         scenario = PRESETS[name](**kwargs)
     except (TypeError, ValueError) as exc:
@@ -169,7 +202,7 @@ def build_scenarios(config: dict) -> list[Scenario]:
             scenario = _inline_scenario(entry, task)
         else:
             raise ConfigError("config.scenario: entries must be preset names or objects")
-        min_upload = int(config.get("min_upload_iterations", 0))
+        min_upload = _cast(int, config.get("min_upload_iterations", 0), "config.min_upload_iterations")
         if min_upload:
             scenario = apply_client_selection(scenario, min_upload)
         scenarios.append(scenario)
@@ -195,10 +228,10 @@ def expand_seeds(config: dict, scenario: str, strategy: str) -> list[tuple[int, 
     if isinstance(seeds, list):
         if not seeds:
             raise ConfigError("config.seeds: list must be non-empty")
-        return [(i, int(s)) for i, s in enumerate(seeds)]
+        return [(i, _cast(int, s, f"config.seeds[{i}]")) for i, s in enumerate(seeds)]
     if not isinstance(seeds, int) or seeds < 1:
         raise ConfigError("config.seeds: must be a positive count or a list of seeds")
-    master = int(config.get("master_seed", 0))
+    master = _cast(int, config.get("master_seed", 0), "config.master_seed")
     return [(i, cell_seed(master, scenario, strategy, i)) for i in range(seeds)]
 
 
@@ -362,15 +395,12 @@ def _cell_dir(out_dir: Path, scenario: str, strategy: str, index: int) -> Path:
 def _run_kwargs(config: dict, strategy: str) -> dict:
     runner = _known_keys(config, "runner", {k for spec in STRATEGIES.values() for k in spec.options})
     kwargs = {
-        "probe_count": int(config.get("estimate_probes", 4)),
+        "probe_count": _cast(int, config.get("estimate_probes", 4), "config.estimate_probes"),
         "equality_theta": bool(config.get("equality_theta", False)),
     }
     for key, kind in STRATEGIES[strategy].options.items():
         if key in runner:
-            try:
-                kwargs[key] = kind(runner[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"config.runner.{key}: {exc}") from exc
+            kwargs[key] = _cast(kind, runner[key], f"config.runner.{key}")
     return kwargs
 
 

@@ -43,20 +43,33 @@ class QuadraticTask:
     exactly ``A_i (w - c_i)`` and the local optimum is ``c_i``. Mini-batch
     gradients carry the batch-mean offset, which gives a controllable noise
     level with an exact expectation identity.
+
+    Curvatures are stacked as ``(n, d, d)`` and centers as ``(n, d)``. Losses
+    are evaluated in closed form from per-client terms computed once; they
+    equal the per-sample mean above for any offsets, centered or not.
     """
 
     kind = "quadratic"
 
     def __init__(self, curvatures, centers, offsets):
-        self.curvatures = [np.asarray(a, dtype=float) for a in curvatures]
-        self.centers = [np.asarray(c, dtype=float) for c in centers]
+        self.curvatures = np.asarray(curvatures, dtype=float)
+        self.centers = np.asarray(centers, dtype=float)
         self.offsets = [np.asarray(z, dtype=float) for z in offsets]
         if not (len(self.curvatures) == len(self.centers) == len(self.offsets)):
             raise ValueError("per-client pieces must have equal length")
-        for a in self.curvatures:
-            eigs = np.linalg.eigvalsh(a)
-            if np.any(eigs <= 0):
-                raise ValueError("curvature matrices must be positive definite")
+        eigs = np.linalg.eigvalsh(self.curvatures)
+        if np.any(eigs <= 0):
+            raise ValueError("curvature matrices must be positive definite")
+        self.smoothness = float(eigs.max())
+        # With m_i = c_i + mean_s z_s, F_i(w) = 0.5 (w - m_i)' A_i (w - m_i)
+        # + kappa_i, kappa_i being the loss spread of the offsets about their
+        # mean. Both terms are non-negative, so no digits cancel.
+        means = np.array([z.mean(axis=0) for z in self.offsets])
+        self._minima = self.centers + means
+        self._kappa = np.array([
+            0.5 * np.einsum("sd,de,se->", z - m, a, z - m) / z.shape[0]
+            for z, m, a in zip(self.offsets, means, self.curvatures)
+        ])
 
     @classmethod
     def generate(
@@ -100,10 +113,6 @@ class QuadraticTask:
         return self.offsets[client].shape[0]
 
     @cached_property
-    def smoothness(self) -> float:
-        return max(float(np.linalg.eigvalsh(a).max()) for a in self.curvatures)
-
-    @cached_property
     def w_star(self) -> np.ndarray:
         total = sum(self.curvatures)
         rhs = sum(a @ c for a, c in zip(self.curvatures, self.centers))
@@ -123,9 +132,8 @@ class QuadraticTask:
         return self.global_loss(self.w_star)
 
     def local_loss(self, client: int, w: np.ndarray) -> float:
-        a = self.curvatures[client]
-        diffs = w - self.centers[client] - self.offsets[client]
-        return float(0.5 * np.einsum("sd,de,se->", diffs, a, diffs) / diffs.shape[0])
+        e = w - self._minima[client]
+        return float(0.5 * e @ self.curvatures[client] @ e + self._kappa[client])
 
     def local_grad(self, client: int, w: np.ndarray) -> np.ndarray:
         return self.curvatures[client] @ (w - self.centers[client])
@@ -135,11 +143,14 @@ class QuadraticTask:
         return self.curvatures[client] @ (w - self.centers[client] - mean_offset)
 
     def global_loss(self, w: np.ndarray) -> float:
-        return float(np.mean([self.local_loss(i, w) for i in range(self.n_clients)]))
+        e = w - self._minima
+        quad = np.einsum("nd,nde,ne->", e, self.curvatures, e)
+        return float((0.5 * quad + self._kappa.sum()) / self.n_clients)
 
     def global_grad(self, w: np.ndarray) -> np.ndarray:
-        grads = [self.local_grad(i, w) for i in range(self.n_clients)]
-        return np.mean(grads, axis=0)
+        # A stacked matmul, not an einsum: each client's product then equals
+        # local_grad's bit for bit, and so does their mean.
+        return (self.curvatures @ (w - self.centers)[:, :, None])[:, :, 0].mean(axis=0)
 
 
 class LogisticTask:
@@ -282,6 +293,14 @@ class LogisticTask:
         return self.global_loss(self.w_star)
 
 
+def _draw_batch(task, client: int, batch_size: int, rng) -> np.ndarray:
+    """Indices of one mini-batch, drawn uniformly without replacement."""
+    n = task.data_size(client)
+    if batch_size > n:
+        raise ValueError("batch_size exceeds the client's data size")
+    return rng.choice(n, size=batch_size, replace=False)
+
+
 def stochastic_gradient(task, client: int, w: np.ndarray, batch_size: int, rng) -> GradientSample:
     """Draw one mini-batch gradient along with the full-batch gradient.
 
@@ -293,10 +312,7 @@ def stochastic_gradient(task, client: int, w: np.ndarray, batch_size: int, rng) 
         raise ValueError(
             f"model dimension {w.shape} does not match task dimension ({task.dimension},)"
         )
-    n = task.data_size(client)
-    if batch_size > n:
-        raise ValueError("batch_size exceeds the client's data size")
-    indices = rng.choice(n, size=batch_size, replace=False)
+    indices = _draw_batch(task, client, batch_size, rng)
     return GradientSample(
         stochastic=task.sample_grad(client, w, indices),
         full_batch=task.local_grad(client, w),
@@ -331,7 +347,7 @@ def local_train(
         if batch_size is None:
             g = task.local_grad(client, w)
         else:
-            g = stochastic_gradient(task, client, w, batch_size, rng).stochastic
+            g = task.sample_grad(client, w, _draw_batch(task, client, batch_size, rng))
         if use_prox:
             g = g + mu * (w - prox_center)
         w -= eta * g

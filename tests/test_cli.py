@@ -284,6 +284,9 @@ def test_validate_run_config_catches_bad_constants():
         validate_run_config(small_config(seeds=0))
 
 
+INLINE = {"n_clients": 4, "processes": [{"kind": "fixed", "tau": 1}], "data_sizes": 64, "batch_size": 8}
+
+
 @pytest.mark.parametrize(
     "overrides, location",
     [
@@ -291,8 +294,22 @@ def test_validate_run_config_catches_bad_constants():
         ({"runner": {"buffer_size": "x"}}, "config.runner.buffer_size:"),
         ({"runner": [1]}, "config.runner: must be an object"),
         ({"scenario_options": {"n_client": 4}}, "config.scenario_options: unknown keys ['n_client']"),
-        ({"scenario_options": {"n_clients": "x"}}, "config.scenario_options:"),
+        ({"scenario_options": {"n_clients": "x"}}, "config.scenario_options.n_clients:"),
         ({"scenario_options": [1]}, "config.scenario_options: must be an object"),
+        ({"scenario_options": {"data_size": "x"}}, "config.scenario_options.data_size:"),
+        ({"estimate_probes": "x"}, "config.estimate_probes:"),
+        ({"master_seed": "x"}, "config.master_seed:"),
+        ({"seeds": [1, "x"]}, "config.seeds[1]:"),
+        ({"min_upload_iterations": "x"}, "config.min_upload_iterations:"),
+        ({"scenario": {**INLINE, "n_clients": "x"}}, "config.scenario.n_clients:"),
+        ({"scenario": {**INLINE, "batch_size": "x"}}, "config.scenario.batch_size:"),
+        ({"scenario": {**INLINE, "required_iterations": "x"}}, "config.scenario.required_iterations:"),
+        ({"scenario": {**INLINE, "data_sizes": [64, "x"]}}, "config.scenario.data_sizes[1]:"),
+        ({"scenario": {**INLINE, "processes": [{"kind": "fixed", "tau": "x"}]}},
+         "config.scenario.processes[0].tau:"),
+        ({"scenario": {**INLINE, "processes": [{"kind": "fixed"}]}},
+         "config.scenario.processes[0]: missing key 'tau'"),
+        ({"scenario": {**INLINE, "processes": []}}, "config.scenario.processes: must be a non-empty list"),
     ],
 )
 def test_unread_or_malformed_options_are_config_errors(tmp_path, capsys, overrides, location):

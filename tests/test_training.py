@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tsfl.core import ClientProfile
+from tsfl.scenarios import preset
 from tsfl.training import (
     LogisticTask,
     QuadraticTask,
@@ -98,6 +99,98 @@ def test_stochastic_expectation_contract_by_enumeration():
         task.sample_grad(0, w, np.array(idx)) for idx in combinations(range(6), 2)
     ]
     assert np.allclose(np.mean(grads, axis=0), task.local_grad(0, w), atol=1e-12)
+
+
+def _per_sample_loss(task, client, w):
+    """The definition: the mean over samples of 0.5 (w - c - z)' A (w - c - z)."""
+    a = task.curvatures[client]
+    diffs = w - task.centers[client] - task.offsets[client]
+    return float(np.mean([0.5 * v @ a @ v for v in diffs]))
+
+
+def _per_sample_grad(task, client, w):
+    a = task.curvatures[client]
+    return np.mean([a @ v for v in w - task.centers[client] - task.offsets[client]], axis=0)
+
+
+QUADRATIC_CASES = [f"{name}-d{d}" for name in ("case1", "case2", "case3") for d in (1, 2, 8)] + [
+    "shared-curvature",
+    "uncentered",
+]
+
+
+def _quadratic_task(case):
+    rng = np.random.default_rng(17)
+    if case == "shared-curvature":
+        return QuadraticTask.generate(4, 3, [10, 20, 30, 40], rng, noniid_spread=1.0, shared_curvature=True)
+    if case == "uncentered":
+        # A small spread about a large offset mean: at a client's minimum the
+        # loss is tiny next to the offsets' own quadratic terms.
+        return QuadraticTask(
+            curvatures=[np.array([[2.0, 0.3], [0.3, 1.0]]), np.eye(2)],
+            centers=[np.array([0.5, -1.0]), np.array([2.0, 0.0])],
+            offsets=[3.0 + 1e-3 * rng.normal(size=(7, 2)), rng.normal(loc=-1.0, size=(12, 2))],
+        )
+    name, d = case.split("-d")
+    sizes = {} if name == "case3" else {"data_size": 96}  # case3 draws tiered sizes
+    scenario = preset(name, n_clients=6, kind="quadratic", dimension=int(d), noniid_spread=0.6, **sizes)
+    return scenario.materialize(rng)[0]
+
+
+@pytest.mark.parametrize("case", QUADRATIC_CASES)
+def test_quadratic_closed_form_matches_per_sample_definition(case):
+    task = _quadratic_task(case)
+    rng = np.random.default_rng(3)
+    n = task.n_clients
+    client_minimum = task.centers[0] + task.offsets[0].mean(axis=0)
+    points = [rng.normal(size=task.dimension) for _ in range(3)] + [client_minimum, task.w_star]
+    for w in points:
+        losses = [_per_sample_loss(task, i, w) for i in range(n)]
+        for i in range(n):
+            assert task.local_loss(i, w) == pytest.approx(losses[i], rel=1e-12, abs=0.0)
+        assert task.global_loss(w) == pytest.approx(np.mean(losses), rel=1e-12, abs=0.0)
+        # The per-client loop global_grad replaced, bit for bit.
+        loop = np.mean([task.local_grad(i, w) for i in range(n)], axis=0)
+        assert np.array_equal(task.global_grad(w), loop)
+        if case != "uncentered":
+            # Centered offsets: the full-batch gradient is the per-sample mean,
+            # relative to the client gradients' scale (their mean cancels at w*).
+            per_sample = np.mean([_per_sample_grad(task, i, w) for i in range(n)], axis=0)
+            scale = np.mean([np.linalg.norm(task.local_grad(i, w)) for i in range(n)])
+            assert np.linalg.norm(task.global_grad(w) - per_sample) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+def test_local_train_minibatch_matches_stochastic_gradient_loop(kind):
+    rng = np.random.default_rng(8)
+    if kind == "quadratic":
+        task = small_quadratic(rng, n_clients=2, dimension=3, data_size=16, spread=0.5, noise=1.0)
+    else:
+        task = small_logistic(rng, n_clients=2, dimension=3, data_size=16, spread=0.5)
+    w0 = rng.normal(size=task.dimension)
+    center = rng.normal(size=task.dimension)
+    trained, looped = np.random.default_rng(5), np.random.default_rng(5)
+    out = local_train(task, 1, w0, 7, eta=0.05, rng=trained, batch_size=4, prox_center=center, mu=0.3)
+    w = w0.copy()
+    for _ in range(7):
+        g = stochastic_gradient(task, 1, w, 4, looped).stochastic
+        g = g + 0.3 * (w - center)
+        w -= 0.05 * g
+    assert np.array_equal(out, w)
+    # Both streams consumed the same draws.
+    assert trained.bit_generator.state == looped.bit_generator.state
+
+
+def test_local_train_oversized_batch_raises_only_when_a_step_runs():
+    task = small_quadratic(np.random.default_rng(0), data_size=8)
+    w = np.array([1.0, -2.0])
+    with pytest.raises(ValueError, match="batch_size"):
+        local_train(task, 0, w, 1, eta=0.1, rng=np.random.default_rng(0), batch_size=9)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    out = local_train(task, 0, w, 0, eta=0.1, rng=rng, batch_size=9)
+    assert np.array_equal(out, w)
+    assert rng.bit_generator.state == state
 
 
 def test_local_train_zero_iterations_is_identity():
