@@ -39,14 +39,14 @@ def _random_spd(dimension: int, eig_range: tuple[float, float], rng) -> np.ndarr
 class QuadraticTask:
     """Per-client quadratics ``F_i(w) = mean_s 0.5 (w - c_i - z_s)' A_i (w - c_i - z_s)``.
 
-    The per-sample offsets ``z_s`` are centered, so the full-batch gradient is
-    exactly ``A_i (w - c_i)`` and the local optimum is ``c_i``. Mini-batch
-    gradients carry the batch-mean offset, which gives a controllable noise
-    level with an exact expectation identity.
+    The full-batch gradient is ``A_i (w - m_i)`` with ``m_i = c_i + mean_s z_s``
+    the local optimum; generated offsets are centered, so ``m_i`` is ``c_i``
+    up to rounding. Mini-batch gradients carry the batch-mean offset, which
+    gives a controllable noise level with an exact expectation identity.
 
-    Curvatures are stacked as ``(n, d, d)`` and centers as ``(n, d)``. Losses
-    are evaluated in closed form from per-client terms computed once; they
-    equal the per-sample mean above for any offsets, centered or not.
+    Curvatures are stacked as ``(n, d, d)`` and centers as ``(n, d)``. Losses,
+    gradients and optima are evaluated in closed form from per-client terms
+    computed once; they hold for any offsets, centered or not.
     """
 
     kind = "quadratic"
@@ -115,16 +115,16 @@ class QuadraticTask:
     @cached_property
     def w_star(self) -> np.ndarray:
         total = sum(self.curvatures)
-        rhs = sum(a @ c for a, c in zip(self.curvatures, self.centers))
+        rhs = sum(a @ m for a, m in zip(self.curvatures, self._minima))
         return np.linalg.solve(total, rhs)
 
     def local_optimum(self, client: int) -> np.ndarray:
-        return self.centers[client].copy()
+        return self._minima[client].copy()
 
     @cached_property
     def gamma_noniid(self) -> np.ndarray:
         return np.array(
-            [float(np.sum((self.w_star - c) ** 2)) for c in self.centers]
+            [float(np.sum((self.w_star - m) ** 2)) for m in self._minima]
         )
 
     @cached_property
@@ -136,7 +136,7 @@ class QuadraticTask:
         return float(0.5 * e @ self.curvatures[client] @ e + self._kappa[client])
 
     def local_grad(self, client: int, w: np.ndarray) -> np.ndarray:
-        return self.curvatures[client] @ (w - self.centers[client])
+        return self.curvatures[client] @ (w - self._minima[client])
 
     def sample_grad(self, client: int, w: np.ndarray, indices: np.ndarray) -> np.ndarray:
         mean_offset = self.offsets[client][indices].mean(axis=0)
@@ -150,7 +150,7 @@ class QuadraticTask:
     def global_grad(self, w: np.ndarray) -> np.ndarray:
         # A stacked matmul, not an einsum: each client's product then equals
         # local_grad's bit for bit, and so does their mean.
-        return (self.curvatures @ (w - self.centers)[:, :, None])[:, :, 0].mean(axis=0)
+        return (self.curvatures @ (w - self._minima)[:, :, None])[:, :, 0].mean(axis=0)
 
 
 class LogisticTask:
@@ -159,21 +159,34 @@ class LogisticTask:
     Client data are two Gaussian clusters at ``+/- separation * b`` shifted by
     a per-client offset whose magnitude controls the non-IID degree. The model
     carries an intercept, so the parameter dimension is feature_dim + 1.
+
+    The data live in one zero-padded design block ``(n, m_max, d)`` and one
+    label block ``(n, m_max)``; ``features``, ``labels`` and ``_design`` are
+    per-client views into them. Padding rows carry label 0, so they add
+    exactly zero to a gradient. The optima are found by one stacked
+    fixed-step descent: a single row for w*, one row per client for the
+    local optima.
     """
 
     kind = "logistic"
 
     def __init__(self, features, labels, l2_reg: float = 0.05):
-        self.features = [np.asarray(x, dtype=float) for x in features]
-        self.labels = [np.asarray(y, dtype=float) for y in labels]
         self.l2_reg = float(l2_reg)
         if l2_reg <= 0:
             raise ValueError("l2_reg must be positive so optima are unique")
-        feature_dim = self.features[0].shape[1]
-        self._design = [
-            np.hstack([x, np.ones((x.shape[0], 1))]) for x in self.features
-        ]
+        sizes = [len(y) for y in labels]
+        feature_dim = np.shape(features[0])[1]
         self._dim = feature_dim + 1
+        self._x = np.zeros((len(sizes), max(sizes), self._dim))
+        self._y = np.zeros((len(sizes), max(sizes)))
+        for i, (x, y) in enumerate(zip(features, labels)):
+            self._x[i, : sizes[i], :feature_dim] = x
+            self._x[i, : sizes[i], feature_dim] = 1.0
+            self._y[i, : sizes[i]] = y
+        self._sizes = np.array(sizes, dtype=float)
+        self._design = [self._x[i, :m] for i, m in enumerate(sizes)]
+        self.features = [x[:, :feature_dim] for x in self._design]
+        self.labels = [self._y[i, :m] for i, m in enumerate(sizes)]
 
     @classmethod
     def generate(
@@ -249,19 +262,50 @@ class LogisticTask:
     def global_loss(self, w: np.ndarray) -> float:
         return float(np.mean([self.local_loss(i, w) for i in range(self.n_clients)]))
 
-    def global_grad(self, w: np.ndarray) -> np.ndarray:
-        return np.mean([self.local_grad(i, w) for i in range(self.n_clients)], axis=0)
+    @cached_property
+    def _scratch(self) -> np.ndarray:
+        # One (n, m_max) buffer reused by every _full_grads call. Fresh
+        # temporaries of that size cost more than the arithmetic: the
+        # allocator hands them back to the system and faults them in again.
+        return np.empty_like(self._y)
 
-    def _descend(self, grad_fn, start: np.ndarray, tol: float = 1e-12, max_iter: int = 200_000) -> np.ndarray:
-        # Full-batch descent with a step safely below 1/L for these losses.
-        step = 1.0 / (0.25 * self._design_norm + self.l2_reg)
-        w = start.copy()
+    def _full_grads(self, w: np.ndarray) -> np.ndarray:
+        """Full-batch gradients at a stack of points, row i on client i's data.
+
+        The operations are ``_grad_on``'s, batched over the padded blocks, so
+        with equal data sizes each row equals ``local_grad`` bit for bit.
+        """
+        t = self._scratch
+        np.matmul(self._x, w[:, :, None], out=t[:, :, None])
+        t *= self._y  # the margins y * (x @ w)
+        np.exp(t, out=t)
+        t += 1.0
+        np.divide(self._y, t, out=t)
+        np.negative(t, out=t)  # coef = -y / (1 + exp(m))
+        g = (self._x.transpose(0, 2, 1) @ t[:, :, None])[:, :, 0]
+        return g / self._sizes[:, None] + self.l2_reg * w
+
+    def global_grad(self, w: np.ndarray) -> np.ndarray:
+        return self._full_grads(np.broadcast_to(w, (self.n_clients, self.dimension))).mean(axis=0)
+
+    def _descend(self, grad_fn, names, tol: float = 1e-12, max_iter: int = 200_000) -> np.ndarray:
+        """Full-batch descent from the origin on a stack of points, one per
+        name. Each row stops after the first step whose own gradient has
+        ``|g|^2 < tol^2``; a row that never gets there raises."""
+        step = 1.0 / self.smoothness  # at most 1/L: smoothness is an upper bound
+        w = np.zeros((len(names), self.dimension))
+        active = np.ones(len(names), dtype=bool)
         for _ in range(max_iter):
             g = grad_fn(w)
-            w = w - step * g
-            if np.dot(g, g) < tol**2:
-                break
-        return w
+            w = np.where(active[:, None], w - step * g, w)
+            active &= np.einsum("kd,kd->k", g, g) >= tol**2
+            if not active.any():
+                return w
+        late = ", ".join(name for name, running in zip(names, active) if running)
+        raise ValueError(
+            f"logistic optimum descent did not converge in {max_iter} steps for {late}"
+            f" (l2_reg={self.l2_reg} may be too small)"
+        )
 
     @cached_property
     def _design_norm(self) -> float:
@@ -276,10 +320,14 @@ class LogisticTask:
 
     @cached_property
     def w_star(self) -> np.ndarray:
-        return self._descend(self.global_grad, np.zeros(self.dimension))
+        return self._descend(lambda w: self.global_grad(w[0])[None], ["w*"])[0]
+
+    @cached_property
+    def _local_optima(self) -> np.ndarray:
+        return self._descend(self._full_grads, [f"client {i}" for i in range(self.n_clients)])
 
     def local_optimum(self, client: int) -> np.ndarray:
-        return self._descend(lambda w: self.local_grad(client, w), np.zeros(self.dimension))
+        return self._local_optima[client].copy()
 
     @cached_property
     def gamma_noniid(self) -> np.ndarray:

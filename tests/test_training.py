@@ -152,12 +152,11 @@ def test_quadratic_closed_form_matches_per_sample_definition(case):
         # The per-client loop global_grad replaced, bit for bit.
         loop = np.mean([task.local_grad(i, w) for i in range(n)], axis=0)
         assert np.array_equal(task.global_grad(w), loop)
-        if case != "uncentered":
-            # Centered offsets: the full-batch gradient is the per-sample mean,
-            # relative to the client gradients' scale (their mean cancels at w*).
-            per_sample = np.mean([_per_sample_grad(task, i, w) for i in range(n)], axis=0)
-            scale = np.mean([np.linalg.norm(task.local_grad(i, w)) for i in range(n)])
-            assert np.linalg.norm(task.global_grad(w) - per_sample) <= 1e-12 * scale
+        # The full-batch gradient is the per-sample mean, relative to the
+        # client gradients' scale (their mean cancels at w*).
+        per_sample = np.mean([_per_sample_grad(task, i, w) for i in range(n)], axis=0)
+        scale = np.mean([np.linalg.norm(task.local_grad(i, w)) for i in range(n)])
+        assert np.linalg.norm(task.global_grad(w) - per_sample) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
@@ -266,6 +265,29 @@ def test_quadratic_global_optimum_closed_form():
     assert np.allclose(task.global_grad(task.w_star), 0.0, atol=1e-12)
 
 
+def test_quadratic_uncentered_offsets_set_gradient_and_optima():
+    # Offsets with a mean far from zero: each client's loss is minimized at
+    # c_i + mean_s z_s, not at c_i, and every full-batch quantity follows it.
+    rng = np.random.default_rng(4)
+    task = QuadraticTask(
+        curvatures=[np.array([[2.0, 0.3], [0.3, 1.0]]), 0.7 * np.eye(2)],
+        centers=[np.array([0.5, -1.0]), np.array([2.0, 0.0])],
+        offsets=[rng.normal(loc=1.5, size=(7, 2)), rng.normal(loc=-1.0, size=(12, 2))],
+    )
+    for client in range(task.n_clients):
+        for w in rng.normal(size=(5, 2)):
+            oracle = central_difference(lambda v: task.local_loss(client, v), w)
+            assert np.allclose(task.local_grad(client, w), oracle, rtol=1e-8, atol=1e-8)
+        optimum = task.local_optimum(client)
+        assert np.linalg.norm(optimum - task.centers[client]) > 0.5
+        floor = task.local_loss(client, optimum)
+        for step in rng.normal(scale=1e-3, size=(20, 2)):
+            assert task.local_loss(client, optimum + step) > floor
+    assert np.allclose(task.global_grad(task.w_star), 0.0, atol=1e-12)
+    distances = [np.sum((task.w_star - task.local_optimum(i)) ** 2) for i in range(task.n_clients)]
+    assert task.gamma_noniid == pytest.approx(distances, rel=1e-12)
+
+
 def _profiles(task):
     return [
         ClientProfile(id=i + 1, data_size=task.data_size(i), batch_size=min(4, task.data_size(i)))
@@ -321,3 +343,105 @@ def test_sigma_estimate_is_zero_without_sample_noise():
     est = estimate_constants(task, _profiles(task), 2, np.random.default_rng(4))
     assert np.all(est.sigma_hat == 0.0)
     assert est.G_hat > 0.0
+
+
+def _descent_oracle(task, grad_fn):
+    """The per-point definition of a logistic optimum: fixed-step full-batch
+    descent from the origin, stopping after the first step with |g| < 1e-12."""
+    step = 1.0 / task.smoothness
+    w = np.zeros(task.dimension)
+    for _ in range(200_000):
+        g = grad_fn(w)
+        w = w - step * g
+        if np.dot(g, g) < 1e-12**2:
+            return w
+    raise AssertionError("oracle descent did not converge")
+
+
+LOGISTIC_LAYOUTS = {"equal": [40] * 5, "unequal": [16, 40, 24, 64, 33], "single": [30]}
+
+
+@pytest.mark.parametrize("layout", LOGISTIC_LAYOUTS)
+def test_logistic_stacked_descent_matches_per_client_definition(layout):
+    sizes = LOGISTIC_LAYOUTS[layout]
+    task = LogisticTask.generate(len(sizes), 3, sizes, np.random.default_rng(19), noniid_spread=0.8)
+    n = task.n_clients
+
+    def agree(got, want, scale):
+        # Equal sizes need no padding: the stacked arithmetic is the
+        # per-client arithmetic. Padded clients may differ in the last digits.
+        if layout == "unequal":
+            assert np.linalg.norm(got - want) <= 1e-13 * scale
+        else:
+            assert np.array_equal(got, want)
+
+    def mean_grad(w):
+        return np.mean([task.local_grad(i, w) for i in range(n)], axis=0)
+
+    star = _descent_oracle(task, mean_grad)
+    optima = [_descent_oracle(task, lambda w, i=i: task.local_grad(i, w)) for i in range(n)]
+    for w in list(np.random.default_rng(2).normal(size=(4, task.dimension))) + [star]:
+        scale = np.mean([np.linalg.norm(task.local_grad(i, w)) for i in range(n)])
+        agree(task.global_grad(w), mean_grad(w), scale)
+    agree(task.w_star, star, np.linalg.norm(star))
+    for i in range(n):
+        agree(task.local_optimum(i), optima[i], np.linalg.norm(optima[i]))
+    gammas = np.array([float(np.sum((star - o) ** 2)) for o in optima])
+    agree(task.gamma_noniid, gammas, np.linalg.norm(gammas))
+    if layout == "single":
+        assert task.gamma_noniid[0] == 0.0
+    # local_optimum hands out copies of the cached optima.
+    task.local_optimum(0)[:] = 7.0
+    agree(task.local_optimum(0), optima[0], np.linalg.norm(optima[0]))
+
+
+def test_logistic_data_are_views_into_padded_blocks():
+    sizes = [5, 9, 7]
+    task = LogisticTask.generate(3, 3, sizes, np.random.default_rng(6), noniid_spread=0.5)
+    assert task._x.shape == (3, 9, 3) and task._y.shape == (3, 9)
+    for i, m in enumerate(sizes):
+        assert task.data_size(i) == m and task.features[i].shape == (m, 2)
+        assert np.shares_memory(task.features[i], task._x)
+        assert np.shares_memory(task._design[i], task._x)
+        assert np.shares_memory(task.labels[i], task._y)
+        assert np.all(task._y[i, m:] == 0.0) and np.all(task._x[i, m:] == 0.0)
+
+
+def _short_descents(monkeypatch, max_iter=3):
+    descend = LogisticTask._descend
+    monkeypatch.setattr(
+        LogisticTask, "_descend", lambda self, grad_fn, names: descend(self, grad_fn, names, max_iter=max_iter)
+    )
+
+
+def test_logistic_descent_out_of_steps_raises_naming_the_point(monkeypatch):
+    _short_descents(monkeypatch)
+    task = small_logistic(np.random.default_rng(13), n_clients=3, data_size=8, spread=0.8)
+    with pytest.raises(ValueError, match=r"did not converge in 3 steps for w\*"):
+        task.w_star
+    with pytest.raises(ValueError, match="did not converge in 3 steps for client 0, client 1, client 2"):
+        task.local_optimum(1)
+
+
+def test_logistic_descent_out_of_steps_fails_the_cell(monkeypatch, tmp_path):
+    import json
+
+    from tsfl.cli import main
+
+    _short_descents(monkeypatch)
+    config = {
+        "scenario": "case1",
+        "scenario_options": {"n_clients": 4, "data_size": 16, "batch_size": 4},
+        "task": {"kind": "logistic", "dimension": 3, "noniid_spread": 0.5},
+        "strategies": ["tsfl-dms"],
+        "seeds": 1,
+        "constants": {"eta": 0.05, "T": 2, "N": 4, "H": 4},
+        "estimate_probes": 2,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    [cell] = json.loads((out / "summary.json").read_text(encoding="utf-8"))["cells"]
+    assert cell["status"] == "failed"
+    assert cell["error"].startswith("ValueError: logistic optimum descent did not converge")
