@@ -6,7 +6,7 @@ the engine and the diagnostics stay independently testable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -19,9 +19,11 @@ class BoundReport:
     """Evaluation of the loss upper bound against the measured final gradient.
 
     ``x`` is the gradient-drift term, ``y`` the mini-batch term, ``z`` the
-    data-distribution term and ``w`` the denominator. ``applicable`` is False
-    when the denominator is non-positive, in which case no bound value is
-    reported. ``preconditions_met`` tracks the weight-limit regime and the
+    data-distribution term and ``w`` the denominator. ``applicable`` is False,
+    and no bound value is reported, when the denominator is non-positive or
+    when the log records no participation (see
+    ``RunLog.participation_recorded``), so the sums miss the aggregations.
+    ``preconditions_met`` tracks the weight-limit regime and the
     iteration-cap consistency of the run.
     """
 
@@ -38,19 +40,7 @@ class BoundReport:
     h_used: int
 
     def to_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "y": self.y,
-            "z": self.z,
-            "w": self.w,
-            "r0": self.r0,
-            "bound_value": self.bound_value,
-            "measured": self.measured,
-            "satisfied": self.satisfied,
-            "preconditions_met": self.preconditions_met,
-            "applicable": self.applicable,
-            "h_used": self.h_used,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -64,13 +54,7 @@ class ConvergenceReport:
     step_size_limit: float
 
     def to_dict(self) -> dict:
-        return {
-            "mean_cum_grad": self.mean_cum_grad,
-            "bound": self.bound,
-            "satisfied": self.satisfied,
-            "applicable": self.applicable,
-            "step_size_limit": self.step_size_limit,
-        }
+        return asdict(self)
 
 
 def convergence_rhs(constants: SystemConstants, intervals: int, loss_gap: float) -> float:
@@ -101,20 +85,12 @@ def verify_convergence(
         f_star = float(log.analysis_inputs["f_star"])
     lhs = float(log.grad_norms().mean())
     applicable = c.eta < c.step_size_limit
-    if not applicable:
-        return ConvergenceReport(
-            mean_cum_grad=lhs,
-            bound=None,
-            satisfied=False,
-            applicable=False,
-            step_size_limit=c.step_size_limit,
-        )
-    rhs = convergence_rhs(c, log.intervals, f0 - f_star)
+    rhs = convergence_rhs(c, log.intervals, f0 - f_star) if applicable else None
     return ConvergenceReport(
         mean_cum_grad=lhs,
         bound=rhs,
-        satisfied=lhs <= rhs,
-        applicable=True,
+        satisfied=applicable and lhs <= rhs,
+        applicable=applicable,
         step_size_limit=c.step_size_limit,
     )
 
@@ -142,8 +118,8 @@ def evaluate_bound(
     start = np.asarray(log.initial_model if w0 is None else w0, dtype=float)
     optimum = np.asarray(inputs["w_star"] if w_star is None else w_star, dtype=float)
 
-    rho = log.rho_matrix() if log.intervals else np.zeros((0, c.N))
-    tau = log.tau_matrix().astype(float) if log.intervals else np.zeros((0, c.N))
+    rho = log.rho_matrix()
+    tau = log.tau_matrix().astype(float)
     observed_h = int(tau.max()) if tau.size else 0
     h_used = max(c.H, observed_h)
     coefs = bound_coefficients(c, h=h_used)
@@ -157,24 +133,15 @@ def evaluate_bound(
 
     preconditions_met = c.weight_limit_ok and observed_h <= c.H
     measured = float(log.final_grad_norm_sq) / c.L**2
-    if w <= 0.0:
-        return BoundReport(
-            x=x, y=y, z=z, w=w, r0=r0,
-            bound_value=None,
-            measured=measured,
-            satisfied=False,
-            preconditions_met=preconditions_met,
-            applicable=False,
-            h_used=h_used,
-        )
-    bound_value = (r0 + x + y + z) / w
+    applicable = w > 0.0 and log.participation_recorded
+    bound_value = (r0 + x + y + z) / w if applicable else None
     return BoundReport(
         x=x, y=y, z=z, w=w, r0=r0,
         bound_value=bound_value,
         measured=measured,
-        satisfied=measured <= bound_value,
+        satisfied=applicable and measured <= bound_value,
         preconditions_met=preconditions_met,
-        applicable=True,
+        applicable=applicable,
         h_used=h_used,
     )
 

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import evaluate_bound, verify_convergence
-from .core import IntervalRecord, RunLog, SystemConstants, validate_constants
+from .core import IntervalRecord, RunLog, SystemConstants, interval_records, validate_constants
 from .scenarios import (
     PRESETS,
     FixedIterations,
@@ -73,7 +73,10 @@ def load_config(path: str | Path) -> dict:
 
 
 def _cast(kind, value, location: str):
-    """``kind(value)``, or a ConfigError naming ``location`` when that fails."""
+    """``kind(value)``, or a ConfigError naming ``location`` when that fails.
+    A bool must be a JSON boolean already, as ``bool("false")`` is True."""
+    if kind is bool and not isinstance(value, bool):
+        raise ConfigError(f"{location}: expected bool, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
@@ -154,7 +157,7 @@ def _inline_scenario(obj: dict, task: TaskSpec) -> Scenario:
         min_upload_iterations=_cast(
             int, obj.get("min_upload_iterations", 0), "config.scenario.min_upload_iterations"
         ),
-        full_batch=bool(obj.get("full_batch", False)),
+        full_batch=_cast(bool, obj.get("full_batch", False), "config.scenario.full_batch"),
     )
 
 
@@ -184,7 +187,7 @@ def _preset_scenario(name: str, options: dict, config: dict, task: TaskSpec) -> 
     scenario = dataclasses.replace(
         scenario,
         task=task,
-        full_batch=bool(config.get("full_batch", scenario.full_batch)),
+        full_batch=_cast(bool, config.get("full_batch", scenario.full_batch), "config.full_batch"),
     )
     return scenario
 
@@ -249,6 +252,7 @@ def validate_run_config(config: dict) -> list[str]:
                 f"choose from {sorted(STRATEGIES)}"
             )
         _run_kwargs(config, name)
+    _emit_flags(config)
     build_scenarios(config)
     build_constants(config)
     expand_seeds(config, "dummy", strategies[0])
@@ -264,6 +268,9 @@ def _constants_dict(constants: SystemConstants) -> dict:
 
 
 def log_to_dict(log: RunLog) -> dict:
+    # runlog.json keeps every column but the per-interval models.
+    names = [name for name in log.records.dtype.names if name != "model"]
+    rows = zip(*(log.records[name].tolist() for name in names))
     return {
         "schema_version": METRICS_SCHEMA_VERSION,
         "scenario": log.scenario,
@@ -276,29 +283,19 @@ def log_to_dict(log: RunLog) -> dict:
         "final_model": None if log.final_model is None else log.final_model.tolist(),
         "final_loss": log.final_loss,
         "final_grad_norm_sq": log.final_grad_norm_sq,
-        "records": [
-            {
-                "t": r.t,
-                "tau": r.tau.tolist(),
-                "beta": r.beta.tolist(),
-                "rho": r.rho.tolist(),
-                "global_loss": r.global_loss,
-                "global_grad_norm_sq": r.global_grad_norm_sq,
-                "wall_clock": r.wall_clock,
-                "aggregated": r.aggregated,
-            }
-            for r in log.records
-        ],
+        "records": [dict(zip(names, row)) for row in rows],
     }
 
 
 def log_from_dict(data: dict) -> RunLog:
-    constants = SystemConstants(**data["constants"])
+    """The RunLog that ``log_to_dict`` serialized; its per-interval models read back as NaN."""
+    rows = data["records"]
     log = RunLog(
         scenario=data["scenario"],
         seed=data["seed"],
         strategy=data["strategy"],
-        constants=constants,
+        constants=SystemConstants(**data["constants"]),
+        records=interval_records(len(rows), data["scenario"]["n_clients"], len(data["final_model"] or ())),
         initial_model=None if data["initial_model"] is None else np.array(data["initial_model"]),
         final_model=None if data["final_model"] is None else np.array(data["final_model"]),
         final_loss=data["final_loss"],
@@ -306,24 +303,20 @@ def log_from_dict(data: dict) -> RunLog:
         constants_source=data.get("constants_source", {}),
         analysis_inputs=data.get("analysis_inputs", {}),
     )
-    for r in data["records"]:
-        log.records.append(
-            IntervalRecord(
-                t=r["t"],
-                tau=np.array(r["tau"]),
-                beta=np.array(r["beta"]),
-                rho=np.array(r["rho"]),
-                global_loss=r["global_loss"],
-                global_grad_norm_sq=r["global_grad_norm_sq"],
-                wall_clock=r["wall_clock"],
-                aggregated=r["aggregated"],
-            )
-        )
+    for t, row in enumerate(rows):
+        log.records[t] = IntervalRecord(**row)
     return log
 
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _write_csv(path: Path, header: list, rows) -> None:
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def metrics_header(n_clients: int) -> list[str]:
@@ -334,21 +327,26 @@ def metrics_header(n_clients: int) -> list[str]:
     return header
 
 
+def _final_clock(log: RunLog) -> float:
+    return float(log.records.wall_clock[-1]) if log.intervals else 0.0
+
+
+def _participation(log: RunLog) -> list | None:
+    frequency = participation_frequency(log)
+    return None if frequency is None else frequency.tolist()
+
+
 def write_metrics_csv(path: Path, log: RunLog) -> None:
-    n = log.records[0].tau.size if log.records else log.constants.N
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(metrics_header(n))
-        for r in log.records:
-            row = [r.t, r.wall_clock, r.global_loss, r.global_grad_norm_sq]
-            row += [int(v) for v in r.tau]
-            row += [int(v) for v in r.beta]
-            row += [float(v) for v in r.rho]
-            writer.writerow(row)
-        final_clock = log.records[-1].wall_clock if log.records else 0.0
-        row = [len(log.records), final_clock, log.final_loss, log.final_grad_norm_sq]
-        row += [0] * n + [0] * n + [0.0] * n
-        writer.writerow(row)
+    r = log.records
+    n = r.tau.shape[1]
+    columns = (r.t, r.wall_clock, r.global_loss, r.global_grad_norm_sq, r.tau, r.beta, r.rho)
+    rows = [
+        [t, clock, loss, grad, *tau, *beta, *rho]
+        for t, clock, loss, grad, tau, beta, rho in zip(*(c.tolist() for c in columns))
+    ]
+    final = [log.intervals, _final_clock(log), log.final_loss, log.final_grad_norm_sq]
+    rows.append(final + [0] * n + [0] * n + [0.0] * n)
+    _write_csv(path, metrics_header(n), rows)
 
 
 def build_report(log: RunLog) -> dict:
@@ -375,11 +373,11 @@ def build_report(log: RunLog) -> dict:
         "dissimilarity_source": dissimilarity_source,
         "bound": bound.to_dict(),
         "convergence": convergence.to_dict(),
-        "participation": participation_frequency(log).tolist(),
+        "participation": _participation(log),
         "final": {
             "loss": log.final_loss,
             "grad_norm_sq": log.final_grad_norm_sq,
-            "wall_clock": log.records[-1].wall_clock if log.records else 0.0,
+            "wall_clock": _final_clock(log),
         },
     }
 
@@ -396,12 +394,21 @@ def _run_kwargs(config: dict, strategy: str) -> dict:
     runner = _known_keys(config, "runner", {k for spec in STRATEGIES.values() for k in spec.options})
     kwargs = {
         "probe_count": _cast(int, config.get("estimate_probes", 4), "config.estimate_probes"),
-        "equality_theta": bool(config.get("equality_theta", False)),
+        "equality_theta": _cast(bool, config.get("equality_theta", False), "config.equality_theta"),
     }
     for key, kind in STRATEGIES[strategy].options.items():
         if key in runner:
             kwargs[key] = _cast(kind, runner[key], f"config.runner.{key}")
     return kwargs
+
+
+_EMIT_DEFAULTS = {"csv": True, "json": True, "plotdata": False}
+
+
+def _emit_flags(config: dict) -> dict:
+    raw = _known_keys(config, "emit", set(_EMIT_DEFAULTS))
+    return {key: _cast(bool, raw.get(key, default), f"config.emit.{key}")
+            for key, default in _EMIT_DEFAULTS.items()}
 
 
 def _execute_cell(args: tuple) -> dict:
@@ -416,16 +423,16 @@ def _execute_cell(args: tuple) -> dict:
     try:
         log = run_strategy(scenario, strategy, constants, seed, **kwargs)
         cell_dir.mkdir(parents=True, exist_ok=True)
-        if emit.get("csv", True):
+        if emit["csv"]:
             write_metrics_csv(cell_dir / "metrics.csv", log)
-        if emit.get("json", True):
+        if emit["json"]:
             _write_json(cell_dir / "runlog.json", log_to_dict(log))
             _write_json(cell_dir / "report.json", build_report(log))
         cell.update(
             final_loss=log.final_loss,
             final_grad_norm_sq=log.final_grad_norm_sq,
-            wall_clock=log.records[-1].wall_clock if log.records else 0.0,
-            participation=participation_frequency(log).tolist(),
+            wall_clock=_final_clock(log),
+            participation=_participation(log),
         )
     except Exception as exc:  # noqa: BLE001 - a failed cell must not stop the matrix
         cell["status"] = "failed"
@@ -440,6 +447,7 @@ def _summarize(cells: list[dict], out_dir: Path) -> None:
     rows = []
     for (scenario, strategy), group in sorted(groups.items()):
         ok = [c for c in group if c["status"] == "ok"]
+        shares = [c["participation"] for c in ok]
         row = {
             "scenario": scenario,
             "strategy": strategy,
@@ -447,20 +455,12 @@ def _summarize(cells: list[dict], out_dir: Path) -> None:
             "failed": len(group) - len(ok),
             "mean_final_loss": float(np.mean([c["final_loss"] for c in ok])) if ok else float("nan"),
             "mean_wall_clock": float(np.mean([c["wall_clock"] for c in ok])) if ok else float("nan"),
-            "mean_participation": float(np.mean([np.mean(c["participation"]) for c in ok])) if ok else float("nan"),
+            "mean_participation": (
+                float(np.mean([np.mean(p) for p in shares])) if ok and None not in shares else float("nan")
+            ),
         }
         rows.append(row)
-    with (out_dir / "summary.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["scenario", "strategy", "seeds", "failed", "mean_final_loss",
-             "mean_wall_clock", "mean_participation"]
-        )
-        for row in rows:
-            writer.writerow(
-                [row["scenario"], row["strategy"], row["seeds"], row["failed"],
-                 row["mean_final_loss"], row["mean_wall_clock"], row["mean_participation"]]
-            )
+    _write_csv(out_dir / "summary.csv", list(rows[0]), [list(row.values()) for row in rows])
     _write_json(out_dir / "summary.json", {"cells": cells, "rows": rows})
 
 
@@ -484,15 +484,12 @@ def _write_plotdata(cells: list[dict], out_dir: Path) -> None:
             continue
         length = min(len(c) for c in curves)
         stacked = np.array([c[:length] for c in curves])
-        with (plot_dir / f"{scenario}__{strategy}__loss.csv").open(
-            "w", encoding="utf-8", newline=""
-        ) as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["t", "mean_loss", "min_loss", "max_loss"])
-            for t in range(length):
-                writer.writerow(
-                    [t, float(stacked[:, t].mean()), float(stacked[:, t].min()), float(stacked[:, t].max())]
-                )
+        _write_csv(
+            plot_dir / f"{scenario}__{strategy}__loss.csv",
+            ["t", "mean_loss", "min_loss", "max_loss"],
+            [[t, float(stacked[:, t].mean()), float(stacked[:, t].min()), float(stacked[:, t].max())]
+             for t in range(length)],
+        )
 
 
 def run_experiment(config: dict, out_dir: Path, parallel: int = 1) -> int:
@@ -504,25 +501,15 @@ def run_experiment(config: dict, out_dir: Path, parallel: int = 1) -> int:
     strategies = validate_run_config(config)
     scenarios = build_scenarios(config)
     constants = build_constants(config)
-    emit = dict(config.get("emit", {}))
+    emit = _emit_flags(config)
 
     tasks = []
     for scenario in scenarios:
         for strategy in strategies:
             kwargs = _run_kwargs(config, strategy)
             for index, seed in expand_seeds(config, scenario.name, strategy):
-                tasks.append(
-                    (
-                        scenario,
-                        strategy,
-                        index,
-                        seed,
-                        constants,
-                        kwargs,
-                        _cell_dir(out_dir, scenario.name, strategy, index),
-                        emit,
-                    )
-                )
+                cell_dir = _cell_dir(out_dir, scenario.name, strategy, index)
+                tasks.append((scenario, strategy, index, seed, constants, kwargs, cell_dir, emit))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     if parallel > 1:
@@ -532,7 +519,7 @@ def run_experiment(config: dict, out_dir: Path, parallel: int = 1) -> int:
         cells = [_execute_cell(task) for task in tasks]
     cells.sort(key=lambda c: (c["scenario"], c["strategy"], c["seed_index"]))
     _summarize(cells, out_dir)
-    if emit.get("plotdata", False):
+    if emit["plotdata"]:
         _write_plotdata(cells, out_dir)
     failed = [c for c in cells if c["status"] == "failed"]
     for cell in failed:
@@ -564,6 +551,8 @@ def latency_table(
     every client unless overridden, so its round time is governed by the
     slowest client while the time-driven total stays fixed.
     """
+    if rounds < 1:
+        raise ValueError(f"rounds={rounds} must be at least 1")
     rows = []
     for delta in deltas:
         profile = two_tier_speed_profile(float(delta), n_clients=n_clients, mean_tau=mean_tau)
@@ -594,20 +583,27 @@ def compare_latency(config: dict, out_dir: Path) -> int:
         raise ConfigError(
             "config.strategies: latency comparison needs at least 'sfl' and 'tsfl-dms'"
         )
-    options = dict(config.get("latency", {}))
-    deltas = options.pop("deltas", [0.0, 1.25, 2.25])
-    rows = latency_table(deltas, **options)
+    params = inspect.signature(latency_table).parameters
+    options = _known_keys(config, "latency", set(params))
+    deltas = options.get("deltas", [0.0, 1.25, 2.25])
+    if not isinstance(deltas, list):
+        raise ConfigError("config.latency.deltas: must be a list")
+    deltas = [_cast(float, delta, f"config.latency.deltas[{k}]") for k, delta in enumerate(deltas)]
+    kwargs = {
+        key: _cast(int if isinstance(params[key].default, int) else float, value, f"config.latency.{key}")
+        for key, value in options.items()
+        if key != "deltas"
+    }
+    try:
+        rows = latency_table(deltas, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"config.latency: {exc}") from exc
     out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "latency.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["delta", "rounds", "required_iterations", "sfl_seconds", "tsfl_seconds", "ratio"]
-        )
-        for row in rows:
-            writer.writerow(
-                [row["delta"], row["rounds"], row["required_iterations"],
-                 row["sfl_seconds"], row["tsfl_seconds"], row["ratio"]]
-            )
+    _write_csv(
+        out_dir / "latency.csv",
+        ["delta", "rounds", "required_iterations", "sfl_seconds", "tsfl_seconds", "ratio"],
+        [list(row.values()) for row in rows],
+    )
     for row in rows:
         print(
             f"delta={row['delta']:<6g} sfl={row['sfl_seconds']:<10g} "

@@ -1,13 +1,14 @@
 """Shared domain types: analysis constants, client profiles, and run logs.
 
-Everything here is a plain value type. The simulation, aggregation, and
-analysis modules all operate on these and never mutate them in place.
+Constants and profiles are plain value types. A run log holds one
+preallocated record array that the runners fill in place, one row per
+interval, and that ``RunLog.validate`` checks once the run is over.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -139,14 +140,15 @@ class ClientProfile:
             raise ValueError("sigma_i and gamma_noniid must be non-negative")
 
 
-@dataclass
-class IntervalRecord:
-    """Per-interval trace row.
+class IntervalRecord(NamedTuple):
+    """One row of ``RunLog.records``, in column order: ``log.records[t] =
+    IntervalRecord(...)`` writes interval ``t``.
 
     ``global_loss`` and ``global_grad_norm_sq`` are evaluated on the global
     model at the start of the interval; ``tau``, ``beta``, ``rho`` describe
-    the aggregation that closes it. ``aggregated`` is False when every client
-    was filtered and the model was carried over unchanged.
+    the aggregation that closes it, and ``model`` is the global model after
+    it (NaN when not kept). ``aggregated`` is False when the model was carried
+    over unchanged.
     """
 
     t: int
@@ -159,38 +161,45 @@ class IntervalRecord:
     aggregated: bool = True
     model: np.ndarray | None = None
 
-    def __post_init__(self) -> None:
-        self.tau = np.asarray(self.tau, dtype=int)
-        self.beta = np.asarray(self.beta, dtype=int)
-        self.rho = np.asarray(self.rho, dtype=float)
-        if np.any(self.tau < 0):
-            raise ValueError("iteration counts must be non-negative")
-        if np.any(self.rho < 0):
-            raise ValueError("aggregation weights must be non-negative")
-        if np.any(self.rho[self.beta == 0] != 0.0):
-            raise ValueError("non-participating clients must have zero weight")
-        if np.any(self.beta == 1) and abs(self.rho.sum() - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(
-                f"weights sum to {self.rho.sum()!r}, expected 1 +/- {WEIGHT_SUM_TOL}"
-            )
+
+def interval_records(intervals: int, n_clients: int, dimension: int) -> np.recarray:
+    """Zeroed record array of ``intervals`` rows with ``IntervalRecord``'s columns."""
+    dtype = np.dtype(
+        [
+            ("t", int),
+            ("tau", int, (n_clients,)),
+            ("beta", int, (n_clients,)),
+            ("rho", float, (n_clients,)),
+            ("global_loss", float),
+            ("global_grad_norm_sq", float),
+            ("wall_clock", float),
+            ("aggregated", bool),
+            ("model", float, (dimension,)),
+        ],
+        align=True,
+    )
+    return np.zeros(intervals, dtype=dtype).view(np.recarray)
 
 
 @dataclass
 class RunLog:
     """Complete trace of one run: the unit of every analysis and test.
 
-    ``constants_source`` records, per analysis constant, whether the value was
-    configured explicitly, derived exactly from the task, or estimated from
-    probes. ``analysis_inputs`` carries the quantities the report generator
-    needs (per-client noise/optimum-distance, initial/optimal models, loss at
-    the optimum) so logs can be re-analyzed without rebuilding the task.
+    ``records`` holds one ``IntervalRecord`` row per interval (see
+    ``interval_records``); ``records.tau`` and the other columns are
+    ``(T, n)``, ``(T,)`` or ``(T, d)`` arrays. ``constants_source`` records,
+    per analysis constant, whether the value was configured explicitly,
+    derived exactly from the task, or estimated from probes.
+    ``analysis_inputs`` carries the quantities the report generator needs
+    (per-client noise/optimum-distance, initial/optimal models, loss at the
+    optimum) so logs can be re-analyzed without rebuilding the task.
     """
 
     scenario: dict
     seed: int
     strategy: str
     constants: SystemConstants
-    records: list[IntervalRecord] = field(default_factory=list)
+    records: np.recarray
     initial_model: np.ndarray | None = None
     final_model: np.ndarray | None = None
     final_loss: float = float("nan")
@@ -199,29 +208,49 @@ class RunLog:
     analysis_inputs: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        previous_t = -1
-        previous_clock = -float("inf")
-        for record in self.records:
-            if record.t <= previous_t or record.wall_clock <= previous_clock:
-                raise ValueError("records must be strictly increasing in t and wall_clock")
-            previous_t = record.t
-            previous_clock = record.wall_clock
+        """Raise ``ValueError("interval <k>: ...")`` for the first row ``k``
+        that breaks a row invariant or the strict increase of ``t`` and
+        ``wall_clock``."""
+        r = self.records
+        sums = r.rho.sum(axis=1)
+        checks = [
+            ((r.tau < 0).any(axis=1), "iteration counts must be non-negative"),
+            ((r.rho < 0).any(axis=1), "aggregation weights must be non-negative"),
+            (((r.beta == 0) & (r.rho != 0.0)).any(axis=1),
+             "non-participating clients must have zero weight"),
+            ((r.beta == 1).any(axis=1) & (np.abs(sums - 1.0) > WEIGHT_SUM_TOL),
+             f"weights sum to {{!r}}, expected 1 +/- {WEIGHT_SUM_TOL}"),
+            ((np.diff(r.t, prepend=-1) <= 0) | (np.diff(r.wall_clock, prepend=-np.inf) <= 0),
+             "records must be strictly increasing in t and wall_clock"),
+        ]
+        bad = np.array([mask for mask, _ in checks])
+        if bad.any():
+            row = int(np.flatnonzero(bad.any(axis=0))[0])
+            message = checks[int(np.argmax(bad[:, row]))][1].format(float(sums[row]))
+            raise ValueError(f"interval {row}: {message}")
 
     @property
     def intervals(self) -> int:
         return len(self.records)
 
+    @property
+    def participation_recorded(self) -> bool:
+        """False when the model moved although no row records a participant,
+        as in the event runners, which aggregate outside the interval rows:
+        then ``beta`` and ``rho`` say nothing about who contributed."""
+        return bool(self.records.beta.any() or not self.records.aggregated.any())
+
     def tau_matrix(self) -> np.ndarray:
-        return np.array([record.tau for record in self.records], dtype=int)
+        return self.records.tau
 
     def beta_matrix(self) -> np.ndarray:
-        return np.array([record.beta for record in self.records], dtype=int)
+        return self.records.beta
 
     def rho_matrix(self) -> np.ndarray:
-        return np.array([record.rho for record in self.records], dtype=float)
+        return self.records.rho
 
     def grad_norms(self) -> np.ndarray:
-        return np.array([record.global_grad_norm_sq for record in self.records])
+        return self.records.global_grad_norm_sq
 
     def losses(self) -> np.ndarray:
-        return np.array([record.global_loss for record in self.records])
+        return self.records.global_loss

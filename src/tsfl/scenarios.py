@@ -316,8 +316,13 @@ def two_tier_speed_profile(delta: float, n_clients: int = 20, mean_tau: float = 
     sqrt(delta); delta=2.25 reproduces the case1 split. Used by the latency
     sweep, where fractional counts are fine because only speeds matter.
     """
+    if delta < 0:
+        raise ValueError(f"delta={delta:g} must be non-negative")
     spread = float(np.sqrt(delta))
     if spread >= mean_tau:
-        raise ValueError("spread must stay below the mean so speeds remain positive")
+        raise ValueError(
+            f"delta={delta:g} puts the slow tier at mean_tau - sqrt(delta) = "
+            f"{mean_tau - spread:g}; it must stay positive"
+        )
     half = n_clients // 2
     return np.array([mean_tau - spread] * half + [mean_tau + spread] * (n_clients - half))

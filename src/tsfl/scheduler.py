@@ -27,7 +27,7 @@ from .aggregation import (
     uniform_weights,
 )
 from .analysis import estimate_dissimilarity
-from .core import IntervalRecord, RunLog, SystemConstants
+from .core import IntervalRecord, RunLog, SystemConstants, interval_records
 from .scenarios import Scenario
 from .training import estimate_constants, local_train
 
@@ -114,6 +114,7 @@ class _RunSetup:
             seed=seed,
             strategy=strategy,
             constants=self.constants,
+            records=interval_records(self.constants.T, self.scenario.n_clients, self.task.dimension),
             initial_model=self.w0.copy(),
             constants_source=self.sources,
             analysis_inputs=self.analysis_inputs,
@@ -129,8 +130,8 @@ class _RunSetup:
 
 
 # Strategy table. A weight rule maps (setup, tau, eligible, tau_history,
-# beta_history), the histories ending with the current interval, to the
-# interval's WeightAssignment. Rules and runner adapters look engines and
+# beta_history), the log's columns up to and including the current interval,
+# to the interval's WeightAssignment. Rules and runner adapters look engines and
 # runners up as module globals at call time, so rebinding one of those names
 # (to trace it, say) reaches every strategy that uses it.
 
@@ -227,9 +228,8 @@ def run_tsfl(
     c = setup.constants
     n, d = scenario.n_clients, setup.task.dimension
     log = setup.new_log(strategy, seed)
+    records = log.records
     w = setup.w0.copy()
-    tau_history = np.zeros((c.T, n), dtype=int)
-    beta_history = np.zeros((c.T, n), dtype=int)
 
     for t in range(c.T):
         tau = np.array(
@@ -239,12 +239,11 @@ def run_tsfl(
         loss = setup.task.global_loss(w)
         grad = setup.task.global_grad(w)
         eligible = tau >= scenario.min_upload_iterations
-        tau_history[t] = tau
-        beta_history[t] = eligible
+        records.tau[t] = tau
+        records.beta[t] = eligible
 
-        assignment = spec.weights(setup, tau, eligible, tau_history[: t + 1], beta_history[: t + 1])
+        assignment = spec.weights(setup, tau, eligible, records.tau[: t + 1], records.beta[: t + 1])
         beta = eligible.astype(int) if assignment.participation is None else assignment.participation
-        beta_history[t] = beta
 
         prox_center = w.copy() if spec.proximal else None
         local_models = np.empty((n, d))
@@ -258,18 +257,16 @@ def run_tsfl(
         if aggregated:
             w = aggregate(local_models, assignment)
 
-        log.records.append(
-            IntervalRecord(
-                t=t,
-                tau=tau,
-                beta=beta,
-                rho=assignment.rho,
-                global_loss=loss,
-                global_grad_norm_sq=float(grad @ grad),
-                wall_clock=(t + 1) * scenario.interval_length,
-                aggregated=aggregated,
-                model=w.copy(),
-            )
+        records[t] = IntervalRecord(
+            t=t,
+            tau=tau,
+            beta=beta,
+            rho=assignment.rho,
+            global_loss=loss,
+            global_grad_norm_sq=float(grad @ grad),
+            wall_clock=(t + 1) * scenario.interval_length,
+            aggregated=aggregated,
+            model=w,
         )
 
     return setup.finish(log, w)
@@ -313,17 +310,15 @@ def run_sfl(
             local_models[i] = setup.train(i, w, required)
         w = aggregate(local_models, assignment)
         clock += round_seconds
-        log.records.append(
-            IntervalRecord(
-                t=t,
-                tau=np.full(n, required),
-                beta=np.ones(n, dtype=int),
-                rho=assignment.rho,
-                global_loss=loss,
-                global_grad_norm_sq=float(grad @ grad),
-                wall_clock=clock,
-                model=w.copy(),
-            )
+        log.records[t] = IntervalRecord(
+            t=t,
+            tau=np.full(n, required),
+            beta=np.ones(n, dtype=int),
+            rho=assignment.rho,
+            global_loss=loss,
+            global_grad_norm_sq=float(grad @ grad),
+            wall_clock=clock,
+            model=w,
         )
     return setup.finish(log, w)
 
@@ -354,7 +349,6 @@ class _EventLoop:
         self.heap = [(float(self.cycles[i]), i) for i in range(scenario.n_clients)]
         heapq.heapify(self.heap)
         self.basis = [setup.w0.copy() for _ in range(scenario.n_clients)]
-        self.window_iterations = np.zeros(scenario.n_clients, dtype=int)
 
     def pop_batch(self, horizon: float):
         """All clients arriving at the earliest pending timestamp <= horizon."""
@@ -372,11 +366,6 @@ class _EventLoop:
         next_time = float((self.arrival_counts[client] + 1) * self.cycles[client])
         heapq.heappush(self.heap, (next_time, client))
 
-    def take_window_iterations(self) -> np.ndarray:
-        out = self.window_iterations.copy()
-        self.window_iterations[:] = 0
-        return out
-
 
 def _event_run(
     scenario: Scenario,
@@ -393,6 +382,7 @@ def _event_run(
     c = setup.constants
     loop = _EventLoop(setup, local_iterations)
     log = setup.new_log(strategy, seed)
+    records = log.records
     state = {"global": setup.w0.copy()}
 
     for t in range(c.T):
@@ -408,23 +398,22 @@ def _event_run(
             models = {}
             for i in clients:
                 models[i] = setup.train(i, loop.basis[i], loop.k)
-                loop.window_iterations[i] += loop.k
+                records.tau[t, i] += loop.k
             updated = apply_uploads(state, clients, models) or updated
             for i in clients:
                 loop.reschedule(i, state["global"])
-        n = scenario.n_clients
-        log.records.append(
-            IntervalRecord(
-                t=t,
-                tau=loop.take_window_iterations(),
-                beta=np.zeros(n, dtype=int),
-                rho=np.zeros(n),
-                global_loss=loss,
-                global_grad_norm_sq=float(grad @ grad),
-                wall_clock=boundary,
-                aggregated=updated,
-                model=state["global"].copy(),
-            )
+        # tau holds the iterations trained in this interval. The uploads are
+        # weighed outside the interval rows, so beta and rho stay zero.
+        records[t] = IntervalRecord(
+            t=t,
+            tau=records.tau[t],
+            beta=0,
+            rho=0.0,
+            global_loss=loss,
+            global_grad_norm_sq=float(grad @ grad),
+            wall_clock=boundary,
+            aggregated=updated,
+            model=state["global"],
         )
     return setup.finish(log, state["global"])
 
@@ -523,9 +512,9 @@ def run_strategy(
     return spec.run(scenario, strategy, constants, seed, **kwargs)
 
 
-def participation_frequency(log: RunLog) -> np.ndarray:
-    """Fraction of intervals each client's model entered the aggregation."""
-    beta = log.beta_matrix()
-    if beta.size == 0:
+def participation_frequency(log: RunLog) -> np.ndarray | None:
+    """Fraction of intervals each client's model entered the aggregation, or
+    None when the log does not record participation (the event runners)."""
+    if not log.intervals:
         raise ValueError("log has no records")
-    return beta.mean(axis=0)
+    return log.records.beta.mean(axis=0) if log.participation_recorded else None

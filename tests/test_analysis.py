@@ -10,7 +10,7 @@ from tsfl.analysis import (
     heterogeneity_degree,
     verify_convergence,
 )
-from tsfl.core import IntervalRecord, RunLog, SystemConstants
+from tsfl.core import RunLog, SystemConstants, interval_records
 from tsfl.training import QuadraticTask
 
 
@@ -22,6 +22,7 @@ def make_log(constants, tau, beta, rho, *, w0, w_star, final_grad_norm_sq,
         seed=0,
         strategy="tsfl-uniform",
         constants=constants,
+        records=interval_records(len(tau), n, np.size(w0)),
         initial_model=np.asarray(w0, dtype=float),
         final_model=np.asarray(w0, dtype=float),
         final_loss=0.0,
@@ -33,18 +34,16 @@ def make_log(constants, tau, beta, rho, *, w0, w_star, final_grad_norm_sq,
             "f_star": f_star,
         },
     )
-    for t in range(len(tau)):
-        log.records.append(
-            IntervalRecord(
-                t=t,
-                tau=tau[t],
-                beta=beta[t],
-                rho=rho[t],
-                global_loss=losses[t] if losses else 1.0,
-                global_grad_norm_sq=grads[t] if grads else 1.0,
-                wall_clock=float(t + 1),
-            )
-        )
+    records = log.records
+    records.t = np.arange(len(tau))
+    records.tau = np.reshape(tau, (-1, n))
+    records.beta = np.reshape(beta, (-1, n))
+    records.rho = np.reshape(rho, (-1, n))
+    records.global_loss = losses if losses else 1.0
+    records.global_grad_norm_sq = grads if grads else 1.0
+    records.wall_clock = np.arange(1.0, len(tau) + 1)
+    records.aggregated = True
+    log.validate()
     return log
 
 
@@ -58,6 +57,20 @@ def test_bound_with_zero_intervals_is_initial_distance():
     assert (report.x, report.y, report.z) == (0.0, 0.0, 0.0)
     assert report.w == 1.0
     assert report.bound_value == pytest.approx(4.0)
+
+
+def test_bound_needs_recorded_participation_once_the_model_moved():
+    # Rows that record no participant, while the model moved, leave the
+    # aggregations out of the sums, as in the event runners.
+    c = SystemConstants(eta=0.1, L=1.0, N=2, H=1, T=2)
+    log = make_log(c, [[1, 1]] * 2, [[0, 0]] * 2, [[0.0, 0.0]] * 2,
+                   w0=[1.0], w_star=[0.0], final_grad_norm_sq=0.0)
+    report = evaluate_bound(log)
+    assert (report.applicable, report.bound_value, report.satisfied) == (False, None, False)
+    log.records.aggregated = False  # the model never moved: the bound is the initial distance
+    report = evaluate_bound(log)
+    assert report.applicable
+    assert report.bound_value == pytest.approx(1.0)
 
 
 def test_bound_single_client_hand_computed():

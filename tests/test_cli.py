@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from tsfl.cli import (
     metrics_header,
     validate_run_config,
 )
+from tsfl.scheduler import ALL_STRATEGIES
 
 
 def small_config(**overrides):
@@ -177,16 +179,39 @@ def test_metrics_csv_shape_and_final_row(tmp_path):
     assert float(final[2]) == report["final"]["loss"]
 
 
-def test_runlog_roundtrip_preserves_analysis(tmp_path):
-    config_path = write_config(tmp_path, small_config(seeds=1, strategies=["tsfl-dms"]))
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+def test_runlog_roundtrip_preserves_analysis(tmp_path, strategy):
+    config_path = write_config(tmp_path, small_config(seeds=1, strategies=[strategy]))
     out = tmp_path / "out"
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
-    raw = json.loads((out / "runs" / "case1__tsfl-dms__s000" / "runlog.json").read_text())
+    raw = json.loads((out / "runs" / f"case1__{strategy}__s000" / "runlog.json").read_text())
     log = log_from_dict(raw)
     assert log_to_dict(log) == raw
+    assert log.records.model.shape == (4, 2) and np.isnan(log.records.model).all()
     report = build_report(log)
-    on_disk = json.loads((out / "runs" / "case1__tsfl-dms__s000" / "report.json").read_text())
+    on_disk = json.loads((out / "runs" / f"case1__{strategy}__s000" / "report.json").read_text())
     assert report == on_disk
+
+
+@pytest.mark.parametrize("strategy", ["fedasync", "semiasync"])
+def test_event_runner_reports_mark_bound_and_participation_not_applicable(tmp_path, strategy):
+    # The event runners aggregate outside the interval rows, which record no
+    # participant: a bound over those rows would be the initial distance.
+    config_path = write_config(tmp_path, small_config(seeds=1, strategies=[strategy, "fedavg"]))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    event = json.loads((out / "runs" / f"case1__{strategy}__s000" / "report.json").read_text())
+    assert event["bound"]["applicable"] is False
+    assert event["bound"]["bound_value"] is None
+    assert event["bound"]["satisfied"] is False
+    assert event["participation"] is None
+    fedavg = json.loads((out / "runs" / "case1__fedavg__s000" / "report.json").read_text())
+    assert fedavg["bound"]["applicable"] is True
+    assert len(fedavg["participation"]) == 4
+    with (out / "summary.csv").open(encoding="utf-8") as fh:
+        rows = {row["strategy"]: row for row in csv.DictReader(fh)}
+    assert rows[strategy]["mean_participation"] == "nan"
+    assert float(rows["fedavg"]["mean_participation"]) > 0.0
 
 
 def test_report_verb_regenerates_identical_reports(tmp_path):
@@ -229,6 +254,25 @@ def test_latency_verb_writes_table(tmp_path, capsys):
     assert len(lines) == 4
     ratios = [float(line.split(",")[-1]) for line in lines[1:]]
     assert ratios[0] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "latency, message",
+    [
+        ({"delta": [0.0, 1.25]}, "config.latency: unknown keys ['delta']"),
+        ({"rounds": "x"}, "config.latency.rounds: expected int, got 'x'"),
+        ({"deltas": [9.0]}, "config.latency: delta=9 puts the slow tier at"),
+        ({"deltas": [-1.0]}, "config.latency: delta=-1 must be non-negative"),
+        ({"rounds": 0}, "config.latency: rounds=0 must be at least 1"),
+    ],
+)
+def test_latency_config_errors(tmp_path, capsys, latency, message):
+    config = {"strategies": ["sfl", "tsfl-dms"], "latency": latency}
+    config_path = write_config(tmp_path, config, name="lat.json")
+    out = tmp_path / "lat"
+    assert main(["latency", "--config", str(config_path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
 
 
 def test_latency_table_shape():
@@ -310,6 +354,11 @@ INLINE = {"n_clients": 4, "processes": [{"kind": "fixed", "tau": 1}], "data_size
         ({"scenario": {**INLINE, "processes": [{"kind": "fixed"}]}},
          "config.scenario.processes[0]: missing key 'tau'"),
         ({"scenario": {**INLINE, "processes": []}}, "config.scenario.processes: must be a non-empty list"),
+        ({"full_batch": "false"}, "config.full_batch: expected bool, got 'false'"),
+        ({"scenario": {**INLINE, "full_batch": "false"}}, "config.scenario.full_batch: expected bool"),
+        ({"equality_theta": "false"}, "config.equality_theta: expected bool, got 'false'"),
+        ({"emit": {"csv": "false"}}, "config.emit.csv: expected bool, got 'false'"),
+        ({"emit": {"plotdata": 1}}, "config.emit.plotdata: expected bool, got 1"),
     ],
 )
 def test_unread_or_malformed_options_are_config_errors(tmp_path, capsys, overrides, location):

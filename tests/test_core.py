@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from tsfl.core import (
     RunLog,
     SystemConstants,
     ensure_finite,
+    interval_records,
     validate_constants,
 )
 
@@ -93,35 +96,48 @@ def _record(**overrides):
     return IntervalRecord(**base)
 
 
-def test_interval_record_accepts_valid_row():
-    rec = _record()
-    assert rec.rho.sum() == 1.0
+def _log(*rows):
+    """A two-client log with one row per dict of ``_record`` overrides; row
+    ``k`` defaults to t=k, wall_clock=k+1."""
+    records = interval_records(len(rows), 2, 1)
+    for t, overrides in enumerate(rows):
+        records[t] = _record(**{"t": t, "wall_clock": t + 1.0, **overrides})
+    return RunLog(scenario={"name": "x"}, seed=0, strategy="fedavg",
+                  constants=SystemConstants(), records=records)
 
 
-def test_interval_record_rejects_weight_on_nonparticipant():
-    with pytest.raises(ValueError):
-        _record(beta=[1, 0], rho=[0.5, 0.5])
+def test_runlog_accepts_valid_row():
+    log = _log({})
+    log.validate()
+    assert log.records.rho[0].sum() == 1.0
 
 
-def test_interval_record_rejects_bad_sum():
-    with pytest.raises(ValueError):
-        _record(rho=[0.5, 0.4])
+def test_runlog_allows_empty_aggregation():
+    log = _log({"beta": [0, 0], "rho": [0.0, 0.0], "aggregated": False})
+    log.validate()
+    assert not log.records.aggregated[0]
 
 
-def test_interval_record_rejects_negative_weight():
-    with pytest.raises(ValueError):
-        _record(rho=[1.5, -0.5])
-
-
-def test_interval_record_allows_empty_aggregation():
-    rec = _record(beta=[0, 0], rho=[0.0, 0.0], aggregated=False)
-    assert not rec.aggregated
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"tau": [-1, 2]}, "iteration counts must be non-negative"),
+        ({"beta": [1, 0], "rho": [0.5, 0.5]}, "non-participating clients must have zero weight"),
+        ({"rho": [0.5, 0.4]}, "weights sum to 0.9, expected 1 +/- 1e-09"),
+        ({"rho": [1.5, -0.5]}, "aggregation weights must be non-negative"),
+    ],
+)
+def test_runlog_validate_names_first_bad_interval(bad, message):
+    log = _log({}, bad, bad)
+    with pytest.raises(ValueError, match=re.escape(f"interval 1: {message}")):
+        log.validate()
 
 
 def test_runlog_requires_strictly_increasing_records():
-    log = RunLog(scenario={"name": "x"}, seed=0, strategy="fedavg", constants=SystemConstants())
-    log.records = [_record(t=0, wall_clock=1.0), _record(t=1, wall_clock=1.0)]
-    with pytest.raises(ValueError):
+    log = _log({}, {"wall_clock": 1.0})
+    with pytest.raises(ValueError, match="interval 1: records must be strictly increasing"):
         log.validate()
-    log.records = [_record(t=0, wall_clock=1.0), _record(t=1, wall_clock=2.0)]
-    log.validate()
+    log = _log({}, {}, {"t": 1})
+    with pytest.raises(ValueError, match="interval 2: records must be strictly increasing"):
+        log.validate()
+    _log({}, {}).validate()

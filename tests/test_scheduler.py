@@ -34,11 +34,11 @@ def scenario_with(processes, *, data_size=64, batch_size=8, name="custom", **kwa
 
 def trajectories_equal(log_a, log_b, atol=0.0):
     assert log_a.intervals == log_b.intervals
-    for rec_a, rec_b in zip(log_a.records, log_b.records):
-        if atol == 0.0:
-            assert np.array_equal(rec_a.model, rec_b.model)
-        else:
-            assert np.max(np.abs(rec_a.model - rec_b.model)) <= atol
+    models_a, models_b = log_a.records.model, log_b.records.model
+    if atol == 0.0:
+        assert np.array_equal(models_a, models_b)
+    else:
+        assert np.max(np.abs(models_a - models_b)) <= atol
 
 
 def test_single_client_uniform_matches_plain_sgd():
@@ -111,8 +111,7 @@ def test_tsfl_wall_clock_is_exactly_interval_paced():
                                    batch_size=8, interval_length=2.5)
     constants = SystemConstants(eta=0.01, L=1.0, N=8, H=4, T=7, sigma_global=1.0)
     log = run_tsfl(scenario, "tsfl-uniform", constants, seed=0)
-    clocks = np.array([r.wall_clock for r in log.records])
-    assert np.array_equal(clocks, 2.5 * np.arange(1, 8))
+    assert np.array_equal(log.records.wall_clock, 2.5 * np.arange(1, 8))
 
 
 def test_sfl_round_time_is_straggler_dominated():
@@ -120,12 +119,11 @@ def test_sfl_round_time_is_straggler_dominated():
     scenario = dataclasses.replace(preset("case1", n_clients=4, data_size=64), batch_size=8)
     constants = SystemConstants(eta=0.01, L=1.0, N=4, H=4, T=3, sigma_global=1.0)
     log = run_sfl(scenario, constants, seed=0, required_iterations=4)
-    clocks = [r.wall_clock for r in log.records]
-    assert clocks == [4.0, 8.0, 12.0]
+    assert log.records.wall_clock.tolist() == [4.0, 8.0, 12.0]
 
     homogeneous = dataclasses.replace(preset("homogeneous", n_clients=4, tau=4, data_size=64), batch_size=8)
     log_h = run_sfl(homogeneous, constants, seed=0, required_iterations=4)
-    assert [r.wall_clock for r in log_h.records] == [1.0, 2.0, 3.0]
+    assert log_h.records.wall_clock.tolist() == [1.0, 2.0, 3.0]
 
 
 def test_straggler_latency_ratio_bound():
@@ -221,8 +219,8 @@ def test_all_clients_excluded_carries_model_forward():
     )
     for strategy in ("fedavg", "tsfl-dms"):
         log = run_tsfl(scenario, strategy, constants, seed=6)
-        assert all(not r.aggregated for r in log.records)
-        assert all(np.array_equal(r.model, log.initial_model) for r in log.records)
+        assert not log.records.aggregated.any()
+        assert np.all(log.records.model == log.initial_model)
         assert np.array_equal(log.final_model, log.initial_model)
 
 
@@ -258,9 +256,8 @@ def test_theorem2_strategy_runs_with_probed_noise():
                                    task=quadratic_task_spec(spread=0.3))
     constants = SystemConstants(eta=0.02, L=1.0, N=4, H=4, T=5, sigma_global=1.0)
     log = run_tsfl(scenario, "tsfl-theorem2", constants, seed=3, probe_count=4)
-    for record in log.records:
-        assert record.rho.sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.all(record.rho >= 0.0)
+    assert log.records.rho.sum(axis=1) == pytest.approx(np.ones(5), abs=1e-9)
+    assert np.all(log.records.rho >= 0.0)
 
 
 def test_theorem2_strategy_requires_noise_estimates():
