@@ -106,31 +106,40 @@ def _log(*rows):
                   constants=SystemConstants(), records=records)
 
 
-def test_runlog_accepts_valid_row():
+def test_interval_record_accepts_valid_row():
     log = _log({})
     log.validate()
     assert log.records.rho[0].sum() == 1.0
 
 
-def test_runlog_allows_empty_aggregation():
+def test_interval_record_allows_empty_aggregation():
     log = _log({"beta": [0, 0], "rho": [0.0, 0.0], "aggregated": False})
     log.validate()
     assert not log.records.aggregated[0]
 
 
-@pytest.mark.parametrize(
-    "bad, message",
-    [
-        ({"tau": [-1, 2]}, "iteration counts must be non-negative"),
-        ({"beta": [1, 0], "rho": [0.5, 0.5]}, "non-participating clients must have zero weight"),
-        ({"rho": [0.5, 0.4]}, "weights sum to 0.9, expected 1 +/- 1e-09"),
-        ({"rho": [1.5, -0.5]}, "aggregation weights must be non-negative"),
-    ],
-)
-def test_runlog_validate_names_first_bad_interval(bad, message):
+def _assert_rejected_at_interval_1(bad, message):
     log = _log({}, bad, bad)
     with pytest.raises(ValueError, match=re.escape(f"interval 1: {message}")):
         log.validate()
+
+
+def test_interval_record_rejects_negative_iterations():
+    _assert_rejected_at_interval_1({"tau": [-1, 2]}, "iteration counts must be non-negative")
+
+
+def test_interval_record_rejects_weight_on_nonparticipant():
+    _assert_rejected_at_interval_1(
+        {"beta": [1, 0], "rho": [0.5, 0.5]}, "non-participating clients must have zero weight"
+    )
+
+
+def test_interval_record_rejects_bad_sum():
+    _assert_rejected_at_interval_1({"rho": [0.5, 0.4]}, "weights sum to 0.9, expected 1 +/- 1e-09")
+
+
+def test_interval_record_rejects_negative_weight():
+    _assert_rejected_at_interval_1({"rho": [1.5, -0.5]}, "aggregation weights must be non-negative")
 
 
 def test_runlog_requires_strictly_increasing_records():
