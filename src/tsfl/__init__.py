@@ -19,6 +19,7 @@ from .training import (
     estimate_constants,
     local_train,
     stochastic_gradient,
+    train_clients,
 )
 from .aggregation import (
     BoundCoefficients,
@@ -26,6 +27,7 @@ from .aggregation import (
     WeightAssignment,
     aggregate,
     bound_coefficients,
+    bound_optimal_weight_plan,
     bound_optimal_weights,
     dms_threshold,
     dms_weights,

@@ -9,7 +9,8 @@ asynchronous blending) this module implements the interval weight engines:
 * ``bound_optimal_weights`` - the damped fixed point of the self-consistent
   optimal-weight system derived from the loss bound, with an optional
   participation mask (strategy names ``tsfl-theorem2`` and the masked form
-  used inside DMS analysis).
+  used inside DMS analysis). ``bound_optimal_weight_plan`` solves it for
+  every interval of a run at once, which is how ``tsfl-theorem2`` runs.
 * ``dms_weights`` - discriminative model selection: threshold the iteration
   counts at the interval mean, filter laggards with probability proportional
   to their shortfall, then space the survivors' weights.
@@ -25,11 +26,13 @@ from .core import WEIGHT_SUM_TOL, SystemConstants, ensure_finite
 
 
 class FixedPointError(RuntimeError):
-    """Raised when the weight fixed point fails to converge; carries the last residual."""
+    """Raised when the weight fixed point fails to converge; carries the largest
+    last residual and the intervals whose solve did not converge."""
 
-    def __init__(self, message: str, residual: float):
+    def __init__(self, message: str, residual: float, intervals=()):
         super().__init__(message)
         self.residual = residual
+        self.intervals = list(intervals)
 
 
 @dataclass(frozen=True)
@@ -95,11 +98,32 @@ class WeightAssignment:
 def project_to_simplex(values: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex (sort-based)."""
     v = np.asarray(values, dtype=float)
-    u = np.sort(v)[::-1]
-    cumulative = np.cumsum(u)
-    rho_idx = np.nonzero(u + (1.0 - cumulative) / np.arange(1, v.size + 1) > 0)[0][-1]
-    shift = (1.0 - cumulative[rho_idx]) / (rho_idx + 1.0)
-    return np.maximum(v + shift, 0.0)
+    mask = np.ones((1, v.size), dtype=bool)
+    projected = _project_rows(v[None], mask, mask)[0]
+    if np.isnan(projected).any():
+        raise ValueError("values are not finite or too large to project onto the simplex")
+    return projected
+
+
+def _project_rows(values: np.ndarray, mask: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Row-wise ``project_to_simplex`` over each row's masked entries; the
+    others are zero. Every row needs at least one masked entry; ``valid`` is
+    True on each row's first ``mask.sum()`` positions, where its masked
+    entries lie once sorted to the front.
+
+    Unmasked entries sort last and are replaced by zeros before any
+    arithmetic, so they never enter a sum as infinities. A row with no
+    position passing the test (a NaN, or values beyond about 2**53, where
+    ``u + (1 - u)`` rounds to 0) comes back as NaN.
+    """
+    n = values.shape[1]
+    u = np.where(valid, -np.sort(np.where(mask, -values, np.inf), axis=1), 0.0)
+    cumulative = np.cumsum(u, axis=1)
+    hit = valid & (u + (1.0 - cumulative) / np.arange(1, n + 1) > 0)
+    last = n - 1 - np.argmax(hit[:, ::-1], axis=1)
+    shift = (1.0 - cumulative[np.arange(len(u)), last]) / (last + 1.0)
+    shift[~hit.any(axis=1)] = np.nan
+    return np.where(mask, np.maximum(values + shift[:, None], 0.0), 0.0)
 
 
 def clamp_negative_weights(rho: np.ndarray, participating: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -277,6 +301,134 @@ def dms_weights(
     )
 
 
+def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x[r] @ y[r]`` for every row r, as a stacked matmul: each row equals
+    the 1-D product bit for bit."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+class _BoundSystem:
+    """The optimality system of the loss bound on a stack of rows.
+
+    Row t holds interval t's running sums of participating ``tau`` and
+    ``tau**2`` (``s1``, ``s3``), its participation mask, and the part of the
+    update that no iterate changes (``drift``). All arithmetic is row-wise
+    and its order is fixed, so a row's iterates are the same bits whichever
+    rows are stacked with it.
+    """
+
+    def __init__(self, tau, beta, constants: SystemConstants, sigma_i, gamma_noniid,
+                 r0: float, shared_noise_sums: bool):
+        tau = np.atleast_2d(np.asarray(tau, dtype=float))
+        beta = np.atleast_2d(np.asarray(beta, dtype=float))
+        if beta.shape != tau.shape:
+            raise ValueError("beta_history must match tau_history's shape")
+        n = tau.shape[1]
+        self.sigma = np.asarray(sigma_i, dtype=float)
+        self.gamma = np.asarray(gamma_noniid, dtype=float)
+        if self.sigma.shape != (n,) or self.gamma.shape != (n,):
+            raise ValueError("sigma_i and gamma_noniid must have one entry per client")
+        if np.any(self.sigma <= 0.0):
+            raise ValueError("per-client noise bounds must be positive")
+        masked = tau * beta
+        self.s1 = np.cumsum(masked, axis=0)          # participating tau, summed so far
+        self.s3 = np.cumsum(masked * tau, axis=0)    # participating tau^2, summed so far
+        self.mask = beta.astype(bool)
+        self.coefs = coefs = bound_coefficients(constants)
+        self.r0 = r0
+        self.shared_noise_sums = shared_noise_sums
+        self.eta2_n = constants.eta**2 * constants.N
+        self.noise = self.eta2_n * self.sigma**2
+        self.a_gamma = coefs.a * self.gamma
+        self.drift = self.a_gamma + coefs.c * (tau * self.mask)
+        self.denom_scale = 2.0 * self.noise
+
+    def d_vector(self, rho, sum_rho_tau, s1, s3) -> np.ndarray:
+        """Per-client constant aggregate of the optimality system, per row."""
+        return (
+            self.r0
+            + self.noise * _row_dot(rho**2, s1)[:, None]
+            + self.a_gamma * sum_rho_tau
+            + self.coefs.c * _row_dot(rho, s3)[:, None]
+        )
+
+    def step(self, rho, s1, s3, drift) -> np.ndarray:
+        coefs = self.coefs
+        sum_rho_tau = _row_dot(rho, s1)[:, None]
+        w_denom = 1.0 + coefs.b * sum_rho_tau
+        if self.shared_noise_sums:
+            noise_part = self.eta2_n * _row_dot(self.sigma**2 * rho**2, s1)
+            noniid_part = coefs.a * _row_dot(self.gamma * rho, s1)
+            d_vec = (self.r0 + noise_part + noniid_part + coefs.c * _row_dot(rho, s3))[:, None]
+        else:
+            d_vec = self.d_vector(rho, sum_rho_tau, s1, s3)
+        return (coefs.b * d_vec + drift * w_denom) / (w_denom * self.denom_scale)
+
+    def solve(self, rows, damping: float, tol: float, max_iter: int) -> np.ndarray:
+        """Damped fixed point of every row in ``rows``, in lock-step; a row
+        stops after the first step whose own residual is below ``tol``."""
+        mask = self.mask[rows]
+        count = mask.sum(axis=1)
+        rho = np.where(mask, 1.0 / np.maximum(count, 1)[:, None], 0.0)
+        # Rows with fewer than two participants are solved by the start point.
+        live = np.flatnonzero(count >= 2)
+        r, m = rho[live], mask[live]
+        valid = np.arange(m.shape[1]) < count[live][:, None]
+        s1, s3, drift = (a[rows][live] for a in (self.s1, self.s3, self.drift))
+        residual = np.full(live.size, np.inf)
+        for _ in range(max_iter):
+            if not live.size:
+                break
+            proposal = (1.0 - damping) * r + damping * self.step(r, s1, s3, drift)
+            projected = _project_rows(proposal, m, valid)
+            residual = np.max(np.abs(projected - r), axis=1)
+            lost = np.isnan(residual)
+            if lost.any():
+                # Weights that outgrew the projection diverge; no later step converges.
+                live, residual = live[lost], np.full(lost.sum(), np.inf)
+                break
+            r = projected
+            done = residual < tol
+            if done.any():
+                rho[live[done]] = r[done]
+                keep = ~done
+                live, r, m, valid, s1, s3, drift, residual = (
+                    a[keep] for a in (live, r, m, valid, s1, s3, drift, residual)
+                )
+        if live.size:
+            intervals = np.asarray(rows)[live].tolist()
+            raise FixedPointError(
+                f"weight fixed point did not converge for interval(s) {intervals}"
+                f" (residual {residual.max():g})",
+                float(residual.max()),
+                intervals,
+            )
+        return rho
+
+
+def bound_optimal_weight_plan(
+    tau,
+    beta,
+    constants: SystemConstants,
+    sigma_i,
+    gamma_noniid,
+    r0: float = 0.0,
+    shared_noise_sums: bool = False,
+    damping: float = 0.5,
+    tol: float = 1e-10,
+    max_iter: int = 10_000,
+) -> np.ndarray:
+    """``bound_optimal_weights`` for every interval of a run at once.
+
+    Row t of the ``(T, n)`` result is the weight vector for the history
+    ``tau[:t+1]``, ``beta[:t+1]``, bit for bit: the history sums are running
+    sums, and all T fixed points iterate as one row stack.
+    ``FixedPointError`` names every interval that did not converge.
+    """
+    system = _BoundSystem(tau, beta, constants, sigma_i, gamma_noniid, r0, shared_noise_sums)
+    return system.solve(np.arange(len(system.mask)), damping, tol, max_iter)
+
+
 def bound_optimal_weights(
     tau_history,
     constants: SystemConstants,
@@ -304,92 +456,37 @@ def bound_optimal_weights(
     initial to the optimal model entering that aggregate.
 
     Each damped step is projected onto the simplex of participating clients.
-    Raises ``FixedPointError`` (carrying the last residual) if the iteration
-    fails to reach ``tol`` within ``max_iter`` steps; within the weight-limit
-    regime (eta*L*(1+theta) >= 1, the setting the system presumes) the
-    iteration converges, while far outside it the raw update can grow large
-    enough to cycle under the projection.
+    Raises ``FixedPointError`` (carrying the last residual and naming the
+    interval, the history's last row) if the iteration fails to reach ``tol``
+    within ``max_iter`` steps; within the weight-limit regime
+    (eta*L*(1+theta) >= 1, the setting the system presumes) the iteration
+    converges, while far outside it the raw update can grow large enough to
+    cycle under the projection. This is the one-row case of
+    ``bound_optimal_weight_plan``.
     """
     tau_hist = np.atleast_2d(np.asarray(tau_history, dtype=float))
-    n = tau_hist.shape[1]
-    if beta_history is None:
-        beta_hist = np.ones_like(tau_hist)
-    else:
-        beta_hist = np.atleast_2d(np.asarray(beta_history, dtype=float))
-        if beta_hist.shape != tau_hist.shape:
-            raise ValueError("beta_history must match tau_history's shape")
-    sigma = np.asarray(sigma_i, dtype=float)
-    gamma = np.asarray(gamma_noniid, dtype=float)
-    if sigma.shape != (n,) or gamma.shape != (n,):
-        raise ValueError("sigma_i and gamma_noniid must have one entry per client")
-    if np.any(sigma <= 0.0):
-        raise ValueError("per-client noise bounds must be positive")
-
-    mask = beta_hist[-1].astype(bool)
-    if not mask.any():
-        return WeightAssignment(rho=np.zeros(n), method="theorem2")
-    if mask.sum() == 1:
-        rho = np.zeros(n)
-        rho[mask] = 1.0
-        return WeightAssignment(rho=rho, method="theorem2")
-
-    coefs = bound_coefficients(constants)
-    masked_tau = tau_hist * beta_hist
-    s1 = masked_tau.sum(axis=0)            # per-client sum of participating tau
-    s3 = (masked_tau * tau_hist).sum(axis=0)  # per-client sum of participating tau^2
-    tau_now = tau_hist[-1] * mask
-    denom_scale = 2.0 * constants.eta**2 * constants.N * sigma**2
-
-    def d_vector(rho: np.ndarray, sum_rho_tau: float) -> np.ndarray:
-        """Per-client constant aggregate of the optimality system."""
-        return (
-            r0
-            + constants.eta**2 * constants.N * sigma**2 * float((rho**2) @ s1)
-            + coefs.a * gamma * sum_rho_tau
-            + coefs.c * float(rho @ s3)
-        )
-
-    def step(rho: np.ndarray) -> np.ndarray:
-        sum_rho_tau = float(rho @ s1)
-        w_denom = 1.0 + coefs.b * sum_rho_tau
-        if shared_noise_sums:
-            noise_part = constants.eta**2 * constants.N * float((sigma**2 * rho**2) @ s1)
-            noniid_part = coefs.a * float((gamma * rho) @ s1)
-            d_const = r0 + noise_part + noniid_part + coefs.c * float(rho @ s3)
-            d_vec = np.full(n, d_const)
-        else:
-            d_vec = d_vector(rho, sum_rho_tau)
-        return (coefs.b * d_vec + (coefs.a * gamma + coefs.c * tau_now) * w_denom) / (
-            w_denom * denom_scale
-        )
-
-    rho = np.zeros(n)
-    rho[mask] = 1.0 / mask.sum()
-    residual = float("inf")
-    for _ in range(max_iter):
-        proposal = (1.0 - damping) * rho + damping * step(rho)
-        projected = np.zeros(n)
-        projected[mask] = project_to_simplex(proposal[mask])
-        residual = float(np.max(np.abs(projected - rho)))
-        rho = projected
-        if residual < tol:
-            break
-    else:
-        raise FixedPointError(
-            f"weight fixed point did not converge (residual {residual:g})", residual
-        )
+    beta_hist = np.ones_like(tau_hist) if beta_history is None else beta_history
+    system = _BoundSystem(tau_hist, beta_hist, constants, sigma_i, gamma_noniid, r0,
+                          shared_noise_sums)
+    last = len(tau_hist) - 1
+    rho = system.solve([last], damping, tol, max_iter)
+    mask = system.mask[last]
+    if mask.sum() < 2:
+        return WeightAssignment(rho=rho[0], method="theorem2")
 
     # Record the converged aggregates of the optimality system for inspection:
     # d is the mean constant aggregate over clients, e its masked analog, and
     # f_coef the converged denominator factor.
-    sum_rho_tau = float(rho @ s1)
-    d_values = d_vector(rho, sum_rho_tau)
+    s1, s3 = system.s1[last:], system.s3[last:]
+    sum_rho_tau = _row_dot(rho, s1)[:, None]
+    d_values = system.d_vector(rho, sum_rho_tau, s1, s3)[0]
+    coefs = system.coefs
     converged = BoundCoefficients(
         a=coefs.a,
         b=coefs.b,
         c=coefs.c,
         d=float(d_values.mean()),
         e=float(d_values[mask].mean()),
-        f_coef=1.0 + coefs.b * sum_rho_tau,
+        f_coef=1.0 + coefs.b * float(sum_rho_tau[0, 0]),
     )
-    return WeightAssignment(rho=rho, method="theorem2", coefficients=converged)
+    return WeightAssignment(rho=rho[0], method="theorem2", coefficients=converged)

@@ -23,6 +23,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -287,8 +288,14 @@ def log_to_dict(log: RunLog) -> dict:
     }
 
 
+def _float_or_nan(value) -> float:
+    return float("nan") if value is None else float(value)
+
+
 def log_from_dict(data: dict) -> RunLog:
-    """The RunLog that ``log_to_dict`` serialized; its per-interval models read back as NaN."""
+    """The RunLog that ``log_to_dict`` serialized; its per-interval models read
+    back as NaN, and so does every float written as null (see ``_write_json``):
+    numpy reads a None in a float column as NaN."""
     rows = data["records"]
     log = RunLog(
         scenario=data["scenario"],
@@ -296,10 +303,10 @@ def log_from_dict(data: dict) -> RunLog:
         strategy=data["strategy"],
         constants=SystemConstants(**data["constants"]),
         records=interval_records(len(rows), data["scenario"]["n_clients"], len(data["final_model"] or ())),
-        initial_model=None if data["initial_model"] is None else np.array(data["initial_model"]),
-        final_model=None if data["final_model"] is None else np.array(data["final_model"]),
-        final_loss=data["final_loss"],
-        final_grad_norm_sq=data["final_grad_norm_sq"],
+        initial_model=None if data["initial_model"] is None else np.array(data["initial_model"], dtype=float),
+        final_model=None if data["final_model"] is None else np.array(data["final_model"], dtype=float),
+        final_loss=_float_or_nan(data["final_loss"]),
+        final_grad_norm_sq=_float_or_nan(data["final_grad_norm_sq"]),
         constants_source=data.get("constants_source", {}),
         analysis_inputs=data.get("analysis_inputs", {}),
     )
@@ -308,8 +315,22 @@ def log_from_dict(data: dict) -> RunLog:
     return log
 
 
+def _finite_or_none(value):
+    """``value`` with every non-finite float replaced by None, at any depth."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_none(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(item) for item in value]
+    return value
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """Strict JSON: NaN and infinities are written as null, which ``json``
+    would otherwise emit as the bare tokens NaN and Infinity."""
+    text = json.dumps(_finite_or_none(payload), indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _write_csv(path: Path, header: list, rows) -> None:

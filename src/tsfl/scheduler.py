@@ -16,9 +16,13 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .aggregation import (
+# ``bound_optimal_weights`` and ``local_train`` are not called here; runs use
+# ``bound_optimal_weight_plan`` and ``train_clients``. perfbench's tracer wraps
+# both names on this module, so they must stay importable from it.
+from .aggregation import (  # noqa: F401
     WeightAssignment,
     aggregate,
+    bound_optimal_weight_plan,
     bound_optimal_weights,
     dms_weights,
     fedasync_update,
@@ -29,7 +33,7 @@ from .aggregation import (
 from .analysis import estimate_dissimilarity
 from .core import IntervalRecord, RunLog, SystemConstants, interval_records
 from .scenarios import Scenario
-from .training import estimate_constants, local_train
+from .training import estimate_constants, local_train, train_clients  # noqa: F401
 
 
 class _RunSetup:
@@ -74,6 +78,7 @@ class _RunSetup:
         self.sigma_i = sigma_i
         for profile, sigma in zip(self.profiles, sigma_i):
             profile.sigma_i = float(sigma)
+        self.batch_sizes = np.array([p.batch_size for p in self.profiles])
 
         probes = [self.w0 + 0.5 * self.scenario_rng.normal(size=self.task.dimension)
                   for _ in range(max(probe_count, 0))]
@@ -94,18 +99,20 @@ class _RunSetup:
             "epsilon_hat": epsilon_hat,
         }
 
-    def train(self, client: int, start: np.ndarray, steps: int, prox_center=None) -> np.ndarray:
-        profile = self.profiles[client]
-        return local_train(
+    def train(self, clients, starts, steps, interval: int, prox_center=None) -> np.ndarray:
+        """Lock-step local SGD: client ``clients[i]`` takes ``steps[i]`` steps
+        from ``starts[i]``, drawing its mini-batches from its own stream."""
+        return train_clients(
             self.task,
-            client,
-            start,
+            clients,
+            starts,
             steps,
             self.constants.eta,
-            rng=self.batch_rngs[client],
-            batch_size=None if self.scenario.full_batch else profile.batch_size,
+            rngs=[self.batch_rngs[i] for i in clients],
+            batch_sizes=None if self.scenario.full_batch else self.batch_sizes[clients],
             prox_center=prox_center,
             mu=self.constants.mu if prox_center is not None else 0.0,
+            context=f"interval {interval}",
         )
 
     def new_log(self, strategy: str, seed: int) -> RunLog:
@@ -129,32 +136,48 @@ class _RunSetup:
         return log
 
 
-# Strategy table. A weight rule maps (setup, tau, eligible, tau_history,
-# beta_history), the log's columns up to and including the current interval,
-# to the interval's WeightAssignment. Rules and runner adapters look engines and
-# runners up as module globals at call time, so rebinding one of those names
-# (to trace it, say) reaches every strategy that uses it.
+# Strategy table. A weight rule plans a whole run before any training: it maps
+# (setup, tau, eligible), the run's (T, n) iteration counts and upload mask, to
+# the (T, n) weights rho and participation beta. The weights never read the
+# model, so planning first changes no result. Rules and runner adapters look
+# engines and runners up as module globals at call time, so rebinding one of
+# those names (to trace it, say) reaches every strategy that uses it.
 
 
-def _needs_eligible(rule):
-    """All-zero weights, without calling ``rule``, when no upload reached the server."""
-    return lambda setup, tau, eligible, *history: (
-        rule(setup, tau, eligible, *history) if eligible.any()
-        else WeightAssignment(rho=np.zeros(tau.size), method="none")
-    )
+def _per_interval(rule, weigh_empty: bool = False):
+    """Whole-run rule from ``rule(setup, tau, eligible) -> WeightAssignment``
+    for one interval, applied row by row in interval order. Rows where no
+    upload reached the server get zero weight without calling ``rule``,
+    unless ``weigh_empty``."""
+
+    def whole_run(setup, tau, eligible):
+        rho = np.zeros(tau.shape)
+        beta = eligible.astype(int)
+        for t in range(len(tau)) if weigh_empty else np.flatnonzero(eligible.any(axis=1)):
+            assignment = rule(setup, tau[t], eligible[t])
+            rho[t] = assignment.rho
+            if assignment.participation is not None:
+                beta[t] = assignment.participation
+        return rho, beta
+
+    return whole_run
 
 
-def _fedavg_rule(setup, tau, eligible, *_):
+def _fedavg_rule(setup, tau, eligible):
     sizes = np.array([p.data_size for p in setup.profiles], dtype=float)
     rho = np.zeros(tau.size)
     rho[eligible] = fedavg_weights(sizes[eligible]).rho
     return WeightAssignment(rho=rho, method="fedavg")
 
 
-def _theorem2_rule(setup, tau, eligible, tau_history, beta_history):
-    r0 = float(np.sum((setup.w0 - setup.task.w_star) ** 2))
-    return bound_optimal_weights(tau_history, setup.constants, setup.sigma_i,
-                                 setup.task.gamma_noniid, beta_history=beta_history, r0=r0)
+def _theorem2_rule(setup, tau, eligible):
+    rho = np.zeros(tau.shape)
+    # A run where no upload reaches the server needs no solve, nor noise bounds.
+    if eligible.any():
+        r0 = float(np.sum((setup.w0 - setup.task.w_star) ** 2))
+        rho = bound_optimal_weight_plan(tau, eligible, setup.constants, setup.sigma_i,
+                                        setup.task.gamma_noniid, r0=r0)
+    return rho, eligible.astype(int)
 
 
 def _run_interval(scenario, strategy, constants, seed, **kwargs):
@@ -169,28 +192,30 @@ def _run_buffered(scenario, _, constants, seed, buffer_size=None, **kwargs):
 @dataclasses.dataclass(frozen=True)
 class Strategy:
     """One strategy: ``run(scenario, name, constants, seed, **kwargs)``; the
-    interval weight rule, for strategies run by ``run_tsfl``; the config
+    whole-run weight rule, for strategies run by ``run_tsfl``; the config
     ``runner`` keys it accepts, with the type each value is converted to; and
     whether local training adds the FedProx proximal term."""
 
     run: Callable[..., RunLog] = _run_interval
-    weights: Callable[..., WeightAssignment] | None = None
+    weights: Callable[..., tuple[np.ndarray, np.ndarray]] | None = None
     options: dict[str, type] = dataclasses.field(default_factory=dict)
     proximal: bool = False
 
 
 STRATEGIES: dict[str, Strategy] = {
-    "fedavg": Strategy(weights=_needs_eligible(_fedavg_rule)),
-    "fedprox": Strategy(weights=_needs_eligible(_fedavg_rule), proximal=True),
-    "tsfl-uniform": Strategy(weights=_needs_eligible(
-        lambda setup, tau, eligible, *_: uniform_weights(eligible))),
-    "tsfl-corollary1": Strategy(weights=_needs_eligible(
-        lambda setup, tau, eligible, *_: iteration_spaced_weights(tau, eligible, setup.constants))),
-    "tsfl-theorem2": Strategy(weights=_needs_eligible(_theorem2_rule)),
+    "fedavg": Strategy(weights=_per_interval(_fedavg_rule)),
+    "fedprox": Strategy(weights=_per_interval(_fedavg_rule), proximal=True),
+    "tsfl-uniform": Strategy(weights=_per_interval(
+        lambda setup, tau, eligible: uniform_weights(eligible))),
+    "tsfl-corollary1": Strategy(weights=_per_interval(
+        lambda setup, tau, eligible: iteration_spaced_weights(tau, eligible, setup.constants))),
+    "tsfl-theorem2": Strategy(weights=_theorem2_rule),
     # Weighed even with nobody eligible: the filter draw consumes the server
-    # stream every interval.
-    "tsfl-dms": Strategy(weights=lambda setup, tau, eligible, *_: dms_weights(
-        tau, setup.constants, setup.server_rng, eligible=eligible)),
+    # stream every interval, in interval order.
+    "tsfl-dms": Strategy(weights=_per_interval(
+        lambda setup, tau, eligible: dms_weights(
+            tau, setup.constants, setup.server_rng, eligible=eligible),
+        weigh_empty=True)),
     "fedasync": Strategy(
         lambda scenario, _, constants, seed, **kwargs: run_afl(scenario, constants, seed, **kwargs),
         options={"variant": str, "local_iterations": int}),
@@ -212,8 +237,9 @@ def run_tsfl(
     equality_theta: bool = False,
     w0=None,
 ) -> RunLog:
-    """Time-driven run: every interval, draw iteration counts, train locally
-    from the current global model, weight, and aggregate.
+    """Time-driven run, planned before it is trained: draw every interval's
+    iteration counts, weigh the whole run with the strategy's rule, then train
+    interval by interval from the current global model and aggregate.
 
     Clients drawing zero iterations contribute the unchanged global model
     under their normal weight; discriminative selection is what removes them.
@@ -226,48 +252,39 @@ def run_tsfl(
         raise ValueError(f"{strategy!r} is not an interval strategy")
     setup = _RunSetup(scenario, constants, seed, probe_count, equality_theta, w0)
     c = setup.constants
-    n, d = scenario.n_clients, setup.task.dimension
+    n = scenario.n_clients
     log = setup.new_log(strategy, seed)
     records = log.records
+
+    # Each client draws its own T counts from its own stream, so drawing them
+    # client by client yields the values of the interval-by-interval order.
+    tau = np.array(
+        [[p.compute_process.draw(rng) for _ in range(c.T)]
+         for p, rng in zip(setup.profiles, setup.tau_rngs)],
+        dtype=int,
+    ).T
+    eligible = tau >= scenario.min_upload_iterations
+    rho, beta = spec.weights(setup, tau, eligible)
+    aggregated = (rho > 0.0).any(axis=1)
+    records.t = np.arange(c.T)
+    records.tau, records.beta, records.rho, records.aggregated = tau, beta, rho, aggregated
+    records.wall_clock = (records.t + 1) * scenario.interval_length
+
+    # Columns looked up once: a recarray attribute lookup per interval costs
+    # more than the arithmetic of a small task.
+    losses, grad_norms, models = records.global_loss, records.global_grad_norm_sq, records.model
+    clients = np.arange(n)
     w = setup.w0.copy()
-
     for t in range(c.T):
-        tau = np.array(
-            [p.compute_process.draw(setup.tau_rngs[i]) for i, p in enumerate(setup.profiles)],
-            dtype=int,
-        )
-        loss = setup.task.global_loss(w)
         grad = setup.task.global_grad(w)
-        eligible = tau >= scenario.min_upload_iterations
-        records.tau[t] = tau
-        records.beta[t] = eligible
-
-        assignment = spec.weights(setup, tau, eligible, records.tau[: t + 1], records.beta[: t + 1])
-        beta = eligible.astype(int) if assignment.participation is None else assignment.participation
-
-        prox_center = w.copy() if spec.proximal else None
-        local_models = np.empty((n, d))
-        for i in range(n):
-            if tau[i] == 0:
-                local_models[i] = w
-            else:
-                local_models[i] = setup.train(i, w, int(tau[i]), prox_center=prox_center)
-
-        aggregated = assignment.any_participant
-        if aggregated:
-            w = aggregate(local_models, assignment)
-
-        records[t] = IntervalRecord(
-            t=t,
-            tau=tau,
-            beta=beta,
-            rho=assignment.rho,
-            global_loss=loss,
-            global_grad_norm_sq=float(grad @ grad),
-            wall_clock=(t + 1) * scenario.interval_length,
-            aggregated=aggregated,
-            model=w,
-        )
+        losses[t] = setup.task.global_loss(w)
+        grad_norms[t] = grad @ grad
+        local_models = setup.train(clients, w, tau[t], t, prox_center=w if spec.proximal else None)
+        if aggregated[t]:
+            # RunLog.validate checks every row's weights once the run is over,
+            # and train_clients has checked that the local models are finite.
+            w = rho[t] @ local_models
+        models[t] = w
 
     return setup.finish(log, w)
 
@@ -294,20 +311,19 @@ def run_sfl(
     )
     if required < 1:
         raise ValueError("required_iterations must be >= 1")
-    n, d = scenario.n_clients, setup.task.dimension
+    n = scenario.n_clients
     sizes = [p.data_size for p in setup.profiles]
     assignment = fedavg_weights(sizes)
     round_seconds = setup.latency.sync_round_seconds(required)
 
     log = setup.new_log("sfl", seed)
     w = setup.w0.copy()
+    clients, steps = np.arange(n), np.full(n, required)
     clock = 0.0
     for t in range(c.T):
         loss = setup.task.global_loss(w)
         grad = setup.task.global_grad(w)
-        local_models = np.empty((n, d))
-        for i in range(n):
-            local_models[i] = setup.train(i, w, required)
+        local_models = setup.train(clients, w, steps, t)
         w = aggregate(local_models, assignment)
         clock += round_seconds
         log.records[t] = IntervalRecord(
@@ -395,10 +411,10 @@ def _event_run(
             if batch is None:
                 break
             _, clients = batch
-            models = {}
-            for i in clients:
-                models[i] = setup.train(i, loop.basis[i], loop.k)
-                records.tau[t, i] += loop.k
+            trained = setup.train(clients, np.array([loop.basis[i] for i in clients]),
+                                  np.full(len(clients), loop.k), t)
+            records.tau[t, clients] += loop.k
+            models = dict(zip(clients, trained))
             updated = apply_uploads(state, clients, models) or updated
             for i in clients:
                 loop.reschedule(i, state["global"])

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ClientProfile, ensure_finite
+from .core import ClientProfile
 
 
 @dataclass
@@ -44,17 +44,29 @@ class QuadraticTask:
     up to rounding. Mini-batch gradients carry the batch-mean offset, which
     gives a controllable noise level with an exact expectation identity.
 
-    Curvatures are stacked as ``(n, d, d)`` and centers as ``(n, d)``. Losses,
-    gradients and optima are evaluated in closed form from per-client terms
-    computed once; they hold for any offsets, centered or not.
+    Curvatures are stacked as ``(n, d, d)`` and centers as ``(n, d)``. The
+    offsets live in one zero-padded block ``(n, m_max, d)``; ``offsets`` holds
+    per-client views into it. ``offsets`` is given either as a list of
+    per-client ``(m_i, d)`` arrays, copied into a new block, or, with
+    ``sizes``, as the block itself, kept without a copy. Losses, gradients and
+    optima are evaluated in closed form from per-client terms computed once;
+    they hold for any offsets, centered or not.
     """
 
     kind = "quadratic"
 
-    def __init__(self, curvatures, centers, offsets):
+    def __init__(self, curvatures, centers, offsets, sizes=None):
         self.curvatures = np.asarray(curvatures, dtype=float)
         self.centers = np.asarray(centers, dtype=float)
-        self.offsets = [np.asarray(z, dtype=float) for z in offsets]
+        if sizes is None:
+            sizes = [len(z) for z in offsets]
+            block = np.zeros((len(sizes), max(sizes), self.centers.shape[1]))
+            for i, z in enumerate(offsets):
+                block[i, : sizes[i]] = z
+        else:
+            block = offsets
+        self._offsets = block
+        self.offsets = [block[i, :m] for i, m in enumerate(sizes)]
         if not (len(self.curvatures) == len(self.centers) == len(self.offsets)):
             raise ValueError("per-client pieces must have equal length")
         eigs = np.linalg.eigvalsh(self.curvatures)
@@ -87,7 +99,9 @@ class QuadraticTask:
         if len(data_sizes) != n_clients:
             raise ValueError("one data size per client required")
         shared = _random_spd(dimension, curvature_range, rng)
-        curvatures, centers, offsets = [], [], []
+        curvatures, centers = [], []
+        # Drawn in place: a copy of the offsets would double the task's peak memory.
+        offsets = np.zeros((n_clients, data_sizes.max(), dimension))
         for i in range(n_clients):
             curvatures.append(shared.copy() if shared_curvature else _random_spd(dimension, curvature_range, rng))
             if noniid_spread > 0.0:
@@ -96,10 +110,10 @@ class QuadraticTask:
                 centers.append(noniid_spread * direction)
             else:
                 centers.append(np.zeros(dimension))
-            z = sample_noise * rng.normal(size=(data_sizes[i], dimension))
+            z = offsets[i, : data_sizes[i]]
+            np.multiply(sample_noise, rng.normal(size=z.shape), out=z)
             z -= z.mean(axis=0)  # centered so the full batch is exact
-            offsets.append(z)
-        return cls(curvatures, centers, offsets)
+        return cls(curvatures, centers, offsets, sizes=data_sizes)
 
     @property
     def n_clients(self) -> int:
@@ -135,12 +149,23 @@ class QuadraticTask:
         e = w - self._minima[client]
         return float(0.5 * e @ self.curvatures[client] @ e + self._kappa[client])
 
+    # The stacked gradients are matmuls, not einsums: each row then equals the
+    # one-client product bit for bit.
+
+    def local_grads(self, clients, w: np.ndarray) -> np.ndarray:
+        """Full-batch gradients at a stack of points, row i on client ``clients[i]``."""
+        return (self.curvatures[clients] @ (w - self._minima[clients])[:, :, None])[:, :, 0]
+
+    def sample_grads(self, clients, w: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        """Mini-batch gradients, row i on the offsets ``indices[i]`` of client ``clients[i]``."""
+        mean_offset = self._offsets[np.asarray(clients)[:, None], indices].mean(axis=1)
+        return (self.curvatures[clients] @ (w - self.centers[clients] - mean_offset)[:, :, None])[:, :, 0]
+
     def local_grad(self, client: int, w: np.ndarray) -> np.ndarray:
-        return self.curvatures[client] @ (w - self._minima[client])
+        return self.local_grads([client], w[None])[0]
 
     def sample_grad(self, client: int, w: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        mean_offset = self.offsets[client][indices].mean(axis=0)
-        return self.curvatures[client] @ (w - self.centers[client] - mean_offset)
+        return self.sample_grads([client], w[None], np.asarray(indices)[None])[0]
 
     def global_loss(self, w: np.ndarray) -> float:
         e = w - self._minima
@@ -148,9 +173,7 @@ class QuadraticTask:
         return float((0.5 * quad + self._kappa.sum()) / self.n_clients)
 
     def global_grad(self, w: np.ndarray) -> np.ndarray:
-        # A stacked matmul, not an einsum: each client's product then equals
-        # local_grad's bit for bit, and so does their mean.
-        return (self.curvatures @ (w - self._minima)[:, :, None])[:, :, 0].mean(axis=0)
+        return self.local_grads(slice(None), w).mean(axis=0)
 
 
 class LogisticTask:
@@ -183,7 +206,7 @@ class LogisticTask:
             self._x[i, : sizes[i], :feature_dim] = x
             self._x[i, : sizes[i], feature_dim] = 1.0
             self._y[i, : sizes[i]] = y
-        self._sizes = np.array(sizes, dtype=float)
+        self._sizes = np.array(sizes)
         self._design = [self._x[i, :m] for i, m in enumerate(sizes)]
         self.features = [x[:, :feature_dim] for x in self._design]
         self.labels = [self._y[i, :m] for i, m in enumerate(sizes)]
@@ -231,33 +254,53 @@ class LogisticTask:
     def data_size(self, client: int) -> int:
         return self.labels[client].shape[0]
 
-    def _margins(self, client: int, w: np.ndarray, indices=None) -> tuple[np.ndarray, np.ndarray]:
-        x = self._design[client]
-        y = self.labels[client]
-        if indices is not None:
-            x = x[indices]
-            y = y[indices]
-        return y, y * (x @ w)
-
     def local_loss(self, client: int, w: np.ndarray) -> float:
-        _, m = self._margins(client, w)
+        y = self.labels[client]
+        m = y * (self._design[client] @ w)
         return float(np.mean(np.logaddexp(0.0, -m)) + 0.5 * self.l2_reg * np.dot(w, w))
 
-    def _grad_on(self, client: int, w: np.ndarray, indices=None) -> np.ndarray:
-        x = self._design[client]
-        y = self.labels[client]
-        if indices is not None:
-            x = x[indices]
-            y = y[indices]
-        m = y * (x @ w)
-        coef = -y / (1.0 + np.exp(m))
-        return x.T @ coef / x.shape[0] + self.l2_reg * w
+    def _grads(self, x, y, w: np.ndarray, size, margins=None) -> np.ndarray:
+        """Gradients at a stack of points, row i on design ``x[i]`` and labels
+        ``y[i]``, averaged over ``size`` rows. Rows with label 0 add exactly
+        zero. ``margins`` is an optional ``(k, m)`` buffer for the margins.
+
+        Stacked matmuls, not einsums: with equal row counts each row equals
+        the one-client product bit for bit.
+        """
+        t = np.matmul(x, w[:, :, None], out=None if margins is None else margins[:, :, None])[:, :, 0]
+        t *= y  # the margins y * (x @ w)
+        np.exp(t, out=t)
+        t += 1.0
+        np.divide(y, t, out=t)
+        np.negative(t, out=t)  # coef = -y / (1 + exp(m))
+        g = (x.transpose(0, 2, 1) @ t[:, :, None])[:, :, 0]
+        return g / size + self.l2_reg * w
+
+    def local_grads(self, clients, w: np.ndarray) -> np.ndarray:
+        """Full-batch gradients at a stack of points, row i on client ``clients[i]``.
+
+        Rows are grouped by data size and each group sums over exactly its
+        own rows: a sum over zero padding could round differently.
+        """
+        clients = np.asarray(clients)
+        counts = self._sizes[clients]
+        out = np.empty_like(w)
+        for m in set(counts.tolist()):  # np.unique costs 1.6 MiB of RSS on first use
+            rows = np.flatnonzero(counts == m)
+            picked = clients[rows]
+            out[rows] = self._grads(self._x[picked, :m], self._y[picked, :m], w[rows], m)
+        return out
+
+    def sample_grads(self, clients, w: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        """Mini-batch gradients, row i on the samples ``indices[i]`` of client ``clients[i]``."""
+        rows = np.asarray(clients)[:, None]
+        return self._grads(self._x[rows, indices], self._y[rows, indices], w, indices.shape[1])
 
     def local_grad(self, client: int, w: np.ndarray) -> np.ndarray:
-        return self._grad_on(client, w)
+        return self.local_grads([client], w[None])[0]
 
     def sample_grad(self, client: int, w: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        return self._grad_on(client, w, indices)
+        return self.sample_grads([client], w[None], np.asarray(indices)[None])[0]
 
     def global_loss(self, w: np.ndarray) -> float:
         return float(np.mean([self.local_loss(i, w) for i in range(self.n_clients)]))
@@ -270,20 +313,10 @@ class LogisticTask:
         return np.empty_like(self._y)
 
     def _full_grads(self, w: np.ndarray) -> np.ndarray:
-        """Full-batch gradients at a stack of points, row i on client i's data.
-
-        The operations are ``_grad_on``'s, batched over the padded blocks, so
-        with equal data sizes each row equals ``local_grad`` bit for bit.
-        """
-        t = self._scratch
-        np.matmul(self._x, w[:, :, None], out=t[:, :, None])
-        t *= self._y  # the margins y * (x @ w)
-        np.exp(t, out=t)
-        t += 1.0
-        np.divide(self._y, t, out=t)
-        np.negative(t, out=t)  # coef = -y / (1 + exp(m))
-        g = (self._x.transpose(0, 2, 1) @ t[:, :, None])[:, :, 0]
-        return g / self._sizes[:, None] + self.l2_reg * w
+        """Full-batch gradients at a stack of points, row i on client i's data,
+        over the whole padded block; with equal data sizes each row equals
+        ``local_grad`` bit for bit."""
+        return self._grads(self._x, self._y, w, self._sizes[:, None], margins=self._scratch)
 
     def global_grad(self, w: np.ndarray) -> np.ndarray:
         return self._full_grads(np.broadcast_to(w, (self.n_clients, self.dimension))).mean(axis=0)
@@ -368,6 +401,75 @@ def stochastic_gradient(task, client: int, w: np.ndarray, batch_size: int, rng) 
     )
 
 
+def train_clients(
+    task,
+    clients,
+    starts,
+    tau,
+    eta: float,
+    rngs=None,
+    batch_sizes=None,
+    prox_center: np.ndarray | None = None,
+    mu: float = 0.0,
+    context: str = "local_train",
+) -> np.ndarray:
+    """Lock-step local SGD on a stack of models; returns the ``(k, d)`` results.
+
+    Row i starts at ``starts[i]`` (or at ``starts`` itself, one ``(d,)`` start
+    shared by every row) and takes exactly ``tau[i]`` SGD steps on client
+    ``clients[i]``; each step's gradients for all running rows come from one
+    stacked task call. ``batch_sizes=None`` uses full-batch gradients;
+    otherwise row i draws each mini-batch of ``batch_sizes[i]`` samples from
+    ``rngs[i]`` through ``_draw_batch``, step by step, as a lone client would.
+    A non-zero ``mu`` with a ``prox_center`` (one center for every row) adds
+    the proximal pull mu*(w - center) to every step. Rows with tau=0 return
+    their start. Raises ``ValueError`` naming ``context`` and the clients
+    whose results are not finite.
+    """
+    clients = np.asarray(clients, dtype=int)
+    tau = np.asarray(tau, dtype=int)
+    if tau.min(initial=0) < 0:
+        raise ValueError("tau must be non-negative")
+    k = clients.size
+    sizes = np.zeros(k, dtype=int) if batch_sizes is None else np.asarray(batch_sizes, dtype=int)
+    # Rows sorted by batch size, then by step count, longest first: the rows
+    # still running at any step are a prefix of their batch-size block, so
+    # each block steps as one view of w.
+    order = np.lexsort((-tau, sizes))
+    starts = np.asarray(starts, dtype=float)
+    w = starts[order] if starts.ndim == 2 else np.repeat(starts[None], k, axis=0)
+    if w.shape != (k, task.dimension):
+        raise ValueError("model dimension does not match the task")
+    ids = clients[order]
+    steps, sizes, rows = tau[order].tolist(), sizes[order].tolist(), order.tolist()
+    cuts = [0] + [r for r in range(1, k) if sizes[r] != sizes[r - 1]] + [k]
+    blocks = [[lo, hi] for lo, hi in zip(cuts, cuts[1:])]
+    use_prox = mu > 0.0 and prox_center is not None
+    for step in range(max(steps, default=0)):
+        for block in blocks:
+            lo, end = block
+            while end > lo and steps[end - 1] <= step:
+                end -= 1
+            block[1] = end
+            if end == lo:
+                continue
+            running = w[lo:end]
+            if batch_sizes is None:
+                g = task.local_grads(ids[lo:end], running)
+            else:
+                batches = [_draw_batch(task, int(ids[r]), sizes[r], rngs[rows[r]]) for r in range(lo, end)]
+                g = task.sample_grads(ids[lo:end], running, np.array(batches))
+            if use_prox:
+                g = g + mu * (running - prox_center)
+            running -= eta * g
+    if not np.isfinite(w).all():
+        diverged = sorted(ids[~np.isfinite(w).all(axis=1)].tolist())
+        raise ValueError(f"{context}: local models of clients {diverged} are not finite")
+    out = np.empty_like(w)
+    out[order] = w
+    return out
+
+
 def local_train(
     task,
     client: int,
@@ -383,23 +485,14 @@ def local_train(
 
     ``batch_size=None`` uses full-batch gradients. A non-zero ``mu`` with a
     ``prox_center`` adds the proximal pull mu*(w - center) to every step.
-    tau=0 returns the start point unchanged.
+    tau=0 returns the start point unchanged. The one-row case of
+    ``train_clients``.
     """
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
-    w = ensure_finite(w_start, "local_train start").copy()
-    if w.shape != (task.dimension,):
-        raise ValueError("model dimension does not match the task")
-    use_prox = mu > 0.0 and prox_center is not None
-    for _ in range(tau):
-        if batch_size is None:
-            g = task.local_grad(client, w)
-        else:
-            g = task.sample_grad(client, w, _draw_batch(task, client, batch_size, rng))
-        if use_prox:
-            g = g + mu * (w - prox_center)
-        w -= eta * g
-    return ensure_finite(w, "local_train result")
+    return train_clients(
+        task, [client], np.asarray(w_start, dtype=float)[None], [tau], eta,
+        rngs=[rng], batch_sizes=None if batch_size is None else [batch_size],
+        prox_center=prox_center, mu=mu,
+    )[0]
 
 
 @dataclass

@@ -365,6 +365,12 @@ def test_project_to_simplex_properties():
         assert np.allclose(project_to_simplex(q), q, atol=1e-12)
 
 
+def test_project_to_simplex_rejects_values_it_cannot_resolve():
+    for v in ([1e17, 0.0], [np.nan, 1.0]):
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="simplex"):
+            project_to_simplex(np.array(v))
+
+
 def test_project_to_simplex_matches_bisection_oracle():
     def oracle(v):
         # Independent oracle: bisection on the shift s with sum(max(v-s,0))=1.

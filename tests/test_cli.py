@@ -8,6 +8,7 @@ import pytest
 from tsfl.cli import (
     ConfigError,
     _run_kwargs,
+    _write_json,
     build_report,
     cell_seed,
     latency_table,
@@ -192,6 +193,51 @@ def test_runlog_roundtrip_preserves_analysis(tmp_path):
         report = build_report(log)
         on_disk = json.loads((cell / "report.json").read_text())
         assert report == on_disk, strategy
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_every_json_output_is_strict_json(tmp_path):
+    config_path = write_config(tmp_path, small_config(seeds=1, strategies=ALL_STRATEGIES))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    files = sorted(out.rglob("*.json"))
+    assert len(files) == 2 * len(ALL_STRATEGIES) + 1  # runlog + report per cell, summary
+    for path in files:
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=_refuse_constant)
+    rows = {row["strategy"]: row for row in json.loads((out / "summary.json").read_text())["rows"]}
+    assert rows["fedasync"]["mean_participation"] is None
+    assert rows["semiasync"]["mean_participation"] is None
+    assert rows["fedavg"]["mean_participation"] > 0.0
+    # tsfl report, reading the nulls back, writes the same reports.
+    originals = {p: p.read_bytes() for p in out.glob("runs/*/report.json")}
+    assert main(["report", "--out", str(out)]) == 0
+    for p, blob in originals.items():
+        assert p.read_bytes() == blob, p
+
+
+def test_null_floats_read_back_as_nan(tmp_path):
+    config_path = write_config(tmp_path, small_config(seeds=1, strategies=["fedavg"]))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    raw = json.loads((out / "runs" / "case1__fedavg__s000" / "runlog.json").read_text())
+    raw["final_loss"] = None
+    raw["final_model"][1] = None
+    raw["records"][0]["global_loss"] = None
+    log = log_from_dict(raw)
+    assert np.isnan(log.final_loss) and np.isnan(log.final_model[1])
+    assert np.isnan(log.records.global_loss[0]) and np.isfinite(log.records.global_loss[1:]).all()
+    # A NaN written as null reads back as NaN, so the report is the same
+    # whether it is built from the run or from its serialized log.
+    _write_json(tmp_path / "runlog.json", log_to_dict(log))
+    _write_json(tmp_path / "direct.json", build_report(log))
+    again = log_from_dict(json.loads((tmp_path / "runlog.json").read_text()))
+    _write_json(tmp_path / "reread.json", build_report(again))
+    assert (tmp_path / "direct.json").read_bytes() == (tmp_path / "reread.json").read_bytes()
+    report = json.loads((tmp_path / "direct.json").read_text(), parse_constant=_refuse_constant)
+    assert report["final"]["loss"] is None
 
 
 @pytest.mark.parametrize("strategy", ["fedasync", "semiasync"])

@@ -292,3 +292,42 @@ def test_fedprox_pulls_models_toward_interval_start():
     drift_avg = np.linalg.norm(log_avg.records[0].model - start)
     drift_prox = np.linalg.norm(log_prox.records[0].model - start)
     assert drift_prox < drift_avg
+
+
+DIVERGING = dict(eta=1e200, L=1.0, T=3, N=4, H=4, sigma_global=1.0)
+
+
+@pytest.mark.parametrize("strategy", ["fedavg", "tsfl-dms", "sfl", "fedasync"])
+def test_diverging_run_names_the_interval_and_the_clients(strategy):
+    # One step at eta=1e200 stays finite; the second overflows. Clients 0 and
+    # 2 take four steps in interval 0 (under fedasync they upload two steps
+    # at t=0.5, client 3 not before t=2); sfl has all four take two.
+    scenario = scenario_with([FixedIterations(k) for k in (4, 0, 4, 1)], required_iterations=2)
+    clients = "0, 1, 2, 3" if strategy == "sfl" else "0, 2"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=rf"^interval 0: local models of clients \[{clients}\] are not finite"):
+            run_strategy(scenario, strategy, SystemConstants(**DIVERGING), seed=0)
+
+
+def test_diverging_run_fails_its_cell(tmp_path):
+    import json
+
+    from tsfl.cli import main
+
+    config = {
+        "scenario": {"name": "diverge", "n_clients": 4, "data_sizes": 64, "batch_size": 8,
+                     "processes": [{"kind": "fixed", "tau": k} for k in (4, 0, 4, 1)]},
+        "task": {"kind": "quadratic", "dimension": 3},
+        "strategies": ["fedavg"],
+        "seeds": 1,
+        "constants": DIVERGING,
+        "estimate_probes": 0,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    [cell] = json.loads((out / "summary.json").read_text(encoding="utf-8"))["cells"]
+    assert cell["status"] == "failed"
+    assert cell["error"] == "ValueError: interval 0: local models of clients [0, 2] are not finite"

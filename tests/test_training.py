@@ -9,6 +9,7 @@ from tsfl.training import (
     estimate_constants,
     local_train,
     stochastic_gradient,
+    train_clients,
 )
 
 
@@ -445,3 +446,99 @@ def test_logistic_descent_out_of_steps_fails_the_cell(monkeypatch, tmp_path):
     [cell] = json.loads((out / "summary.json").read_text(encoding="utf-8"))["cells"]
     assert cell["status"] == "failed"
     assert cell["error"].startswith("ValueError: logistic optimum descent did not converge")
+
+
+def test_quadratic_offsets_are_views_into_one_padded_block():
+    sizes = [5, 9, 7]
+    task = QuadraticTask.generate(3, 2, sizes, np.random.default_rng(6), noniid_spread=0.5)
+    assert task._offsets.shape == (3, 9, 2)
+    for i, m in enumerate(sizes):
+        assert task.data_size(i) == m and task.offsets[i].shape == (m, 2)
+        assert np.shares_memory(task.offsets[i], task._offsets)
+        assert np.all(task._offsets[i, m:] == 0.0)
+    # Offsets given as a list are copied into a block of the same layout.
+    copied = QuadraticTask(task.curvatures, task.centers, [z.copy() for z in task.offsets])
+    assert np.array_equal(copied._offsets, task._offsets)
+
+
+# Client layouts for the lock-step trainer: case3 draws unequal data sizes;
+# "mixed" has data sizes below the batch size, so batch sizes differ too.
+TRAINER_LAYOUTS = {
+    "case3": None,
+    "mixed": [10, 50, 20, 64, 33, 8],
+}
+
+
+def _trainer_task(kind, layout):
+    rng = np.random.default_rng(23)
+    dimension = 3
+    if TRAINER_LAYOUTS[layout] is None:
+        scenario = preset("case3", n_clients=6, batch_size=16, kind=kind, dimension=dimension,
+                          noniid_spread=0.6)
+        task, profiles = scenario.materialize(rng)
+        return task, [p.batch_size for p in profiles]
+    sizes = TRAINER_LAYOUTS[layout]
+    cls = QuadraticTask if kind == "quadratic" else LogisticTask
+    task = cls.generate(len(sizes), dimension, sizes, rng, noniid_spread=0.6)
+    return task, [min(16, m) for m in sizes]
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+@pytest.mark.parametrize("layout", sorted(TRAINER_LAYOUTS))
+@pytest.mark.parametrize("batching", ["full", "mini"])
+@pytest.mark.parametrize("proximal", [False, True])
+def test_lock_step_trainer_matches_per_client_local_train(kind, layout, batching, proximal):
+    task, batch_sizes = _trainer_task(kind, layout)
+    n = task.n_clients
+    rng = np.random.default_rng(5)
+    center = rng.normal(size=task.dimension)
+    prox = {"prox_center": center, "mu": 0.3} if proximal else {}
+    full = batching == "full"
+    for tau in ([3, 0, 5, 1, 0, 2], [0] * n, [4] * n, [0, 0, 0, 0, 0, 7]):
+        starts = rng.normal(size=(n, task.dimension))
+        stacked_rngs = [np.random.default_rng(100 + i) for i in range(n)]
+        looped_rngs = [np.random.default_rng(100 + i) for i in range(n)]
+        stacked = train_clients(
+            task, np.arange(n), starts, tau, 0.05, rngs=stacked_rngs,
+            batch_sizes=None if full else batch_sizes, **prox,
+        )
+        looped = np.array([
+            local_train(task, i, starts[i], tau[i], 0.05, rng=looped_rngs[i],
+                        batch_size=None if full else batch_sizes[i], **prox)
+            for i in range(n)
+        ])
+        assert np.array_equal(stacked, looped), tau
+        for a, b in zip(stacked_rngs, looped_rngs):
+            assert a.bit_generator.state == b.bit_generator.state
+        # Rows with no steps come back as their start.
+        still = np.asarray(tau) == 0
+        assert np.array_equal(stacked[still], starts[still])
+
+
+def test_lock_step_trainer_rows_in_any_order_and_shared_start():
+    task, batch_sizes = _trainer_task("logistic", "mixed")
+    clients = np.array([4, 0, 5, 2])
+    tau = [2, 3, 0, 3]
+    start = np.random.default_rng(1).normal(size=task.dimension)
+    out = train_clients(task, clients, start, tau, 0.1,
+                        rngs=[np.random.default_rng(i) for i in clients],
+                        batch_sizes=[batch_sizes[i] for i in clients])
+    for row, (client, steps) in enumerate(zip(clients, tau)):
+        alone = local_train(task, client, start, steps, 0.1, rng=np.random.default_rng(client),
+                            batch_size=batch_sizes[client])
+        assert np.array_equal(out[row], alone)
+
+
+def test_lock_step_trainer_names_the_clients_that_diverge():
+    task = small_quadratic(np.random.default_rng(0), n_clients=4, spread=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"^interval 7: local models of clients \[0, 2\] are not finite"):
+            train_clients(task, np.arange(4), np.ones(2), [5, 0, 5, 1], 1e200, context="interval 7")
+
+
+def test_lock_step_trainer_rejects_negative_steps_and_wrong_dimension():
+    task = small_quadratic(np.random.default_rng(0), n_clients=2)
+    with pytest.raises(ValueError, match="non-negative"):
+        train_clients(task, [0, 1], np.zeros(2), [1, -1], 0.1)
+    with pytest.raises(ValueError, match="dimension"):
+        train_clients(task, [0, 1], np.zeros((2, 3)), [1, 1], 0.1)
