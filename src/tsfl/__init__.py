@@ -30,13 +30,16 @@ from .aggregation import (
     bound_optimal_weight_plan,
     bound_optimal_weights,
     dms_threshold,
+    dms_weight_plan,
     dms_weights,
     fedasync_update,
     fedavg_weights,
     filtering_probability,
     iteration_spaced_weights,
     project_to_simplex,
+    proportional_weight_plan,
     sample_participation,
+    spaced_weight_plan,
     spacing_slope,
     uniform_weights,
 )

@@ -1,19 +1,22 @@
 """Global-model update rules and aggregation-weight engines.
 
-Alongside the standard baselines (data-size weighting, depreciated
-asynchronous blending) this module implements the interval weight engines:
+Every synchronous weight engine is a row-wise plan over ``(T, n)`` stacks of
+iteration counts and masks, which weighs a whole run before it is trained
+(the weights never read the model); its one-interval function is the
+one-row case, bit for bit.
 
-* ``iteration_spaced_weights`` - the closed form for equal noise levels,
-  where weight differences are proportional to iteration-count differences
-  (strategy name ``tsfl-corollary1``).
-* ``bound_optimal_weights`` - the damped fixed point of the self-consistent
-  optimal-weight system derived from the loss bound, with an optional
-  participation mask (strategy names ``tsfl-theorem2`` and the masked form
-  used inside DMS analysis). ``bound_optimal_weight_plan`` solves it for
-  every interval of a run at once, which is how ``tsfl-theorem2`` runs.
-* ``dms_weights`` - discriminative model selection: threshold the iteration
-  counts at the interval mean, filter laggards with probability proportional
-  to their shortfall, then space the survivors' weights.
+* ``proportional_weight_plan``: weights proportional to data sizes
+  (``fedavg_weights``; strategies ``fedavg``, ``fedprox``, ``sfl``) or to
+  ones (``uniform_weights``; ``tsfl-uniform``) over the masked clients.
+* ``spaced_weight_plan`` / ``iteration_spaced_weights``: the closed form for
+  equal noise levels, weight differences proportional to iteration-count
+  differences (``tsfl-corollary1``).
+* ``bound_optimal_weight_plan`` / ``bound_optimal_weights``: the damped fixed
+  point of the optimal-weight system of the loss bound (``tsfl-theorem2``).
+* ``dms_weight_plan`` / ``dms_weights``: discriminative model selection;
+  threshold the counts at the interval mean, filter laggards with probability
+  proportional to their shortfall, space the survivors' weights
+  (``tsfl-dms``).
 """
 
 from __future__ import annotations
@@ -40,17 +43,12 @@ class BoundCoefficients:
     """Scalar coefficients of the loss bound and its weight optimality system.
 
     ``a`` multiplies the data-distribution term, ``b`` the denominator sum,
-    ``c`` the gradient-drift term. ``d``, ``e`` and ``f_coef`` are the
-    history-dependent aggregates of the optimality system; they are filled in
-    by the fixed-point solver at convergence and default to zero otherwise.
+    ``c`` the gradient-drift term.
     """
 
     a: float
     b: float
     c: float
-    d: float = 0.0
-    e: float = 0.0
-    f_coef: float = 0.0
 
 
 def bound_coefficients(constants: SystemConstants, h: int | None = None) -> BoundCoefficients:
@@ -76,7 +74,6 @@ class WeightAssignment:
     method: str
     clamped: bool = False
     rho_unclamped: np.ndarray | None = None
-    coefficients: BoundCoefficients | None = None
     participation: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -126,20 +123,16 @@ def _project_rows(values: np.ndarray, mask: np.ndarray, valid: np.ndarray) -> np
     return np.where(mask, np.maximum(values + shift[:, None], 0.0), 0.0)
 
 
-def clamp_negative_weights(rho: np.ndarray, participating: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Zero out negative weights and proportionally renormalize the rest."""
-    rho = rho.copy()
-    if not np.any(rho < 0.0):
-        return rho, False
-    rho[rho < 0.0] = 0.0
-    total = rho.sum()
-    if total <= 0.0:
-        # All-participants-negative cannot occur with a unit sum, but guard
-        # against degenerate masks by falling back to uniform.
-        active = participating.astype(bool)
-        rho[active] = 1.0 / active.sum()
-        return rho, True
-    return rho / total, True
+def proportional_weight_plan(values, mask) -> np.ndarray:
+    """Weights proportional to ``values`` over each row's masked clients.
+
+    ``values`` and ``mask`` broadcast to ``(..., n)``; a row with no masked
+    client, or only zero values, is all zeros. A 1-D input is the one-row
+    case. Data sizes and counts are whole numbers, so every row sum is exact.
+    """
+    masked = np.where(mask, values, 0.0)
+    total = masked.sum(axis=-1, keepdims=True)
+    return masked / np.where(total > 0.0, total, 1.0)
 
 
 def fedavg_weights(data_sizes) -> WeightAssignment:
@@ -149,7 +142,7 @@ def fedavg_weights(data_sizes) -> WeightAssignment:
         raise ValueError("no clients to weight")
     if np.any(sizes <= 0):
         raise ValueError("data sizes must be positive")
-    return WeightAssignment(rho=sizes / sizes.sum(), method="fedavg")
+    return WeightAssignment(rho=proportional_weight_plan(sizes, True), method="fedavg")
 
 
 def uniform_weights(participating) -> WeightAssignment:
@@ -157,9 +150,7 @@ def uniform_weights(participating) -> WeightAssignment:
     mask = np.asarray(participating, dtype=bool)
     if not mask.any():
         raise ValueError("no participating clients")
-    rho = np.zeros(mask.size)
-    rho[mask] = 1.0 / mask.sum()
-    return WeightAssignment(rho=rho, method="uniform")
+    return WeightAssignment(rho=proportional_weight_plan(1.0, mask), method="uniform")
 
 
 def aggregate(models, weights: WeightAssignment) -> np.ndarray:
@@ -188,8 +179,9 @@ def fedasync_update(prev_global: np.ndarray, local_models, gamma: float) -> np.n
     return ensure_finite(blended, "fedasync_update")
 
 
-def spacing_slope(constants: SystemConstants, h: int | None = None) -> float:
-    """Slope k of the weight-spacing law: rho_i - rho_j = k (tau_i - tau_j)."""
+def spacing_slope(constants: SystemConstants, h=None):
+    """Slope k of the weight-spacing law: rho_i - rho_j = k (tau_i - tau_j).
+    ``h`` is one iteration cap, or an array of them giving one slope each."""
     if constants.sigma_global <= 0.0:
         raise ValueError("weight spacing undefined at sigma=0")
     h_eff = constants.H if h is None else h
@@ -200,6 +192,31 @@ def spacing_slope(constants: SystemConstants, h: int | None = None) -> float:
         * constants.G**2
         / (2.0 * constants.N * constants.sigma_global**2)
     )
+
+
+def spaced_weight_plan(tau, mask, constants: SystemConstants, h=None):
+    """``iteration_spaced_weights`` for every row of a ``(T, n)`` stack at once.
+
+    Returns ``(rho, rho_unclamped)``; a row was clamped where its
+    ``rho_unclamped`` has a negative entry. ``h`` is one iteration cap, or one
+    per row. Rows without a participant are zeros, and the slope is only
+    checked when some row has one. Iteration counts are whole numbers, so the
+    masked means are exact. A 1-D input is the one-row case.
+    """
+    tau = np.ascontiguousarray(tau, dtype=float)
+    mask = np.ascontiguousarray(mask, dtype=bool)
+    if not mask.any():
+        return np.zeros(tau.shape), np.zeros(tau.shape)
+    k = np.expand_dims(spacing_slope(constants, h=h), -1)
+    m = np.maximum(mask.sum(axis=-1, keepdims=True), 1)
+    mean = np.where(mask, tau, 0.0).sum(axis=-1, keepdims=True) / m
+    raw = np.where(mask, 1.0 / m + k * (tau - mean), 0.0)
+    # Clamp negative weights to zero and renormalize what is left; a row sums
+    # to one, so a clamped row keeps a positive total.
+    negative = raw < 0.0
+    kept = np.where(negative, 0.0, raw)
+    clamped = negative.any(axis=-1, keepdims=True)
+    return kept / np.where(clamped, kept.sum(axis=-1, keepdims=True), 1.0), raw
 
 
 def iteration_spaced_weights(
@@ -213,22 +230,18 @@ def iteration_spaced_weights(
     Participants receive 1/M plus the spacing slope times their deviation from
     the participant-mean iteration count; everyone else receives zero. If the
     spread pushes a weight negative it is clamped to zero and the remainder is
-    proportionally renormalized, with ``clamped`` flagged.
+    proportionally renormalized, with ``clamped`` flagged. The one-row case
+    of ``spaced_weight_plan``.
     """
     tau = np.asarray(tau, dtype=float)
     mask = np.asarray(participating, dtype=bool)
     if tau.shape != mask.shape:
         raise ValueError("tau and participation mask must align")
-    m = int(mask.sum())
-    if m == 0:
+    if not mask.any():
         raise ValueError("at least one client must participate")
-    k = spacing_slope(constants, h=h)
-    rho = np.zeros(tau.size)
-    tau_mean = tau[mask].mean()
-    rho[mask] = 1.0 / m + k * (tau[mask] - tau_mean)
-    raw = rho.copy()
-    rho, clamped = clamp_negative_weights(rho, mask)
-    return WeightAssignment(rho=rho, method="corollary1", clamped=clamped, rho_unclamped=raw)
+    rho, raw = spaced_weight_plan(tau, mask, constants, h=h)
+    return WeightAssignment(rho=rho, method="corollary1", clamped=bool((raw < 0.0).any()),
+                            rho_unclamped=raw)
 
 
 def dms_threshold(tau) -> float:
@@ -248,21 +261,45 @@ def filtering_probability(tau_i: float, k_t: float, h: int) -> float:
     return float(filtering_probabilities([tau_i], k_t, h)[0])
 
 
-def filtering_probabilities(tau, k_t: float, h: int) -> np.ndarray:
-    """``filtering_probability`` for every entry of ``tau``."""
-    if h < 1:
+def filtering_probabilities(tau, k_t, h) -> np.ndarray:
+    """``filtering_probability`` for every entry of ``tau``; ``k_t`` and ``h``
+    may be arrays that broadcast against it."""
+    if np.any(np.asarray(h) < 1):
         raise ValueError("h must be >= 1")
     tau = np.asarray(tau, dtype=float)
     return np.where(tau >= k_t, 0.0, (k_t - tau) / h)
 
 
 def sample_participation(probabilities, rng) -> np.ndarray:
-    """Independent Bernoulli participation flags: beta_i = 0 with probability p_i."""
+    """Independent Bernoulli participation flags: beta_i = 0 with probability p_i.
+    A ``(T, n)`` stack draws its uniforms row after row, as T calls would."""
     p = np.asarray(probabilities, dtype=float)
     if np.any((p < 0.0) | (p > 1.0)):
         raise ValueError("filter probabilities must lie in [0, 1]")
-    draws = rng.random(p.size)
+    draws = rng.random(p.shape)
     return (draws >= p).astype(int)
+
+
+def dms_weight_plan(tau, eligible, constants: SystemConstants, rng):
+    """``dms_weights`` for every row of a ``(T, n)`` stack at once.
+
+    Returns ``(rho, beta, rho_unclamped)``. The filter draw takes one uniform
+    per client and row, rows in order, so ``rng`` ends where T successive
+    ``dms_weights`` calls leave it, each row weighed as its call would weigh
+    it. A 1-D input is the one-row case.
+    """
+    tau = np.ascontiguousarray(tau, dtype=float)
+    mask = np.ascontiguousarray(eligible, dtype=bool)
+    # Iteration counts are non-negative, so zeros stand in for the excluded.
+    counts = np.where(mask, tau, 0.0)
+    # A row whose cap is 0 (all eligible counts zero, or nobody eligible)
+    # filters nobody; a cap of 1 gives it the same zero probabilities.
+    h = np.maximum(counts.max(axis=-1, keepdims=True), 1.0)
+    k_t = counts.sum(axis=-1, keepdims=True) / np.maximum(mask.sum(axis=-1, keepdims=True), 1)
+    p = np.where(mask, filtering_probabilities(tau, k_t, h), 0.0)
+    beta = mask & (sample_participation(p, rng) == 1)
+    rho, raw = spaced_weight_plan(tau, beta, constants, h=h[..., 0])
+    return rho, beta.astype(int), raw
 
 
 def dms_weights(
@@ -280,25 +317,13 @@ def dms_weights(
     ineligible clients are excluded before any statistic is computed and the
     Bernoulli draw still consumes one uniform per client so replay stays
     aligned. Returns an all-zero assignment when every client is filtered.
+    The one-row case of ``dms_weight_plan``.
     """
     tau = np.asarray(tau, dtype=float)
-    mask = np.ones(tau.size, dtype=bool) if eligible is None else np.asarray(eligible, dtype=bool)
-    p = np.zeros(tau.size)
-    h_t = int(tau[mask].max()) if mask.any() else 0
-    if h_t >= 1:
-        p[mask] = filtering_probabilities(tau[mask], dms_threshold(tau[mask]), h_t)
-    beta = mask & (sample_participation(p, rng) == 1)
-    if not beta.any():
-        zeros = np.zeros(tau.size, dtype=int)
-        return WeightAssignment(rho=np.zeros(tau.size), method="dms", participation=zeros)
-    spaced = iteration_spaced_weights(tau, beta, constants, h=max(h_t, 1))
-    return WeightAssignment(
-        rho=spaced.rho,
-        method="dms",
-        clamped=spaced.clamped,
-        rho_unclamped=spaced.rho_unclamped,
-        participation=beta.astype(int),
-    )
+    mask = np.ones(tau.shape, dtype=bool) if eligible is None else eligible
+    rho, beta, raw = dms_weight_plan(tau, mask, constants, rng)
+    return WeightAssignment(rho=rho, method="dms", clamped=bool((raw < 0.0).any()),
+                            rho_unclamped=raw, participation=beta)
 
 
 def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -329,7 +354,8 @@ class _BoundSystem:
         if self.sigma.shape != (n,) or self.gamma.shape != (n,):
             raise ValueError("sigma_i and gamma_noniid must have one entry per client")
         if np.any(self.sigma <= 0.0):
-            raise ValueError("per-client noise bounds must be positive")
+            clients = np.flatnonzero(self.sigma <= 0.0).tolist()
+            raise ValueError(f"per-client noise bounds must be positive; clients {clients} have none")
         masked = tau * beta
         self.s1 = np.cumsum(masked, axis=0)          # participating tau, summed so far
         self.s3 = np.cumsum(masked * tau, axis=0)    # participating tau^2, summed so far
@@ -343,25 +369,23 @@ class _BoundSystem:
         self.drift = self.a_gamma + coefs.c * (tau * self.mask)
         self.denom_scale = 2.0 * self.noise
 
-    def d_vector(self, rho, sum_rho_tau, s1, s3) -> np.ndarray:
-        """Per-client constant aggregate of the optimality system, per row."""
-        return (
-            self.r0
-            + self.noise * _row_dot(rho**2, s1)[:, None]
-            + self.a_gamma * sum_rho_tau
-            + self.coefs.c * _row_dot(rho, s3)[:, None]
-        )
-
     def step(self, rho, s1, s3, drift) -> np.ndarray:
         coefs = self.coefs
         sum_rho_tau = _row_dot(rho, s1)[:, None]
         w_denom = 1.0 + coefs.b * sum_rho_tau
+        # d_vec: the constant aggregate of the optimality system, per row
+        # (per client too, unless the noise sums are shared).
         if self.shared_noise_sums:
             noise_part = self.eta2_n * _row_dot(self.sigma**2 * rho**2, s1)
             noniid_part = coefs.a * _row_dot(self.gamma * rho, s1)
             d_vec = (self.r0 + noise_part + noniid_part + coefs.c * _row_dot(rho, s3))[:, None]
         else:
-            d_vec = self.d_vector(rho, sum_rho_tau, s1, s3)
+            d_vec = (
+                self.r0
+                + self.noise * _row_dot(rho**2, s1)[:, None]
+                + self.a_gamma * sum_rho_tau
+                + coefs.c * _row_dot(rho, s3)[:, None]
+            )
         return (coefs.b * d_vec + drift * w_denom) / (w_denom * self.denom_scale)
 
     def solve(self, rows, damping: float, tol: float, max_iter: int) -> np.ndarray:
@@ -468,25 +492,5 @@ def bound_optimal_weights(
     beta_hist = np.ones_like(tau_hist) if beta_history is None else beta_history
     system = _BoundSystem(tau_hist, beta_hist, constants, sigma_i, gamma_noniid, r0,
                           shared_noise_sums)
-    last = len(tau_hist) - 1
-    rho = system.solve([last], damping, tol, max_iter)
-    mask = system.mask[last]
-    if mask.sum() < 2:
-        return WeightAssignment(rho=rho[0], method="theorem2")
-
-    # Record the converged aggregates of the optimality system for inspection:
-    # d is the mean constant aggregate over clients, e its masked analog, and
-    # f_coef the converged denominator factor.
-    s1, s3 = system.s1[last:], system.s3[last:]
-    sum_rho_tau = _row_dot(rho, s1)[:, None]
-    d_values = system.d_vector(rho, sum_rho_tau, s1, s3)[0]
-    coefs = system.coefs
-    converged = BoundCoefficients(
-        a=coefs.a,
-        b=coefs.b,
-        c=coefs.c,
-        d=float(d_values.mean()),
-        e=float(d_values[mask].mean()),
-        f_coef=1.0 + coefs.b * float(sum_rho_tau[0, 0]),
-    )
-    return WeightAssignment(rho=rho[0], method="theorem2", coefficients=converged)
+    rho = system.solve([len(tau_hist) - 1], damping, tol, max_iter)
+    return WeightAssignment(rho=rho[0], method="theorem2")

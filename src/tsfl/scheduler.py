@@ -16,19 +16,20 @@ from collections.abc import Callable
 
 import numpy as np
 
-# ``bound_optimal_weights`` and ``local_train`` are not called here; runs use
-# ``bound_optimal_weight_plan`` and ``train_clients``. perfbench's tracer wraps
-# both names on this module, so they must stay importable from it.
+# ``bound_optimal_weights``, ``dms_weights``, ``iteration_spaced_weights`` and
+# ``local_train`` are not called here; runs use the ``*_plan`` engines and
+# ``train_clients``. perfbench's tracer wraps these names on this module, so
+# they must stay importable from it.
 from .aggregation import (  # noqa: F401
-    WeightAssignment,
-    aggregate,
     bound_optimal_weight_plan,
     bound_optimal_weights,
+    dms_weight_plan,
     dms_weights,
     fedasync_update,
     fedavg_weights,
     iteration_spaced_weights,
-    uniform_weights,
+    proportional_weight_plan,
+    spaced_weight_plan,
 )
 from .analysis import estimate_dissimilarity
 from .core import IntervalRecord, RunLog, SystemConstants, interval_records
@@ -144,40 +145,19 @@ class _RunSetup:
 # those names (to trace it, say) reaches every strategy that uses it.
 
 
-def _per_interval(rule, weigh_empty: bool = False):
-    """Whole-run rule from ``rule(setup, tau, eligible) -> WeightAssignment``
-    for one interval, applied row by row in interval order. Rows where no
-    upload reached the server get zero weight without calling ``rule``,
-    unless ``weigh_empty``."""
-
-    def whole_run(setup, tau, eligible):
-        rho = np.zeros(tau.shape)
-        beta = eligible.astype(int)
-        for t in range(len(tau)) if weigh_empty else np.flatnonzero(eligible.any(axis=1)):
-            assignment = rule(setup, tau[t], eligible[t])
-            rho[t] = assignment.rho
-            if assignment.participation is not None:
-                beta[t] = assignment.participation
-        return rho, beta
-
-    return whole_run
+def _fedavg_plan(setup, tau, eligible):
+    sizes = [p.data_size for p in setup.profiles]
+    return proportional_weight_plan(sizes, eligible), eligible
 
 
-def _fedavg_rule(setup, tau, eligible):
-    sizes = np.array([p.data_size for p in setup.profiles], dtype=float)
-    rho = np.zeros(tau.size)
-    rho[eligible] = fedavg_weights(sizes[eligible]).rho
-    return WeightAssignment(rho=rho, method="fedavg")
-
-
-def _theorem2_rule(setup, tau, eligible):
+def _theorem2_plan(setup, tau, eligible):
     rho = np.zeros(tau.shape)
     # A run where no upload reaches the server needs no solve, nor noise bounds.
     if eligible.any():
         r0 = float(np.sum((setup.w0 - setup.task.w_star) ** 2))
         rho = bound_optimal_weight_plan(tau, eligible, setup.constants, setup.sigma_i,
                                         setup.task.gamma_noniid, r0=r0)
-    return rho, eligible.astype(int)
+    return rho, eligible
 
 
 def _run_interval(scenario, strategy, constants, seed, **kwargs):
@@ -203,19 +183,17 @@ class Strategy:
 
 
 STRATEGIES: dict[str, Strategy] = {
-    "fedavg": Strategy(weights=_per_interval(_fedavg_rule)),
-    "fedprox": Strategy(weights=_per_interval(_fedavg_rule), proximal=True),
-    "tsfl-uniform": Strategy(weights=_per_interval(
-        lambda setup, tau, eligible: uniform_weights(eligible))),
-    "tsfl-corollary1": Strategy(weights=_per_interval(
-        lambda setup, tau, eligible: iteration_spaced_weights(tau, eligible, setup.constants))),
-    "tsfl-theorem2": Strategy(weights=_theorem2_rule),
-    # Weighed even with nobody eligible: the filter draw consumes the server
-    # stream every interval, in interval order.
-    "tsfl-dms": Strategy(weights=_per_interval(
-        lambda setup, tau, eligible: dms_weights(
-            tau, setup.constants, setup.server_rng, eligible=eligible),
-        weigh_empty=True)),
+    "fedavg": Strategy(weights=_fedavg_plan),
+    "fedprox": Strategy(weights=_fedavg_plan, proximal=True),
+    "tsfl-uniform": Strategy(weights=lambda setup, tau, eligible: (
+        proportional_weight_plan(1.0, eligible), eligible)),
+    "tsfl-corollary1": Strategy(weights=lambda setup, tau, eligible: (
+        spaced_weight_plan(tau, eligible, setup.constants)[0], eligible)),
+    "tsfl-theorem2": Strategy(weights=_theorem2_plan),
+    # The filter draw consumes the server stream every interval, in interval
+    # order, even where nobody is eligible.
+    "tsfl-dms": Strategy(weights=lambda setup, tau, eligible: dms_weight_plan(
+        tau, eligible, setup.constants, setup.server_rng)[:2]),
     "fedasync": Strategy(
         lambda scenario, _, constants, seed, **kwargs: run_afl(scenario, constants, seed, **kwargs),
         options={"variant": str, "local_iterations": int}),
@@ -226,6 +204,42 @@ STRATEGIES: dict[str, Strategy] = {
 }
 INTERVAL_STRATEGIES = tuple(name for name, spec in STRATEGIES.items() if spec.weights)
 ALL_STRATEGIES = tuple(STRATEGIES)
+
+
+def _run_plan(setup: _RunSetup, strategy: str, seed: int, tau, beta, rho, clock,
+              proximal: bool = False) -> RunLog:
+    """Train a planned run: in interval t every client takes ``tau[t]`` local
+    steps from the current global model, then the local models are combined
+    under ``rho[t]``. An interval where every weight is zero carries the
+    model over and is marked non-aggregated. ``beta`` and ``clock`` (the wall
+    clock at each interval's end) are recorded as given.
+    """
+    # A strided row of rho (a plan built from a transposed tau, say) would
+    # round its product with the local models differently.
+    rho = np.ascontiguousarray(rho)
+    log = setup.new_log(strategy, seed)
+    records = log.records
+    aggregated = (rho > 0.0).any(axis=1)
+    records.t = np.arange(len(tau))
+    records.tau, records.beta, records.rho, records.aggregated = tau, beta, rho, aggregated
+    records.wall_clock = clock
+
+    # Columns looked up once: a recarray attribute lookup per interval costs
+    # more than the arithmetic of a small task.
+    losses, grad_norms, models = records.global_loss, records.global_grad_norm_sq, records.model
+    clients = np.arange(setup.scenario.n_clients)
+    w = setup.w0.copy()
+    for t in range(len(tau)):
+        grad = setup.task.global_grad(w)
+        losses[t] = setup.task.global_loss(w)
+        grad_norms[t] = grad @ grad
+        local_models = setup.train(clients, w, tau[t], t, prox_center=w if proximal else None)
+        if aggregated[t]:
+            # RunLog.validate checks every row's weights once the run is over,
+            # and train_clients has checked that the local models are finite.
+            w = rho[t] @ local_models
+        models[t] = w
+    return setup.finish(log, w)
 
 
 def run_tsfl(
@@ -251,42 +265,19 @@ def run_tsfl(
     if spec is None or spec.weights is None:
         raise ValueError(f"{strategy!r} is not an interval strategy")
     setup = _RunSetup(scenario, constants, seed, probe_count, equality_theta, w0)
-    c = setup.constants
-    n = scenario.n_clients
-    log = setup.new_log(strategy, seed)
-    records = log.records
-
+    T = setup.constants.T
     # Each client draws its own T counts from its own stream, so drawing them
     # client by client yields the values of the interval-by-interval order.
-    tau = np.array(
-        [[p.compute_process.draw(rng) for _ in range(c.T)]
+    # The transpose is copied, so the plans read contiguous rows.
+    tau = np.ascontiguousarray(np.array(
+        [[p.compute_process.draw(rng) for _ in range(T)]
          for p, rng in zip(setup.profiles, setup.tau_rngs)],
         dtype=int,
-    ).T
+    ).T)
     eligible = tau >= scenario.min_upload_iterations
     rho, beta = spec.weights(setup, tau, eligible)
-    aggregated = (rho > 0.0).any(axis=1)
-    records.t = np.arange(c.T)
-    records.tau, records.beta, records.rho, records.aggregated = tau, beta, rho, aggregated
-    records.wall_clock = (records.t + 1) * scenario.interval_length
-
-    # Columns looked up once: a recarray attribute lookup per interval costs
-    # more than the arithmetic of a small task.
-    losses, grad_norms, models = records.global_loss, records.global_grad_norm_sq, records.model
-    clients = np.arange(n)
-    w = setup.w0.copy()
-    for t in range(c.T):
-        grad = setup.task.global_grad(w)
-        losses[t] = setup.task.global_loss(w)
-        grad_norms[t] = grad @ grad
-        local_models = setup.train(clients, w, tau[t], t, prox_center=w if spec.proximal else None)
-        if aggregated[t]:
-            # RunLog.validate checks every row's weights once the run is over,
-            # and train_clients has checked that the local models are finite.
-            w = rho[t] @ local_models
-        models[t] = w
-
-    return setup.finish(log, w)
+    clock = np.arange(1, T + 1) * scenario.interval_length
+    return _run_plan(setup, strategy, seed, tau, beta, rho, clock, spec.proximal)
 
 
 def run_sfl(
@@ -303,7 +294,7 @@ def run_sfl(
     by the slowest client.
     """
     setup = _RunSetup(scenario, constants, seed, probe_count, equality_theta, w0)
-    c = setup.constants
+    T = setup.constants.T
     required = (
         scenario.default_required_iterations()
         if required_iterations is None
@@ -312,31 +303,11 @@ def run_sfl(
     if required < 1:
         raise ValueError("required_iterations must be >= 1")
     n = scenario.n_clients
-    sizes = [p.data_size for p in setup.profiles]
-    assignment = fedavg_weights(sizes)
-    round_seconds = setup.latency.sync_round_seconds(required)
-
-    log = setup.new_log("sfl", seed)
-    w = setup.w0.copy()
-    clients, steps = np.arange(n), np.full(n, required)
-    clock = 0.0
-    for t in range(c.T):
-        loss = setup.task.global_loss(w)
-        grad = setup.task.global_grad(w)
-        local_models = setup.train(clients, w, steps, t)
-        w = aggregate(local_models, assignment)
-        clock += round_seconds
-        log.records[t] = IntervalRecord(
-            t=t,
-            tau=np.full(n, required),
-            beta=np.ones(n, dtype=int),
-            rho=assignment.rho,
-            global_loss=loss,
-            global_grad_norm_sq=float(grad @ grad),
-            wall_clock=clock,
-            model=w,
-        )
-    return setup.finish(log, w)
+    rho = np.tile(fedavg_weights([p.data_size for p in setup.profiles]).rho, (T, 1))
+    # cumsum adds in sequence: the same bits as a clock advanced round by round.
+    clock = np.cumsum(np.full(T, setup.latency.sync_round_seconds(required)))
+    return _run_plan(setup, "sfl", seed, np.full((T, n), required), np.ones((T, n), dtype=int),
+                     rho, clock)
 
 
 class _EventLoop:

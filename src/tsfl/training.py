@@ -276,18 +276,23 @@ class LogisticTask:
         g = (x.transpose(0, 2, 1) @ t[:, :, None])[:, :, 0]
         return g / size + self.l2_reg * w
 
-    def local_grads(self, clients, w: np.ndarray) -> np.ndarray:
-        """Full-batch gradients at a stack of points, row i on client ``clients[i]``.
-
-        Rows are grouped by data size and each group sums over exactly its
-        own rows: a sum over zero padding could round differently.
-        """
+    def _size_groups(self, clients):
+        """``(rows, picked, m)`` for each data size ``m`` among ``clients``:
+        the positions ``rows`` in ``clients`` of the clients ``picked`` that
+        hold ``m`` samples. A group reads exactly its own samples, so it sums
+        as each client alone would; a sum over zero padding could round
+        differently, and padding rows would add log 2 to a loss."""
         clients = np.asarray(clients)
         counts = self._sizes[clients]
-        out = np.empty_like(w)
         for m in set(counts.tolist()):  # np.unique costs 1.6 MiB of RSS on first use
             rows = np.flatnonzero(counts == m)
-            picked = clients[rows]
+            yield rows, clients[rows], m
+
+    def local_grads(self, clients, w: np.ndarray) -> np.ndarray:
+        """Full-batch gradients at a stack of points, row i on client ``clients[i]``,
+        one stacked call per data size."""
+        out = np.empty_like(w)
+        for rows, picked, m in self._size_groups(clients):
             out[rows] = self._grads(self._x[picked, :m], self._y[picked, :m], w[rows], m)
         return out
 
@@ -303,7 +308,12 @@ class LogisticTask:
         return self.sample_grads([client], w[None], np.asarray(indices)[None])[0]
 
     def global_loss(self, w: np.ndarray) -> float:
-        return float(np.mean([self.local_loss(i, w) for i in range(self.n_clients)]))
+        """Mean of the clients' ``local_loss``, one stacked call per data size."""
+        losses = np.empty(self.n_clients)
+        for rows, picked, m in self._size_groups(np.arange(self.n_clients)):
+            margins = self._y[picked, :m] * (self._x[picked, :m] @ w)
+            losses[rows] = np.mean(np.logaddexp(0.0, -margins), axis=1)
+        return float(np.mean(losses + 0.5 * self.l2_reg * np.dot(w, w)))
 
     @cached_property
     def _scratch(self) -> np.ndarray:
@@ -510,8 +520,10 @@ def estimate_constants(task, clients: list[ClientProfile], probe_count: int, rng
 
     The gradient bound is the largest stochastic-gradient norm seen across
     probe points; the per-client noise bound is the largest observed deviation
-    from the full-batch gradient. Smoothness is exact for quadratic tasks and
-    probed otherwise.
+    from the full-batch gradient. A client whose batch is its whole data set
+    has no sampling noise: its bound is exactly 0, though its batches are
+    still drawn, so every client sees the same probe stream. Smoothness is
+    exact for quadratic tasks and probed otherwise.
     """
     if probe_count < 1:
         raise ValueError("probe_count must be >= 1")
@@ -519,12 +531,14 @@ def estimate_constants(task, clients: list[ClientProfile], probe_count: int, rng
     probes = [rng.normal(size=d) for _ in range(probe_count)]
     g_max = 0.0
     sigma_hat = np.zeros(task.n_clients)
+    sampled = [clients[i].batch_size < task.data_size(i) for i in range(task.n_clients)]
     for w in probes:
         for i in range(task.n_clients):
             sample = stochastic_gradient(task, i, w, clients[i].batch_size, rng)
             g_max = max(g_max, float(np.linalg.norm(sample.stochastic)))
-            deviation = float(np.linalg.norm(sample.stochastic - sample.full_batch))
-            sigma_hat[i] = max(sigma_hat[i], deviation)
+            if sampled[i]:
+                deviation = float(np.linalg.norm(sample.stochastic - sample.full_batch))
+                sigma_hat[i] = max(sigma_hat[i], deviation)
     source = {"G": "probed", "sigma": "probed"}
 
     if task.kind == "quadratic":

@@ -3,10 +3,20 @@ import dataclasses
 import numpy as np
 import pytest
 
+from tsfl.aggregation import (
+    aggregate,
+    bound_optimal_weights,
+    dms_weights,
+    fedavg_weights,
+    iteration_spaced_weights,
+    uniform_weights,
+)
 from tsfl.core import SystemConstants
 from tsfl.scenarios import FixedIterations, Scenario, TaskSpec, preset
 from tsfl.scheduler import (
     ALL_STRATEGIES,
+    INTERVAL_STRATEGIES,
+    _RunSetup,
     participation_frequency,
     run_afl,
     run_semi_async,
@@ -14,7 +24,7 @@ from tsfl.scheduler import (
     run_strategy,
     run_tsfl,
 )
-from tsfl.training import stochastic_gradient
+from tsfl.training import stochastic_gradient, train_clients
 
 
 def quadratic_task_spec(dimension=3, spread=0.0, noise=0.5):
@@ -331,3 +341,105 @@ def test_diverging_run_fails_its_cell(tmp_path):
     [cell] = json.loads((out / "summary.json").read_text(encoding="utf-8"))["cells"]
     assert cell["status"] == "failed"
     assert cell["error"] == "ValueError: interval 0: local models of clients [0, 2] are not finite"
+
+
+def _one_interval_weights(strategy, setup, tau, eligible, t):
+    """Interval t's (rho, beta) from the one-interval engines, weighed in
+    interval order as a per-interval runner would."""
+    c, mask, n = setup.constants, eligible[t], tau.shape[1]
+    if strategy == "tsfl-dms":
+        # Drawn every interval, with nobody eligible too.
+        one = dms_weights(tau[t], c, setup.server_rng, eligible=mask)
+        return one.rho, one.participation
+    rho = np.zeros(n)
+    if not mask.any():
+        return rho, mask
+    if strategy in ("fedavg", "fedprox"):
+        sizes = np.array([p.data_size for p in setup.profiles], dtype=float)
+        rho[mask] = fedavg_weights(sizes[mask]).rho
+    elif strategy == "tsfl-uniform":
+        rho = uniform_weights(mask).rho
+    elif strategy == "tsfl-corollary1":
+        rho = iteration_spaced_weights(tau[t], mask, c).rho
+    else:
+        r0 = float(np.sum((setup.w0 - setup.task.w_star) ** 2))
+        rho = bound_optimal_weights(tau[: t + 1], c, setup.sigma_i, setup.task.gamma_noniid,
+                                    beta_history=eligible[: t + 1], r0=r0).rho
+    return rho, mask
+
+
+def _reference_loop(setup, tau, weights, proximal=False):
+    """Train interval by interval with train_clients and aggregate each
+    interval's one-interval weights; returns the models after each interval."""
+    c, n = setup.constants, tau.shape[1]
+    batch_sizes = None if setup.scenario.full_batch else setup.batch_sizes
+    w, models = setup.w0.copy(), []
+    for t in range(len(tau)):
+        local = train_clients(setup.task, np.arange(n), w, tau[t], c.eta, rngs=setup.batch_rngs,
+                              batch_sizes=batch_sizes, prox_center=w if proximal else None,
+                              mu=c.mu if proximal else 0.0)
+        if weights[t].any():
+            w = weights[t] @ local
+        models.append(w)
+    return np.array(models)
+
+
+@pytest.mark.parametrize("full_batch", [False, True])
+@pytest.mark.parametrize("strategy", INTERVAL_STRATEGIES)
+def test_planned_run_equals_a_per_interval_loop(strategy, full_batch):
+    scenario = dataclasses.replace(
+        preset("case3", n_clients=10, batch_size=8), min_upload_iterations=3, full_batch=full_batch,
+        task=quadratic_task_spec(dimension=5, spread=0.5),
+    )
+    constants = SystemConstants(eta=0.02, L=1.0, N=10, H=8, T=8, sigma_global=1.0, mu=0.5)
+    log = run_tsfl(scenario, strategy, constants, seed=5, probe_count=3)
+
+    setup = _RunSetup(scenario, constants, 5, 3, False, None)
+    # The counts drawn interval by interval, all clients in each.
+    tau = np.array([[p.compute_process.draw(rng) for p, rng in zip(setup.profiles, setup.tau_rngs)]
+                    for _ in range(constants.T)])
+    eligible = tau >= scenario.min_upload_iterations
+    assert eligible.any() and not eligible.all()
+    rho, beta = zip(*(_one_interval_weights(strategy, setup, tau, eligible, t)
+                      for t in range(constants.T)))
+    rho, beta = np.array(rho), np.array(beta)
+    models = _reference_loop(setup, tau, rho, proximal=strategy == "fedprox")
+
+    assert np.array_equal(log.records.tau, tau)
+    assert np.array_equal(log.records.rho, rho) and np.array_equal(log.records.beta, beta)
+    assert np.array_equal(log.records.model, models)
+    assert np.array_equal(log.final_model, models[-1])
+
+
+def test_sfl_equals_a_round_loop():
+    scenario = dataclasses.replace(preset("case1", n_clients=6, data_size=40), batch_size=8,
+                                   task=quadratic_task_spec(dimension=5, spread=0.5))
+    constants = SystemConstants(eta=0.02, L=1.0, N=6, H=4, T=5, sigma_global=1.0)
+    log = run_sfl(scenario, constants, seed=3, required_iterations=3)
+
+    setup = _RunSetup(scenario, constants, 3, 0, False, None)
+    weights = fedavg_weights([p.data_size for p in setup.profiles])
+    w, clock, round_seconds = setup.w0.copy(), 0.0, setup.latency.sync_round_seconds(3)
+    for record in log.records:
+        w = aggregate(train_clients(setup.task, np.arange(6), w, np.full(6, 3), constants.eta,
+                                    rngs=setup.batch_rngs, batch_sizes=setup.batch_sizes), weights)
+        clock += round_seconds
+        assert np.array_equal(record.model, w)
+        assert record.wall_clock == clock
+        assert np.array_equal(record.rho, weights.rho)
+
+
+def test_theorem2_names_the_clients_without_sampling_noise():
+    # Clients 0 and 5 hold no more samples than a batch, so their probe
+    # gradients carry no sampling noise and the Theorem 2 solve is undefined.
+    scenario = Scenario(
+        name="mixed", processes=[FixedIterations(k) for k in (2, 3, 4, 2, 3, 4)],
+        data_sizes=[10, 50, 20, 64, 33, 8], batch_size=16,
+        task=quadratic_task_spec(dimension=4, spread=0.5),
+    )
+    constants = SystemConstants(eta=0.02, L=1.0, N=6, H=6, T=10, sigma_global=1.0)
+    log = run_tsfl(scenario, "tsfl-corollary1", constants, seed=0, probe_count=4)
+    sigma = np.array(log.analysis_inputs["sigma_i"])
+    assert sigma[[0, 5]].tolist() == [0.0, 0.0] and np.all(sigma[1:5] > 0.0)
+    with pytest.raises(ValueError, match=r"noise bounds must be positive; clients \[0, 5\] have none"):
+        run_tsfl(scenario, "tsfl-theorem2", constants, seed=0, probe_count=4)

@@ -346,6 +346,37 @@ def test_sigma_estimate_is_zero_without_sample_noise():
     assert est.G_hat > 0.0
 
 
+def test_sigma_estimate_is_exactly_zero_for_full_batch_probes():
+    # Clients 0 and 5 hold no more samples than a batch: their probe batch is
+    # their whole data set, whose gradient equals the full one up to rounding.
+    sizes = [10, 50, 20, 64, 33, 8]
+    task = QuadraticTask.generate(6, 4, sizes, np.random.default_rng(1), noniid_spread=0.5)
+    profiles = [ClientProfile(id=i + 1, data_size=m, batch_size=min(16, m)) for i, m in enumerate(sizes)]
+    rng = np.random.default_rng(4)
+    est = estimate_constants(task, profiles, 4, rng)
+    assert est.sigma_hat[[0, 5]].tolist() == [0.0, 0.0]
+    assert np.all(est.sigma_hat[1:5] > 0.0)
+    # Their batches are still drawn, so the stream ends where four probes of
+    # six batch draws each leave it.
+    replay = np.random.default_rng(4)
+    for _ in range(4):
+        replay.normal(size=task.dimension)
+    for _ in range(4):
+        for p in profiles:
+            replay.choice(p.data_size, size=p.batch_size, replace=False)
+    assert rng.bit_generator.state == replay.bit_generator.state
+
+
+@pytest.mark.parametrize("layout", ["equal", "unequal", "single"])
+def test_logistic_global_loss_is_the_mean_local_loss_bit_for_bit(layout):
+    sizes = {"equal": [40] * 5, "unequal": [16, 40, 24, 64, 33, 16, 7], "single": [30]}[layout]
+    rng = np.random.default_rng(23)
+    task = LogisticTask.generate(len(sizes), 4, sizes, rng, noniid_spread=0.8)
+    for w in rng.normal(scale=2.0, size=(20, task.dimension)):
+        loop = float(np.mean([task.local_loss(i, w) for i in range(task.n_clients)]))
+        assert task.global_loss(w) == loop
+
+
 def _descent_oracle(task, grad_fn):
     """The per-point definition of a logistic optimum: fixed-step full-batch
     descent from the origin, stopping after the first step with |g| < 1e-12."""
