@@ -16,6 +16,7 @@ from .training import (
     GradientSample,
     LogisticTask,
     QuadraticTask,
+    draw_batches,
     estimate_constants,
     local_train,
     stochastic_gradient,

@@ -24,8 +24,9 @@ class FixedIterations:
 
     tau: int
 
-    def draw(self, rng) -> int:
-        return self.tau
+    def draw(self, rng, size: int | None = None):
+        """One count, or ``size`` of them as an int array."""
+        return self.tau if size is None else np.full(size, self.tau)
 
     @property
     def mean(self) -> float:
@@ -39,8 +40,12 @@ class GaussianFloorIterations:
     mean_value: float
     std: float
 
-    def draw(self, rng) -> int:
-        return max(0, int(np.floor(rng.normal(self.mean_value, self.std))))
+    def draw(self, rng, size: int | None = None):
+        """One count, or ``size`` of them as an int array: the same values, and
+        the same rng state, as ``size`` successive single draws."""
+        if size is None:
+            return max(0, int(np.floor(rng.normal(self.mean_value, self.std))))
+        return np.maximum(np.floor(rng.normal(self.mean_value, self.std, size=size)), 0).astype(int)
 
     @property
     def mean(self) -> float:

@@ -34,7 +34,7 @@ from .aggregation import (  # noqa: F401
 from .analysis import estimate_dissimilarity
 from .core import IntervalRecord, RunLog, SystemConstants, interval_records
 from .scenarios import Scenario
-from .training import estimate_constants, local_train, train_clients  # noqa: F401
+from .training import draw_batches, estimate_constants, local_train, train_clients  # noqa: F401
 
 
 class _RunSetup:
@@ -80,6 +80,7 @@ class _RunSetup:
         for profile, sigma in zip(self.profiles, sigma_i):
             profile.sigma_i = float(sigma)
         self.batch_sizes = np.array([p.batch_size for p in self.profiles])
+        self.plan_batches(np.zeros(scenario.n_clients, dtype=int))
 
         probes = [self.w0 + 0.5 * self.scenario_rng.normal(size=self.task.dimension)
                   for _ in range(max(probe_count, 0))]
@@ -100,17 +101,38 @@ class _RunSetup:
             "epsilon_hat": epsilon_hat,
         }
 
+    def plan_batches(self, steps) -> None:
+        """Plan the run's local steps before training: client i may take
+        ``steps[i]`` of them. Its mini-batches for all of them are drawn now,
+        in one ``draw_batches`` call, from its own stream."""
+        self.planned = np.asarray(steps, dtype=int)
+        self.used = np.zeros_like(self.planned)
+        self.batches = None if self.scenario.full_batch else draw_batches(
+            self.batch_rngs, [p.data_size for p in self.profiles], self.batch_sizes, self.planned)
+
     def train(self, clients, starts, steps, interval: int, prox_center=None) -> np.ndarray:
         """Lock-step local SGD: client ``clients[i]`` takes ``steps[i]`` steps
-        from ``starts[i]``, drawing its mini-batches from its own stream."""
+        from ``starts[i]`` on its next ``steps[i]`` planned mini-batches. A
+        client that asks for more steps than were planned raises."""
+        clients, steps = np.asarray(clients, dtype=int), np.asarray(steps, dtype=int)
+        first = self.used[clients]
+        end = first + steps
+        over = end > self.planned[clients]
+        if over.any():
+            raise RuntimeError(f"interval {interval}: clients {clients[over].tolist()} "
+                               "ask for more local steps than were planned")
+        self.used[clients] = end
+        batches = None
+        if self.batches is not None:
+            batches = [self.batches[i][lo:hi] for i, lo, hi in
+                       zip(clients.tolist(), first.tolist(), end.tolist())]
         return train_clients(
             self.task,
             clients,
             starts,
             steps,
             self.constants.eta,
-            rngs=[self.batch_rngs[i] for i in clients],
-            batch_sizes=None if self.scenario.full_batch else self.batch_sizes[clients],
+            batches=batches,
             prox_center=prox_center,
             mu=self.constants.mu if prox_center is not None else 0.0,
             context=f"interval {interval}",
@@ -224,6 +246,7 @@ def _run_plan(setup: _RunSetup, strategy: str, seed: int, tau, beta, rho, clock,
     records.tau, records.beta, records.rho, records.aggregated = tau, beta, rho, aggregated
     records.wall_clock = clock
 
+    setup.plan_batches(tau.sum(axis=0))
     # Columns looked up once: a recarray attribute lookup per interval costs
     # more than the arithmetic of a small task.
     losses, grad_norms, models = records.global_loss, records.global_grad_norm_sq, records.model
@@ -270,8 +293,7 @@ def run_tsfl(
     # client by client yields the values of the interval-by-interval order.
     # The transpose is copied, so the plans read contiguous rows.
     tau = np.ascontiguousarray(np.array(
-        [[p.compute_process.draw(rng) for _ in range(T)]
-         for p, rng in zip(setup.profiles, setup.tau_rngs)],
+        [p.compute_process.draw(rng, size=T) for p, rng in zip(setup.profiles, setup.tau_rngs)],
         dtype=int,
     ).T)
     eligible = tau >= scenario.min_upload_iterations
@@ -337,6 +359,20 @@ class _EventLoop:
         heapq.heapify(self.heap)
         self.basis = [setup.w0.copy() for _ in range(scenario.n_clients)]
 
+    def planned_steps(self, horizon: float) -> np.ndarray:
+        """Local steps each client trains by ``horizon``: ``k`` per arrival.
+        Arrival a (from 1) of client i falls at ``a * cycles[i]``, the float
+        product the heap uses, so this counts exactly the arrivals it pops."""
+        steps = []
+        for cycle in self.cycles.tolist():
+            arrivals = int(horizon // cycle)
+            while (arrivals + 1) * cycle <= horizon:
+                arrivals += 1
+            while arrivals > 0 and arrivals * cycle > horizon:
+                arrivals -= 1
+            steps.append(self.k * arrivals)
+        return np.array(steps, dtype=int)
+
     def pop_batch(self, horizon: float):
         """All clients arriving at the earliest pending timestamp <= horizon."""
         if not self.heap or self.heap[0][0] > horizon:
@@ -368,6 +404,7 @@ def _event_run(
     setup = _RunSetup(scenario, constants, seed, probe_count, equality_theta, w0)
     c = setup.constants
     loop = _EventLoop(setup, local_iterations)
+    setup.plan_batches(loop.planned_steps(c.T * scenario.interval_length))
     log = setup.new_log(strategy, seed)
     records = log.records
     state = {"global": setup.w0.copy()}

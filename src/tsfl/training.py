@@ -384,12 +384,165 @@ class LogisticTask:
         return self.global_loss(self.w_star)
 
 
-def _draw_batch(task, client: int, batch_size: int, rng) -> np.ndarray:
-    """Indices of one mini-batch, drawn uniformly without replacement."""
-    n = task.data_size(client)
-    if batch_size > n:
+def _replay(rng, n: int, b: int, count: int) -> np.ndarray:
+    """``count`` successive ``rng.choice(n, size=b, replace=False)`` calls."""
+    return np.array([rng.choice(n, size=b, replace=False) for _ in range(count)]).reshape(count, b)
+
+
+def _next_uint32s(bitgen, state: dict, count: int) -> np.ndarray:
+    """The next ``count`` values of a PCG64's 32-bit stream, as ``next_uint32``
+    returns them: a buffered half first, then the low and high halves of each
+    64-bit output. ``state`` is the generator's current state; the generator
+    is left with the buffer those calls would leave."""
+    buffered = min(state["has_uint32"], count)
+    raw = np.asarray(bitgen.random_raw((count - buffered + 1) // 2), dtype="<u8").view("<u4")
+    if raw.size:
+        after = bitgen.state
+        after["has_uint32"] = (count - buffered) % 2
+        after["uinteger"] = int(raw[-1])
+    else:  # only the buffered half was taken
+        after = {**state, "has_uint32": state["has_uint32"] - buffered}
+    bitgen.state = after
+    drawn = raw[: count - buffered]
+    return np.concatenate(([state["uinteger"]], drawn)).astype(np.uint32) if buffered else drawn
+
+
+def _lemire(u: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray | bool]:
+    """Lemire's bounded integers on ``[0, bound)`` from the uint32 draws ``u``,
+    as uint64, and where numpy would have rejected a draw and drawn again."""
+    m = u.astype(np.uint64)
+    m *= np.uint64(bound)
+    threshold = (2**32 - bound) % bound
+    rejected = m.astype(np.uint32) < threshold if threshold else False
+    m >>= np.uint64(32)
+    return m, rejected
+
+
+def _choice_rows(stream: np.ndarray, n: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """``Generator.choice(n, size=b, replace=False)`` on every column of the
+    uint32 draws ``stream`` ``(draws, batches)`` at once: Floyd's sampling,
+    then a Fisher-Yates shuffle, each draw a Lemire bounded integer. Returns
+    the ``(batches, b)`` indices and which batches hit a Lemire rejection,
+    whose indices (and every later batch of the same stream) are not valid.
+    """
+    # The narrowest indices that hold n - 1: a run holds its batches.
+    dtype = next(t for t in (np.int16, np.int32, np.int64) if n - 1 <= np.iinfo(t).max)
+    batches = stream.shape[1]
+    # Built position by position: row p holds position p of every batch.
+    idx = np.empty((b, batches), dtype=dtype)
+    rejected = np.zeros(batches, dtype=bool)
+    draws = iter(stream)
+    # Floyd: position p takes a draw on [0, j], or j itself when that value
+    # is already taken; a draw on [0, 0] consumes nothing.
+    for p, j in enumerate(range(n - b, n)):
+        val = np.zeros(batches, dtype=dtype)
+        if j > 0:
+            drawn, hit = _lemire(next(draws), j + 1)
+            val = drawn.astype(dtype)
+            rejected |= hit
+        taken = (idx[:p] == val).any(axis=0)
+        np.copyto(val, j, where=taken)
+        idx[p] = val
+    # The shuffle swaps position i with position j of each batch, addressed
+    # in the flat block as j * batches + column.
+    flat = idx.reshape(-1)
+    cols = np.arange(batches, dtype=np.uint64)
+    for i in range(b - 1, 0, -1):
+        j, hit = _lemire(next(draws), i + 1)
+        rejected |= hit
+        j *= np.uint64(batches)
+        j += cols
+        swap = flat[j]
+        flat[j] = idx[i]
+        idx[i] = swap
+    return idx.T, rejected
+
+
+def _draw_stack(rngs, n: int, b: int, counts) -> list[np.ndarray]:
+    """``draw_batches`` for clients of one ``(n, b)``, sampled as one stack,
+    up to each client's first batch with a Lemire rejection: a client that
+    has one gets only the batches before it, and its generator is left where
+    they leave it."""
+    # Floyd draws on [0, j] for j = n-b .. n-1, none for j = 0; the shuffle
+    # draws on [0, i] for i = b-1 .. 1.
+    draws = b - (n == b > 0) + max(b - 1, 0)
+    ends = np.cumsum(counts).tolist()
+    stream = np.empty((draws, ends[-1]), dtype=np.uint32)
+    saved = [rng.bit_generator.state for rng in rngs]
+    for rng, state, c, lo, hi in zip(rngs, saved, counts, [0] + ends, ends):
+        if draws:
+            stream[:, lo:hi] = _next_uint32s(rng.bit_generator, state, c * draws).reshape(-1, draws).T
+    idx, rejected = _choice_rows(stream, n, b)
+    del stream
+    out = []
+    for rng, state, lo, hi in zip(rngs, saved, [0] + ends, ends):
+        hits = np.flatnonzero(rejected[lo:hi])
+        if hits.size:
+            rng.bit_generator.state = state
+            _next_uint32s(rng.bit_generator, state, int(hits[0]) * draws)
+            hi = lo + int(hits[0])
+        out.append(idx[lo:hi])
+    return out
+
+
+# The most batches sampled as one stack, unless one client draws more: this
+# bounds the uint32 draws held at once (about 2b per batch) on long runs.
+_STACK_BATCHES = 1 << 14
+
+
+def draw_batches(rngs, n, b, counts) -> list[np.ndarray]:
+    """Whole mini-batch streams: entry i is the ``(counts[i], b[i])`` array of
+    ``counts[i]`` successive ``rngs[i].choice(n[i], size=b[i], replace=False)``
+    calls, bit for bit, and each rng is left in the state those calls leave.
+
+    ``n``, ``b`` and ``counts`` hold one value per rng, or one for all. The
+    indices come in the narrowest of int16, int32 and int64 that holds
+    ``n - 1`` (``choice`` returns int64), except for replayed clients. The
+    streams of clients with equal ``(n, b)`` are sampled as one stack, one
+    numpy operation per draw over every batch, from one ``random_raw`` call
+    per rng. A batch whose draws hit a Lemire rejection is drawn by
+    ``choice`` itself, and the stack resumes after it. A client is replayed
+    with ``choice`` throughout where the stack cannot follow numpy: numpy's
+    tail-shuffle branch (``n > 10000`` and ``b > n // 50``), a range past 32
+    bits, or a bit generator other than PCG64. Raises if a client that draws
+    at least one batch has ``b > n``, or if two clients share a bit
+    generator: their draws would interleave.
+    """
+    k = len(rngs)
+    if len({id(rng.bit_generator) for rng in rngs}) < k:
+        raise ValueError("each client needs its own generator")
+    n, b, counts = (np.broadcast_to(np.asarray(v, dtype=np.int64), (k,)).tolist() for v in (n, b, counts))
+    if min(counts, default=0) < 0:
+        raise ValueError("counts must be non-negative")
+    if any(size > m and c > 0 for m, size, c in zip(n, b, counts)):
         raise ValueError("batch_size exceeds the client's data size")
-    return rng.choice(n, size=batch_size, replace=False)
+    out: list = [None] * k
+    stacks: dict[tuple[int, int], list[list[int]]] = {}
+    for i, rng in enumerate(rngs):
+        if counts[i] == 0:
+            out[i] = np.empty((0, b[i]), dtype=np.int64)
+        elif (type(rng.bit_generator) is not np.random.PCG64 or n[i] >= 2**32
+                or (n[i] > 10000 and b[i] > n[i] // 50)):
+            out[i] = _replay(rng, n[i], b[i], counts[i])
+        else:
+            group = stacks.setdefault((n[i], b[i]), [[]])
+            if group[-1] and sum(counts[j] for j in group[-1]) + counts[i] > _STACK_BATCHES:
+                group.append([])
+            group[-1].append(i)
+    for (m, size), group in stacks.items():
+        for members in group:
+            drawn = _draw_stack([rngs[i] for i in members], m, size, [counts[i] for i in members])
+            for i, batches in zip(members, drawn):
+                pieces, left = [batches], counts[i] - len(batches)
+                while left:  # the stack stopped at a rejected batch: choice draws it
+                    pieces.append(_replay(rngs[i], m, size, 1))
+                    left -= 1
+                    if left:
+                        [stacked] = _draw_stack([rngs[i]], m, size, [left])
+                        pieces.append(stacked)
+                        left -= len(stacked)
+                out[i] = np.concatenate(pieces, dtype=batches.dtype) if len(pieces) > 1 else batches
+    return out
 
 
 def stochastic_gradient(task, client: int, w: np.ndarray, batch_size: int, rng) -> GradientSample:
@@ -403,7 +556,10 @@ def stochastic_gradient(task, client: int, w: np.ndarray, batch_size: int, rng) 
         raise ValueError(
             f"model dimension {w.shape} does not match task dimension ({task.dimension},)"
         )
-    indices = _draw_batch(task, client, batch_size, rng)
+    n = task.data_size(client)
+    if batch_size > n:
+        raise ValueError("batch_size exceeds the client's data size")
+    indices = rng.choice(n, size=batch_size, replace=False)
     return GradientSample(
         stochastic=task.sample_grad(client, w, indices),
         full_batch=task.local_grad(client, w),
@@ -417,8 +573,7 @@ def train_clients(
     starts,
     tau,
     eta: float,
-    rngs=None,
-    batch_sizes=None,
+    batches=None,
     prox_center: np.ndarray | None = None,
     mu: float = 0.0,
     context: str = "local_train",
@@ -428,20 +583,25 @@ def train_clients(
     Row i starts at ``starts[i]`` (or at ``starts`` itself, one ``(d,)`` start
     shared by every row) and takes exactly ``tau[i]`` SGD steps on client
     ``clients[i]``; each step's gradients for all running rows come from one
-    stacked task call. ``batch_sizes=None`` uses full-batch gradients;
-    otherwise row i draws each mini-batch of ``batch_sizes[i]`` samples from
-    ``rngs[i]`` through ``_draw_batch``, step by step, as a lone client would.
-    A non-zero ``mu`` with a ``prox_center`` (one center for every row) adds
-    the proximal pull mu*(w - center) to every step. Rows with tau=0 return
-    their start. Raises ``ValueError`` naming ``context`` and the clients
-    whose results are not finite.
+    stacked task call. ``batches=None`` uses full-batch gradients; otherwise
+    ``batches[i]`` is row i's ``(tau[i], b_i)`` array of sample indices, and
+    step s uses the mini-batch ``batches[i][s]``. A non-zero ``mu`` with a
+    ``prox_center`` (one center for every row) adds the proximal pull
+    mu*(w - center) to every step. Rows with tau=0 return their start.
+    Raises ``ValueError`` naming ``context`` and the clients whose results
+    are not finite.
     """
     clients = np.asarray(clients, dtype=int)
     tau = np.asarray(tau, dtype=int)
     if tau.min(initial=0) < 0:
         raise ValueError("tau must be non-negative")
     k = clients.size
-    sizes = np.zeros(k, dtype=int) if batch_sizes is None else np.asarray(batch_sizes, dtype=int)
+    if batches is None:
+        sizes = np.zeros(k, dtype=int)
+    elif [len(b) for b in batches] != tau.tolist():
+        raise ValueError("batches[i] must hold tau[i] mini-batches")
+    else:
+        sizes = np.array([np.shape(b)[1] for b in batches], dtype=int)
     # Rows sorted by batch size, then by step count, longest first: the rows
     # still running at any step are a prefix of their batch-size block, so
     # each block steps as one view of w.
@@ -453,22 +613,30 @@ def train_clients(
     ids = clients[order]
     steps, sizes, rows = tau[order].tolist(), sizes[order].tolist(), order.tolist()
     cuts = [0] + [r for r in range(1, k) if sizes[r] != sizes[r - 1]] + [k]
-    blocks = [[lo, hi] for lo, hi in zip(cuts, cuts[1:])]
+    # Each block's mini-batches as one (steps, rows, b) stack: step s of the
+    # running prefix is one slice.
+    blocks = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        stack = None
+        if batches is not None:
+            stack = np.zeros((steps[lo], hi - lo, sizes[lo]), dtype=np.intp)
+            for r in range(lo, hi):
+                stack[: steps[r], r - lo] = batches[rows[r]]
+        blocks.append([lo, hi, stack])
     use_prox = mu > 0.0 and prox_center is not None
     for step in range(max(steps, default=0)):
         for block in blocks:
-            lo, end = block
+            lo, end, stack = block
             while end > lo and steps[end - 1] <= step:
                 end -= 1
             block[1] = end
             if end == lo:
                 continue
             running = w[lo:end]
-            if batch_sizes is None:
+            if stack is None:
                 g = task.local_grads(ids[lo:end], running)
             else:
-                batches = [_draw_batch(task, int(ids[r]), sizes[r], rngs[rows[r]]) for r in range(lo, end)]
-                g = task.sample_grads(ids[lo:end], running, np.array(batches))
+                g = task.sample_grads(ids[lo:end], running, stack[step, : end - lo])
             if use_prox:
                 g = g + mu * (running - prox_center)
             running -= eta * g
@@ -493,15 +661,18 @@ def local_train(
 ) -> np.ndarray:
     """Run exactly ``tau`` SGD steps from ``w_start`` and return the result.
 
-    ``batch_size=None`` uses full-batch gradients. A non-zero ``mu`` with a
-    ``prox_center`` adds the proximal pull mu*(w - center) to every step.
-    tau=0 returns the start point unchanged. The one-row case of
-    ``train_clients``.
+    ``batch_size=None`` uses full-batch gradients; otherwise the ``tau``
+    mini-batches are drawn from ``rng`` up front by ``draw_batches``. A
+    non-zero ``mu`` with a ``prox_center`` adds the proximal pull
+    mu*(w - center) to every step. tau=0 returns the start point unchanged.
+    The one-row case of ``train_clients``.
     """
+    batches = None
+    if batch_size is not None:
+        batches = draw_batches([rng], task.data_size(client), batch_size, [tau])
     return train_clients(
         task, [client], np.asarray(w_start, dtype=float)[None], [tau], eta,
-        rngs=[rng], batch_sizes=None if batch_size is None else [batch_size],
-        prox_center=prox_center, mu=mu,
+        batches=batches, prox_center=prox_center, mu=mu,
     )[0]
 
 

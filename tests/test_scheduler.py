@@ -16,6 +16,7 @@ from tsfl.scenarios import FixedIterations, Scenario, TaskSpec, preset
 from tsfl.scheduler import (
     ALL_STRATEGIES,
     INTERVAL_STRATEGIES,
+    _EventLoop,
     _RunSetup,
     participation_frequency,
     run_afl,
@@ -368,16 +369,25 @@ def _one_interval_weights(strategy, setup, tau, eligible, t):
     return rho, mask
 
 
+def _choice_batches(setup, steps):
+    """Each client's next ``steps[i]`` mini-batches from its own stream, one
+    ``rng.choice`` call per step; None for a full-batch scenario."""
+    if setup.scenario.full_batch:
+        return None
+    return [np.array([rng.choice(p.data_size, size=p.batch_size, replace=False)
+                      for _ in range(k)]).reshape(k, p.batch_size)
+            for rng, p, k in zip(setup.batch_rngs, setup.profiles, steps)]
+
+
 def _reference_loop(setup, tau, weights, proximal=False):
     """Train interval by interval with train_clients and aggregate each
     interval's one-interval weights; returns the models after each interval."""
     c, n = setup.constants, tau.shape[1]
-    batch_sizes = None if setup.scenario.full_batch else setup.batch_sizes
     w, models = setup.w0.copy(), []
     for t in range(len(tau)):
-        local = train_clients(setup.task, np.arange(n), w, tau[t], c.eta, rngs=setup.batch_rngs,
-                              batch_sizes=batch_sizes, prox_center=w if proximal else None,
-                              mu=c.mu if proximal else 0.0)
+        local = train_clients(setup.task, np.arange(n), w, tau[t], c.eta,
+                              batches=_choice_batches(setup, tau[t]),
+                              prox_center=w if proximal else None, mu=c.mu if proximal else 0.0)
         if weights[t].any():
             w = weights[t] @ local
         models.append(w)
@@ -422,7 +432,7 @@ def test_sfl_equals_a_round_loop():
     w, clock, round_seconds = setup.w0.copy(), 0.0, setup.latency.sync_round_seconds(3)
     for record in log.records:
         w = aggregate(train_clients(setup.task, np.arange(6), w, np.full(6, 3), constants.eta,
-                                    rngs=setup.batch_rngs, batch_sizes=setup.batch_sizes), weights)
+                                    batches=_choice_batches(setup, np.full(6, 3))), weights)
         clock += round_seconds
         assert np.array_equal(record.model, w)
         assert record.wall_clock == clock
@@ -443,3 +453,29 @@ def test_theorem2_names_the_clients_without_sampling_noise():
     assert sigma[[0, 5]].tolist() == [0.0, 0.0] and np.all(sigma[1:5] > 0.0)
     with pytest.raises(ValueError, match=r"noise bounds must be positive; clients \[0, 5\] have none"):
         run_tsfl(scenario, "tsfl-theorem2", constants, seed=0, probe_count=4)
+
+
+@pytest.mark.parametrize("interval_length", [1.0, 0.7])
+@pytest.mark.parametrize("name", ["case1", "case2", "case3"])
+@pytest.mark.parametrize("strategy", ["fedasync", "semiasync"])
+def test_event_runs_plan_exactly_the_steps_they_train(strategy, name, interval_length):
+    scenario = dataclasses.replace(preset(name, n_clients=8, batch_size=8), interval_length=interval_length,
+                                   task=quadratic_task_spec(dimension=3, spread=0.5))
+    constants = SystemConstants(eta=0.02, L=1.0, N=8, H=4, T=12, sigma_global=1.0)
+    log = run_strategy(scenario, strategy, constants, seed=4)
+    loop = _EventLoop(_RunSetup(scenario, constants, 4, 0, False, None), None)
+    planned = loop.planned_steps(constants.T * interval_length)
+    assert np.array_equal(planned, log.records.tau.sum(axis=0))
+    assert planned.min() > 0
+
+
+@pytest.mark.parametrize("full_batch", [False, True])
+def test_training_past_the_planned_steps_raises(full_batch):
+    scenario = dataclasses.replace(scenario_with([FixedIterations(2)] * 3), full_batch=full_batch)
+    constants = SystemConstants(eta=0.02, L=1.0, N=3, H=2, T=2, sigma_global=1.0)
+    setup = _RunSetup(scenario, constants, 0, 0, False, None)
+    setup.plan_batches([2, 1, 0])
+    setup.train([0, 1, 2], setup.w0, [1, 1, 0], 0)
+    setup.train([0], setup.w0, [1], 1)
+    with pytest.raises(RuntimeError, match=r"^interval 1: clients \[1, 2\] ask for more local steps than were planned"):
+        setup.train([0, 1, 2], setup.w0, [0, 1, 1], 1)

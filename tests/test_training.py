@@ -514,6 +514,13 @@ def _trainer_task(kind, layout):
     return task, [min(16, m) for m in sizes]
 
 
+def _choice_batches(task, rngs, clients, batch_sizes, tau):
+    """Row i's ``tau[i]`` mini-batches of client ``clients[i]`` from ``rngs[i]``,
+    one ``rng.choice`` call per step."""
+    return [np.array([rng.choice(task.data_size(i), size=b, replace=False) for _ in range(k)]).reshape(k, b)
+            for rng, i, b, k in zip(rngs, clients, batch_sizes, tau)]
+
+
 @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
 @pytest.mark.parametrize("layout", sorted(TRAINER_LAYOUTS))
 @pytest.mark.parametrize("batching", ["full", "mini"])
@@ -529,10 +536,8 @@ def test_lock_step_trainer_matches_per_client_local_train(kind, layout, batching
         starts = rng.normal(size=(n, task.dimension))
         stacked_rngs = [np.random.default_rng(100 + i) for i in range(n)]
         looped_rngs = [np.random.default_rng(100 + i) for i in range(n)]
-        stacked = train_clients(
-            task, np.arange(n), starts, tau, 0.05, rngs=stacked_rngs,
-            batch_sizes=None if full else batch_sizes, **prox,
-        )
+        batches = None if full else _choice_batches(task, stacked_rngs, range(n), batch_sizes, tau)
+        stacked = train_clients(task, np.arange(n), starts, tau, 0.05, batches=batches, **prox)
         looped = np.array([
             local_train(task, i, starts[i], tau[i], 0.05, rng=looped_rngs[i],
                         batch_size=None if full else batch_sizes[i], **prox)
@@ -551,9 +556,9 @@ def test_lock_step_trainer_rows_in_any_order_and_shared_start():
     clients = np.array([4, 0, 5, 2])
     tau = [2, 3, 0, 3]
     start = np.random.default_rng(1).normal(size=task.dimension)
-    out = train_clients(task, clients, start, tau, 0.1,
-                        rngs=[np.random.default_rng(i) for i in clients],
-                        batch_sizes=[batch_sizes[i] for i in clients])
+    batches = _choice_batches(task, [np.random.default_rng(i) for i in clients], clients,
+                              [batch_sizes[i] for i in clients], tau)
+    out = train_clients(task, clients, start, tau, 0.1, batches=batches)
     for row, (client, steps) in enumerate(zip(clients, tau)):
         alone = local_train(task, client, start, steps, 0.1, rng=np.random.default_rng(client),
                             batch_size=batch_sizes[client])
@@ -573,3 +578,5 @@ def test_lock_step_trainer_rejects_negative_steps_and_wrong_dimension():
         train_clients(task, [0, 1], np.zeros(2), [1, -1], 0.1)
     with pytest.raises(ValueError, match="dimension"):
         train_clients(task, [0, 1], np.zeros((2, 3)), [1, 1], 0.1)
+    with pytest.raises(ValueError, match=r"batches\[i\] must hold tau\[i\] mini-batches"):
+        train_clients(task, [0, 1], np.zeros(2), [2, 1], 0.1, batches=[np.zeros((1, 4), int)] * 2)
