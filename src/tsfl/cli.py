@@ -75,13 +75,21 @@ def load_config(path: str | Path) -> dict:
 
 def _cast(kind, value, location: str):
     """``kind(value)``, or a ConfigError naming ``location`` when that fails.
-    A bool must be a JSON boolean already, as ``bool("false")`` is True."""
-    if kind is bool and not isinstance(value, bool):
-        raise ConfigError(f"{location}: expected bool, got {value!r}")
+    A bool must be a JSON boolean already, as ``bool("false")`` is True, and
+    only a bool is one: ``int(True)`` is 1. An int must not drop a fraction,
+    and a float must be finite."""
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{location}: expected {kind.__name__}, got {value!r}") from exc
+        result = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        result = None
+    if (
+        result is None
+        or (kind is bool) != isinstance(value, bool)
+        or (kind is int and isinstance(value, float) and result != value)
+        or (isinstance(result, float) and not math.isfinite(result))
+    ):
+        raise ConfigError(f"{location}: expected {kind.__name__}, got {value!r}")
+    return result
 
 
 def _known_keys(config: dict, section: str, accepted: set) -> dict:
@@ -233,7 +241,7 @@ def expand_seeds(config: dict, scenario: str, strategy: str) -> list[tuple[int, 
         if not seeds:
             raise ConfigError("config.seeds: list must be non-empty")
         return [(i, _cast(int, s, f"config.seeds[{i}]")) for i, s in enumerate(seeds)]
-    if not isinstance(seeds, int) or seeds < 1:
+    if not isinstance(seeds, int) or isinstance(seeds, bool) or seeds < 1:
         raise ConfigError("config.seeds: must be a positive count or a list of seeds")
     master = _cast(int, config.get("master_seed", 0), "config.master_seed")
     return [(i, cell_seed(master, scenario, strategy, i)) for i in range(seeds)]

@@ -213,14 +213,15 @@ class RunLog:
         ``wall_clock``."""
         r = self.records
         sums = r.rho.sum(axis=1)
+        # Each check is written so that a NaN fails it.
         checks = [
             ((r.tau < 0).any(axis=1), "iteration counts must be non-negative"),
-            ((r.rho < 0).any(axis=1), "aggregation weights must be non-negative"),
+            (~(r.rho >= 0.0).all(axis=1), "aggregation weights must be non-negative"),
             (((r.beta == 0) & (r.rho != 0.0)).any(axis=1),
              "non-participating clients must have zero weight"),
-            ((r.beta == 1).any(axis=1) & (np.abs(sums - 1.0) > WEIGHT_SUM_TOL),
+            ((r.beta == 1).any(axis=1) & ~(np.abs(sums - 1.0) <= WEIGHT_SUM_TOL),
              f"weights sum to {{!r}}, expected 1 +/- {WEIGHT_SUM_TOL}"),
-            ((np.diff(r.t, prepend=-1) <= 0) | (np.diff(r.wall_clock, prepend=-np.inf) <= 0),
+            (~(np.diff(r.t, prepend=-1) > 0) | ~(np.diff(r.wall_clock, prepend=-np.inf) > 0),
              "records must be strictly increasing in t and wall_clock"),
         ]
         bad = np.array([mask for mask, _ in checks])

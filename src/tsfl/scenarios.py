@@ -79,10 +79,10 @@ class LatencyModel:
 
     def __post_init__(self) -> None:
         self.seconds_per_iteration = np.asarray(self.seconds_per_iteration, dtype=float)
-        if np.any(self.seconds_per_iteration <= 0):
+        if not np.all(self.seconds_per_iteration > 0):
             raise ValueError("per-iteration times must be positive")
-        if self.interval_length <= 0 or self.overhead < 0:
-            raise ValueError("interval_length must be positive, overhead non-negative")
+        if not (0 < self.interval_length < np.inf and 0 <= self.overhead < np.inf):
+            raise ValueError("interval_length must be positive, overhead non-negative, both finite")
 
     def sync_round_seconds(self, required_iterations: int) -> float:
         return float(required_iterations * self.seconds_per_iteration.max() + self.overhead)

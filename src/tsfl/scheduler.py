@@ -11,15 +11,15 @@ any order, or in parallel, without changing the result.
 from __future__ import annotations
 
 import dataclasses
-import heapq
 from collections.abc import Callable
 
 import numpy as np
 
 # ``bound_optimal_weights``, ``dms_weights``, ``iteration_spaced_weights`` and
 # ``local_train`` are not called here; runs use the ``*_plan`` engines and
-# ``train_clients``. perfbench's tracer wraps these names on this module, so
-# they must stay importable from it.
+# ``train_clients``. Nor is ``IntervalRecord``: runners write whole columns.
+# perfbench's tracer wraps these names on this module, so they must stay
+# importable from it.
 from .aggregation import (  # noqa: F401
     bound_optimal_weight_plan,
     bound_optimal_weights,
@@ -32,7 +32,7 @@ from .aggregation import (  # noqa: F401
     spaced_weight_plan,
 )
 from .analysis import estimate_dissimilarity
-from .core import IntervalRecord, RunLog, SystemConstants, interval_records
+from .core import IntervalRecord, RunLog, SystemConstants, interval_records  # noqa: F401
 from .scenarios import Scenario
 from .training import draw_batches, estimate_constants, local_train, train_clients  # noqa: F401
 
@@ -79,8 +79,6 @@ class _RunSetup:
         self.sigma_i = sigma_i
         for profile, sigma in zip(self.profiles, sigma_i):
             profile.sigma_i = float(sigma)
-        self.batch_sizes = np.array([p.batch_size for p in self.profiles])
-        self.plan_batches(np.zeros(scenario.n_clients, dtype=int))
 
         probes = [self.w0 + 0.5 * self.scenario_rng.normal(size=self.task.dimension)
                   for _ in range(max(probe_count, 0))]
@@ -108,7 +106,8 @@ class _RunSetup:
         self.planned = np.asarray(steps, dtype=int)
         self.used = np.zeros_like(self.planned)
         self.batches = None if self.scenario.full_batch else draw_batches(
-            self.batch_rngs, [p.data_size for p in self.profiles], self.batch_sizes, self.planned)
+            self.batch_rngs, [p.data_size for p in self.profiles],
+            np.array([p.batch_size for p in self.profiles]), self.planned)
 
     def train(self, clients, starts, steps, interval: int, prox_center=None) -> np.ndarray:
         """Lock-step local SGD: client ``clients[i]`` takes ``steps[i]`` steps
@@ -332,62 +331,20 @@ def run_sfl(
                      rho, clock)
 
 
-class _EventLoop:
-    """Shared machinery for the per-arrival runners.
-
-    Clients upload after a fixed iteration count; a client's cycle duration is
-    that count times its per-iteration seconds, so faster clients arrive more
-    often. All events sharing a timestamp are processed as one batch in client
-    order, and records are emitted at interval boundaries for comparability
-    with the interval runners.
-    """
-
-    def __init__(self, setup: _RunSetup, local_iterations: int | None):
-        self.setup = setup
-        scenario = setup.scenario
-        self.k = (
-            scenario.default_required_iterations()
-            if local_iterations is None
-            else int(local_iterations)
-        )
-        if self.k < 1:
-            raise ValueError("local_iterations must be >= 1")
-        spi = setup.latency.seconds_per_iteration
-        self.cycles = self.k * spi
-        self.arrival_counts = np.zeros(scenario.n_clients, dtype=int)
-        self.heap = [(float(self.cycles[i]), i) for i in range(scenario.n_clients)]
-        heapq.heapify(self.heap)
-        self.basis = [setup.w0.copy() for _ in range(scenario.n_clients)]
-
-    def planned_steps(self, horizon: float) -> np.ndarray:
-        """Local steps each client trains by ``horizon``: ``k`` per arrival.
-        Arrival a (from 1) of client i falls at ``a * cycles[i]``, the float
-        product the heap uses, so this counts exactly the arrivals it pops."""
-        steps = []
-        for cycle in self.cycles.tolist():
-            arrivals = int(horizon // cycle)
-            while (arrivals + 1) * cycle <= horizon:
-                arrivals += 1
-            while arrivals > 0 and arrivals * cycle > horizon:
-                arrivals -= 1
-            steps.append(self.k * arrivals)
-        return np.array(steps, dtype=int)
-
-    def pop_batch(self, horizon: float):
-        """All clients arriving at the earliest pending timestamp <= horizon."""
-        if not self.heap or self.heap[0][0] > horizon:
-            return None
-        time = self.heap[0][0]
-        clients = []
-        while self.heap and self.heap[0][0] == time:
-            clients.append(heapq.heappop(self.heap)[1])
-        return time, clients
-
-    def reschedule(self, client: int, current_global: np.ndarray) -> None:
-        self.basis[client] = current_global.copy()
-        self.arrival_counts[client] += 1
-        next_time = float((self.arrival_counts[client] + 1) * self.cycles[client])
-        heapq.heappush(self.heap, (next_time, client))
+def _arrivals(cycles, horizon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every upload by ``horizon`` in processing order, by time, then by
+    client: client i uploads at ``a * cycles[i]`` for a = 1, 2, ... .
+    ``horizon // cycle`` only sizes the candidate range; the ``<=`` test on
+    the float product decides which arrivals fall inside it."""
+    cycles = np.asarray(cycles, dtype=float)
+    # A product may round down onto the horizon: the range runs past it.
+    counts = (horizon // cycles).astype(int) + 2
+    clients = np.repeat(np.arange(len(cycles)), counts)
+    times = np.concatenate([np.arange(1, c + 1) for c in counts.tolist()]) * cycles[clients]
+    keep = times <= horizon
+    times, clients = times[keep], clients[keep]
+    order = np.lexsort((clients, times))
+    return times[order], clients[order]
 
 
 def _event_run(
@@ -395,51 +352,60 @@ def _event_run(
     constants: SystemConstants,
     seed: int,
     strategy: str,
-    apply_uploads,
+    upload,
     local_iterations: int | None,
     probe_count: int,
     equality_theta: bool,
     w0,
 ) -> RunLog:
+    """Train a per-arrival run. Client i uploads after ``k`` local steps, so
+    every ``k * seconds_per_iteration[i]`` seconds; the arrival times never
+    read the model, so the whole schedule is planned first. Arrivals sharing
+    a timestamp train as one group, in client order, each from the global
+    model it downloaded after its previous upload. ``upload(w, clients,
+    models)`` returns the new global model, or None when it is unchanged.
+    Records are emitted at interval boundaries, for comparability with the
+    interval runners.
+    """
     setup = _RunSetup(scenario, constants, seed, probe_count, equality_theta, w0)
-    c = setup.constants
-    loop = _EventLoop(setup, local_iterations)
-    setup.plan_batches(loop.planned_steps(c.T * scenario.interval_length))
+    k = scenario.default_required_iterations() if local_iterations is None else int(local_iterations)
+    if k < 1:
+        raise ValueError("local_iterations must be >= 1")
+    T, n = setup.constants.T, scenario.n_clients
+    boundaries = np.arange(1, T + 1) * scenario.interval_length
+    times, clients = _arrivals(k * setup.latency.seconds_per_iteration, boundaries[-1])
+    setup.plan_batches(k * np.bincount(clients, minlength=n))
+    # An arrival exactly on a boundary closes that interval.
+    intervals = np.searchsorted(boundaries, times)
+
     log = setup.new_log(strategy, seed)
     records = log.records
-    state = {"global": setup.w0.copy()}
+    records.t = np.arange(T)
+    records.wall_clock = boundaries
+    # tau holds the iterations trained in each interval. The uploads are
+    # weighed outside the interval rows, so beta and rho stay zero.
+    np.add.at(records.tau, (intervals, clients), k)
 
-    for t in range(c.T):
-        loss = setup.task.global_loss(state["global"])
-        grad = setup.task.global_grad(state["global"])
-        boundary = (t + 1) * scenario.interval_length
-        updated = False
-        while True:
-            batch = loop.pop_batch(boundary)
-            if batch is None:
-                break
-            _, clients = batch
-            trained = setup.train(clients, np.array([loop.basis[i] for i in clients]),
-                                  np.full(len(clients), loop.k), t)
-            records.tau[t, clients] += loop.k
-            models = dict(zip(clients, trained))
-            updated = apply_uploads(state, clients, models) or updated
-            for i in clients:
-                loop.reschedule(i, state["global"])
-        # tau holds the iterations trained in this interval. The uploads are
-        # weighed outside the interval rows, so beta and rho stay zero.
-        records[t] = IntervalRecord(
-            t=t,
-            tau=records.tau[t],
-            beta=0,
-            rho=0.0,
-            global_loss=loss,
-            global_grad_norm_sq=float(grad @ grad),
-            wall_clock=boundary,
-            aggregated=updated,
-            model=state["global"],
-        )
-    return setup.finish(log, state["global"])
+    # Arrivals sharing a timestamp form one group; interval t trains groups
+    # first[t] to first[t + 1].
+    starts = np.flatnonzero(np.diff(times, prepend=-np.inf))
+    groups = np.split(clients, starts[1:])
+    first = np.searchsorted(intervals[starts], np.arange(T + 1))
+    losses, grad_norms, models = records.global_loss, records.global_grad_norm_sq, records.model
+    aggregated = records.aggregated
+    basis = np.tile(setup.w0, (n, 1))
+    w = setup.w0.copy()
+    for t in range(T):
+        grad = setup.task.global_grad(w)
+        losses[t] = setup.task.global_loss(w)
+        grad_norms[t] = grad @ grad
+        for ids in groups[first[t]:first[t + 1]]:
+            new = upload(w, ids, setup.train(ids, basis[ids], np.full(len(ids), k), t))
+            if new is not None:
+                w, aggregated[t] = new, True
+            basis[ids] = w
+        models[t] = w
+    return setup.finish(log, w)
 
 
 def run_afl(
@@ -461,23 +427,21 @@ def run_afl(
     """
     if variant not in ("footnote-mean", "arrival-blend"):
         raise ValueError(f"unknown asynchronous variant {variant!r}")
-    latest: list[np.ndarray] = []
+    latest = None
 
-    def apply_uploads(state, clients, models) -> bool:
-        if not latest:
+    def upload(w, clients, models):
+        nonlocal latest
+        if latest is None:
             # Slots start at the initial global model, which is still current
             # on the first arrival.
-            latest.extend(state["global"].copy() for _ in range(scenario.n_clients))
-        for i in clients:
-            latest[i] = models[i]
-            if variant == "footnote-mean":
-                state["global"] = fedasync_update(state["global"], latest, constants.gamma)
-            else:
-                state["global"] = fedasync_update(state["global"], [models[i]], constants.gamma)
-        return bool(clients)
+            latest = np.tile(w, (scenario.n_clients, 1))
+        for i, model in zip(clients, models):
+            latest[i] = model
+            w = fedasync_update(w, latest if variant == "footnote-mean" else model[None], constants.gamma)
+        return w
 
     return _event_run(
-        scenario, constants, seed, "fedasync", apply_uploads,
+        scenario, constants, seed, "fedasync", upload,
         local_iterations, probe_count, equality_theta, w0,
     )
 
@@ -504,19 +468,16 @@ def run_semi_async(
         raise ValueError("buffer_size must lie in [1, n_clients]")
     buffer: list[np.ndarray] = []
 
-    def apply_uploads(state, clients, models) -> bool:
-        updated = False
-        for i in clients:
-            buffer.append(models[i])
+    def upload(w, clients, models):
+        buffer.extend(models)
+        new = None
         while len(buffer) >= buffer_size:
-            chunk = buffer[:buffer_size]
+            new = np.mean(buffer[:buffer_size], axis=0)
             del buffer[:buffer_size]
-            state["global"] = np.mean(chunk, axis=0)
-            updated = True
-        return updated
+        return new
 
     return _event_run(
-        scenario, constants, seed, "semiasync", apply_uploads,
+        scenario, constants, seed, "semiasync", upload,
         local_iterations, probe_count, equality_theta, w0,
     )
 

@@ -406,6 +406,15 @@ INLINE = {"n_clients": 4, "processes": [{"kind": "fixed", "tau": 1}], "data_size
         ({"equality_theta": "false"}, "config.equality_theta: expected bool, got 'false'"),
         ({"emit": {"csv": "false"}}, "config.emit.csv: expected bool, got 'false'"),
         ({"emit": {"plotdata": 1}}, "config.emit.plotdata: expected bool, got 1"),
+        ({"scenario": {**INLINE, "batch_size": 31.9}}, "config.scenario.batch_size: expected int, got 31.9"),
+        ({"scenario": {**INLINE, "batch_size": True}}, "config.scenario.batch_size: expected int, got True"),
+        ({"scenario": {**INLINE, "interval_length": float("nan")}},
+         "config.scenario.interval_length: expected float, got nan"),
+        ({"scenario": {**INLINE, "overhead": float("inf")}}, "config.scenario.overhead: expected float, got inf"),
+        ({"scenario": {**INLINE, "data_sizes": float("inf")}}, "config.scenario.data_sizes: expected int, got inf"),
+        ({"scenario_options": {"n_clients": 4.5}}, "config.scenario_options.n_clients: expected int, got 4.5"),
+        ({"estimate_probes": False}, "config.estimate_probes: expected int, got False"),
+        ({"seeds": True}, "config.seeds: must be a positive count or a list of seeds"),
     ],
 )
 def test_unread_or_malformed_options_are_config_errors(tmp_path, capsys, overrides, location):

@@ -140,6 +140,7 @@ def test_interval_record_rejects_bad_sum():
 
 def test_interval_record_rejects_negative_weight():
     _assert_rejected_at_interval_1({"rho": [1.5, -0.5]}, "aggregation weights must be non-negative")
+    _assert_rejected_at_interval_1({"rho": [np.nan, 1.0]}, "aggregation weights must be non-negative")
 
 
 def test_runlog_requires_strictly_increasing_records():
@@ -148,5 +149,8 @@ def test_runlog_requires_strictly_increasing_records():
         log.validate()
     log = _log({}, {}, {"t": 1})
     with pytest.raises(ValueError, match="interval 2: records must be strictly increasing"):
+        log.validate()
+    log = _log({}, {"wall_clock": np.nan})
+    with pytest.raises(ValueError, match="interval 1: records must be strictly increasing"):
         log.validate()
     _log({}, {}).validate()

@@ -1,7 +1,10 @@
 import dataclasses
+import heapq
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsfl.aggregation import (
     aggregate,
@@ -16,7 +19,7 @@ from tsfl.scenarios import FixedIterations, Scenario, TaskSpec, preset
 from tsfl.scheduler import (
     ALL_STRATEGIES,
     INTERVAL_STRATEGIES,
-    _EventLoop,
+    _arrivals,
     _RunSetup,
     participation_frequency,
     run_afl,
@@ -463,10 +466,51 @@ def test_event_runs_plan_exactly_the_steps_they_train(strategy, name, interval_l
                                    task=quadratic_task_spec(dimension=3, spread=0.5))
     constants = SystemConstants(eta=0.02, L=1.0, N=8, H=4, T=12, sigma_global=1.0)
     log = run_strategy(scenario, strategy, constants, seed=4)
-    loop = _EventLoop(_RunSetup(scenario, constants, 4, 0, False, None), None)
-    planned = loop.planned_steps(constants.T * interval_length)
+    k = scenario.default_required_iterations()
+    _, clients = _arrivals(k * scenario.latency_model().seconds_per_iteration,
+                           constants.T * interval_length)
+    planned = k * np.bincount(clients, minlength=8)
     assert np.array_equal(planned, log.records.tau.sum(axis=0))
     assert planned.min() > 0
+
+
+def _heap_arrivals(cycles, boundaries):
+    """Reference schedule: the heap loop the event runners once ran. Up to
+    each boundary it pops every client at the earliest pending timestamp, in
+    client order, and reschedules each at its next multiple of its cycle."""
+    heap = [(float(cycle), i) for i, cycle in enumerate(cycles)]
+    heapq.heapify(heap)
+    counts = np.zeros(len(cycles), dtype=int)
+    groups = []
+    for boundary in boundaries:
+        while heap and heap[0][0] <= boundary:
+            time, clients = heap[0][0], []
+            while heap and heap[0][0] == time:
+                clients.append(heapq.heappop(heap)[1])
+            groups.append((time, clients))
+            for i in clients:
+                counts[i] += 1
+                heapq.heappush(heap, (float((counts[i] + 1) * cycles[i]), i))
+    return groups
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    means=st.lists(st.one_of(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0]), st.floats(0.5, 6.0)),
+                   min_size=1, max_size=8),
+    k=st.integers(1, 5),
+    interval=st.one_of(st.sampled_from([1.0, 0.7, 0.1, 1 / 3]), st.floats(0.01, 10.0)),
+    T=st.integers(1, 40),
+)
+def test_arrivals_match_the_heap_loop(means, k, interval, T):
+    cycles = k * (interval / np.array(means))
+    boundaries = np.arange(1, T + 1) * interval
+    times, clients = _arrivals(cycles, boundaries[-1])
+    groups = _heap_arrivals(cycles, boundaries)
+    assert np.array_equal(times, [time for time, ids in groups for _ in ids])
+    assert np.array_equal(clients, [i for _, ids in groups for i in ids])
+    starts = np.flatnonzero(np.diff(times, prepend=-np.inf))
+    assert [ids.tolist() for ids in np.split(clients, starts[1:]) if ids.size] == [ids for _, ids in groups]
 
 
 @pytest.mark.parametrize("full_batch", [False, True])
