@@ -21,13 +21,14 @@ import argparse
 import csv
 import dataclasses
 import hashlib
-import inspect
 import json
 import math
 import os
 import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from types import UnionType
 
 import numpy as np
 
@@ -37,12 +38,11 @@ from .scenarios import (
     PRESETS,
     FixedIterations,
     GaussianFloorIterations,
-    GaussianFloorSize,
-    LatencyModel,
     Scenario,
     TaskSpec,
     apply_client_selection,
-    two_tier_speed_profile,
+    latency_table,
+    tiered,
 )
 from .scheduler import STRATEGIES, participation_frequency, run_strategy
 
@@ -55,7 +55,9 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Config parsing
+# Config parsing: every config object is converted by one ``_coerce`` call,
+# whose key types are the annotations of what the object builds. Range checks
+# belong to what is built (``TaskSpec``, ``SystemConstants``, ...).
 
 
 def load_config(path: str | Path) -> dict:
@@ -73,11 +75,41 @@ def load_config(path: str | Path) -> dict:
     return config
 
 
+def _shape(kind) -> type:
+    """The JSON value a type reads: a list, an object, or a scalar (object)."""
+    origin = typing.get_origin(kind) or kind
+    return list if origin in (list, tuple) else dict if origin is dict else object
+
+
 def _cast(kind, value, location: str):
-    """``kind(value)``, or a ConfigError naming ``location`` when that fails.
-    A bool must be a JSON boolean already, as ``bool("false")`` is True, and
-    only a bool is one: ``int(True)`` is 1. An int must not drop a fraction,
-    and a float must be finite."""
+    """``value`` converted to the annotated type ``kind``, or a ConfigError
+    naming ``location``. A union takes null where it holds None, else its
+    first alternative of the value's JSON shape (list, object or scalar); a
+    ``dict`` is an object converted by what it builds. A bool must be a JSON
+    boolean, as ``bool("false")`` is True, and only a bool is one:
+    ``int(True)`` is 1. A str must be a JSON string. An int must not drop a
+    fraction, and a float must be finite; numeric strings convert."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin in (typing.Union, UnionType):
+        if value is None and type(None) in args:
+            return None
+        shape = _shape(type(value))
+        return _cast(next((a for a in args if _shape(a) is shape), args[0]), value, location)
+    if origin is typing.Literal:
+        if value in args:
+            return value
+        raise ConfigError(f"{location}: expected one of {list(args)}, got {value!r}")
+    if origin in (list, tuple):
+        if isinstance(value, list) and (origin is list or len(value) == len(args)):
+            return origin(
+                _cast(args[k] if origin is tuple else args[0], item, f"{location}[{k}]")
+                for k, item in enumerate(value)
+            )
+        raise ConfigError(f"{location}: expected {kind}, got {value!r}")
+    if kind is dict:
+        if isinstance(value, dict):
+            return value
+        raise ConfigError(f"{location}: must be an object")
     try:
         result = kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -85,6 +117,7 @@ def _cast(kind, value, location: str):
     if (
         result is None
         or (kind is bool) != isinstance(value, bool)
+        or (kind is str and not isinstance(value, str))
         or (kind is int and isinstance(value, float) and result != value)
         or (isinstance(result, float) and not math.isfinite(result))
     ):
@@ -92,141 +125,145 @@ def _cast(kind, value, location: str):
     return result
 
 
-def _known_keys(config: dict, section: str, accepted: set) -> dict:
-    """``config[section]``, which must be an object whose keys are all accepted."""
-    raw = config.get(section, {})
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config.{section}: must be an object")
-    unknown = set(raw) - accepted
+def _coerce(types: dict, raw, location: str) -> dict:
+    """The object ``raw`` with each key converted to its type in ``types``;
+    an unknown key is a ConfigError."""
+    raw = _cast(dict, raw, location)
+    unknown = set(raw) - set(types)
     if unknown:
-        raise ConfigError(f"config.{section}: unknown keys {sorted(unknown)}")
-    return raw
+        raise ConfigError(f"{location}: unknown keys {sorted(unknown)}")
+    return {key: _cast(types[key], value, f"{location}.{key}") for key, value in raw.items()}
 
 
-def _task_spec(config: dict) -> TaskSpec:
-    fixed = dict(_known_keys(config, "task", {f.name for f in dataclasses.fields(TaskSpec)}))
-    if "curvature_range" in fixed:
-        fixed["curvature_range"] = tuple(fixed["curvature_range"])
-    try:
-        return TaskSpec(**fixed)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config.task: {exc}") from exc
+def _require(fields: dict, keys, location: str) -> None:
+    missing = [key for key in keys if key not in fields]
+    if missing:
+        raise ConfigError(f"{location}: missing key {missing[0]!r}")
 
 
-def _process_from_spec(spec: dict, location: str) -> object:
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{location}: must be an object")
-    kind = spec.get("kind")
-    try:
-        if kind == "fixed":
-            return FixedIterations(_cast(int, spec["tau"], f"{location}.tau"))
-        if kind == "gaussian-floor":
-            return GaussianFloorIterations(
-                _cast(float, spec["mean"], f"{location}.mean"),
-                _cast(float, spec["std"], f"{location}.std"),
-            )
-    except KeyError as exc:
-        raise ConfigError(f"{location}: missing key {exc.args[0]!r}") from exc
-    raise ConfigError(f"{location}: unknown process kind {kind!r}")
+_PROCESSES = {"fixed": FixedIterations, "gaussian-floor": GaussianFloorIterations}
+_PRESET = typing.Literal[tuple(PRESETS)]
+_PROCESS = typing.Literal[tuple(_PROCESSES)]
+_STRATEGY = typing.Literal[tuple(STRATEGIES)]
 
 
-def _inline_scenario(obj: dict, task: TaskSpec) -> Scenario:
-    try:
-        n_clients = _cast(int, obj["n_clients"], "config.scenario.n_clients")
-        raw_processes = obj["processes"]
-    except KeyError as exc:
-        raise ConfigError(f"config.scenario: missing key {exc.args[0]!r}") from exc
-    if not isinstance(raw_processes, list) or not raw_processes:
-        raise ConfigError("config.scenario.processes: must be a non-empty list")
-    specs = [
-        _process_from_spec(s, f"config.scenario.processes[{k}]")
-        for k, s in enumerate(raw_processes)
-    ]
-    # Fewer specs than clients tiles them over contiguous equal blocks.
-    if len(specs) < n_clients:
-        pieces = len(specs)
-        specs = [specs[min(i * pieces // n_clients, pieces - 1)] for i in range(n_clients)]
-    sizes = obj.get("data_sizes", 1024)
-    if isinstance(sizes, list):
-        sizes = [_cast(int, s, f"config.scenario.data_sizes[{k}]") for k, s in enumerate(sizes)]
-    else:
-        sizes = [_cast(int, sizes, "config.scenario.data_sizes")] * n_clients
-    required = obj.get("required_iterations")
-    if required is not None:
-        required = _cast(int, required, "config.scenario.required_iterations")
-    return Scenario(
-        name=obj.get("name", "custom"),
-        processes=specs,
-        data_sizes=sizes,
-        batch_size=_cast(int, obj.get("batch_size", 32), "config.scenario.batch_size"),
-        task=task,
-        interval_length=_cast(float, obj.get("interval_length", 1.0), "config.scenario.interval_length"),
-        overhead=_cast(float, obj.get("overhead", 0.0), "config.scenario.overhead"),
-        required_iterations=required,
-        min_upload_iterations=_cast(
-            int, obj.get("min_upload_iterations", 0), "config.scenario.min_upload_iterations"
-        ),
-        full_batch=_cast(bool, obj.get("full_batch", False), "config.scenario.full_batch"),
-    )
+class _Root(typing.TypedDict, total=False):
+    """A config document; ``scenario`` is a preset name, an inline scenario,
+    or a list of them."""
+
+    scenario: _PRESET | dict | list[_PRESET | dict]
+    scenario_options: dict
+    task: dict
+    constants: dict
+    strategies: list[_STRATEGY]
+    strategy: _STRATEGY
+    runner: dict
+    seeds: int | list[int]
+    master_seed: int
+    estimate_probes: int
+    equality_theta: bool
+    full_batch: bool
+    min_upload_iterations: int
+    emit: dict
+    latency: dict
+    out_dir: str
 
 
-# The scenario_options keys each preset accepts, its factory's named
-# parameters, each with the type of its default, which a value is converted to.
-_PRESET_OPTIONS = {
-    name: {p.name: type(p.default) for p in inspect.signature(factory).parameters.values()
-           if p.kind is not p.VAR_KEYWORD}
-    for name, factory in PRESETS.items()
+
+# The key types of what each config object builds, resolved once.
+_TYPES = {
+    make: {key: kind for key, kind in typing.get_type_hints(make).items() if key != "return"}
+    for make in (_Root, Scenario, TaskSpec, SystemConstants, latency_table, *_PROCESSES.values(), *PRESETS.values())
 }
+# scenario_options: every preset factory's parameters; a preset takes its own.
+_SCENARIO_OPTIONS = {key: kind for make in PRESETS.values() for key, kind in _TYPES[make].items()}
+# runner: every strategy's options; a strategy takes its own.
+_RUNNER = {key: kind for spec in STRATEGIES.values() for key, kind in spec.options.items()}
+# An inline scenario: Scenario's fields but the task, which config.task gives,
+# with process specs tiled over n_clients and one data size or one per client.
+_INLINE = {key: kind for key, kind in _TYPES[Scenario].items() if key != "task"}
+_INLINE.update(n_clients=int, processes=list[dict], data_sizes=int | list[int])
+# emit: whether a run writes each cell's metrics.csv, its runlog.json and
+# report.json, and the plotdata/ loss curves.
+_EMIT = {"csv": True, "json": True, "plotdata": False}
 
 
-def _preset_scenario(name: str, options: dict, config: dict, task: TaskSpec) -> Scenario:
-    if name not in PRESETS:
-        raise ConfigError(
-            f"config.scenario: unknown preset {name!r}; choose from {sorted(PRESETS)}"
-        )
-    kwargs = {
-        key: _cast(kind, options[key], f"config.scenario_options.{key}")
-        for key, kind in _PRESET_OPTIONS[name].items()
-        if key in options
-    }
+def _build(make, raw, location: str):
+    """``make`` called with the config object ``raw`` converted by its
+    annotations; a ValueError it raises becomes a ConfigError."""
+    fields = _coerce(_TYPES[make], raw, location)
     try:
-        scenario = PRESETS[name](**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config.scenario_options: {exc}") from exc
-    scenario = dataclasses.replace(
-        scenario,
-        task=task,
-        full_batch=_cast(bool, config.get("full_batch", scenario.full_batch), "config.full_batch"),
-    )
-    return scenario
+        return make(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"{location}: {exc}") from exc
+
+
+def _process_from_spec(spec, location: str) -> object:
+    fields = dict(_cast(dict, spec, location))
+    kind = _cast(_PROCESS, fields.pop("kind", None), f"{location}.kind")
+    make = _PROCESSES[kind]
+    fields = _coerce(_TYPES[make], fields, location)
+    _require(fields, _TYPES[make], location)
+    return make(**fields)
+
+
+def _inline_scenario(obj, task: TaskSpec) -> Scenario:
+    fields = _coerce(_INLINE, obj, "config.scenario")
+    _require(fields, ("n_clients", "processes"), "config.scenario")
+    n_clients = fields.pop("n_clients")
+    specs = [_process_from_spec(spec, f"config.scenario.processes[{k}]")
+             for k, spec in enumerate(fields["processes"])]
+    if not specs:
+        raise ConfigError("config.scenario.processes: must be a non-empty list")
+    if len(specs) > n_clients:
+        raise ConfigError(f"config.scenario.processes: {len(specs)} specs for n_clients={n_clients}")
+    sizes = fields.get("data_sizes", 1024)
+    if isinstance(sizes, int):
+        sizes = [sizes] * n_clients
+    if len(sizes) != n_clients:
+        raise ConfigError(f"config.scenario.data_sizes: {len(sizes)} sizes for n_clients={n_clients}")
+    # Fewer specs than clients tile over contiguous equal blocks.
+    processes = tiered(n_clients, specs)
+    return Scenario(**{"name": "custom", **fields, "processes": processes, "data_sizes": sizes, "task": task})
+
+
+def _preset_scenario(name: str, options: dict, root: dict, task: TaskSpec) -> Scenario:
+    make = PRESETS[name]
+    scenario = make(**{key: value for key, value in options.items() if key in _TYPES[make]})
+    return dataclasses.replace(scenario, task=task, full_batch=root.get("full_batch", scenario.full_batch))
 
 
 def build_scenarios(config: dict) -> list[Scenario]:
-    task = _task_spec(config)
-    options = _known_keys(config, "scenario_options", set().union(*_PRESET_OPTIONS.values()))
-    raw = config.get("scenario", "case1")
-    entries = raw if isinstance(raw, list) else [raw]
-    scenarios = []
-    for entry in entries:
-        if isinstance(entry, str):
-            scenario = _preset_scenario(entry, options, config, task)
-        elif isinstance(entry, dict):
-            scenario = _inline_scenario(entry, task)
-        else:
-            raise ConfigError("config.scenario: entries must be preset names or objects")
-        min_upload = _cast(int, config.get("min_upload_iterations", 0), "config.min_upload_iterations")
-        if min_upload:
-            scenario = apply_client_selection(scenario, min_upload)
-        scenarios.append(scenario)
-    return scenarios
+    root = _coerce(_TYPES[_Root], config, "config")
+    task = _build(TaskSpec, root.get("task", {}), "config.task")
+    options = _coerce(_SCENARIO_OPTIONS, root.get("scenario_options", {}), "config.scenario_options")
+    entries = root.get("scenario", "case1")
+    scenarios = [
+        _preset_scenario(entry, options, root, task) if isinstance(entry, str) else _inline_scenario(entry, task)
+        for entry in (entries if isinstance(entries, list) else [entries])
+    ]
+    try:
+        return [apply_client_selection(s, root.get("min_upload_iterations", 0)) for s in scenarios]
+    except ValueError as exc:
+        raise ConfigError(f"config.min_upload_iterations: {exc}") from exc
 
 
 def build_constants(config: dict) -> SystemConstants:
-    raw = _known_keys(config, "constants", {f.name for f in dataclasses.fields(SystemConstants)})
-    try:
-        return SystemConstants(**raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config.constants: {exc}") from exc
+    return _build(SystemConstants, config.get("constants", {}), "config.constants")
+
+
+def _run_kwargs(config: dict, strategy: str) -> dict:
+    """The keyword arguments of ``strategy``'s runner: the probe settings and
+    the ``runner`` keys it accepts, each of whose counts is at least 1."""
+    runner = _coerce(_RUNNER, config.get("runner", {}), "config.runner")
+    for key, value in runner.items():
+        if isinstance(value, int) and value < 1:
+            raise ConfigError(f"config.runner.{key}: must be at least 1, got {value}")
+    return {
+        "probe_count": config.get("estimate_probes", 4),
+        "equality_theta": config.get("equality_theta", False),
+        **{key: value for key, value in runner.items() if key in STRATEGIES[strategy].options},
+    }
 
 
 def cell_seed(master_seed: int, scenario: str, strategy: str, index: int) -> int:
@@ -235,37 +272,40 @@ def cell_seed(master_seed: int, scenario: str, strategy: str, index: int) -> int
 
 
 def expand_seeds(config: dict, scenario: str, strategy: str) -> list[tuple[int, int]]:
-    """(index, seed) pairs for one cell column."""
+    """(index, seed) pairs for one cell column of a converted config."""
     seeds = config.get("seeds", 1)
     if isinstance(seeds, list):
         if not seeds:
             raise ConfigError("config.seeds: list must be non-empty")
-        return [(i, _cast(int, s, f"config.seeds[{i}]")) for i, s in enumerate(seeds)]
-    if not isinstance(seeds, int) or isinstance(seeds, bool) or seeds < 1:
+        return list(enumerate(seeds))
+    if seeds < 1:
         raise ConfigError("config.seeds: must be a positive count or a list of seeds")
-    master = _cast(int, config.get("master_seed", 0), "config.master_seed")
+    master = config.get("master_seed", 0)
     return [(i, cell_seed(master, scenario, strategy, i)) for i in range(seeds)]
 
 
-def validate_run_config(config: dict) -> list[str]:
-    """Full validation pass; returns the strategy list. Raises before any output."""
-    strategies = config.get("strategies")
-    if strategies is None and "strategy" in config:
-        strategies = [config["strategy"]]
-    if not isinstance(strategies, list) or not strategies:
+def validate_run_config(config: dict) -> tuple[list[tuple], dict]:
+    """Full validation pass. Returns the cells to run, each ``(scenario,
+    strategy, seed index, seed, constants, runner kwargs)``, and the emit
+    flags; raises before any output."""
+    root = _coerce(_TYPES[_Root], config, "config")
+    strategies = root.get("strategies", [root["strategy"]] if "strategy" in root else [])
+    if not strategies:
         raise ConfigError("config.strategies: a non-empty list of strategy names is required")
-    for i, name in enumerate(strategies):
-        if name not in STRATEGIES:
-            raise ConfigError(
-                f"config.strategies[{i}]: unknown strategy {name!r}; "
-                f"choose from {sorted(STRATEGIES)}"
-            )
-        _run_kwargs(config, name)
-    _emit_flags(config)
-    build_scenarios(config)
-    build_constants(config)
-    expand_seeds(config, "dummy", strategies[0])
-    return list(strategies)
+    kwargs = {name: _run_kwargs(root, name) for name in strategies}
+    emit = {**_EMIT, **_coerce(dict.fromkeys(_EMIT, bool), root.get("emit", {}), "config.emit")}
+    constants = build_constants(root)
+    cells = []
+    for scenario in build_scenarios(root):
+        for strategy in strategies:
+            if kwargs[strategy].get("buffer_size", 1) > scenario.n_clients:
+                raise ConfigError(f"config.runner.buffer_size: more than the {scenario.n_clients} "
+                                  f"clients of scenario {scenario.name!r}")
+            cells += [
+                (scenario, strategy, index, seed, constants, kwargs[strategy])
+                for index, seed in expand_seeds(root, scenario.name, strategy)
+            ]
+    return cells, emit
 
 
 # ---------------------------------------------------------------------------
@@ -419,29 +459,9 @@ def _cell_dir(out_dir: Path, scenario: str, strategy: str, index: int) -> Path:
     return out_dir / "runs" / f"{scenario}__{strategy}__s{index:03d}"
 
 
-def _run_kwargs(config: dict, strategy: str) -> dict:
-    runner = _known_keys(config, "runner", {k for spec in STRATEGIES.values() for k in spec.options})
-    kwargs = {
-        "probe_count": _cast(int, config.get("estimate_probes", 4), "config.estimate_probes"),
-        "equality_theta": _cast(bool, config.get("equality_theta", False), "config.equality_theta"),
-    }
-    for key, kind in STRATEGIES[strategy].options.items():
-        if key in runner:
-            kwargs[key] = _cast(kind, runner[key], f"config.runner.{key}")
-    return kwargs
-
-
-_EMIT_DEFAULTS = {"csv": True, "json": True, "plotdata": False}
-
-
-def _emit_flags(config: dict) -> dict:
-    raw = _known_keys(config, "emit", set(_EMIT_DEFAULTS))
-    return {key: _cast(bool, raw.get(key, default), f"config.emit.{key}")
-            for key, default in _EMIT_DEFAULTS.items()}
-
-
 def _execute_cell(args: tuple) -> dict:
-    scenario, strategy, index, seed, constants, kwargs, cell_dir, emit = args
+    scenario, strategy, index, seed, constants, kwargs, out_dir, emit = args
+    cell_dir = _cell_dir(out_dir, scenario.name, strategy, index)
     cell = {
         "scenario": scenario.name,
         "strategy": strategy,
@@ -527,19 +547,8 @@ def run_experiment(config: dict, out_dir: Path, parallel: int = 1) -> int:
     Returns 0 when every cell succeeded, 1 when some cells failed at runtime.
     Configuration problems raise ConfigError before anything is written.
     """
-    strategies = validate_run_config(config)
-    scenarios = build_scenarios(config)
-    constants = build_constants(config)
-    emit = _emit_flags(config)
-
-    tasks = []
-    for scenario in scenarios:
-        for strategy in strategies:
-            kwargs = _run_kwargs(config, strategy)
-            for index, seed in expand_seeds(config, scenario.name, strategy):
-                cell_dir = _cell_dir(out_dir, scenario.name, strategy, index)
-                tasks.append((scenario, strategy, index, seed, constants, kwargs, cell_dir, emit))
-
+    cells, emit = validate_run_config(config)
+    tasks = [(*cell, out_dir, emit) for cell in cells]
     out_dir.mkdir(parents=True, exist_ok=True)
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
@@ -563,70 +572,13 @@ def run_experiment(config: dict, out_dir: Path, parallel: int = 1) -> int:
 # Latency comparison
 
 
-def latency_table(
-    deltas,
-    rounds: int = 50,
-    n_clients: int = 20,
-    mean_tau: float = 2.5,
-    interval_length: float = 1.0,
-    overhead: float = 0.0,
-    required_iterations: float | None = None,
-) -> list[dict]:
-    """Wall-clock totals of round-driven vs time-driven scheduling per
-    heterogeneity degree.
-
-    Each degree maps to a symmetric two-tier speed split around ``mean_tau``.
-    The round-driven schedule requires the fast tier's per-interval count from
-    every client unless overridden, so its round time is governed by the
-    slowest client while the time-driven total stays fixed.
-    """
-    if rounds < 1:
-        raise ValueError(f"rounds={rounds} must be at least 1")
-    rows = []
-    for delta in deltas:
-        profile = two_tier_speed_profile(float(delta), n_clients=n_clients, mean_tau=mean_tau)
-        model = LatencyModel(
-            seconds_per_iteration=interval_length / profile,
-            interval_length=interval_length,
-            overhead=overhead,
-        )
-        required = float(profile.max()) if required_iterations is None else float(required_iterations)
-        sfl_total = rounds * (required * float(model.seconds_per_iteration.max()) + overhead)
-        tsfl_total = rounds * interval_length
-        rows.append(
-            {
-                "delta": float(delta),
-                "rounds": rounds,
-                "required_iterations": required,
-                "sfl_seconds": sfl_total,
-                "tsfl_seconds": tsfl_total,
-                "ratio": tsfl_total / sfl_total,
-            }
-        )
-    return rows
-
-
 def compare_latency(config: dict, out_dir: Path) -> int:
-    strategies = config.get("strategies", [])
-    if not {"sfl", "tsfl-dms"} <= set(strategies):
+    root = _coerce(_TYPES[_Root], config, "config")
+    if not {"sfl", "tsfl-dms"} <= set(root.get("strategies", [])):
         raise ConfigError(
             "config.strategies: latency comparison needs at least 'sfl' and 'tsfl-dms'"
         )
-    params = inspect.signature(latency_table).parameters
-    options = _known_keys(config, "latency", set(params))
-    deltas = options.get("deltas", [0.0, 1.25, 2.25])
-    if not isinstance(deltas, list):
-        raise ConfigError("config.latency.deltas: must be a list")
-    deltas = [_cast(float, delta, f"config.latency.deltas[{k}]") for k, delta in enumerate(deltas)]
-    kwargs = {
-        key: _cast(int if isinstance(params[key].default, int) else float, value, f"config.latency.{key}")
-        for key, value in options.items()
-        if key != "deltas"
-    }
-    try:
-        rows = latency_table(deltas, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"config.latency: {exc}") from exc
+    rows = _build(latency_table, root.get("latency", {}), "config.latency")
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out_dir / "latency.csv",
@@ -674,12 +626,9 @@ def list_presets() -> int:
 # Entry point
 
 
-def _resolve_out_dir(args, config: dict | None) -> Path:
-    if args.out:
-        return Path(args.out)
-    if config and config.get("out_dir"):
-        return Path(config["out_dir"])
-    return Path(os.environ.get(ENV_OUT_DIR, "tsfl-out"))
+def _resolve_out_dir(args, config: dict) -> Path:
+    out_dir = args.out or _coerce(_TYPES[_Root], config, "config").get("out_dir")
+    return Path(out_dir or os.environ.get(ENV_OUT_DIR, "tsfl-out"))
 
 
 def main(argv=None) -> int:

@@ -37,19 +37,15 @@ class FixedIterations:
 class GaussianFloorIterations:
     """Per-interval count floor(N(mean, std)), clipped at zero."""
 
-    mean_value: float
+    mean: float
     std: float
 
     def draw(self, rng, size: int | None = None):
         """One count, or ``size`` of them as an int array: the same values, and
         the same rng state, as ``size`` successive single draws."""
         if size is None:
-            return max(0, int(np.floor(rng.normal(self.mean_value, self.std))))
-        return np.maximum(np.floor(rng.normal(self.mean_value, self.std, size=size)), 0).astype(int)
-
-    @property
-    def mean(self) -> float:
-        return float(self.mean_value)
+            return max(0, int(np.floor(rng.normal(self.mean, self.std))))
+        return np.maximum(np.floor(rng.normal(self.mean, self.std, size=size)), 0).astype(int)
 
 
 @dataclass(frozen=True)
@@ -101,6 +97,20 @@ class TaskSpec:
     separation: float = 1.5
     l2_reg: float = 0.05
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("quadratic", "logistic"):
+            raise ValueError(f"kind must be 'quadratic' or 'logistic', got {self.kind!r}")
+        least = 2 if self.kind == "logistic" else 1
+        if self.dimension < least:
+            raise ValueError(f"dimension={self.dimension} must be at least {least} for a {self.kind} task")
+        if self.noniid_spread < 0 or self.sample_noise < 0:
+            raise ValueError("noniid_spread and sample_noise must be non-negative")
+        lo, hi = self.curvature_range
+        if not 0 < lo <= hi:
+            raise ValueError(f"curvature_range={self.curvature_range} must satisfy 0 < lo <= hi")
+        if self.l2_reg <= 0:
+            raise ValueError("l2_reg must be positive")
+
     def build(self, n_clients: int, data_sizes, rng):
         if self.kind == "quadratic":
             return QuadraticTask.generate(
@@ -113,18 +123,16 @@ class TaskSpec:
                 curvature_range=self.curvature_range,
                 shared_curvature=self.shared_curvature,
             )
-        if self.kind == "logistic":
-            return LogisticTask.generate(
-                n_clients,
-                self.dimension,
-                data_sizes,
-                rng,
-                noniid_spread=self.noniid_spread,
-                separation=self.separation,
-                sample_noise=self.sample_noise,
-                l2_reg=self.l2_reg,
-            )
-        raise ValueError(f"unknown task kind {self.kind!r}")
+        return LogisticTask.generate(
+            n_clients,
+            self.dimension,
+            data_sizes,
+            rng,
+            noniid_spread=self.noniid_spread,
+            separation=self.separation,
+            sample_noise=self.sample_noise,
+            l2_reg=self.l2_reg,
+        )
 
 
 @dataclass
@@ -204,19 +212,14 @@ class Scenario:
         }
 
 
-def _tiered(n_clients: int, tiers: list, pieces: int) -> list:
-    """Assign ``tiers`` to clients in ``pieces`` contiguous equal blocks."""
-    if len(tiers) != pieces:
-        raise ValueError("one tier spec per piece required")
-    out = []
-    for i in range(n_clients):
-        out.append(tiers[min(i * pieces // n_clients, pieces - 1)])
-    return out
+def tiered(n_clients: int, tiers: list) -> list:
+    """Assign ``tiers`` to clients in contiguous equal blocks, one per tier."""
+    return [tiers[i * len(tiers) // n_clients] for i in range(n_clients)]
 
 
 def case1(n_clients: int = 20, data_size: int = 1024, batch_size: int = 32, **task_kwargs) -> Scenario:
     """Two static tiers: half the clients at 1 iteration, half at 4 (degree 2.25)."""
-    processes = _tiered(n_clients, [FixedIterations(1), FixedIterations(4)], 2)
+    processes = tiered(n_clients, [FixedIterations(1), FixedIterations(4)])
     return Scenario(
         name="case1",
         processes=processes,
@@ -228,10 +231,9 @@ def case1(n_clients: int = 20, data_size: int = 1024, batch_size: int = 32, **ta
 
 def case2(n_clients: int = 20, data_size: int = 1024, batch_size: int = 32, **task_kwargs) -> Scenario:
     """Four static tiers at 1/2/3/4 iterations by quarters (degree 1.25)."""
-    processes = _tiered(
+    processes = tiered(
         n_clients,
         [FixedIterations(1), FixedIterations(2), FixedIterations(3), FixedIterations(4)],
-        4,
     )
     return Scenario(
         name="case2",
@@ -244,7 +246,7 @@ def case2(n_clients: int = 20, data_size: int = 1024, batch_size: int = 32, **ta
 
 def case3(n_clients: int = 20, batch_size: int = 32, **task_kwargs) -> Scenario:
     """Dynamic tiers: floored-Gaussian iteration counts and tiered data sizes."""
-    processes = _tiered(
+    processes = tiered(
         n_clients,
         [
             GaussianFloorIterations(2.0, 0.4),
@@ -252,9 +254,8 @@ def case3(n_clients: int = 20, batch_size: int = 32, **task_kwargs) -> Scenario:
             GaussianFloorIterations(4.0, 0.8),
             GaussianFloorIterations(5.0, 1.0),
         ],
-        4,
     )
-    sizes = _tiered(
+    sizes = tiered(
         n_clients,
         [
             GaussianFloorSize(512.0, 100.0),
@@ -263,7 +264,6 @@ def case3(n_clients: int = 20, batch_size: int = 32, **task_kwargs) -> Scenario:
             GaussianFloorSize(1280.0, 250.0),
             GaussianFloorSize(1536.0, 300.0),
         ],
-        5,
     )
     return Scenario(
         name="case3",
@@ -331,3 +331,46 @@ def two_tier_speed_profile(delta: float, n_clients: int = 20, mean_tau: float = 
         )
     half = n_clients // 2
     return np.array([mean_tau - spread] * half + [mean_tau + spread] * (n_clients - half))
+
+
+def latency_table(
+    deltas: list[float] = (0.0, 1.25, 2.25),
+    rounds: int = 50,
+    n_clients: int = 20,
+    mean_tau: float = 2.5,
+    interval_length: float = 1.0,
+    overhead: float = 0.0,
+    required_iterations: float | None = None,
+) -> list[dict]:
+    """Wall-clock totals of round-driven vs time-driven scheduling per
+    heterogeneity degree.
+
+    Each degree maps to a symmetric two-tier speed split around ``mean_tau``.
+    The round-driven schedule requires the fast tier's per-interval count from
+    every client unless overridden, so its round time is governed by the
+    slowest client while the time-driven total stays fixed.
+    """
+    if rounds < 1:
+        raise ValueError(f"rounds={rounds} must be at least 1")
+    rows = []
+    for delta in deltas:
+        profile = two_tier_speed_profile(float(delta), n_clients=n_clients, mean_tau=mean_tau)
+        model = LatencyModel(
+            seconds_per_iteration=interval_length / profile,
+            interval_length=interval_length,
+            overhead=overhead,
+        )
+        required = float(profile.max()) if required_iterations is None else float(required_iterations)
+        sfl_total = rounds * (required * float(model.seconds_per_iteration.max()) + overhead)
+        tsfl_total = rounds * interval_length
+        rows.append(
+            {
+                "delta": float(delta),
+                "rounds": rounds,
+                "required_iterations": required,
+                "sfl_seconds": sfl_total,
+                "tsfl_seconds": tsfl_total,
+                "ratio": tsfl_total / sfl_total,
+            }
+        )
+    return rows

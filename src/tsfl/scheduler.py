@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections.abc import Callable
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -181,6 +182,10 @@ def _theorem2_plan(setup, tau, eligible):
     return rho, eligible
 
 
+# The update rules of ``run_afl``; the config's ``runner.variant`` takes one.
+AsyncVariant = Literal["footnote-mean", "arrival-blend"]
+
+
 def _run_interval(scenario, strategy, constants, seed, **kwargs):
     return run_tsfl(scenario, strategy, constants, seed, **kwargs)
 
@@ -199,7 +204,7 @@ class Strategy:
 
     run: Callable[..., RunLog] = _run_interval
     weights: Callable[..., tuple[np.ndarray, np.ndarray]] | None = None
-    options: dict[str, type] = dataclasses.field(default_factory=dict)
+    options: dict[str, object] = dataclasses.field(default_factory=dict)
     proximal: bool = False
 
 
@@ -217,7 +222,7 @@ STRATEGIES: dict[str, Strategy] = {
         tau, eligible, setup.constants, setup.server_rng)[:2]),
     "fedasync": Strategy(
         lambda scenario, _, constants, seed, **kwargs: run_afl(scenario, constants, seed, **kwargs),
-        options={"variant": str, "local_iterations": int}),
+        options={"variant": AsyncVariant, "local_iterations": int}),
     "semiasync": Strategy(_run_buffered, options={"buffer_size": int, "local_iterations": int}),
     "sfl": Strategy(
         lambda scenario, _, constants, seed, **kwargs: run_sfl(scenario, constants, seed, **kwargs),
@@ -412,7 +417,7 @@ def run_afl(
     scenario: Scenario,
     constants: SystemConstants,
     seed: int,
-    variant: str = "footnote-mean",
+    variant: AsyncVariant = "footnote-mean",
     local_iterations: int | None = None,
     probe_count: int = 0,
     equality_theta: bool = False,
@@ -425,7 +430,7 @@ def run_afl(
     arriving model alone. A client always trains from the global model it
     received after its previous upload, which is where staleness comes from.
     """
-    if variant not in ("footnote-mean", "arrival-blend"):
+    if variant not in get_args(AsyncVariant):
         raise ValueError(f"unknown asynchronous variant {variant!r}")
     latest = None
 

@@ -1,5 +1,7 @@
+import copy
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -11,12 +13,14 @@ from tsfl.cli import (
     _write_json,
     build_report,
     cell_seed,
+    compare_latency,
     latency_table,
     load_config,
     log_from_dict,
     log_to_dict,
     main,
     metrics_header,
+    run_experiment,
     validate_run_config,
 )
 from tsfl.scheduler import ALL_STRATEGIES
@@ -311,6 +315,9 @@ def test_latency_verb_writes_table(tmp_path, capsys):
         ({"deltas": [9.0]}, "config.latency: delta=9 puts the slow tier at"),
         ({"deltas": [-1.0]}, "config.latency: delta=-1 must be non-negative"),
         ({"rounds": 0}, "config.latency: rounds=0 must be at least 1"),
+        ({"deltas": 0.5}, "config.latency.deltas: expected list[float], got 0.5"),
+        # null takes the default, so the error is the next key's.
+        ({"required_iterations": None, "n_clients": "x"}, "config.latency.n_clients: expected int, got 'x'"),
     ],
 )
 def test_latency_config_errors(tmp_path, capsys, latency, message):
@@ -414,11 +421,40 @@ INLINE = {"n_clients": 4, "processes": [{"kind": "fixed", "tau": 1}], "data_size
         ({"scenario": {**INLINE, "data_sizes": float("inf")}}, "config.scenario.data_sizes: expected int, got inf"),
         ({"scenario_options": {"n_clients": 4.5}}, "config.scenario_options.n_clients: expected int, got 4.5"),
         ({"estimate_probes": False}, "config.estimate_probes: expected int, got False"),
-        ({"seeds": True}, "config.seeds: must be a positive count or a list of seeds"),
+        ({"seeds": True}, "config.seeds: expected int, got True"),
+        ({"strategies": [["fedavg"]]}, "config.strategies[0]: expected one of ["),
+        ({"out_dir": 5}, "config.out_dir: expected str, got 5"),
+        ({"runner": {"variant": 1}}, "config.runner.variant: expected one of ['footnote-mean', 'arrival-blend']"),
+        ({"runner": {"local_iterations": 0}}, "config.runner.local_iterations: must be at least 1, got 0"),
+        ({"runner": {"required_iterations": -1}}, "config.runner.required_iterations: must be at least 1"),
+        ({"runner": {"buffer_size": 0}}, "config.runner.buffer_size: must be at least 1, got 0"),
+        ({"runner": {"buffer_size": 5}}, "config.runner.buffer_size: more than the 4 clients of scenario 'case1'"),
+        ({"scenario": {**INLINE, "batchsize": 8}}, "config.scenario: unknown keys ['batchsize']"),
+        ({"scenario": {**INLINE, "processes": [{"kind": "fixed", "tau": 1, "mean": 2}]}},
+         "config.scenario.processes[0]: unknown keys ['mean']"),
+        ({"scenario": {**INLINE, "processes": [{"kind": "fixd", "tau": 1}]}},
+         "config.scenario.processes[0].kind: expected one of ['fixed', 'gaussian-floor'], got 'fixd'"),
+        ({"scenario": {**INLINE, "name": 5}}, "config.scenario.name: expected str, got 5"),
+        ({"scenario": {**INLINE, "data_sizes": [64, 64, 64]}}, "config.scenario.data_sizes: 3 sizes for n_clients=4"),
+        ({"scenario": {**INLINE, "processes": [{"kind": "fixed", "tau": 1}] * 5}},
+         "config.scenario.processes: 5 specs for n_clients=4"),
+        ({"scenario": "case9"}, "config.scenario: expected one of ['case1', 'case2', 'case3', 'homogeneous']"),
+        ({"constant": {"T": 2}}, "config: unknown keys ['constant']"),
+        ({"min_upload_iterations": -1}, "config.min_upload_iterations: min_iterations must be non-negative"),
+        ({"constants": {"N": 3.5}}, "config.constants.N: expected int, got 3.5"),
+        ({"task": {"kind": "mlp"}}, "config.task: kind must be 'quadratic' or 'logistic', got 'mlp'"),
+        ({"task": {"dimension": "0"}}, "config.task: dimension=0 must be at least 1 for a quadratic task"),
+        ({"task": {"kind": "logistic", "dimension": 1}}, "config.task: dimension=1 must be at least 2"),
+        ({"task": {"sample_noise": -1}}, "config.task: noniid_spread and sample_noise must be non-negative"),
+        ({"task": {"curvature_range": [1.0, 0.5]}}, "config.task: curvature_range=(1.0, 0.5) must satisfy"),
+        ({"task": {"curvature_range": [0.5]}}, "config.task.curvature_range: expected tuple[float, float]"),
+        ({"task": {"curvature_range": [0.5, "x"]}}, "config.task.curvature_range[1]: expected float, got 'x'"),
+        ({"task": {"l2_reg": 0}}, "config.task: l2_reg must be positive"),
+        ({"task": {"shared_curvature": 1}}, "config.task.shared_curvature: expected bool, got 1"),
     ],
 )
 def test_unread_or_malformed_options_are_config_errors(tmp_path, capsys, overrides, location):
-    config = small_config(strategies=["semiasync", "fedavg"], **overrides)
+    config = small_config(**{"strategies": ["semiasync", "fedavg"], **overrides})
     out = tmp_path / "out"
     assert main(["run", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 2
     assert not out.exists()
@@ -448,3 +484,64 @@ def test_load_config_rejects_non_object(tmp_path):
     path.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+def test_committed_configs_pass_their_command(tmp_path, path):
+    config = load_config(path)
+    if "latency" in config:
+        assert compare_latency(config, tmp_path / "out") == 0
+    else:
+        validate_run_config(config)
+
+
+def _leaves(value, path=()):
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _leaves(item, (*path, key))
+    else:
+        yield path
+
+
+def test_every_demo_leaf_mutation_is_a_config_error_or_runs(tmp_path):
+    # Each leaf of configs/demo.json set to each value below either fails
+    # validation naming the leaf (or its section and key) or runs every cell.
+    base = load_config(CONFIGS / "demo.json")
+    base["constants"]["T"] = 3
+    base["seeds"] = 1
+    values = ["x", True, 2.5, math.nan, math.inf, -math.inf, 0, -1, [1], None]
+    paths = list(_leaves(base))
+    assert len(paths) == 18
+    accepted = {}
+    for path in paths:
+        section = "config" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path[:-1])
+        leaf = f"{section}[{path[-1]}]" if isinstance(path[-1], int) else f"{section}.{path[-1]}"
+        for value in values:
+            config = copy.deepcopy(base)
+            owner = config
+            for key in path[:-1]:
+                owner = owner[key]
+            original, owner[path[-1]] = owner[path[-1]], value
+            numeric = isinstance(original, (int, float)) and not isinstance(original, bool)
+            must_fail = numeric and (
+                isinstance(value, bool)
+                or (isinstance(value, float) and not math.isfinite(value))
+                or (isinstance(original, int) and value == 2.5)
+            )
+            try:
+                validate_run_config(copy.deepcopy(config))
+            except ConfigError as exc:
+                message = str(exc)
+                assert leaf in message or (section in message and str(path[-1]) in message), (leaf, value, message)
+                continue
+            assert not must_fail, (leaf, value)
+            accepted.setdefault(json.dumps(config, sort_keys=True), config)
+    # Each distinct accepted config runs once.
+    for k, config in enumerate(accepted.values()):
+        out = tmp_path / f"run{k}"
+        assert run_experiment(config, out) == 0, config
+        cells = json.loads((out / "summary.json").read_text())["cells"]
+        assert {cell["status"] for cell in cells} == {"ok"}, config

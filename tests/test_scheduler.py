@@ -200,6 +200,21 @@ def test_afl_variants_differ_with_multiple_clients():
     assert not np.array_equal(log_mean.final_model, log_arrival.final_model)
 
 
+def test_runners_reject_out_of_range_options():
+    # A config's runner block is checked before any run; library callers get
+    # the runners' own errors.
+    scenario = scenario_with([FixedIterations(2), FixedIterations(1)])
+    constants = SystemConstants(eta=0.05, L=1.0, N=2, H=2, T=2, sigma_global=1.0)
+    with pytest.raises(ValueError, match="unknown asynchronous variant 'x'"):
+        run_afl(scenario, constants, seed=0, variant="x")
+    with pytest.raises(ValueError, match="local_iterations must be >= 1"):
+        run_afl(scenario, constants, seed=0, local_iterations=0)
+    with pytest.raises(ValueError, match=r"buffer_size must lie in \[1, n_clients\]"):
+        run_semi_async(scenario, 3, constants, seed=0)
+    with pytest.raises(ValueError, match="required_iterations must be >= 1"):
+        run_sfl(scenario, constants, seed=0, required_iterations=0)
+
+
 def test_semi_async_unit_buffer_matches_arrival_blend_updates():
     # Tie-free horizon: cycles 1.0 and 4/3 only collide at t=4.
     scenario = scenario_with(
