@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import WEIGHT_SUM_TOL, SystemConstants, ensure_finite
+from .core import WEIGHT_SUM_TOL, SystemConstants, ensure_finite, row_dot
 
 
 class FixedPointError(RuntimeError):
@@ -326,12 +326,6 @@ def dms_weights(
                             rho_unclamped=raw, participation=beta)
 
 
-def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``x[r] @ y[r]`` for every row r, as a stacked matmul: each row equals
-    the 1-D product bit for bit."""
-    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
-
-
 class _BoundSystem:
     """The optimality system of the loss bound on a stack of rows.
 
@@ -371,20 +365,20 @@ class _BoundSystem:
 
     def step(self, rho, s1, s3, drift) -> np.ndarray:
         coefs = self.coefs
-        sum_rho_tau = _row_dot(rho, s1)[:, None]
+        sum_rho_tau = row_dot(rho, s1)[:, None]
         w_denom = 1.0 + coefs.b * sum_rho_tau
         # d_vec: the constant aggregate of the optimality system, per row
         # (per client too, unless the noise sums are shared).
         if self.shared_noise_sums:
-            noise_part = self.eta2_n * _row_dot(self.sigma**2 * rho**2, s1)
-            noniid_part = coefs.a * _row_dot(self.gamma * rho, s1)
-            d_vec = (self.r0 + noise_part + noniid_part + coefs.c * _row_dot(rho, s3))[:, None]
+            noise_part = self.eta2_n * row_dot(self.sigma**2 * rho**2, s1)
+            noniid_part = coefs.a * row_dot(self.gamma * rho, s1)
+            d_vec = (self.r0 + noise_part + noniid_part + coefs.c * row_dot(rho, s3))[:, None]
         else:
             d_vec = (
                 self.r0
-                + self.noise * _row_dot(rho**2, s1)[:, None]
+                + self.noise * row_dot(rho**2, s1)[:, None]
                 + self.a_gamma * sum_rho_tau
-                + coefs.c * _row_dot(rho, s3)[:, None]
+                + coefs.c * row_dot(rho, s3)[:, None]
             )
         return (coefs.b * d_vec + drift * w_denom) / (w_denom * self.denom_scale)
 

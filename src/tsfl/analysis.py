@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import RunLog, SystemConstants
+from .core import RunLog, SystemConstants, row_dot
 from .aggregation import bound_coefficients
 
 
@@ -166,15 +166,17 @@ def estimate_dissimilarity(task, probe_points) -> tuple[float, float]:
     """
     v_sq_max = None
     eps_min = None
+    everyone = np.arange(task.n_clients)
     for w in probe_points:
         w = np.asarray(w, dtype=float)
         global_grad = task.global_grad(w)
         denom = float(np.dot(global_grad, global_grad))
         if denom <= 1e-24:
             continue
-        local_grads = [task.local_grad(i, w) for i in range(task.n_clients)]
-        mean_sq = float(np.mean([np.dot(g, g) for g in local_grads]))
-        mean_grad = np.mean(local_grads, axis=0)
+        # One stacked call; its rows equal the one-client local_grad bit for bit.
+        local_grads = task.local_grads(everyone, np.tile(w, (task.n_clients, 1)))
+        mean_sq = float(np.mean(row_dot(local_grads, local_grads)))
+        mean_grad = local_grads.mean(axis=0)
         v_sq = mean_sq / denom
         eps = float(np.dot(global_grad, mean_grad)) / denom
         v_sq_max = v_sq if v_sq_max is None else max(v_sq_max, v_sq)

@@ -36,6 +36,7 @@ from .analysis import evaluate_bound, verify_convergence
 from .core import IntervalRecord, RunLog, SystemConstants, interval_records, validate_constants
 from .scenarios import (
     PRESETS,
+    FieldError,
     FixedIterations,
     GaussianFloorIterations,
     Scenario,
@@ -188,14 +189,21 @@ _INLINE.update(n_clients=int, processes=list[dict], data_sizes=int | list[int])
 _EMIT = {"csv": True, "json": True, "plotdata": False}
 
 
-def _build(make, raw, location: str):
-    """``make`` called with the config object ``raw`` converted by its
-    annotations; a ValueError it raises becomes a ConfigError."""
-    fields = _coerce(_TYPES[make], raw, location)
+def _make(make, fields: dict, location: str):
+    """``make(**fields)``; a ValueError it raises becomes a ConfigError naming
+    ``location``, or the field under it that a ``FieldError`` names."""
     try:
         return make(**fields)
+    except FieldError as exc:
+        raise ConfigError(f"{location}.{exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{location}: {exc}") from exc
+
+
+def _build(make, raw, location: str):
+    """``make`` called with the config object ``raw`` converted by its
+    annotations."""
+    return _make(make, _coerce(_TYPES[make], raw, location), location)
 
 
 def _process_from_spec(spec, location: str) -> object:
@@ -204,7 +212,7 @@ def _process_from_spec(spec, location: str) -> object:
     make = _PROCESSES[kind]
     fields = _coerce(_TYPES[make], fields, location)
     _require(fields, _TYPES[make], location)
-    return make(**fields)
+    return _make(make, fields, location)
 
 
 def _inline_scenario(obj, task: TaskSpec) -> Scenario:
@@ -224,12 +232,14 @@ def _inline_scenario(obj, task: TaskSpec) -> Scenario:
         raise ConfigError(f"config.scenario.data_sizes: {len(sizes)} sizes for n_clients={n_clients}")
     # Fewer specs than clients tile over contiguous equal blocks.
     processes = tiered(n_clients, specs)
-    return Scenario(**{"name": "custom", **fields, "processes": processes, "data_sizes": sizes, "task": task})
+    fields = {"name": "custom", **fields, "processes": processes, "data_sizes": sizes, "task": task}
+    return _make(Scenario, fields, "config.scenario")
 
 
 def _preset_scenario(name: str, options: dict, root: dict, task: TaskSpec) -> Scenario:
     make = PRESETS[name]
-    scenario = make(**{key: value for key, value in options.items() if key in _TYPES[make]})
+    own = {key: value for key, value in options.items() if key in _TYPES[make]}
+    scenario = _make(make, own, "config.scenario_options")
     return dataclasses.replace(scenario, task=task, full_batch=root.get("full_batch", scenario.full_batch))
 
 
@@ -253,14 +263,18 @@ def build_constants(config: dict) -> SystemConstants:
 
 
 def _run_kwargs(config: dict, strategy: str) -> dict:
-    """The keyword arguments of ``strategy``'s runner: the probe settings and
-    the ``runner`` keys it accepts, each of whose counts is at least 1."""
+    """The keyword arguments of ``strategy``'s runner: the probe settings, of
+    which the probe count is at least 0, and the ``runner`` keys it accepts,
+    each of whose counts is at least 1."""
     runner = _coerce(_RUNNER, config.get("runner", {}), "config.runner")
     for key, value in runner.items():
         if isinstance(value, int) and value < 1:
             raise ConfigError(f"config.runner.{key}: must be at least 1, got {value}")
+    probes = config.get("estimate_probes", 4)
+    if probes < 0:
+        raise ConfigError(f"config.estimate_probes: must be at least 0, got {probes}")
     return {
-        "probe_count": config.get("estimate_probes", 4),
+        "probe_count": probes,
         "equality_theta": config.get("equality_theta", False),
         **{key: value for key, value in runner.items() if key in STRATEGIES[strategy].options},
     }

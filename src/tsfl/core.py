@@ -28,6 +28,13 @@ def ensure_finite(values: np.ndarray, context: str) -> np.ndarray:
     return arr
 
 
+def row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x[r] @ y[r]`` for every row r, as a stacked matmul: each row equals
+    the 1-D product (``np.dot``, and the square of ``np.linalg.norm`` when
+    ``y`` is ``x``) bit for bit."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
 def default_weight_limit(eta: float, smoothness: float) -> float:
     """Weight-limit parameter making eta*L*(1+theta) == 1, floored at 1."""
     return max(1.0, 1.0 / (eta * smoothness) - 1.0)

@@ -18,11 +18,24 @@ from .core import ClientProfile
 from .training import LogisticTask, QuadraticTask
 
 
+class FieldError(ValueError):
+    """A field outside its range. The message starts with the field's name,
+    so a config error can name the leaf, as in ``config.scenario.batch_size``."""
+
+
+def _at_least(name: str, value, least) -> None:
+    if not value >= least:
+        raise FieldError(f"{name}: must be at least {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FixedIterations:
     """Constant per-interval iteration count; never consumes randomness."""
 
     tau: int
+
+    def __post_init__(self) -> None:
+        _at_least("tau", self.tau, 0)
 
     def draw(self, rng, size: int | None = None):
         """One count, or ``size`` of them as an int array."""
@@ -39,6 +52,9 @@ class GaussianFloorIterations:
 
     mean: float
     std: float
+
+    def __post_init__(self) -> None:
+        _at_least("std", self.std, 0)
 
     def draw(self, rng, size: int | None = None):
         """One count, or ``size`` of them as an int array: the same values, and
@@ -157,6 +173,19 @@ class Scenario:
     min_upload_iterations: int = 0
     full_batch: bool = False
 
+    def __post_init__(self) -> None:
+        _at_least("n_clients", self.n_clients, 1)
+        _at_least("batch_size", self.batch_size, 1)
+        for k, size in enumerate(self.data_sizes):
+            if not isinstance(size, GaussianFloorSize):
+                _at_least(f"data_sizes[{k}]", size, 1)
+        if not 0 < self.interval_length < np.inf:
+            raise FieldError(f"interval_length: must be positive and finite, got {self.interval_length!r}")
+        _at_least("overhead", self.overhead, 0)
+        if self.required_iterations is not None:
+            _at_least("required_iterations", self.required_iterations, 1)
+        _at_least("min_upload_iterations", self.min_upload_iterations, 0)
+
     @property
     def n_clients(self) -> int:
         return len(self.processes)
@@ -212,6 +241,11 @@ class Scenario:
         }
 
 
+def _equal_sizes(n_clients: int, data_size: int) -> list:
+    _at_least("data_size", data_size, 1)
+    return [data_size] * n_clients
+
+
 def tiered(n_clients: int, tiers: list) -> list:
     """Assign ``tiers`` to clients in contiguous equal blocks, one per tier."""
     return [tiers[i * len(tiers) // n_clients] for i in range(n_clients)]
@@ -223,7 +257,7 @@ def case1(n_clients: int = 20, data_size: int = 1024, batch_size: int = 32, **ta
     return Scenario(
         name="case1",
         processes=processes,
-        data_sizes=[data_size] * n_clients,
+        data_sizes=_equal_sizes(n_clients, data_size),
         batch_size=batch_size,
         task=TaskSpec(**task_kwargs),
     )
@@ -238,7 +272,7 @@ def case2(n_clients: int = 20, data_size: int = 1024, batch_size: int = 32, **ta
     return Scenario(
         name="case2",
         processes=processes,
-        data_sizes=[data_size] * n_clients,
+        data_sizes=_equal_sizes(n_clients, data_size),
         batch_size=batch_size,
         task=TaskSpec(**task_kwargs),
     )
@@ -279,7 +313,7 @@ def homogeneous(n_clients: int = 20, tau: int = 4, data_size: int = 1024, batch_
     return Scenario(
         name="homogeneous",
         processes=[FixedIterations(tau)] * n_clients,
-        data_sizes=[data_size] * n_clients,
+        data_sizes=_equal_sizes(n_clients, data_size),
         batch_size=batch_size,
         task=TaskSpec(**task_kwargs),
     )

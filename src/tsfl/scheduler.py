@@ -43,6 +43,8 @@ class _RunSetup:
 
     def __init__(self, scenario: Scenario, constants: SystemConstants, seed: int,
                  probe_count: int, equality_theta: bool, w0):
+        if probe_count < 0:
+            raise ValueError(f"probe_count must be non-negative, got {probe_count}")
         root = np.random.SeedSequence(seed)
         scenario_ss, server_ss, tau_parent, batch_parent = root.spawn(4)
         self.scenario_rng = np.random.default_rng(scenario_ss)
@@ -82,7 +84,7 @@ class _RunSetup:
             profile.sigma_i = float(sigma)
 
         probes = [self.w0 + 0.5 * self.scenario_rng.normal(size=self.task.dimension)
-                  for _ in range(max(probe_count, 0))]
+                  for _ in range(probe_count)]
         v_hat = epsilon_hat = None
         if probes:
             try:
@@ -103,12 +105,19 @@ class _RunSetup:
     def plan_batches(self, steps) -> None:
         """Plan the run's local steps before training: client i may take
         ``steps[i]`` of them. Its mini-batches for all of them are drawn now,
-        in one ``draw_batches`` call, from its own stream."""
+        in one ``draw_batches`` call, from its own stream, and each client's
+        stream is reduced at once to what its SGD steps read
+        (``task.reduce_batches``)."""
         self.planned = np.asarray(steps, dtype=int)
         self.used = np.zeros_like(self.planned)
-        self.batches = None if self.scenario.full_batch else draw_batches(
-            self.batch_rngs, [p.data_size for p in self.profiles],
-            np.array([p.batch_size for p in self.profiles]), self.planned)
+        self.batches = None
+        if not self.scenario.full_batch:
+            self.batches = draw_batches(
+                self.batch_rngs, [p.data_size for p in self.profiles],
+                np.array([p.batch_size for p in self.profiles]), self.planned)
+            # In place: each index stream is dropped as soon as it is reduced.
+            for i, drawn in enumerate(self.batches):
+                self.batches[i] = self.task.reduce_batches(i, drawn)
 
     def train(self, clients, starts, steps, interval: int, prox_center=None) -> np.ndarray:
         """Lock-step local SGD: client ``clients[i]`` takes ``steps[i]`` steps

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ClientProfile
+from .core import ClientProfile, row_dot
 
 
 @dataclass
@@ -26,14 +26,38 @@ class GradientSample:
     batch_indices: np.ndarray
 
 
-def _random_spd(dimension: int, eig_range: tuple[float, float], rng) -> np.ndarray:
-    """Random symmetric positive-definite matrix with eigenvalues in eig_range."""
-    lo, hi = eig_range
-    eigs = rng.uniform(lo, hi, size=dimension)
-    if dimension == 1:
-        return np.array([[eigs[0]]])
-    q, _ = np.linalg.qr(rng.normal(size=(dimension, dimension)))
-    return (q * eigs) @ q.T
+def _spd(eigs: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """Symmetric positive-definite matrices ``(k, d, d)``: matrix j has the
+    eigenvalues ``eigs[j]`` and the eigenvectors of the QR of ``bases[j]``,
+    which one stacked ``qr`` yields bit for bit as it would alone. At d = 1
+    the matrix is its eigenvalue, and ``bases`` is not read."""
+    if eigs.shape[1] == 1:
+        return eigs[:, :, None].copy()
+    q, _ = np.linalg.qr(bases)
+    return (q * eigs[:, None, :]) @ q.mT
+
+
+def _size_groups(sizes: np.ndarray, clients):
+    """``(rows, picked, m)`` for each data size ``m`` among ``clients``: the
+    positions ``rows`` in ``clients`` of the clients ``picked`` that hold
+    ``m`` samples. A group reads exactly its own samples, so it sums as each
+    client alone would; a sum over zero padding could round differently, and
+    padding rows would add log 2 to a loss."""
+    clients = np.asarray(clients)
+    counts = sizes[clients]
+    for m in set(counts.tolist()):  # np.unique costs 1.6 MiB of RSS on first use
+        rows = np.flatnonzero(counts == m)
+        yield rows, clients[rows], m
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of every row of ``x``, bit for bit."""
+    return np.sqrt(row_dot(x, x))
+
+
+# Planned mini-batches are reduced this many batches at a time, which bounds
+# the (batches, b, d) gather of a long run's stream.
+_REDUCE_BATCHES = 1024
 
 
 class QuadraticTask:
@@ -66,6 +90,7 @@ class QuadraticTask:
         else:
             block = offsets
         self._offsets = block
+        self._sizes = np.asarray(sizes)
         self.offsets = [block[i, :m] for i, m in enumerate(sizes)]
         if not (len(self.curvatures) == len(self.centers) == len(self.offsets)):
             raise ValueError("per-client pieces must have equal length")
@@ -76,7 +101,12 @@ class QuadraticTask:
         # With m_i = c_i + mean_s z_s, F_i(w) = 0.5 (w - m_i)' A_i (w - m_i)
         # + kappa_i, kappa_i being the loss spread of the offsets about their
         # mean. Both terms are non-negative, so no digits cancel.
-        means = np.array([z.mean(axis=0) for z in self.offsets])
+        means = np.empty_like(self.centers)
+        for rows, _, m in _size_groups(self._sizes, np.arange(len(self.offsets))):
+            # A run of consecutive clients is read through a view: a gathered
+            # copy of their offsets would raise the task's peak memory.
+            lo, hi = rows[0], rows[-1] + 1
+            means[rows] = (block[lo:hi, :m] if hi - lo == len(rows) else block[rows, :m]).mean(axis=1)
         self._minima = self.centers + means
         self._kappa = np.array([
             0.5 * np.einsum("sd,de,se->", z - m, a, z - m) / z.shape[0]
@@ -98,22 +128,36 @@ class QuadraticTask:
         data_sizes = np.asarray(data_sizes, dtype=int)
         if len(data_sizes) != n_clients:
             raise ValueError("one data size per client required")
-        shared = _random_spd(dimension, curvature_range, rng)
-        curvatures, centers = [], []
+        # Drawn in the order of one draw per matrix, eigenvalues then basis,
+        # the shared matrix first (drawn, and discarded, when every client
+        # has its own); the matrices are built from the draws afterwards.
+        eigs = np.empty((n_clients + 1, dimension))
+        bases = np.empty((n_clients + 1, dimension, dimension))
+
+        def draw_spd(k: int) -> None:
+            eigs[k] = rng.uniform(*curvature_range, size=dimension)
+            if dimension > 1:
+                bases[k] = rng.normal(size=(dimension, dimension))
+
+        draw_spd(0)
+        directions = np.zeros((n_clients, dimension))
         # Drawn in place: a copy of the offsets would double the task's peak memory.
         offsets = np.zeros((n_clients, data_sizes.max(), dimension))
         for i in range(n_clients):
-            curvatures.append(shared.copy() if shared_curvature else _random_spd(dimension, curvature_range, rng))
+            if not shared_curvature:
+                draw_spd(i + 1)
             if noniid_spread > 0.0:
-                direction = rng.normal(size=dimension)
-                direction /= np.linalg.norm(direction)
-                centers.append(noniid_spread * direction)
-            else:
-                centers.append(np.zeros(dimension))
+                directions[i] = rng.normal(size=dimension)
             z = offsets[i, : data_sizes[i]]
             np.multiply(sample_noise, rng.normal(size=z.shape), out=z)
             z -= z.mean(axis=0)  # centered so the full batch is exact
-        return cls(curvatures, centers, offsets, sizes=data_sizes)
+        if shared_curvature:
+            curvatures = np.repeat(_spd(eigs[:1], bases[:1]), n_clients, axis=0)
+        else:
+            curvatures = _spd(eigs[1:], bases[1:])
+        if noniid_spread > 0.0:
+            directions /= _row_norms(directions)[:, None]
+        return cls(curvatures, noniid_spread * directions, offsets, sizes=data_sizes)
 
     @property
     def n_clients(self) -> int:
@@ -158,8 +202,24 @@ class QuadraticTask:
 
     def sample_grads(self, clients, w: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """Mini-batch gradients, row i on the offsets ``indices[i]`` of client ``clients[i]``."""
-        mean_offset = self._offsets[np.asarray(clients)[:, None], indices].mean(axis=1)
-        return (self.curvatures[clients] @ (w - self.centers[clients] - mean_offset)[:, :, None])[:, :, 0]
+        return self.reduced_grads(clients, w, self._offsets[np.asarray(clients)[:, None], indices].mean(axis=1))
+
+    def reduce_batches(self, client: int, indices: np.ndarray) -> np.ndarray:
+        """Client ``client``'s planned mini-batches ``(k, b)`` as ``reduced_grads``
+        steps on them: their ``(k, d)`` batch-mean offsets, the means
+        ``sample_grads`` takes, bit for bit."""
+        # A gather through strided indices can round differently at d = 1.
+        indices = np.ascontiguousarray(indices)
+        z = self._offsets[client]
+        out = np.empty((len(indices), self.dimension))
+        for lo in range(0, len(indices), _REDUCE_BATCHES):
+            out[lo : lo + _REDUCE_BATCHES] = z[indices[lo : lo + _REDUCE_BATCHES]].mean(axis=1)
+        return out
+
+    def reduced_grads(self, clients, w: np.ndarray, mean_offsets: np.ndarray) -> np.ndarray:
+        """Mini-batch gradients, row i on a batch of client ``clients[i]`` whose
+        mean offset is ``mean_offsets[i]`` (see ``reduce_batches``)."""
+        return (self.curvatures[clients] @ (w - self.centers[clients] - mean_offsets)[:, :, None])[:, :, 0]
 
     def local_grad(self, client: int, w: np.ndarray) -> np.ndarray:
         return self.local_grads([client], w[None])[0]
@@ -276,23 +336,11 @@ class LogisticTask:
         g = (x.transpose(0, 2, 1) @ t[:, :, None])[:, :, 0]
         return g / size + self.l2_reg * w
 
-    def _size_groups(self, clients):
-        """``(rows, picked, m)`` for each data size ``m`` among ``clients``:
-        the positions ``rows`` in ``clients`` of the clients ``picked`` that
-        hold ``m`` samples. A group reads exactly its own samples, so it sums
-        as each client alone would; a sum over zero padding could round
-        differently, and padding rows would add log 2 to a loss."""
-        clients = np.asarray(clients)
-        counts = self._sizes[clients]
-        for m in set(counts.tolist()):  # np.unique costs 1.6 MiB of RSS on first use
-            rows = np.flatnonzero(counts == m)
-            yield rows, clients[rows], m
-
     def local_grads(self, clients, w: np.ndarray) -> np.ndarray:
         """Full-batch gradients at a stack of points, row i on client ``clients[i]``,
         one stacked call per data size."""
         out = np.empty_like(w)
-        for rows, picked, m in self._size_groups(clients):
+        for rows, picked, m in _size_groups(self._sizes, clients):
             out[rows] = self._grads(self._x[picked, :m], self._y[picked, :m], w[rows], m)
         return out
 
@@ -300,6 +348,12 @@ class LogisticTask:
         """Mini-batch gradients, row i on the samples ``indices[i]`` of client ``clients[i]``."""
         rows = np.asarray(clients)[:, None]
         return self._grads(self._x[rows, indices], self._y[rows, indices], w, indices.shape[1])
+
+    def reduce_batches(self, client: int, indices: np.ndarray) -> np.ndarray:
+        """Planned mini-batches as ``reduced_grads`` steps on them: the indices."""
+        return indices
+
+    reduced_grads = sample_grads
 
     def local_grad(self, client: int, w: np.ndarray) -> np.ndarray:
         return self.local_grads([client], w[None])[0]
@@ -310,7 +364,7 @@ class LogisticTask:
     def global_loss(self, w: np.ndarray) -> float:
         """Mean of the clients' ``local_loss``, one stacked call per data size."""
         losses = np.empty(self.n_clients)
-        for rows, picked, m in self._size_groups(np.arange(self.n_clients)):
+        for rows, picked, m in _size_groups(self._sizes, np.arange(self.n_clients)):
             margins = self._y[picked, :m] * (self._x[picked, :m] @ w)
             losses[rows] = np.mean(np.logaddexp(0.0, -margins), axis=1)
         return float(np.mean(losses + 0.5 * self.l2_reg * np.dot(w, w)))
@@ -584,8 +638,9 @@ def train_clients(
     shared by every row) and takes exactly ``tau[i]`` SGD steps on client
     ``clients[i]``; each step's gradients for all running rows come from one
     stacked task call. ``batches=None`` uses full-batch gradients; otherwise
-    ``batches[i]`` is row i's ``(tau[i], b_i)`` array of sample indices, and
-    step s uses the mini-batch ``batches[i][s]``. A non-zero ``mu`` with a
+    ``batches[i]`` holds row i's ``tau[i]`` mini-batches as
+    ``task.reduce_batches`` returns them, and step s takes
+    ``task.reduced_grads`` on ``batches[i][s]``. A non-zero ``mu`` with a
     ``prox_center`` (one center for every row) adds the proximal pull
     mu*(w - center) to every step. Rows with tau=0 return their start.
     Raises ``ValueError`` naming ``context`` and the clients whose results
@@ -597,30 +652,32 @@ def train_clients(
         raise ValueError("tau must be non-negative")
     k = clients.size
     if batches is None:
-        sizes = np.zeros(k, dtype=int)
+        widths = np.zeros(k, dtype=int)
     elif [len(b) for b in batches] != tau.tolist():
         raise ValueError("batches[i] must hold tau[i] mini-batches")
     else:
-        sizes = np.array([np.shape(b)[1] for b in batches], dtype=int)
-    # Rows sorted by batch size, then by step count, longest first: the rows
-    # still running at any step are a prefix of their batch-size block, so
-    # each block steps as one view of w.
-    order = np.lexsort((-tau, sizes))
+        widths = np.array([np.shape(b)[1] for b in batches], dtype=int)
+    # Rows sorted by batch width, then by step count, longest first: the rows
+    # still running at any step are a prefix of their width block, so each
+    # block steps as one view of w.
+    order = np.lexsort((-tau, widths))
     starts = np.asarray(starts, dtype=float)
     w = starts[order] if starts.ndim == 2 else np.repeat(starts[None], k, axis=0)
     if w.shape != (k, task.dimension):
         raise ValueError("model dimension does not match the task")
     ids = clients[order]
-    steps, sizes, rows = tau[order].tolist(), sizes[order].tolist(), order.tolist()
-    cuts = [0] + [r for r in range(1, k) if sizes[r] != sizes[r - 1]] + [k]
-    # Each block's mini-batches as one (steps, rows, b) stack: step s of the
-    # running prefix is one slice.
+    steps, widths, rows = tau[order].tolist(), widths[order].tolist(), order.tolist()
+    cuts = [0] + [r for r in range(1, k) if widths[r] != widths[r - 1]] + [k]
+    # Each block's mini-batches as one (steps, rows, width) stack: step s of
+    # the running prefix is one slice.
     blocks = []
     for lo, hi in zip(cuts, cuts[1:]):
         stack = None
         if batches is not None:
-            stack = np.zeros((steps[lo], hi - lo, sizes[lo]), dtype=np.intp)
-            for r in range(lo, hi):
+            # Indices or mean offsets: the type of the batches that are stepped on.
+            taken = [batches[rows[r]] for r in range(lo, hi) if steps[r]]
+            stack = np.zeros((steps[lo], hi - lo, widths[lo]), dtype=np.result_type(*taken) if taken else None)
+            for r in range(lo, lo + len(taken)):
                 stack[: steps[r], r - lo] = batches[rows[r]]
         blocks.append([lo, hi, stack])
     use_prox = mu > 0.0 and prox_center is not None
@@ -636,7 +693,7 @@ def train_clients(
             if stack is None:
                 g = task.local_grads(ids[lo:end], running)
             else:
-                g = task.sample_grads(ids[lo:end], running, stack[step, : end - lo])
+                g = task.reduced_grads(ids[lo:end], running, stack[step, : end - lo])
             if use_prox:
                 g = g + mu * (running - prox_center)
             running -= eta * g
@@ -662,14 +719,16 @@ def local_train(
     """Run exactly ``tau`` SGD steps from ``w_start`` and return the result.
 
     ``batch_size=None`` uses full-batch gradients; otherwise the ``tau``
-    mini-batches are drawn from ``rng`` up front by ``draw_batches``. A
-    non-zero ``mu`` with a ``prox_center`` adds the proximal pull
-    mu*(w - center) to every step. tau=0 returns the start point unchanged.
-    The one-row case of ``train_clients``.
+    mini-batches are drawn from ``rng`` up front by ``draw_batches`` and
+    reduced by ``task.reduce_batches``. A non-zero ``mu`` with a
+    ``prox_center`` adds the proximal pull mu*(w - center) to every step.
+    tau=0 returns the start point unchanged. The one-row case of
+    ``train_clients``.
     """
     batches = None
     if batch_size is not None:
-        batches = draw_batches([rng], task.data_size(client), batch_size, [tau])
+        [drawn] = draw_batches([rng], task.data_size(client), batch_size, [tau])
+        batches = [task.reduce_batches(client, drawn)]
     return train_clients(
         task, [client], np.asarray(w_start, dtype=float)[None], [tau], eta,
         batches=batches, prox_center=prox_center, mu=mu,
@@ -694,22 +753,40 @@ def estimate_constants(task, clients: list[ClientProfile], probe_count: int, rng
     from the full-batch gradient. A client whose batch is its whole data set
     has no sampling noise: its bound is exactly 0, though its batches are
     still drawn, so every client sees the same probe stream. Smoothness is
-    exact for quadratic tasks and probed otherwise.
+    exact for quadratic tasks and probed otherwise, from the full-batch
+    gradients at consecutive probe points.
+
+    The values, and the state ``rng`` is left in, are those of one
+    ``stochastic_gradient`` call per probe point and client, in that order:
+    the probe points are drawn first, then every batch in that order, and
+    then each probe point takes one ``local_grads`` call and one
+    ``sample_grads`` call per batch size.
     """
     if probe_count < 1:
         raise ValueError("probe_count must be >= 1")
-    d = task.dimension
+    n, d = task.n_clients, task.dimension
+    sizes = [task.data_size(i) for i in range(n)]
+    batch = np.array([profile.batch_size for profile in clients[:n]])
+    if np.any(batch > sizes):
+        raise ValueError("batch_size exceeds the client's data size")
     probes = [rng.normal(size=d) for _ in range(probe_count)]
-    g_max = 0.0
-    sigma_hat = np.zeros(task.n_clients)
-    sampled = [clients[i].batch_size < task.data_size(i) for i in range(task.n_clients)]
-    for w in probes:
-        for i in range(task.n_clients):
-            sample = stochastic_gradient(task, i, w, clients[i].batch_size, rng)
-            g_max = max(g_max, float(np.linalg.norm(sample.stochastic)))
-            if sampled[i]:
-                deviation = float(np.linalg.norm(sample.stochastic - sample.full_batch))
-                sigma_hat[i] = max(sigma_hat[i], deviation)
+    drawn = [[rng.choice(m, size=b, replace=False) for m, b in zip(sizes, batch.tolist())]
+             for _ in probes]
+    everyone = np.arange(n)
+    groups = [np.flatnonzero(batch == b) for b in set(batch.tolist())]
+    full = np.empty((probe_count, n, d))
+    stochastic = np.empty((probe_count, n, d))
+    for p, w in enumerate(probes):
+        stacked = np.tile(w, (n, 1))
+        full[p] = task.local_grads(everyone, stacked)
+        for rows in groups:
+            indices = np.array([drawn[p][i] for i in rows.tolist()])
+            stochastic[p, rows] = task.sample_grads(rows, stacked[rows], indices)
+    # fmax, like the running max(...) of the probe loop, passes over NaNs.
+    g_max = np.fmax.reduce(_row_norms(stochastic.reshape(-1, d)), initial=0.0)
+    deviation = _row_norms((stochastic - full).reshape(-1, d)).reshape(probe_count, n)
+    sampled = batch < sizes
+    sigma_hat = np.where(sampled, np.fmax.reduce(deviation, axis=0, initial=0.0), 0.0)
     source = {"G": "probed", "sigma": "probed"}
 
     if task.kind == "quadratic":
@@ -717,12 +794,10 @@ def estimate_constants(task, clients: list[ClientProfile], probe_count: int, rng
         source["L"] = "exact"
     else:
         l_hat = 0.0
-        for w, v in zip(probes, probes[1:] + probes[:1]):
-            gap = float(np.linalg.norm(w - v))
-            if gap < 1e-12:
-                continue
-            for i in range(task.n_clients):
-                ratio = float(np.linalg.norm(task.local_grad(i, w) - task.local_grad(i, v))) / gap
-                l_hat = max(l_hat, ratio)
+        for p in range(probe_count):
+            q = (p + 1) % probe_count
+            gap = float(np.linalg.norm(probes[p] - probes[q]))
+            if gap >= 1e-12:
+                l_hat = np.fmax.reduce(_row_norms(full[p] - full[q]) / gap, initial=l_hat)
         source["L"] = "probed"
     return EstimatedConstants(L_hat=float(l_hat), G_hat=float(g_max), sigma_hat=sigma_hat, source=source)

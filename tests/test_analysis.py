@@ -11,7 +11,7 @@ from tsfl.analysis import (
     verify_convergence,
 )
 from tsfl.core import RunLog, SystemConstants, interval_records
-from tsfl.training import QuadraticTask
+from tsfl.training import LogisticTask, QuadraticTask
 
 
 def make_log(constants, tau, beta, rho, *, w0, w_star, final_grad_norm_sq,
@@ -220,6 +220,32 @@ def test_dissimilarity_skips_zero_gradient_probes():
         estimate_dissimilarity(task, [np.array([0.0])])  # global optimum: grad 0
     v_hat, _ = estimate_dissimilarity(task, [np.array([0.0]), np.array([2.0])])
     assert v_hat**2 == pytest.approx(1.25)
+
+
+def _dissimilarity_loop(task, probe_points):
+    """``estimate_dissimilarity`` with one ``local_grad`` call per client."""
+    v_sq_max, eps_min = None, None
+    for w in probe_points:
+        global_grad = task.global_grad(w)
+        denom = float(np.dot(global_grad, global_grad))
+        if denom <= 1e-24:
+            continue
+        local_grads = [task.local_grad(i, w) for i in range(task.n_clients)]
+        v_sq = float(np.mean([np.dot(g, g) for g in local_grads])) / denom
+        eps = float(np.dot(global_grad, np.mean(local_grads, axis=0))) / denom
+        v_sq_max = v_sq if v_sq_max is None else max(v_sq_max, v_sq)
+        eps_min = eps if eps_min is None else min(eps_min, eps)
+    return float(np.sqrt(v_sq_max)), float(eps_min)
+
+
+@pytest.mark.parametrize("kind, dimension", [("quadratic", 1), ("quadratic", 4), ("logistic", 3)])
+def test_dissimilarity_equals_the_per_client_loop(kind, dimension):
+    sizes = [10, 50, 20, 64, 33, 8, 50, 64, 12, 40, 64]
+    cls = QuadraticTask if kind == "quadratic" else LogisticTask
+    rng = np.random.default_rng(12)
+    task = cls.generate(len(sizes), dimension, sizes, rng, noniid_spread=0.8)
+    probes = list(rng.normal(size=(6, task.dimension)))
+    assert estimate_dissimilarity(task, probes) == _dissimilarity_loop(task, probes)
 
 
 # --- convergence diagnostic -------------------------------------------------------

@@ -451,6 +451,27 @@ INLINE = {"n_clients": 4, "processes": [{"kind": "fixed", "tau": 1}], "data_size
         ({"task": {"curvature_range": [0.5, "x"]}}, "config.task.curvature_range[1]: expected float, got 'x'"),
         ({"task": {"l2_reg": 0}}, "config.task: l2_reg must be positive"),
         ({"task": {"shared_curvature": 1}}, "config.task.shared_curvature: expected bool, got 1"),
+        ({"estimate_probes": -1}, "config.estimate_probes: must be at least 0, got -1"),
+        ({"scenario": {**INLINE, "batch_size": 0}}, "config.scenario.batch_size: must be at least 1, got 0"),
+        ({"scenario": {**INLINE, "data_sizes": 0}}, "config.scenario.data_sizes[0]: must be at least 1, got 0"),
+        ({"scenario": {**INLINE, "data_sizes": [64, 64, 0, 64]}},
+         "config.scenario.data_sizes[2]: must be at least 1, got 0"),
+        ({"scenario": {**INLINE, "interval_length": 0}},
+         "config.scenario.interval_length: must be positive and finite, got 0.0"),
+        ({"scenario": {**INLINE, "overhead": -1}}, "config.scenario.overhead: must be at least 0, got -1.0"),
+        ({"scenario": {**INLINE, "required_iterations": 0}},
+         "config.scenario.required_iterations: must be at least 1, got 0"),
+        ({"scenario": {**INLINE, "min_upload_iterations": -1}},
+         "config.scenario.min_upload_iterations: must be at least 0, got -1"),
+        ({"scenario": {**INLINE, "processes": [{"kind": "fixed", "tau": -1}]}},
+         "config.scenario.processes[0].tau: must be at least 0, got -1"),
+        ({"scenario": {**INLINE, "processes": [{"kind": "gaussian-floor", "mean": 2, "std": -1}]}},
+         "config.scenario.processes[0].std: must be at least 0, got -1.0"),
+        ({"scenario_options": {"batch_size": 0}}, "config.scenario_options.batch_size: must be at least 1, got 0"),
+        ({"scenario_options": {"data_size": 0}}, "config.scenario_options.data_size: must be at least 1, got 0"),
+        ({"scenario_options": {"n_clients": 0}}, "config.scenario_options.n_clients: must be at least 1, got 0"),
+        ({"scenario": "homogeneous", "scenario_options": {"tau": -1}},
+         "config.scenario_options.tau: must be at least 0, got -1"),
     ],
 )
 def test_unread_or_malformed_options_are_config_errors(tmp_path, capsys, overrides, location):

@@ -389,12 +389,13 @@ def _one_interval_weights(strategy, setup, tau, eligible, t):
 
 def _choice_batches(setup, steps):
     """Each client's next ``steps[i]`` mini-batches from its own stream, one
-    ``rng.choice`` call per step; None for a full-batch scenario."""
+    ``rng.choice`` call per step, reduced by ``task.reduce_batches`` as the
+    trainer takes them; None for a full-batch scenario."""
     if setup.scenario.full_batch:
         return None
-    return [np.array([rng.choice(p.data_size, size=p.batch_size, replace=False)
-                      for _ in range(k)]).reshape(k, p.batch_size)
-            for rng, p, k in zip(setup.batch_rngs, setup.profiles, steps)]
+    return [setup.task.reduce_batches(i, np.array([rng.choice(p.data_size, size=p.batch_size, replace=False)
+                                                   for _ in range(k)]).reshape(k, p.batch_size))
+            for i, (rng, p, k) in enumerate(zip(setup.batch_rngs, setup.profiles, steps))]
 
 
 def _reference_loop(setup, tau, weights, proximal=False):
@@ -526,6 +527,13 @@ def test_arrivals_match_the_heap_loop(means, k, interval, T):
     assert np.array_equal(clients, [i for _, ids in groups for i in ids])
     starts = np.flatnonzero(np.diff(times, prepend=-np.inf))
     assert [ids.tolist() for ids in np.split(clients, starts[1:]) if ids.size] == [ids for _, ids in groups]
+
+
+def test_negative_probe_count_raises():
+    scenario = scenario_with([FixedIterations(2)] * 3)
+    constants = SystemConstants(eta=0.02, L=1.0, N=3, H=2, T=2, sigma_global=1.0)
+    with pytest.raises(ValueError, match=r"^probe_count must be non-negative, got -1$"):
+        _RunSetup(scenario, constants, 0, -1, False, None)
 
 
 @pytest.mark.parametrize("full_batch", [False, True])

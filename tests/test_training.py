@@ -6,6 +6,7 @@ from tsfl.scenarios import preset
 from tsfl.training import (
     LogisticTask,
     QuadraticTask,
+    draw_batches,
     estimate_constants,
     local_train,
     stochastic_gradient,
@@ -516,8 +517,10 @@ def _trainer_task(kind, layout):
 
 def _choice_batches(task, rngs, clients, batch_sizes, tau):
     """Row i's ``tau[i]`` mini-batches of client ``clients[i]`` from ``rngs[i]``,
-    one ``rng.choice`` call per step."""
-    return [np.array([rng.choice(task.data_size(i), size=b, replace=False) for _ in range(k)]).reshape(k, b)
+    one ``rng.choice`` call per step, reduced by ``task.reduce_batches`` as the
+    trainer takes them."""
+    return [task.reduce_batches(i, np.array([rng.choice(task.data_size(i), size=b, replace=False)
+                                             for _ in range(k)]).reshape(k, b))
             for rng, i, b, k in zip(rngs, clients, batch_sizes, tau)]
 
 
@@ -580,3 +583,119 @@ def test_lock_step_trainer_rejects_negative_steps_and_wrong_dimension():
         train_clients(task, [0, 1], np.zeros((2, 3)), [1, 1], 0.1)
     with pytest.raises(ValueError, match=r"batches\[i\] must hold tau\[i\] mini-batches"):
         train_clients(task, [0, 1], np.zeros(2), [2, 1], 0.1, batches=[np.zeros((1, 4), int)] * 2)
+
+
+# --- stacked set-up paths against the per-client loops they replace ---------
+
+
+def _random_spd(dimension, eig_range, rng):
+    """One random SPD matrix with eigenvalues in ``eig_range``, drawn and built alone."""
+    eigs = rng.uniform(*eig_range, size=dimension)
+    if dimension == 1:
+        return np.array([[eigs[0]]])
+    q, _ = np.linalg.qr(rng.normal(size=(dimension, dimension)))
+    return (q * eigs) @ q.T
+
+
+def _generate_loop(n, d, sizes, rng, spread, noise, curvature_range, shared):
+    """``QuadraticTask.generate`` one client at a time, one matrix per QR."""
+    shared_matrix = _random_spd(d, curvature_range, rng)
+    curvatures, centers = [], []
+    offsets = np.zeros((n, max(sizes), d))
+    for i in range(n):
+        curvatures.append(shared_matrix.copy() if shared else _random_spd(d, curvature_range, rng))
+        center = np.zeros(d)
+        if spread > 0.0:
+            direction = rng.normal(size=d)
+            direction /= np.linalg.norm(direction)
+            center = spread * direction
+        centers.append(center)
+        z = offsets[i, : sizes[i]]
+        np.multiply(noise, rng.normal(size=z.shape), out=z)
+        z -= z.mean(axis=0)
+    return np.array(curvatures), np.array(centers), offsets
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 5, 8])
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("spread", [0.0, 0.7])
+def test_generate_equals_a_per_matrix_loop(dimension, shared, spread):
+    sizes = [10, 50, 20, 64, 33, 8, 50]
+    task = QuadraticTask.generate(len(sizes), dimension, sizes, rng := np.random.default_rng(3),
+                                  noniid_spread=spread, curvature_range=(0.3, 2.0), shared_curvature=shared)
+    curvatures, centers, offsets = _generate_loop(len(sizes), dimension, sizes, looped := np.random.default_rng(3),
+                                                  spread, 0.5, (0.3, 2.0), shared)
+    assert rng.bit_generator.state == looped.bit_generator.state
+    assert np.array_equal(task.curvatures, curvatures)
+    assert np.array_equal(task.centers, centers)
+    assert np.array_equal(task._offsets, offsets)
+    # The per-size-group means equal each client's own.
+    minima = [c + z[:m].mean(axis=0) for c, z, m in zip(centers, offsets, sizes)]
+    assert np.array_equal([task.local_optimum(i) for i in range(len(sizes))], minima)
+
+
+def _reduction_task(kind, dimension, sizes):
+    cls = QuadraticTask if kind == "quadratic" else LogisticTask
+    return cls.generate(len(sizes), dimension, sizes, np.random.default_rng(8), noniid_spread=0.4)
+
+
+@pytest.mark.parametrize("kind, dimension", [("quadratic", 1), ("quadratic", 3), ("quadratic", 8), ("logistic", 3)])
+def test_reduced_batches_step_as_per_step_sample_grads(kind, dimension):
+    sizes = [40, 3000, 17]
+    task = _reduction_task(kind, dimension, sizes)
+    # draw_batches returns transposed (F-ordered) views; 2500 batches span
+    # several reduction chunks.
+    rngs = [np.random.default_rng(i) for i in range(3)]
+    streams = draw_batches(rngs, sizes, [16, 7, 17], [30, 2500, 5])
+    w = np.random.default_rng(9).normal(size=(3, task.dimension))
+    for i, stream in enumerate(streams):
+        for layout in (stream, np.ascontiguousarray(stream), np.asfortranarray(stream)):
+            reduced = task.reduce_batches(i, layout)
+            assert len(reduced) == len(stream)
+            for s in range(len(stream)):
+                got = task.reduced_grads([i], w[i][None], reduced[s : s + 1])[0]
+                assert np.array_equal(got, task.sample_grad(i, w[i], stream[s])), (i, s)
+    # A stacked step equals each row's own.
+    rows = task.reduced_grads([0, 0], w[:2], task.reduce_batches(0, streams[0][:2]))
+    assert np.array_equal(rows, [task.sample_grad(0, w[k], streams[0][k]) for k in range(2)])
+
+
+def _probe_loop(task, profiles, probe_count, rng):
+    """``estimate_constants`` as one ``stochastic_gradient`` call per probe
+    point and client, and one ``local_grad`` pair per client and probe gap."""
+    probes = [rng.normal(size=task.dimension) for _ in range(probe_count)]
+    g_max, sigma = 0.0, np.zeros(task.n_clients)
+    for w in probes:
+        for i, profile in enumerate(profiles):
+            sample = stochastic_gradient(task, i, w, profile.batch_size, rng)
+            g_max = max(g_max, float(np.linalg.norm(sample.stochastic)))
+            if profile.batch_size < task.data_size(i):
+                sigma[i] = max(sigma[i], float(np.linalg.norm(sample.stochastic - sample.full_batch)))
+    l_hat = task.smoothness if task.kind == "quadratic" else 0.0
+    if task.kind == "logistic":
+        for w, v in zip(probes, probes[1:] + probes[:1]):
+            gap = float(np.linalg.norm(w - v))
+            if gap < 1e-12:
+                continue
+            for i in range(task.n_clients):
+                ratio = float(np.linalg.norm(task.local_grad(i, w) - task.local_grad(i, v))) / gap
+                l_hat = max(l_hat, ratio)
+    return l_hat, g_max, sigma
+
+
+@pytest.mark.parametrize("kind, dimension", [("quadratic", 1), ("quadratic", 4), ("logistic", 3)])
+@pytest.mark.parametrize("probe_count", [1, 2, 5])
+def test_estimate_constants_equals_the_stochastic_gradient_loop(kind, dimension, probe_count):
+    # Unequal data sizes, mixed batch sizes, and three clients (0, 5, 7)
+    # whose batch is their whole data set.
+    sizes = [10, 50, 20, 64, 33, 8, 50, 64]
+    batch = [16, 8, 16, 32, 8, 16, 4, 64]
+    cls = QuadraticTask if kind == "quadratic" else LogisticTask
+    task = cls.generate(len(sizes), dimension, sizes, np.random.default_rng(2), noniid_spread=0.5)
+    profiles = [ClientProfile(id=i + 1, data_size=m, batch_size=min(b, m)) for i, (m, b) in enumerate(zip(sizes, batch))]
+    est = estimate_constants(task, profiles, probe_count, rng := np.random.default_rng(6))
+    l_hat, g_max, sigma = _probe_loop(task, profiles, probe_count, looped := np.random.default_rng(6))
+    assert rng.bit_generator.state == looped.bit_generator.state
+    assert (est.L_hat, est.G_hat) == (l_hat, g_max)
+    assert np.array_equal(est.sigma_hat, sigma)
+    assert est.sigma_hat[[0, 5, 7]].tolist() == [0.0, 0.0, 0.0]
