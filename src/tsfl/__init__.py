@@ -6,7 +6,6 @@ selection, baseline strategies, and loss-bound diagnostics.
 from .core import (
     ClientProfile,
     IntervalRecord,
-    ParameterVector,
     RunLog,
     SystemConstants,
     validate_constants,
@@ -26,7 +25,6 @@ from .aggregation import (
     BoundCoefficients,
     FixedPointError,
     WeightAssignment,
-    aggregate,
     bound_coefficients,
     bound_optimal_weight_plan,
     bound_optimal_weights,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import WEIGHT_SUM_TOL, SystemConstants, ensure_finite, row_dot
+from .core import SystemConstants, ensure_finite, row_dot
 
 
 class FixedPointError(RuntimeError):
@@ -63,16 +63,14 @@ def bound_coefficients(constants: SystemConstants, h: int | None = None) -> Boun
 
 @dataclass
 class WeightAssignment:
-    """Per-client aggregation weights plus how they were produced.
+    """Per-client aggregation weights of one interval.
 
     ``rho_unclamped`` preserves the raw closed-form values before any
-    negativity clamping, so the spacing law stays checkable. ``clamped`` is
-    set when clamping changed the result.
+    negativity clamping, so the spacing law stays checkable: clamping changed
+    the result where it has a negative entry.
     """
 
     rho: np.ndarray
-    method: str
-    clamped: bool = False
     rho_unclamped: np.ndarray | None = None
     participation: np.ndarray | None = None
 
@@ -80,16 +78,6 @@ class WeightAssignment:
         self.rho = np.asarray(self.rho, dtype=float)
         if self.rho_unclamped is None:
             self.rho_unclamped = self.rho.copy()
-
-    @property
-    def any_participant(self) -> bool:
-        return bool(np.any(self.rho > 0.0))
-
-    def check(self) -> None:
-        if np.any(self.rho < 0.0):
-            raise ValueError("weights must be non-negative")
-        if self.any_participant and abs(self.rho.sum() - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"weights sum to {self.rho.sum()!r}")
 
 
 def project_to_simplex(values: np.ndarray) -> np.ndarray:
@@ -142,7 +130,7 @@ def fedavg_weights(data_sizes) -> WeightAssignment:
         raise ValueError("no clients to weight")
     if np.any(sizes <= 0):
         raise ValueError("data sizes must be positive")
-    return WeightAssignment(rho=proportional_weight_plan(sizes, True), method="fedavg")
+    return WeightAssignment(rho=proportional_weight_plan(sizes, True))
 
 
 def uniform_weights(participating) -> WeightAssignment:
@@ -150,18 +138,7 @@ def uniform_weights(participating) -> WeightAssignment:
     mask = np.asarray(participating, dtype=bool)
     if not mask.any():
         raise ValueError("no participating clients")
-    return WeightAssignment(rho=proportional_weight_plan(1.0, mask), method="uniform")
-
-
-def aggregate(models, weights: WeightAssignment) -> np.ndarray:
-    """Convex combination of client models under a weight assignment."""
-    weights.check()
-    if not weights.any_participant:
-        raise ValueError("aggregate called with no participating clients")
-    stacked = np.asarray(models, dtype=float)
-    if stacked.ndim != 2 or stacked.shape[0] != weights.rho.size:
-        raise ValueError("need one model per weight, all with equal dimension")
-    return ensure_finite(weights.rho @ stacked, "aggregate")
+    return WeightAssignment(rho=proportional_weight_plan(1.0, mask))
 
 
 def fedasync_update(prev_global: np.ndarray, local_models, gamma: float) -> np.ndarray:
@@ -230,8 +207,8 @@ def iteration_spaced_weights(
     Participants receive 1/M plus the spacing slope times their deviation from
     the participant-mean iteration count; everyone else receives zero. If the
     spread pushes a weight negative it is clamped to zero and the remainder is
-    proportionally renormalized, with ``clamped`` flagged. The one-row case
-    of ``spaced_weight_plan``.
+    proportionally renormalized; ``rho_unclamped`` keeps the raw values. The
+    one-row case of ``spaced_weight_plan``.
     """
     tau = np.asarray(tau, dtype=float)
     mask = np.asarray(participating, dtype=bool)
@@ -240,8 +217,7 @@ def iteration_spaced_weights(
     if not mask.any():
         raise ValueError("at least one client must participate")
     rho, raw = spaced_weight_plan(tau, mask, constants, h=h)
-    return WeightAssignment(rho=rho, method="corollary1", clamped=bool((raw < 0.0).any()),
-                            rho_unclamped=raw)
+    return WeightAssignment(rho=rho, rho_unclamped=raw)
 
 
 def dms_threshold(tau) -> float:
@@ -322,8 +298,11 @@ def dms_weights(
     tau = np.asarray(tau, dtype=float)
     mask = np.ones(tau.shape, dtype=bool) if eligible is None else eligible
     rho, beta, raw = dms_weight_plan(tau, mask, constants, rng)
-    return WeightAssignment(rho=rho, method="dms", clamped=bool((raw < 0.0).any()),
-                            rho_unclamped=raw, participation=beta)
+    return WeightAssignment(rho=rho, rho_unclamped=raw, participation=beta)
+
+
+# The weight of each fixed-point step against the current iterate.
+_DAMPING = 0.5
 
 
 class _BoundSystem:
@@ -336,8 +315,7 @@ class _BoundSystem:
     rows are stacked with it.
     """
 
-    def __init__(self, tau, beta, constants: SystemConstants, sigma_i, gamma_noniid,
-                 r0: float, shared_noise_sums: bool):
+    def __init__(self, tau, beta, constants: SystemConstants, sigma_i, gamma_noniid, r0: float):
         tau = np.atleast_2d(np.asarray(tau, dtype=float))
         beta = np.atleast_2d(np.asarray(beta, dtype=float))
         if beta.shape != tau.shape:
@@ -356,9 +334,7 @@ class _BoundSystem:
         self.mask = beta.astype(bool)
         self.coefs = coefs = bound_coefficients(constants)
         self.r0 = r0
-        self.shared_noise_sums = shared_noise_sums
-        self.eta2_n = constants.eta**2 * constants.N
-        self.noise = self.eta2_n * self.sigma**2
+        self.noise = constants.eta**2 * constants.N * self.sigma**2
         self.a_gamma = coefs.a * self.gamma
         self.drift = self.a_gamma + coefs.c * (tau * self.mask)
         self.denom_scale = 2.0 * self.noise
@@ -367,22 +343,16 @@ class _BoundSystem:
         coefs = self.coefs
         sum_rho_tau = row_dot(rho, s1)[:, None]
         w_denom = 1.0 + coefs.b * sum_rho_tau
-        # d_vec: the constant aggregate of the optimality system, per row
-        # (per client too, unless the noise sums are shared).
-        if self.shared_noise_sums:
-            noise_part = self.eta2_n * row_dot(self.sigma**2 * rho**2, s1)
-            noniid_part = coefs.a * row_dot(self.gamma * rho, s1)
-            d_vec = (self.r0 + noise_part + noniid_part + coefs.c * row_dot(rho, s3))[:, None]
-        else:
-            d_vec = (
-                self.r0
-                + self.noise * row_dot(rho**2, s1)[:, None]
-                + self.a_gamma * sum_rho_tau
-                + coefs.c * row_dot(rho, s3)[:, None]
-            )
+        # d_vec: the constant aggregate of the optimality system, per row and client.
+        d_vec = (
+            self.r0
+            + self.noise * row_dot(rho**2, s1)[:, None]
+            + self.a_gamma * sum_rho_tau
+            + coefs.c * row_dot(rho, s3)[:, None]
+        )
         return (coefs.b * d_vec + drift * w_denom) / (w_denom * self.denom_scale)
 
-    def solve(self, rows, damping: float, tol: float, max_iter: int) -> np.ndarray:
+    def solve(self, rows, tol: float, max_iter: int) -> np.ndarray:
         """Damped fixed point of every row in ``rows``, in lock-step; a row
         stops after the first step whose own residual is below ``tol``."""
         mask = self.mask[rows]
@@ -397,7 +367,7 @@ class _BoundSystem:
         for _ in range(max_iter):
             if not live.size:
                 break
-            proposal = (1.0 - damping) * r + damping * self.step(r, s1, s3, drift)
+            proposal = (1.0 - _DAMPING) * r + _DAMPING * self.step(r, s1, s3, drift)
             projected = _project_rows(proposal, m, valid)
             residual = np.max(np.abs(projected - r), axis=1)
             lost = np.isnan(residual)
@@ -431,8 +401,6 @@ def bound_optimal_weight_plan(
     sigma_i,
     gamma_noniid,
     r0: float = 0.0,
-    shared_noise_sums: bool = False,
-    damping: float = 0.5,
     tol: float = 1e-10,
     max_iter: int = 10_000,
 ) -> np.ndarray:
@@ -443,8 +411,8 @@ def bound_optimal_weight_plan(
     sums, and all T fixed points iterate as one row stack.
     ``FixedPointError`` names every interval that did not converge.
     """
-    system = _BoundSystem(tau, beta, constants, sigma_i, gamma_noniid, r0, shared_noise_sums)
-    return system.solve(np.arange(len(system.mask)), damping, tol, max_iter)
+    system = _BoundSystem(tau, beta, constants, sigma_i, gamma_noniid, r0)
+    return system.solve(np.arange(len(system.mask)), tol, max_iter)
 
 
 def bound_optimal_weights(
@@ -454,8 +422,6 @@ def bound_optimal_weights(
     gamma_noniid,
     beta_history=None,
     r0: float = 0.0,
-    shared_noise_sums: bool = False,
-    damping: float = 0.5,
     tol: float = 1e-10,
     max_iter: int = 10_000,
 ) -> WeightAssignment:
@@ -468,10 +434,9 @@ def bound_optimal_weights(
     restricts the solve to participating clients, who alone receive weight.
 
     As printed, the constant aggregate of the system carries the *client's
-    own* noise level and optimum distance outside the history sums; set
-    ``shared_noise_sums=True`` for the client-independent reading that sums
-    each client's own noise inside. ``r0`` is the squared distance from the
-    initial to the optimal model entering that aggregate.
+    own* noise level and optimum distance outside the history sums. ``r0`` is
+    the squared distance from the initial to the optimal model entering that
+    aggregate.
 
     Each damped step is projected onto the simplex of participating clients.
     Raises ``FixedPointError`` (carrying the last residual and naming the
@@ -484,7 +449,6 @@ def bound_optimal_weights(
     """
     tau_hist = np.atleast_2d(np.asarray(tau_history, dtype=float))
     beta_hist = np.ones_like(tau_hist) if beta_history is None else beta_history
-    system = _BoundSystem(tau_hist, beta_hist, constants, sigma_i, gamma_noniid, r0,
-                          shared_noise_sums)
-    rho = system.solve([len(tau_hist) - 1], damping, tol, max_iter)
-    return WeightAssignment(rho=rho[0], method="theorem2")
+    system = _BoundSystem(tau_hist, beta_hist, constants, sigma_i, gamma_noniid, r0)
+    rho = system.solve([len(tau_hist) - 1], tol, max_iter)
+    return WeightAssignment(rho=rho[0])

@@ -67,22 +67,17 @@ def convergence_rhs(constants: SystemConstants, intervals: int, loss_gap: float)
     return 2.0 * loss_gap / (intervals * constants.eta * margin)
 
 
-def verify_convergence(
-    log: RunLog,
-    constants: SystemConstants | None = None,
-    f0: float | None = None,
-    f_star: float | None = None,
-) -> ConvergenceReport:
+def verify_convergence(log: RunLog, constants: SystemConstants | None = None) -> ConvergenceReport:
     """Check the mean cumulative squared gradient against its ceiling.
 
-    The report is marked inapplicable when the learning rate violates
+    The initial loss is the log's first ``global_loss`` and the optimal loss
+    its analysis input ``f_star``; ``constants`` defaults to the log's. The
+    report is marked inapplicable when the learning rate violates
     eta < 2*epsilon/(V^2*L), where the ceiling's denominator changes sign.
     """
     c = constants if constants is not None else log.constants
-    if f0 is None:
-        f0 = float(log.records[0].global_loss)
-    if f_star is None:
-        f_star = float(log.analysis_inputs["f_star"])
+    f0 = float(log.records[0].global_loss)
+    f_star = float(log.analysis_inputs["f_star"])
     lhs = float(log.grad_norms().mean())
     applicable = c.eta < c.step_size_limit
     rhs = convergence_rhs(c, log.intervals, f0 - f_star) if applicable else None
@@ -95,28 +90,22 @@ def verify_convergence(
     )
 
 
-def evaluate_bound(
-    log: RunLog,
-    constants: SystemConstants | None = None,
-    sigma_i=None,
-    gamma_noniid=None,
-    w0: np.ndarray | None = None,
-    w_star: np.ndarray | None = None,
-) -> BoundReport:
+def evaluate_bound(log: RunLog) -> BoundReport:
     """Evaluate the loss upper bound over a run log.
 
-    The four sums run over every interval and client of the log. Arguments
-    left as None are pulled from the log's analysis inputs. The iteration cap
+    The four sums run over every interval and client of the log. Everything
+    is read from the log: its constants, its initial model, and its analysis
+    inputs ``sigma_i``, ``gamma_noniid`` and ``w_star``. The iteration cap
     entering the drift coefficient is raised to the largest observed count if
     the configured one is smaller; that situation also clears
     ``preconditions_met``.
     """
-    c = constants if constants is not None else log.constants
+    c = log.constants
     inputs = log.analysis_inputs
-    sigma = np.asarray(inputs["sigma_i"] if sigma_i is None else sigma_i, dtype=float)
-    gamma = np.asarray(inputs["gamma_noniid"] if gamma_noniid is None else gamma_noniid, dtype=float)
-    start = np.asarray(log.initial_model if w0 is None else w0, dtype=float)
-    optimum = np.asarray(inputs["w_star"] if w_star is None else w_star, dtype=float)
+    sigma = np.asarray(inputs["sigma_i"], dtype=float)
+    gamma = np.asarray(inputs["gamma_noniid"], dtype=float)
+    start = np.asarray(log.initial_model, dtype=float)
+    optimum = np.asarray(inputs["w_star"], dtype=float)
 
     rho = log.rho_matrix()
     tau = log.tau_matrix().astype(float)

@@ -248,9 +248,12 @@ def build_scenarios(config: dict) -> list[Scenario]:
     task = _build(TaskSpec, root.get("task", {}), "config.task")
     options = _coerce(_SCENARIO_OPTIONS, root.get("scenario_options", {}), "config.scenario_options")
     entries = root.get("scenario", "case1")
+    entries = entries if isinstance(entries, list) else [entries]
+    if not entries:
+        raise ConfigError("config.scenario: list must be non-empty")
     scenarios = [
         _preset_scenario(entry, options, root, task) if isinstance(entry, str) else _inline_scenario(entry, task)
-        for entry in (entries if isinstance(entries, list) else [entries])
+        for entry in entries
     ]
     try:
         return [apply_client_selection(s, root.get("min_upload_iterations", 0)) for s in scenarios]
@@ -291,6 +294,9 @@ def expand_seeds(config: dict, scenario: str, strategy: str) -> list[tuple[int, 
     if isinstance(seeds, list):
         if not seeds:
             raise ConfigError("config.seeds: list must be non-empty")
+        for k, seed in enumerate(seeds):
+            if seed < 0:
+                raise ConfigError(f"config.seeds[{k}]: must be at least 0, got {seed}")
         return list(enumerate(seeds))
     if seeds < 1:
         raise ConfigError("config.seeds: must be a positive count or a list of seeds")
@@ -326,10 +332,6 @@ def validate_run_config(config: dict) -> tuple[list[tuple], dict]:
 # Serialization
 
 
-def _constants_dict(constants: SystemConstants) -> dict:
-    return dataclasses.asdict(constants)
-
-
 def log_to_dict(log: RunLog) -> dict:
     # runlog.json keeps every column but the per-interval models.
     names = [name for name in log.records.dtype.names if name != "model"]
@@ -339,7 +341,7 @@ def log_to_dict(log: RunLog) -> dict:
         "scenario": log.scenario,
         "seed": log.seed,
         "strategy": log.strategy,
-        "constants": _constants_dict(log.constants),
+        "constants": dataclasses.asdict(log.constants),
         "constants_source": log.constants_source,
         "analysis_inputs": log.analysis_inputs,
         "initial_model": None if log.initial_model is None else log.initial_model.tolist(),
@@ -450,7 +452,7 @@ def build_report(log: RunLog) -> dict:
     return {
         "schema_version": METRICS_SCHEMA_VERSION,
         "run": {"scenario": log.scenario["name"], "strategy": log.strategy, "seed": log.seed},
-        "constants": _constants_dict(constants),
+        "constants": dataclasses.asdict(constants),
         "constants_source": log.constants_source,
         "precondition_warnings": validate_constants(constants),
         "dissimilarity_source": dissimilarity_source,
@@ -473,7 +475,10 @@ def _cell_dir(out_dir: Path, scenario: str, strategy: str, index: int) -> Path:
     return out_dir / "runs" / f"{scenario}__{strategy}__s{index:03d}"
 
 
-def _execute_cell(args: tuple) -> dict:
+def _execute_cell(args: tuple) -> tuple[dict, list | None]:
+    """Run one cell and write its files. Returns the cell's summary entry and,
+    for a cell that ran, its loss curve: every interval's ``global_loss``,
+    then the final loss, as its ``metrics.csv`` lists them."""
     scenario, strategy, index, seed, constants, kwargs, out_dir, emit = args
     cell_dir = _cell_dir(out_dir, scenario.name, strategy, index)
     cell = {
@@ -483,6 +488,7 @@ def _execute_cell(args: tuple) -> dict:
         "seed": seed,
         "status": "ok",
     }
+    curve = None
     try:
         log = run_strategy(scenario, strategy, constants, seed, **kwargs)
         cell_dir.mkdir(parents=True, exist_ok=True)
@@ -497,10 +503,11 @@ def _execute_cell(args: tuple) -> dict:
             wall_clock=_final_clock(log),
             participation=_participation(log),
         )
+        curve = log.records.global_loss.tolist() + [log.final_loss]
     except Exception as exc:  # noqa: BLE001 - a failed cell must not stop the matrix
         cell["status"] = "failed"
         cell["error"] = f"{type(exc).__name__}: {exc}"
-    return cell
+    return cell, curve
 
 
 def _summarize(cells: list[dict], out_dir: Path) -> None:
@@ -527,24 +534,16 @@ def _summarize(cells: list[dict], out_dir: Path) -> None:
     _write_json(out_dir / "summary.json", {"cells": cells, "rows": rows})
 
 
-def _write_plotdata(cells: list[dict], out_dir: Path) -> None:
+def _write_plotdata(results: list[tuple[dict, list | None]], out_dir: Path) -> None:
+    """One loss-curve file per (scenario, strategy): the mean, min and max
+    over the loss curves of its cells that ran."""
     plot_dir = out_dir / "plotdata"
     plot_dir.mkdir(parents=True, exist_ok=True)
-    groups: dict[tuple[str, str], list[dict]] = {}
-    for cell in cells:
-        if cell["status"] == "ok":
-            groups.setdefault((cell["scenario"], cell["strategy"]), []).append(cell)
-    for (scenario, strategy), group in sorted(groups.items()):
-        curves = []
-        for cell in group:
-            path = _cell_dir(out_dir, scenario, strategy, cell["seed_index"]) / "metrics.csv"
-            if not path.exists():
-                continue
-            with path.open(encoding="utf-8") as fh:
-                reader = csv.DictReader(fh)
-                curves.append([float(r["global_loss"]) for r in reader])
-        if not curves:
-            continue
+    groups: dict[tuple[str, str], list[list]] = {}
+    for cell, curve in results:
+        if curve is not None:
+            groups.setdefault((cell["scenario"], cell["strategy"]), []).append(curve)
+    for (scenario, strategy), curves in sorted(groups.items()):
         length = min(len(c) for c in curves)
         stacked = np.array([c[:length] for c in curves])
         _write_csv(
@@ -566,13 +565,14 @@ def run_experiment(config: dict, out_dir: Path, parallel: int = 1) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            cells = list(pool.map(_execute_cell, tasks))
+            results = list(pool.map(_execute_cell, tasks))
     else:
-        cells = [_execute_cell(task) for task in tasks]
-    cells.sort(key=lambda c: (c["scenario"], c["strategy"], c["seed_index"]))
+        results = [_execute_cell(task) for task in tasks]
+    results.sort(key=lambda r: (r[0]["scenario"], r[0]["strategy"], r[0]["seed_index"]))
+    cells = [cell for cell, _ in results]
     _summarize(cells, out_dir)
     if emit["plotdata"]:
-        _write_plotdata(cells, out_dir)
+        _write_plotdata(results, out_dir)
     failed = [c for c in cells if c["status"] == "failed"]
     for cell in failed:
         print(

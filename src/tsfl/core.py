@@ -12,10 +12,6 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-# A model is a flat vector of doubles. Every client and the server share one
-# dimension within a run; helpers below enforce finiteness after each update.
-ParameterVector = np.ndarray
-
 # Tolerance for the "aggregation weights sum to one" invariant.
 WEIGHT_SUM_TOL = 1e-9
 

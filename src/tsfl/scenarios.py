@@ -395,7 +395,7 @@ def latency_table(
             overhead=overhead,
         )
         required = float(profile.max()) if required_iterations is None else float(required_iterations)
-        sfl_total = rounds * (required * float(model.seconds_per_iteration.max()) + overhead)
+        sfl_total = rounds * model.sync_round_seconds(required)
         tsfl_total = rounds * interval_length
         rows.append(
             {

@@ -42,7 +42,7 @@ class _RunSetup:
     """Materialized task, client profiles, rng streams, and resolved constants."""
 
     def __init__(self, scenario: Scenario, constants: SystemConstants, seed: int,
-                 probe_count: int, equality_theta: bool, w0):
+                 probe_count: int, equality_theta: bool):
         if probe_count < 0:
             raise ValueError(f"probe_count must be non-negative, got {probe_count}")
         root = np.random.SeedSequence(seed)
@@ -55,22 +55,17 @@ class _RunSetup:
         self.scenario = scenario
         self.task, self.profiles = scenario.materialize(self.scenario_rng)
         self.latency = scenario.latency_model()
-        self.w0 = (
-            self.scenario_rng.normal(size=self.task.dimension)
-            if w0 is None
-            else np.asarray(w0, dtype=float).copy()
-        )
+        self.w0 = self.scenario_rng.normal(size=self.task.dimension)
 
         sources = {"L": "configured", "G": "configured", "sigma": "configured"}
         sigma_i = np.zeros(scenario.n_clients)
         if probe_count > 0:
             est = estimate_constants(self.task, self.profiles, probe_count, self.scenario_rng)
-            smooth = self.task.smoothness if self.task.kind == "quadratic" else est.L_hat
             sigma_i = est.sigma_hat
             sigma_global = float(max(est.sigma_hat.max(), 0.0))
             constants = dataclasses.replace(
                 constants,
-                L=smooth,
+                L=est.L_hat,
                 G=max(est.G_hat, 1e-12),
                 sigma_global=sigma_global,
             )
@@ -285,7 +280,6 @@ def run_tsfl(
     seed: int,
     probe_count: int = 0,
     equality_theta: bool = False,
-    w0=None,
 ) -> RunLog:
     """Time-driven run, planned before it is trained: draw every interval's
     iteration counts, weigh the whole run with the strategy's rule, then train
@@ -300,7 +294,7 @@ def run_tsfl(
     spec = STRATEGIES.get(strategy)
     if spec is None or spec.weights is None:
         raise ValueError(f"{strategy!r} is not an interval strategy")
-    setup = _RunSetup(scenario, constants, seed, probe_count, equality_theta, w0)
+    setup = _RunSetup(scenario, constants, seed, probe_count, equality_theta)
     T = setup.constants.T
     # Each client draws its own T counts from its own stream, so drawing them
     # client by client yields the values of the interval-by-interval order.
@@ -322,13 +316,12 @@ def run_sfl(
     required_iterations: int | None = None,
     probe_count: int = 0,
     equality_theta: bool = False,
-    w0=None,
 ) -> RunLog:
     """Round-driven run: every client performs the same fixed iteration count,
     data-size weighting aggregates, and each round's wall clock is dominated
     by the slowest client.
     """
-    setup = _RunSetup(scenario, constants, seed, probe_count, equality_theta, w0)
+    setup = _RunSetup(scenario, constants, seed, probe_count, equality_theta)
     T = setup.constants.T
     required = (
         scenario.default_required_iterations()
@@ -370,7 +363,6 @@ def _event_run(
     local_iterations: int | None,
     probe_count: int,
     equality_theta: bool,
-    w0,
 ) -> RunLog:
     """Train a per-arrival run. Client i uploads after ``k`` local steps, so
     every ``k * seconds_per_iteration[i]`` seconds; the arrival times never
@@ -381,7 +373,7 @@ def _event_run(
     Records are emitted at interval boundaries, for comparability with the
     interval runners.
     """
-    setup = _RunSetup(scenario, constants, seed, probe_count, equality_theta, w0)
+    setup = _RunSetup(scenario, constants, seed, probe_count, equality_theta)
     k = scenario.default_required_iterations() if local_iterations is None else int(local_iterations)
     if k < 1:
         raise ValueError("local_iterations must be >= 1")
@@ -430,7 +422,6 @@ def run_afl(
     local_iterations: int | None = None,
     probe_count: int = 0,
     equality_theta: bool = False,
-    w0=None,
 ) -> RunLog:
     """Per-arrival asynchronous run with the depreciated blend update.
 
@@ -456,7 +447,7 @@ def run_afl(
 
     return _event_run(
         scenario, constants, seed, "fedasync", upload,
-        local_iterations, probe_count, equality_theta, w0,
+        local_iterations, probe_count, equality_theta,
     )
 
 
@@ -468,7 +459,6 @@ def run_semi_async(
     local_iterations: int | None = None,
     probe_count: int = 0,
     equality_theta: bool = False,
-    w0=None,
 ) -> RunLog:
     """Buffered semi-asynchronous run.
 
@@ -492,7 +482,7 @@ def run_semi_async(
 
     return _event_run(
         scenario, constants, seed, "semiasync", upload,
-        local_iterations, probe_count, equality_theta, w0,
+        local_iterations, probe_count, equality_theta,
     )
 
 

@@ -60,7 +60,41 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 _REDUCE_BATCHES = 1024
 
 
-class QuadraticTask:
+class _Task:
+    """The members both task families share. A task holds its clients' data
+    sizes in ``_sizes`` and their local optima in ``_optima``; its one-client
+    gradients are the one-row cases of its stacked ``local_grads`` and
+    ``sample_grads``."""
+
+    @property
+    def n_clients(self) -> int:
+        return len(self._sizes)
+
+    def data_size(self, client: int) -> int:
+        return int(self._sizes[client])
+
+    def local_optimum(self, client: int) -> np.ndarray:
+        return self._optima[client].copy()
+
+    def local_grad(self, client: int, w: np.ndarray) -> np.ndarray:
+        return self.local_grads([client], w[None])[0]
+
+    def sample_grad(self, client: int, w: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        return self.sample_grads([client], w[None], np.asarray(indices)[None])[0]
+
+    @cached_property
+    def gamma_noniid(self) -> np.ndarray:
+        star = self.w_star
+        return np.array(
+            [float(np.sum((star - self.local_optimum(i)) ** 2)) for i in range(self.n_clients)]
+        )
+
+    @cached_property
+    def f_star(self) -> float:
+        return self.global_loss(self.w_star)
+
+
+class QuadraticTask(_Task):
     """Per-client quadratics ``F_i(w) = mean_s 0.5 (w - c_i - z_s)' A_i (w - c_i - z_s)``.
 
     The full-batch gradient is ``A_i (w - m_i)`` with ``m_i = c_i + mean_s z_s``
@@ -107,7 +141,7 @@ class QuadraticTask:
             # copy of their offsets would raise the task's peak memory.
             lo, hi = rows[0], rows[-1] + 1
             means[rows] = (block[lo:hi, :m] if hi - lo == len(rows) else block[rows, :m]).mean(axis=1)
-        self._minima = self.centers + means
+        self._optima = self.centers + means
         self._kappa = np.array([
             0.5 * np.einsum("sd,de,se->", z - m, a, z - m) / z.shape[0]
             for z, m, a in zip(self.offsets, means, self.curvatures)
@@ -160,37 +194,17 @@ class QuadraticTask:
         return cls(curvatures, noniid_spread * directions, offsets, sizes=data_sizes)
 
     @property
-    def n_clients(self) -> int:
-        return len(self.centers)
-
-    @property
     def dimension(self) -> int:
         return self.centers[0].shape[0]
-
-    def data_size(self, client: int) -> int:
-        return self.offsets[client].shape[0]
 
     @cached_property
     def w_star(self) -> np.ndarray:
         total = sum(self.curvatures)
-        rhs = sum(a @ m for a, m in zip(self.curvatures, self._minima))
+        rhs = sum(a @ m for a, m in zip(self.curvatures, self._optima))
         return np.linalg.solve(total, rhs)
 
-    def local_optimum(self, client: int) -> np.ndarray:
-        return self._minima[client].copy()
-
-    @cached_property
-    def gamma_noniid(self) -> np.ndarray:
-        return np.array(
-            [float(np.sum((self.w_star - m) ** 2)) for m in self._minima]
-        )
-
-    @cached_property
-    def f_star(self) -> float:
-        return self.global_loss(self.w_star)
-
     def local_loss(self, client: int, w: np.ndarray) -> float:
-        e = w - self._minima[client]
+        e = w - self._optima[client]
         return float(0.5 * e @ self.curvatures[client] @ e + self._kappa[client])
 
     # The stacked gradients are matmuls, not einsums: each row then equals the
@@ -198,7 +212,7 @@ class QuadraticTask:
 
     def local_grads(self, clients, w: np.ndarray) -> np.ndarray:
         """Full-batch gradients at a stack of points, row i on client ``clients[i]``."""
-        return (self.curvatures[clients] @ (w - self._minima[clients])[:, :, None])[:, :, 0]
+        return (self.curvatures[clients] @ (w - self._optima[clients])[:, :, None])[:, :, 0]
 
     def sample_grads(self, clients, w: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """Mini-batch gradients, row i on the offsets ``indices[i]`` of client ``clients[i]``."""
@@ -221,14 +235,8 @@ class QuadraticTask:
         mean offset is ``mean_offsets[i]`` (see ``reduce_batches``)."""
         return (self.curvatures[clients] @ (w - self.centers[clients] - mean_offsets)[:, :, None])[:, :, 0]
 
-    def local_grad(self, client: int, w: np.ndarray) -> np.ndarray:
-        return self.local_grads([client], w[None])[0]
-
-    def sample_grad(self, client: int, w: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        return self.sample_grads([client], w[None], np.asarray(indices)[None])[0]
-
     def global_loss(self, w: np.ndarray) -> float:
-        e = w - self._minima
+        e = w - self._optima
         quad = np.einsum("nd,nde,ne->", e, self.curvatures, e)
         return float((0.5 * quad + self._kappa.sum()) / self.n_clients)
 
@@ -236,7 +244,7 @@ class QuadraticTask:
         return self.local_grads(slice(None), w).mean(axis=0)
 
 
-class LogisticTask:
+class LogisticTask(_Task):
     """Binary L2-regularized logistic regression on client-specific clusters.
 
     Client data are two Gaussian clusters at ``+/- separation * b`` shifted by
@@ -304,15 +312,8 @@ class LogisticTask:
         return cls(features, labels, l2_reg=l2_reg)
 
     @property
-    def n_clients(self) -> int:
-        return len(self.labels)
-
-    @property
     def dimension(self) -> int:
         return self._dim
-
-    def data_size(self, client: int) -> int:
-        return self.labels[client].shape[0]
 
     def local_loss(self, client: int, w: np.ndarray) -> float:
         y = self.labels[client]
@@ -354,12 +355,6 @@ class LogisticTask:
         return indices
 
     reduced_grads = sample_grads
-
-    def local_grad(self, client: int, w: np.ndarray) -> np.ndarray:
-        return self.local_grads([client], w[None])[0]
-
-    def sample_grad(self, client: int, w: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        return self.sample_grads([client], w[None], np.asarray(indices)[None])[0]
 
     def global_loss(self, w: np.ndarray) -> float:
         """Mean of the clients' ``local_loss``, one stacked call per data size."""
@@ -405,37 +400,20 @@ class LogisticTask:
         )
 
     @cached_property
-    def _design_norm(self) -> float:
-        return max(
-            float(np.linalg.eigvalsh(x.T @ x / x.shape[0]).max()) for x in self._design
-        )
-
-    @cached_property
     def smoothness(self) -> float:
         # Exact upper bound: sigmoid curvature is at most 1/4.
-        return 0.25 * self._design_norm + self.l2_reg
+        design_norm = max(
+            float(np.linalg.eigvalsh(x.T @ x / x.shape[0]).max()) for x in self._design
+        )
+        return 0.25 * design_norm + self.l2_reg
 
     @cached_property
     def w_star(self) -> np.ndarray:
         return self._descend(lambda w: self.global_grad(w[0])[None], ["w*"])[0]
 
     @cached_property
-    def _local_optima(self) -> np.ndarray:
+    def _optima(self) -> np.ndarray:
         return self._descend(self._full_grads, [f"client {i}" for i in range(self.n_clients)])
-
-    def local_optimum(self, client: int) -> np.ndarray:
-        return self._local_optima[client].copy()
-
-    @cached_property
-    def gamma_noniid(self) -> np.ndarray:
-        star = self.w_star
-        return np.array(
-            [float(np.sum((star - self.local_optimum(i)) ** 2)) for i in range(self.n_clients)]
-        )
-
-    @cached_property
-    def f_star(self) -> float:
-        return self.global_loss(self.w_star)
 
 
 def _replay(rng, n: int, b: int, count: int) -> np.ndarray:

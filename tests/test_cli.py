@@ -2,10 +2,14 @@ import copy
 import csv
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tsfl.cli import (
     ConfigError,
@@ -23,6 +27,7 @@ from tsfl.cli import (
     run_experiment,
     validate_run_config,
 )
+from tsfl.core import RunLog, SystemConstants, interval_records
 from tsfl.scheduler import ALL_STRATEGIES
 
 
@@ -199,6 +204,43 @@ def test_runlog_roundtrip_preserves_analysis(tmp_path):
         assert report == on_disk, strategy
 
 
+@st.composite
+def record_arrays(draw):
+    """A record array of T 1-6 rows, n 1-5 clients and d 1-3 dimensions:
+    finite values everywhere, and NaN as well in the loss columns."""
+    t, n, d = draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    loss = st.floats(allow_infinity=False)
+    counts = st.integers(-(2**31), 2**31)
+    records = interval_records(t, n, d)
+    records.t = draw(arrays(np.int64, t, elements=counts))
+    records.tau = draw(arrays(np.int64, (t, n), elements=counts))
+    records.beta = draw(arrays(np.int64, (t, n), elements=st.integers(0, 1)))
+    records.rho = draw(arrays(float, (t, n), elements=finite))
+    records.global_loss = draw(arrays(float, t, elements=loss))
+    records.global_grad_norm_sq = draw(arrays(float, t, elements=loss))
+    records.wall_clock = draw(arrays(float, t, elements=finite))
+    records.aggregated = draw(arrays(bool, t))
+    records.model = draw(arrays(float, (t, d), elements=finite))
+    return records
+
+
+@settings(max_examples=100, deadline=None)
+@given(record_arrays())
+def test_record_columns_round_trip_through_runlog_json(records):
+    n, d = records.tau.shape[1], records.model.shape[1]
+    log = RunLog(scenario={"n_clients": n}, seed=0, strategy="fedavg", constants=SystemConstants(),
+                 records=records, initial_model=np.zeros(d), final_model=np.ones(d))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "runlog.json"
+        _write_json(path, log_to_dict(log))
+        back = log_from_dict(json.loads(path.read_text(encoding="utf-8")))
+    for name in records.dtype.names:
+        if name != "model":
+            assert np.array_equal(back.records[name], records[name], equal_nan=records[name].dtype.kind == "f"), name
+    assert back.records.model.shape == records.model.shape and np.isnan(back.records.model).all()
+
+
 def _refuse_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 
@@ -373,6 +415,17 @@ def test_plotdata_emission(tmp_path):
     assert len(lines) == 1 + 4 + 1
 
 
+def test_plotdata_without_csv_matches_plotdata_with_csv(tmp_path):
+    trees = []
+    for emit_csv in (True, False):
+        config = small_config(strategies=["fedavg", "tsfl-dms"], emit={"csv": emit_csv, "plotdata": True})
+        out = tmp_path / f"csv-{emit_csv}"
+        assert main(["run", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 0
+        assert (out / "runs" / "case1__fedavg__s000" / "metrics.csv").exists() == emit_csv
+        trees.append(tree_bytes(out / "plotdata"))
+    assert len(trees[0]) == 2 and trees[0] == trees[1]
+
+
 def test_validate_run_config_catches_bad_constants():
     with pytest.raises(ConfigError, match="constants"):
         validate_run_config(small_config(constants={"bogus": 1.0}))
@@ -472,6 +525,8 @@ INLINE = {"n_clients": 4, "processes": [{"kind": "fixed", "tau": 1}], "data_size
         ({"scenario_options": {"n_clients": 0}}, "config.scenario_options.n_clients: must be at least 1, got 0"),
         ({"scenario": "homogeneous", "scenario_options": {"tau": -1}},
          "config.scenario_options.tau: must be at least 0, got -1"),
+        ({"seeds": [3, -1]}, "config.seeds[1]: must be at least 0, got -1"),
+        ({"scenario": []}, "config.scenario: list must be non-empty"),
     ],
 )
 def test_unread_or_malformed_options_are_config_errors(tmp_path, capsys, overrides, location):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsfl.aggregation import (
-    aggregate,
     bound_optimal_weights,
     dms_weights,
     fedavg_weights,
@@ -423,7 +422,7 @@ def test_planned_run_equals_a_per_interval_loop(strategy, full_batch):
     constants = SystemConstants(eta=0.02, L=1.0, N=10, H=8, T=8, sigma_global=1.0, mu=0.5)
     log = run_tsfl(scenario, strategy, constants, seed=5, probe_count=3)
 
-    setup = _RunSetup(scenario, constants, 5, 3, False, None)
+    setup = _RunSetup(scenario, constants, 5, 3, False)
     # The counts drawn interval by interval, all clients in each.
     tau = np.array([[p.compute_process.draw(rng) for p, rng in zip(setup.profiles, setup.tau_rngs)]
                     for _ in range(constants.T)])
@@ -446,12 +445,12 @@ def test_sfl_equals_a_round_loop():
     constants = SystemConstants(eta=0.02, L=1.0, N=6, H=4, T=5, sigma_global=1.0)
     log = run_sfl(scenario, constants, seed=3, required_iterations=3)
 
-    setup = _RunSetup(scenario, constants, 3, 0, False, None)
+    setup = _RunSetup(scenario, constants, 3, 0, False)
     weights = fedavg_weights([p.data_size for p in setup.profiles])
     w, clock, round_seconds = setup.w0.copy(), 0.0, setup.latency.sync_round_seconds(3)
     for record in log.records:
-        w = aggregate(train_clients(setup.task, np.arange(6), w, np.full(6, 3), constants.eta,
-                                    batches=_choice_batches(setup, np.full(6, 3))), weights)
+        w = weights.rho @ train_clients(setup.task, np.arange(6), w, np.full(6, 3), constants.eta,
+                                        batches=_choice_batches(setup, np.full(6, 3)))
         clock += round_seconds
         assert np.array_equal(record.model, w)
         assert record.wall_clock == clock
@@ -533,14 +532,14 @@ def test_negative_probe_count_raises():
     scenario = scenario_with([FixedIterations(2)] * 3)
     constants = SystemConstants(eta=0.02, L=1.0, N=3, H=2, T=2, sigma_global=1.0)
     with pytest.raises(ValueError, match=r"^probe_count must be non-negative, got -1$"):
-        _RunSetup(scenario, constants, 0, -1, False, None)
+        _RunSetup(scenario, constants, 0, -1, False)
 
 
 @pytest.mark.parametrize("full_batch", [False, True])
 def test_training_past_the_planned_steps_raises(full_batch):
     scenario = dataclasses.replace(scenario_with([FixedIterations(2)] * 3), full_batch=full_batch)
     constants = SystemConstants(eta=0.02, L=1.0, N=3, H=2, T=2, sigma_global=1.0)
-    setup = _RunSetup(scenario, constants, 0, 0, False, None)
+    setup = _RunSetup(scenario, constants, 0, 0, False)
     setup.plan_batches([2, 1, 0])
     setup.train([0, 1, 2], setup.w0, [1, 1, 0], 0)
     setup.train([0], setup.w0, [1], 1)

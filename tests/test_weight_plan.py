@@ -42,21 +42,19 @@ def plan_inputs(draw):
     sigma = draw(arrays(float, n, elements=st.floats(0.3, 2.0)))
     gamma = draw(arrays(float, n, elements=magnitude))
     r0 = draw(magnitude)
-    return tau, beta, constants, sigma, gamma, r0, draw(st.booleans())
+    return tau, beta, constants, sigma, gamma, r0
 
 
 @settings(max_examples=150, deadline=None)
 @given(plan_inputs())
 def test_plan_rows_equal_one_interval_solves_bit_for_bit(inputs):
-    tau, beta, constants, sigma, gamma, r0, shared = inputs
+    tau, beta, constants, sigma, gamma, r0 = inputs
     with np.errstate(all="raise"):
-        plan = bound_optimal_weight_plan(tau, beta, constants, sigma, gamma, r0=r0,
-                                         shared_noise_sums=shared)
+        plan = bound_optimal_weight_plan(tau, beta, constants, sigma, gamma, r0=r0)
         assert plan.shape == tau.shape
         for t in range(len(tau)):
             one = bound_optimal_weights(tau[: t + 1], constants, sigma, gamma,
-                                        beta_history=beta[: t + 1], r0=r0,
-                                        shared_noise_sums=shared)
+                                        beta_history=beta[: t + 1], r0=r0)
             assert np.array_equal(plan[t], one.rho), t
     assert np.all(plan[beta == 0] == 0.0)
     rows = beta.any(axis=1)
@@ -147,7 +145,7 @@ def _dms_oracle(tau, eligible, constants, rng):
 def _assert_row_equals(rho, raw, assignment, oracle):
     assert np.array_equal(rho, assignment.rho) and np.array_equal(rho, oracle[0])
     assert np.array_equal(raw, assignment.rho_unclamped) and np.array_equal(raw, oracle[1])
-    assert bool((raw < 0.0).any()) == assignment.clamped
+    assert bool((raw < 0.0).any()) == (assignment.rho_unclamped < 0).any()
 
 
 CLAMPING = (np.array([[0.0, 4.0, 8.0], [3.0, 3.0, 0.0]]), np.array([[True, True, True], [True, False, True]]),
