@@ -4,7 +4,6 @@ selection, baseline strategies, and loss-bound diagnostics.
 """
 
 from .core import (
-    ClientProfile,
     IntervalRecord,
     RunLog,
     SystemConstants,

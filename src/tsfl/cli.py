@@ -21,6 +21,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -157,7 +158,6 @@ class _Root(typing.TypedDict, total=False):
     task: dict
     constants: dict
     strategies: list[_STRATEGY]
-    strategy: _STRATEGY
     runner: dict
     seeds: int | list[int]
     master_seed: int
@@ -309,7 +309,7 @@ def validate_run_config(config: dict) -> tuple[list[tuple], dict]:
     strategy, seed index, seed, constants, runner kwargs)``, and the emit
     flags; raises before any output."""
     root = _coerce(_TYPES[_Root], config, "config")
-    strategies = root.get("strategies", [root["strategy"]] if "strategy" in root else [])
+    strategies = root.get("strategies", [])
     if not strategies:
         raise ConfigError("config.strategies: a non-empty list of strategy names is required")
     kwargs = {name: _run_kwargs(root, name) for name in strategies}
@@ -317,6 +317,9 @@ def validate_run_config(config: dict) -> tuple[list[tuple], dict]:
     constants = build_constants(root)
     cells = []
     for scenario in build_scenarios(root):
+        if constants.N != scenario.n_clients:
+            raise ConfigError(f"config.constants.N: {constants.N} differs from the {scenario.n_clients} "
+                              f"clients of scenario {scenario.name!r}")
         for strategy in strategies:
             if kwargs[strategy].get("buffer_size", 1) > scenario.n_clients:
                 raise ConfigError(f"config.runner.buffer_size: more than the {scenario.n_clients} "
@@ -625,14 +628,9 @@ def reanalyze(out_dir: Path) -> int:
 
 
 def list_presets() -> int:
-    descriptions = {
-        "case1": "20 clients, fixed iterations: half 1, half 4 (degree 2.25)",
-        "case2": "20 clients, fixed iterations 1/2/3/4 by quarters (degree 1.25)",
-        "case3": "20 clients, floored-Gaussian iterations and tiered data sizes",
-        "homogeneous": "identical clients, fixed iterations (degree 0)",
-    }
+    """Print each preset's name and the first line of its factory's docstring."""
     for name in sorted(PRESETS):
-        print(f"{name:<12} {descriptions.get(name, '')}")
+        print(f"{name:<12} {inspect.getdoc(PRESETS[name]).splitlines()[0]}")
     return 0
 
 

@@ -1,14 +1,14 @@
-"""Shared domain types: analysis constants, client profiles, and run logs.
+"""Shared domain types: analysis constants and run logs.
 
-Constants and profiles are plain value types. A run log holds one
-preallocated record array that the runners fill in place, one row per
-interval, and that ``RunLog.validate`` checks once the run is over.
+Constants are a plain value type. A run log holds one preallocated record
+array that the runners fill in place, one row per interval, and that
+``RunLog.validate`` checks once the run is over.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,34 +113,6 @@ def validate_constants(constants: SystemConstants) -> list[str]:
     if constants.eta >= limit:
         warnings.append(f"eta={constants.eta:g} >= 2*epsilon/(V^2*L)={limit:g}")
     return warnings
-
-
-@dataclass
-class ClientProfile:
-    """Static description of one client: data, noise level, and compute power.
-
-    ``compute_process`` yields the per-interval iteration count; see the
-    scenarios module for the concrete processes. ``sigma_i`` bounds the
-    stochastic-gradient deviation and ``gamma_noniid`` is the squared distance
-    between the client's optimum and the global optimum.
-    """
-
-    id: int
-    data_size: int
-    batch_size: int
-    sigma_i: float = 0.0
-    gamma_noniid: float = 0.0
-    compute_process: Any = None
-
-    def __post_init__(self) -> None:
-        if self.id < 1:
-            raise ValueError("client ids are 1-based")
-        if self.data_size < 1:
-            raise ValueError("data_size must be positive")
-        if not 1 <= self.batch_size <= self.data_size:
-            raise ValueError("batch_size must lie in [1, data_size]")
-        if self.sigma_i < 0 or self.gamma_noniid < 0:
-            raise ValueError("sigma_i and gamma_noniid must be non-negative")
 
 
 class IntervalRecord(NamedTuple):

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ClientProfile
 from .training import LogisticTask, QuadraticTask
 
 
@@ -208,25 +207,11 @@ class Scenario:
             overhead=self.overhead,
         )
 
-    def materialize(self, rng) -> tuple["object", list[ClientProfile]]:
-        """Draw the data sizes, build the task, and assemble client profiles."""
-        sizes = []
-        for spec in self.data_sizes:
-            if isinstance(spec, GaussianFloorSize):
-                sizes.append(spec.draw(rng, minimum=self.batch_size))
-            else:
-                sizes.append(int(spec))
-        task = self.task.build(self.n_clients, sizes, rng)
-        profiles = [
-            ClientProfile(
-                id=i + 1,
-                data_size=sizes[i],
-                batch_size=min(self.batch_size, sizes[i]),
-                compute_process=self.processes[i],
-            )
-            for i in range(self.n_clients)
-        ]
-        return task, profiles
+    def materialize(self, rng):
+        """Draw the data sizes and build the task."""
+        sizes = [spec.draw(rng, minimum=self.batch_size) if isinstance(spec, GaussianFloorSize) else int(spec)
+                 for spec in self.data_sizes]
+        return self.task.build(self.n_clients, sizes, rng)
 
     def describe(self) -> dict:
         return {

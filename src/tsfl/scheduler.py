@@ -1,5 +1,6 @@
 """Run engines: time-driven intervals, round-driven sync, per-arrival async,
-and buffered semi-async, all producing the same RunLog shape.
+and buffered semi-async. Each plans its whole upload schedule first, and one
+loop (``_train``) trains every run into the same RunLog shape.
 
 Determinism contract: a run is a pure function of (scenario, strategy,
 constants, seed). The seed expands through a fixed spawn layout - one stream
@@ -39,12 +40,16 @@ from .training import draw_batches, estimate_constants, local_train, train_clien
 
 
 class _RunSetup:
-    """Materialized task, client profiles, rng streams, and resolved constants."""
+    """Materialized task, client data and batch sizes, rng streams, and
+    resolved constants."""
 
     def __init__(self, scenario: Scenario, constants: SystemConstants, seed: int,
                  probe_count: int, equality_theta: bool):
         if probe_count < 0:
             raise ValueError(f"probe_count must be non-negative, got {probe_count}")
+        if constants.N != scenario.n_clients:
+            raise ValueError(f"constants.N={constants.N} differs from the {scenario.n_clients} "
+                             f"clients of scenario {scenario.name!r}")
         root = np.random.SeedSequence(seed)
         scenario_ss, server_ss, tau_parent, batch_parent = root.spawn(4)
         self.scenario_rng = np.random.default_rng(scenario_ss)
@@ -53,14 +58,16 @@ class _RunSetup:
         self.batch_rngs = [np.random.default_rng(s) for s in batch_parent.spawn(scenario.n_clients)]
 
         self.scenario = scenario
-        self.task, self.profiles = scenario.materialize(self.scenario_rng)
+        self.task = scenario.materialize(self.scenario_rng)
+        self.sizes = np.array([self.task.data_size(i) for i in range(scenario.n_clients)])
+        self.batch = np.minimum(scenario.batch_size, self.sizes)
         self.latency = scenario.latency_model()
         self.w0 = self.scenario_rng.normal(size=self.task.dimension)
 
         sources = {"L": "configured", "G": "configured", "sigma": "configured"}
         sigma_i = np.zeros(scenario.n_clients)
         if probe_count > 0:
-            est = estimate_constants(self.task, self.profiles, probe_count, self.scenario_rng)
+            est = estimate_constants(self.task, self.batch, probe_count, self.scenario_rng)
             sigma_i = est.sigma_hat
             sigma_global = float(max(est.sigma_hat.max(), 0.0))
             constants = dataclasses.replace(
@@ -75,8 +82,6 @@ class _RunSetup:
         self.constants = constants
         self.sources = sources
         self.sigma_i = sigma_i
-        for profile, sigma in zip(self.profiles, sigma_i):
-            profile.sigma_i = float(sigma)
 
         probes = [self.w0 + 0.5 * self.scenario_rng.normal(size=self.task.dimension)
                   for _ in range(probe_count)]
@@ -107,9 +112,7 @@ class _RunSetup:
         self.used = np.zeros_like(self.planned)
         self.batches = None
         if not self.scenario.full_batch:
-            self.batches = draw_batches(
-                self.batch_rngs, [p.data_size for p in self.profiles],
-                np.array([p.batch_size for p in self.profiles]), self.planned)
+            self.batches = draw_batches(self.batch_rngs, self.sizes, self.batch, self.planned)
             # In place: each index stream is dropped as soon as it is reduced.
             for i, drawn in enumerate(self.batches):
                 self.batches[i] = self.task.reduce_batches(i, drawn)
@@ -142,8 +145,10 @@ class _RunSetup:
             context=f"interval {interval}",
         )
 
-    def new_log(self, strategy: str, seed: int) -> RunLog:
-        return RunLog(
+    def new_log(self, strategy: str, seed: int, clock) -> RunLog:
+        """An empty log of the run, its rows numbered and closed at the wall
+        clock times ``clock``."""
+        log = RunLog(
             scenario=self.scenario.describe(),
             seed=seed,
             strategy=strategy,
@@ -153,6 +158,9 @@ class _RunSetup:
             constants_source=self.sources,
             analysis_inputs=self.analysis_inputs,
         )
+        log.records.t = np.arange(self.constants.T)
+        log.records.wall_clock = clock
+        return log
 
     def finish(self, log: RunLog, model: np.ndarray) -> RunLog:
         grad = self.task.global_grad(model)
@@ -172,8 +180,7 @@ class _RunSetup:
 
 
 def _fedavg_plan(setup, tau, eligible):
-    sizes = [p.data_size for p in setup.profiles]
-    return proportional_weight_plan(sizes, eligible), eligible
+    return proportional_weight_plan(setup.sizes, eligible), eligible
 
 
 def _theorem2_plan(setup, tau, eligible):
@@ -236,41 +243,70 @@ INTERVAL_STRATEGIES = tuple(name for name, spec in STRATEGIES.items() if spec.we
 ALL_STRATEGIES = tuple(STRATEGIES)
 
 
+def _train(setup: _RunSetup, log: RunLog, intervals, groups, steps, combine,
+           proximal: bool = False) -> RunLog:
+    """Train a planned run: the one training loop of every strategy.
+
+    Group g trains in interval ``intervals[g]`` (non-decreasing): client
+    ``groups[g][j]`` takes ``steps[g][j]`` local steps from the global model
+    it downloaded after its previous upload, then ``combine(g, w, clients,
+    models)`` returns the new global model, or None when it is unchanged.
+    Groups of one interval train in order, and every member of a group
+    downloads the model its group leaves. ``proximal`` adds the FedProx pull
+    toward the current global model. The schedule is written to
+    ``records.tau`` and its mini-batches are planned before training.
+    """
+    records = log.records
+    tau = records.tau
+    # A group lists each client at most once.
+    for t, ids, k in zip(intervals, groups, steps):
+        tau[t, ids] += k
+    setup.plan_batches(tau.sum(axis=0))
+    # Interval t trains groups first[t] to first[t + 1].
+    first = np.searchsorted(intervals, np.arange(len(records) + 1))
+    # Columns looked up once: a recarray attribute lookup per interval costs
+    # more than the arithmetic of a small task.
+    losses, grad_norms, models = records.global_loss, records.global_grad_norm_sq, records.model
+    aggregated = records.aggregated
+    basis = np.tile(setup.w0, (setup.scenario.n_clients, 1))
+    w = setup.w0.copy()
+    for t in range(len(records)):
+        grad = setup.task.global_grad(w)
+        losses[t] = setup.task.global_loss(w)
+        grad_norms[t] = grad @ grad
+        for g in range(first[t], first[t + 1]):
+            ids = groups[g]
+            new = combine(g, w, ids, setup.train(ids, basis[ids], steps[g], t,
+                                                 prox_center=w if proximal else None))
+            if new is not None:
+                w, aggregated[t] = new, True
+            basis[ids] = w
+        models[t] = w
+    return setup.finish(log, w)
+
+
 def _run_plan(setup: _RunSetup, strategy: str, seed: int, tau, beta, rho, clock,
               proximal: bool = False) -> RunLog:
-    """Train a planned run: in interval t every client takes ``tau[t]`` local
-    steps from the current global model, then the local models are combined
-    under ``rho[t]``. An interval where every weight is zero carries the
-    model over and is marked non-aggregated. ``beta`` and ``clock`` (the wall
-    clock at each interval's end) are recorded as given.
+    """Train a planned synchronous run: in interval t every client takes
+    ``tau[t]`` local steps from the current global model, then the local
+    models are combined under ``rho[t]``. An interval where every weight is
+    zero carries the model over and is marked non-aggregated. ``beta`` and
+    ``clock`` (the wall clock at each interval's end) are recorded as given.
     """
     # A strided row of rho (a plan built from a transposed tau, say) would
     # round its product with the local models differently.
     rho = np.ascontiguousarray(rho)
-    log = setup.new_log(strategy, seed)
-    records = log.records
-    aggregated = (rho > 0.0).any(axis=1)
-    records.t = np.arange(len(tau))
-    records.tau, records.beta, records.rho, records.aggregated = tau, beta, rho, aggregated
-    records.wall_clock = clock
+    log = setup.new_log(strategy, seed, clock)
+    log.records.beta, log.records.rho = beta, rho
+    weighed = (rho > 0.0).any(axis=1)
 
-    setup.plan_batches(tau.sum(axis=0))
-    # Columns looked up once: a recarray attribute lookup per interval costs
-    # more than the arithmetic of a small task.
-    losses, grad_norms, models = records.global_loss, records.global_grad_norm_sq, records.model
-    clients = np.arange(setup.scenario.n_clients)
-    w = setup.w0.copy()
-    for t in range(len(tau)):
-        grad = setup.task.global_grad(w)
-        losses[t] = setup.task.global_loss(w)
-        grad_norms[t] = grad @ grad
-        local_models = setup.train(clients, w, tau[t], t, prox_center=w if proximal else None)
-        if aggregated[t]:
-            # RunLog.validate checks every row's weights once the run is over,
-            # and train_clients has checked that the local models are finite.
-            w = rho[t] @ local_models
-        models[t] = w
-    return setup.finish(log, w)
+    def combine(t, w, clients, models):
+        # RunLog.validate checks every row's weights once the run is over,
+        # and train_clients has checked that the local models are finite.
+        return rho[t] @ models if weighed[t] else None
+
+    T, n = tau.shape
+    return _train(setup, log, np.arange(T), [np.arange(n)] * T, tau, combine, proximal)
 
 
 def run_tsfl(
@@ -300,7 +336,7 @@ def run_tsfl(
     # client by client yields the values of the interval-by-interval order.
     # The transpose is copied, so the plans read contiguous rows.
     tau = np.ascontiguousarray(np.array(
-        [p.compute_process.draw(rng, size=T) for p, rng in zip(setup.profiles, setup.tau_rngs)],
+        [process.draw(rng, size=T) for process, rng in zip(scenario.processes, setup.tau_rngs)],
         dtype=int,
     ).T)
     eligible = tau >= scenario.min_upload_iterations
@@ -331,7 +367,7 @@ def run_sfl(
     if required < 1:
         raise ValueError("required_iterations must be >= 1")
     n = scenario.n_clients
-    rho = np.tile(fedavg_weights([p.data_size for p in setup.profiles]).rho, (T, 1))
+    rho = np.tile(fedavg_weights(setup.sizes).rho, (T, 1))
     # cumsum adds in sequence: the same bits as a clock advanced round by round.
     clock = np.cumsum(np.full(T, setup.latency.sync_round_seconds(required)))
     return _run_plan(setup, "sfl", seed, np.full((T, n), required), np.ones((T, n), dtype=int),
@@ -368,8 +404,8 @@ def _event_run(
     every ``k * seconds_per_iteration[i]`` seconds; the arrival times never
     read the model, so the whole schedule is planned first. Arrivals sharing
     a timestamp train as one group, in client order, each from the global
-    model it downloaded after its previous upload. ``upload(w, clients,
-    models)`` returns the new global model, or None when it is unchanged.
+    model it downloaded after its previous upload. ``upload`` is the
+    ``combine`` rule of ``_train``.
     Records are emitted at interval boundaries, for comparability with the
     interval runners.
     """
@@ -377,41 +413,17 @@ def _event_run(
     k = scenario.default_required_iterations() if local_iterations is None else int(local_iterations)
     if k < 1:
         raise ValueError("local_iterations must be >= 1")
-    T, n = setup.constants.T, scenario.n_clients
-    boundaries = np.arange(1, T + 1) * scenario.interval_length
+    boundaries = np.arange(1, setup.constants.T + 1) * scenario.interval_length
     times, clients = _arrivals(k * setup.latency.seconds_per_iteration, boundaries[-1])
-    setup.plan_batches(k * np.bincount(clients, minlength=n))
-    # An arrival exactly on a boundary closes that interval.
-    intervals = np.searchsorted(boundaries, times)
-
-    log = setup.new_log(strategy, seed)
-    records = log.records
-    records.t = np.arange(T)
-    records.wall_clock = boundaries
-    # tau holds the iterations trained in each interval. The uploads are
-    # weighed outside the interval rows, so beta and rho stay zero.
-    np.add.at(records.tau, (intervals, clients), k)
-
-    # Arrivals sharing a timestamp form one group; interval t trains groups
-    # first[t] to first[t + 1].
+    # Arrivals sharing a timestamp form one group, trained in the interval
+    # their timestamp falls in; one exactly on a boundary closes that
+    # interval. The uploads are weighed outside the interval rows, so beta
+    # and rho stay zero.
     starts = np.flatnonzero(np.diff(times, prepend=-np.inf))
-    groups = np.split(clients, starts[1:])
-    first = np.searchsorted(intervals[starts], np.arange(T + 1))
-    losses, grad_norms, models = records.global_loss, records.global_grad_norm_sq, records.model
-    aggregated = records.aggregated
-    basis = np.tile(setup.w0, (n, 1))
-    w = setup.w0.copy()
-    for t in range(T):
-        grad = setup.task.global_grad(w)
-        losses[t] = setup.task.global_loss(w)
-        grad_norms[t] = grad @ grad
-        for ids in groups[first[t]:first[t + 1]]:
-            new = upload(w, ids, setup.train(ids, basis[ids], np.full(len(ids), k), t))
-            if new is not None:
-                w, aggregated[t] = new, True
-            basis[ids] = w
-        models[t] = w
-    return setup.finish(log, w)
+    groups = np.split(clients, starts)[1:]
+    steps = np.split(np.full(clients.size, k), starts)[1:]
+    log = setup.new_log(strategy, seed, boundaries)
+    return _train(setup, log, np.searchsorted(boundaries, times[starts]), groups, steps, upload)
 
 
 def run_afl(
@@ -434,7 +446,7 @@ def run_afl(
         raise ValueError(f"unknown asynchronous variant {variant!r}")
     latest = None
 
-    def upload(w, clients, models):
+    def upload(_, w, clients, models):
         nonlocal latest
         if latest is None:
             # Slots start at the initial global model, which is still current
@@ -472,7 +484,7 @@ def run_semi_async(
         raise ValueError("buffer_size must lie in [1, n_clients]")
     buffer: list[np.ndarray] = []
 
-    def upload(w, clients, models):
+    def upload(_, w, clients, models):
         buffer.extend(models)
         new = None
         while len(buffer) >= buffer_size:

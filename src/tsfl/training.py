@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ClientProfile, row_dot
+from .core import row_dot
 
 
 @dataclass
@@ -723,8 +723,9 @@ class EstimatedConstants:
     source: dict
 
 
-def estimate_constants(task, clients: list[ClientProfile], probe_count: int, rng) -> EstimatedConstants:
-    """Probe the task to estimate the smoothness, gradient, and noise bounds.
+def estimate_constants(task, batch_sizes, probe_count: int, rng) -> EstimatedConstants:
+    """Probe the task to estimate the smoothness, gradient, and noise bounds;
+    client i draws mini-batches of ``batch_sizes[i]`` samples.
 
     The gradient bound is the largest stochastic-gradient norm seen across
     probe points; the per-client noise bound is the largest observed deviation
@@ -744,7 +745,7 @@ def estimate_constants(task, clients: list[ClientProfile], probe_count: int, rng
         raise ValueError("probe_count must be >= 1")
     n, d = task.n_clients, task.dimension
     sizes = [task.data_size(i) for i in range(n)]
-    batch = np.array([profile.batch_size for profile in clients[:n]])
+    batch = np.asarray(batch_sizes, dtype=int)
     if np.any(batch > sizes):
         raise ValueError("batch_size exceeds the client's data size")
     probes = [rng.normal(size=d) for _ in range(probe_count)]

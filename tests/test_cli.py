@@ -28,6 +28,7 @@ from tsfl.cli import (
     validate_run_config,
 )
 from tsfl.core import RunLog, SystemConstants, interval_records
+from tsfl.scenarios import PRESETS
 from tsfl.scheduler import ALL_STRATEGIES
 
 
@@ -327,7 +328,7 @@ def test_presets_verb_lists_builtins(capsys):
     assert main(["presets"]) == 0
     out = capsys.readouterr().out
     for name in ("case1", "case2", "case3", "homogeneous"):
-        assert name in out
+        assert f"{name:<12} {PRESETS[name].__doc__.splitlines()[0]}\n" in out
 
 
 def test_latency_verb_requires_both_schedulers(tmp_path):
@@ -527,6 +528,9 @@ INLINE = {"n_clients": 4, "processes": [{"kind": "fixed", "tau": 1}], "data_size
          "config.scenario_options.tau: must be at least 0, got -1"),
         ({"seeds": [3, -1]}, "config.seeds[1]: must be at least 0, got -1"),
         ({"scenario": []}, "config.scenario: list must be non-empty"),
+        ({"constants": {"eta": 0.05, "T": 4, "H": 4}},
+         "config.constants.N: 20 differs from the 4 clients of scenario 'case1'"),
+        ({"strategy": "fedavg"}, "config: unknown keys ['strategy']"),
     ],
 )
 def test_unread_or_malformed_options_are_config_errors(tmp_path, capsys, overrides, location):

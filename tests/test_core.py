@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tsfl.core import (
-    ClientProfile,
     IntervalRecord,
     RunLog,
     SystemConstants,
@@ -62,16 +61,6 @@ def test_theta_default_floors_at_one():
 def test_constants_reject_bad_values(kwargs):
     with pytest.raises(ValueError):
         SystemConstants(**kwargs)
-
-
-def test_client_profile_invariants():
-    ClientProfile(id=1, data_size=64, batch_size=32)
-    with pytest.raises(ValueError):
-        ClientProfile(id=0, data_size=64, batch_size=32)
-    with pytest.raises(ValueError):
-        ClientProfile(id=1, data_size=16, batch_size=32)
-    with pytest.raises(ValueError):
-        ClientProfile(id=1, data_size=16, batch_size=8, gamma_noniid=-1.0)
 
 
 def test_ensure_finite_rejects_nan_and_inf():

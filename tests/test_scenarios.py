@@ -41,11 +41,10 @@ def test_gaussian_floor_draws_are_nonnegative_integers():
 
 def test_case3_materialization_draws_sizes_above_batch():
     scenario = preset("case3")
-    task, profiles = scenario.materialize(np.random.default_rng(3))
+    task = scenario.materialize(np.random.default_rng(3))
     assert task.n_clients == 20
-    for profile in profiles:
-        assert profile.data_size >= scenario.batch_size
-        assert profile.batch_size <= profile.data_size
+    for i in range(task.n_clients):
+        assert task.data_size(i) >= scenario.batch_size
 
 
 def test_latency_model_round_time():

@@ -13,6 +13,7 @@ from tsfl.aggregation import (
     iteration_spaced_weights,
     uniform_weights,
 )
+from tsfl import scheduler
 from tsfl.core import SystemConstants
 from tsfl.scenarios import FixedIterations, Scenario, TaskSpec, preset
 from tsfl.scheduler import (
@@ -64,11 +65,11 @@ def test_single_client_uniform_matches_plain_sgd():
     root = np.random.SeedSequence(seed)
     scenario_ss, _server, _tau, batch_parent = root.spawn(4)
     scenario_rng = np.random.default_rng(scenario_ss)
-    task, profiles = scenario.materialize(scenario_rng)
+    task = scenario.materialize(scenario_rng)
     w = scenario_rng.normal(size=task.dimension)
     batch_rng = np.random.default_rng(batch_parent.spawn(1)[0])
     for record in log.records:
-        g = stochastic_gradient(task, 0, w, profiles[0].batch_size, batch_rng).stochastic
+        g = stochastic_gradient(task, 0, w, scenario.batch_size, batch_rng).stochastic
         w = w - constants.eta * g
         assert np.array_equal(record.model, w)
     assert np.array_equal(log.final_model, w)
@@ -156,14 +157,14 @@ def test_afl_single_client_is_damped_sequential_sgd():
     root = np.random.SeedSequence(9)
     scenario_ss, _server, _tau, batch_parent = root.spawn(4)
     scenario_rng = np.random.default_rng(scenario_ss)
-    task, profiles = scenario.materialize(scenario_rng)
+    task = scenario.materialize(scenario_rng)
     w_global = scenario_rng.normal(size=task.dimension)
     batch_rng = np.random.default_rng(batch_parent.spawn(1)[0])
     basis = w_global.copy()
     for record in log.records:
         w_local = basis.copy()
         for _ in range(2):
-            g = stochastic_gradient(task, 0, w_local, profiles[0].batch_size, batch_rng).stochastic
+            g = stochastic_gradient(task, 0, w_local, scenario.batch_size, batch_rng).stochastic
             w_local = w_local - constants.eta * g
         w_global = 0.5 * w_global + 0.5 * w_local
         basis = w_global.copy()
@@ -373,7 +374,7 @@ def _one_interval_weights(strategy, setup, tau, eligible, t):
     if not mask.any():
         return rho, mask
     if strategy in ("fedavg", "fedprox"):
-        sizes = np.array([p.data_size for p in setup.profiles], dtype=float)
+        sizes = setup.sizes.astype(float)
         rho[mask] = fedavg_weights(sizes[mask]).rho
     elif strategy == "tsfl-uniform":
         rho = uniform_weights(mask).rho
@@ -392,9 +393,9 @@ def _choice_batches(setup, steps):
     trainer takes them; None for a full-batch scenario."""
     if setup.scenario.full_batch:
         return None
-    return [setup.task.reduce_batches(i, np.array([rng.choice(p.data_size, size=p.batch_size, replace=False)
-                                                   for _ in range(k)]).reshape(k, p.batch_size))
-            for i, (rng, p, k) in enumerate(zip(setup.batch_rngs, setup.profiles, steps))]
+    return [setup.task.reduce_batches(i, np.array([rng.choice(m, size=b, replace=False)
+                                                   for _ in range(k)]).reshape(k, b))
+            for i, (rng, m, b, k) in enumerate(zip(setup.batch_rngs, setup.sizes, setup.batch, steps))]
 
 
 def _reference_loop(setup, tau, weights, proximal=False):
@@ -424,7 +425,7 @@ def test_planned_run_equals_a_per_interval_loop(strategy, full_batch):
 
     setup = _RunSetup(scenario, constants, 5, 3, False)
     # The counts drawn interval by interval, all clients in each.
-    tau = np.array([[p.compute_process.draw(rng) for p, rng in zip(setup.profiles, setup.tau_rngs)]
+    tau = np.array([[process.draw(rng) for process, rng in zip(scenario.processes, setup.tau_rngs)]
                     for _ in range(constants.T)])
     eligible = tau >= scenario.min_upload_iterations
     assert eligible.any() and not eligible.all()
@@ -446,7 +447,7 @@ def test_sfl_equals_a_round_loop():
     log = run_sfl(scenario, constants, seed=3, required_iterations=3)
 
     setup = _RunSetup(scenario, constants, 3, 0, False)
-    weights = fedavg_weights([p.data_size for p in setup.profiles])
+    weights = fedavg_weights(setup.sizes)
     w, clock, round_seconds = setup.w0.copy(), 0.0, setup.latency.sync_round_seconds(3)
     for record in log.records:
         w = weights.rho @ train_clients(setup.task, np.arange(6), w, np.full(6, 3), constants.eta,
@@ -475,18 +476,31 @@ def test_theorem2_names_the_clients_without_sampling_noise():
 
 @pytest.mark.parametrize("interval_length", [1.0, 0.7])
 @pytest.mark.parametrize("name", ["case1", "case2", "case3"])
-@pytest.mark.parametrize("strategy", ["fedasync", "semiasync"])
-def test_event_runs_plan_exactly_the_steps_they_train(strategy, name, interval_length):
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+def test_event_runs_plan_exactly_the_steps_they_train(monkeypatch, strategy, name, interval_length):
+    # Every strategy: the run trains every step it planned, and no other.
+    setups = []
+
+    class Recorded(_RunSetup):
+        def __init__(self, *args):
+            super().__init__(*args)
+            setups.append(self)
+
+    monkeypatch.setattr(scheduler, "_RunSetup", Recorded)
     scenario = dataclasses.replace(preset(name, n_clients=8, batch_size=8), interval_length=interval_length,
                                    task=quadratic_task_spec(dimension=3, spread=0.5))
     constants = SystemConstants(eta=0.02, L=1.0, N=8, H=4, T=12, sigma_global=1.0)
-    log = run_strategy(scenario, strategy, constants, seed=4)
-    k = scenario.default_required_iterations()
-    _, clients = _arrivals(k * scenario.latency_model().seconds_per_iteration,
-                           constants.T * interval_length)
-    planned = k * np.bincount(clients, minlength=8)
-    assert np.array_equal(planned, log.records.tau.sum(axis=0))
-    assert planned.min() > 0
+    log = run_strategy(scenario, strategy, constants, seed=4, probe_count=3)
+    [setup] = setups
+    assert np.array_equal(setup.used, setup.planned)
+    assert np.array_equal(setup.planned, log.records.tau.sum(axis=0))
+    if strategy in ("fedasync", "semiasync"):
+        k = scenario.default_required_iterations()
+        _, clients = _arrivals(k * scenario.latency_model().seconds_per_iteration,
+                               constants.T * interval_length)
+        planned = k * np.bincount(clients, minlength=8)
+        assert np.array_equal(planned, setup.planned)
+        assert planned.min() > 0
 
 
 def _heap_arrivals(cycles, boundaries):
@@ -526,6 +540,14 @@ def test_arrivals_match_the_heap_loop(means, k, interval, T):
     assert np.array_equal(clients, [i for _, ids in groups for i in ids])
     starts = np.flatnonzero(np.diff(times, prepend=-np.inf))
     assert [ids.tolist() for ids in np.split(clients, starts[1:]) if ids.size] == [ids for _, ids in groups]
+
+
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+def test_constants_n_must_be_the_client_count(strategy):
+    scenario = scenario_with([FixedIterations(2)] * 3)
+    constants = SystemConstants(eta=0.02, L=1.0, N=4, H=2, T=2, sigma_global=1.0)
+    with pytest.raises(ValueError, match=r"^constants.N=4 differs from the 3 clients of scenario 'custom'$"):
+        run_strategy(scenario, strategy, constants, seed=0)
 
 
 def test_negative_probe_count_raises():

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from tsfl.core import ClientProfile
 from tsfl.scenarios import preset
 from tsfl.training import (
     LogisticTask,
@@ -136,7 +135,7 @@ def _quadratic_task(case):
     name, d = case.split("-d")
     sizes = {} if name == "case3" else {"data_size": 96}  # case3 draws tiered sizes
     scenario = preset(name, n_clients=6, kind="quadratic", dimension=int(d), noniid_spread=0.6, **sizes)
-    return scenario.materialize(rng)[0]
+    return scenario.materialize(rng)
 
 
 @pytest.mark.parametrize("case", QUADRATIC_CASES)
@@ -290,11 +289,8 @@ def test_quadratic_uncentered_offsets_set_gradient_and_optima():
     assert task.gamma_noniid == pytest.approx(distances, rel=1e-12)
 
 
-def _profiles(task):
-    return [
-        ClientProfile(id=i + 1, data_size=task.data_size(i), batch_size=min(4, task.data_size(i)))
-        for i in range(task.n_clients)
-    ]
+def _batches(task):
+    return [min(4, task.data_size(i)) for i in range(task.n_clients)]
 
 
 def test_estimate_constants_identity_curvature_gives_exact_smoothness():
@@ -303,7 +299,7 @@ def test_estimate_constants_identity_curvature_gives_exact_smoothness():
         centers=[np.zeros(2), np.zeros(2)],
         offsets=[np.zeros((4, 2)), np.zeros((4, 2))],
     )
-    est = estimate_constants(task, _profiles(task), 3, np.random.default_rng(0))
+    est = estimate_constants(task, _batches(task), 3, np.random.default_rng(0))
     assert est.L_hat == 1.0
     assert est.source["L"] == "exact"
 
@@ -314,7 +310,7 @@ def test_estimate_constants_symmetric_centers():
         centers=[np.array([-1.0]), np.array([1.0])],
         offsets=[np.zeros((4, 1)), np.zeros((4, 1))],
     )
-    estimate_constants(task, _profiles(task), 3, np.random.default_rng(0))
+    estimate_constants(task, _batches(task), 3, np.random.default_rng(0))
     assert task.w_star == pytest.approx(0.0)
     assert task.gamma_noniid == pytest.approx([1.0, 1.0])
 
@@ -342,7 +338,7 @@ def test_logistic_optimum_distance_matches_long_descent_oracle():
 
 def test_sigma_estimate_is_zero_without_sample_noise():
     task = small_quadratic(np.random.default_rng(0), noise=0.0)
-    est = estimate_constants(task, _profiles(task), 2, np.random.default_rng(4))
+    est = estimate_constants(task, _batches(task), 2, np.random.default_rng(4))
     assert np.all(est.sigma_hat == 0.0)
     assert est.G_hat > 0.0
 
@@ -352,9 +348,9 @@ def test_sigma_estimate_is_exactly_zero_for_full_batch_probes():
     # their whole data set, whose gradient equals the full one up to rounding.
     sizes = [10, 50, 20, 64, 33, 8]
     task = QuadraticTask.generate(6, 4, sizes, np.random.default_rng(1), noniid_spread=0.5)
-    profiles = [ClientProfile(id=i + 1, data_size=m, batch_size=min(16, m)) for i, m in enumerate(sizes)]
+    batch = [min(16, m) for m in sizes]
     rng = np.random.default_rng(4)
-    est = estimate_constants(task, profiles, 4, rng)
+    est = estimate_constants(task, batch, 4, rng)
     assert est.sigma_hat[[0, 5]].tolist() == [0.0, 0.0]
     assert np.all(est.sigma_hat[1:5] > 0.0)
     # Their batches are still drawn, so the stream ends where four probes of
@@ -363,8 +359,8 @@ def test_sigma_estimate_is_exactly_zero_for_full_batch_probes():
     for _ in range(4):
         replay.normal(size=task.dimension)
     for _ in range(4):
-        for p in profiles:
-            replay.choice(p.data_size, size=p.batch_size, replace=False)
+        for m, b in zip(sizes, batch):
+            replay.choice(m, size=b, replace=False)
     assert rng.bit_generator.state == replay.bit_generator.state
 
 
@@ -507,8 +503,8 @@ def _trainer_task(kind, layout):
     if TRAINER_LAYOUTS[layout] is None:
         scenario = preset("case3", n_clients=6, batch_size=16, kind=kind, dimension=dimension,
                           noniid_spread=0.6)
-        task, profiles = scenario.materialize(rng)
-        return task, [p.batch_size for p in profiles]
+        task = scenario.materialize(rng)
+        return task, [min(scenario.batch_size, task.data_size(i)) for i in range(task.n_clients)]
     sizes = TRAINER_LAYOUTS[layout]
     cls = QuadraticTask if kind == "quadratic" else LogisticTask
     task = cls.generate(len(sizes), dimension, sizes, rng, noniid_spread=0.6)
@@ -660,16 +656,16 @@ def test_reduced_batches_step_as_per_step_sample_grads(kind, dimension):
     assert np.array_equal(rows, [task.sample_grad(0, w[k], streams[0][k]) for k in range(2)])
 
 
-def _probe_loop(task, profiles, probe_count, rng):
+def _probe_loop(task, batch, probe_count, rng):
     """``estimate_constants`` as one ``stochastic_gradient`` call per probe
     point and client, and one ``local_grad`` pair per client and probe gap."""
     probes = [rng.normal(size=task.dimension) for _ in range(probe_count)]
     g_max, sigma = 0.0, np.zeros(task.n_clients)
     for w in probes:
-        for i, profile in enumerate(profiles):
-            sample = stochastic_gradient(task, i, w, profile.batch_size, rng)
+        for i, b in enumerate(batch):
+            sample = stochastic_gradient(task, i, w, b, rng)
             g_max = max(g_max, float(np.linalg.norm(sample.stochastic)))
-            if profile.batch_size < task.data_size(i):
+            if b < task.data_size(i):
                 sigma[i] = max(sigma[i], float(np.linalg.norm(sample.stochastic - sample.full_batch)))
     l_hat = task.smoothness if task.kind == "quadratic" else 0.0
     if task.kind == "logistic":
@@ -692,9 +688,9 @@ def test_estimate_constants_equals_the_stochastic_gradient_loop(kind, dimension,
     batch = [16, 8, 16, 32, 8, 16, 4, 64]
     cls = QuadraticTask if kind == "quadratic" else LogisticTask
     task = cls.generate(len(sizes), dimension, sizes, np.random.default_rng(2), noniid_spread=0.5)
-    profiles = [ClientProfile(id=i + 1, data_size=m, batch_size=min(b, m)) for i, (m, b) in enumerate(zip(sizes, batch))]
-    est = estimate_constants(task, profiles, probe_count, rng := np.random.default_rng(6))
-    l_hat, g_max, sigma = _probe_loop(task, profiles, probe_count, looped := np.random.default_rng(6))
+    batch = [min(b, m) for m, b in zip(sizes, batch)]
+    est = estimate_constants(task, batch, probe_count, rng := np.random.default_rng(6))
+    l_hat, g_max, sigma = _probe_loop(task, batch, probe_count, looped := np.random.default_rng(6))
     assert rng.bit_generator.state == looped.bit_generator.state
     assert (est.L_hat, est.G_hat) == (l_hat, g_max)
     assert np.array_equal(est.sigma_hat, sigma)
