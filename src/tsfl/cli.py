@@ -27,7 +27,6 @@ import math
 import os
 import sys
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from types import UnionType
 
@@ -567,6 +566,10 @@ def run_experiment(config: dict, out_dir: Path, parallel: int = 1) -> int:
     tasks = [(*cell, out_dir, emit) for cell in cells]
     out_dir.mkdir(parents=True, exist_ok=True)
     if parallel > 1:
+        # Imported here: the pool loads multiprocessing and logging, which a
+        # serial run never needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             results = list(pool.map(_execute_cell, tasks))
     else:

@@ -36,7 +36,7 @@ from .aggregation import (  # noqa: F401
 from .analysis import estimate_dissimilarity
 from .core import IntervalRecord, RunLog, SystemConstants, interval_records  # noqa: F401
 from .scenarios import Scenario
-from .training import draw_batches, estimate_constants, local_train, train_clients  # noqa: F401
+from .training import diverged_error, draw_batches, estimate_constants, local_train, train_clients  # noqa: F401
 
 
 class _RunSetup:
@@ -105,45 +105,75 @@ class _RunSetup:
     def plan_batches(self, steps) -> None:
         """Plan the run's local steps before training: client i may take
         ``steps[i]`` of them. Its mini-batches for all of them are drawn now,
-        in one ``draw_batches`` call, from its own stream, and each client's
-        stream is reduced at once to what its SGD steps read
-        (``task.reduce_batches``)."""
+        in one ``draw_batches`` call, from its own stream, and reduced at once
+        to what its SGD steps read (``task.reduce_batches``), in place, into
+        one stream per width of a reduced step: client i's steps are rows
+        ``offset[i]`` on of ``streams[width[i]]``."""
         self.planned = np.asarray(steps, dtype=int)
         self.used = np.zeros_like(self.planned)
-        self.batches = None
-        if not self.scenario.full_batch:
-            self.batches = draw_batches(self.batch_rngs, self.sizes, self.batch, self.planned)
-            # In place: each index stream is dropped as soon as it is reduced.
-            for i, drawn in enumerate(self.batches):
-                self.batches[i] = self.task.reduce_batches(i, drawn)
+        self.streams = None
+        if self.scenario.full_batch:
+            return
+        drawn = draw_batches(self.batch_rngs, self.sizes, self.batch, self.planned)
+        # The reduction of no batches has the width and type of a reduced step.
+        layouts = [self.task.reduce_batches(i, indices[:0]) for i, indices in enumerate(drawn)]
+        self.width = np.array([layout.shape[1] for layout in layouts])
+        self.offset = np.zeros_like(self.planned)
+        self.streams = {}
+        for width in set(self.width.tolist()):
+            members = np.flatnonzero(self.width == width)
+            counts = self.planned[members]
+            ends = np.cumsum(counts)
+            self.offset[members] = ends - counts
+            # A client that plans no step draws int64 indices: its type is not read.
+            dtype = np.result_type(*[layouts[i] for i in members[counts > 0]] or [layouts[members[0]]])
+            self.streams[width] = np.empty((ends[-1], width), dtype=dtype)
+        for i, (lo, k) in enumerate(zip(self.offset.tolist(), self.planned.tolist())):
+            self.task.reduce_batches(i, drawn[i], out=self.streams[self.width[i]][lo : lo + k])
+            drawn[i] = None  # each index stream is dropped as soon as it is reduced
 
     def train(self, clients, starts, steps, interval: int, prox_center=None) -> np.ndarray:
         """Lock-step local SGD: client ``clients[i]`` takes ``steps[i]`` steps
-        from ``starts[i]`` on its next ``steps[i]`` planned mini-batches. A
-        client that asks for more steps than were planned raises."""
+        from ``starts[i]`` on its next ``steps[i]`` planned mini-batches, one
+        ``train_clients`` call per stream. A client that asks for more steps
+        than were planned raises."""
         clients, steps = np.asarray(clients, dtype=int), np.asarray(steps, dtype=int)
-        first = self.used[clients]
-        end = first + steps
-        over = end > self.planned[clients]
+        used = self.used.take(clients)
+        end = used + steps
+        over = end > self.planned.take(clients)
         if over.any():
             raise RuntimeError(f"interval {interval}: clients {clients[over].tolist()} "
                                "ask for more local steps than were planned")
         self.used[clients] = end
-        batches = None
-        if self.batches is not None:
-            batches = [self.batches[i][lo:hi] for i, lo, hi in
-                       zip(clients.tolist(), first.tolist(), end.tolist())]
-        return train_clients(
-            self.task,
-            clients,
-            starts,
-            steps,
-            self.constants.eta,
-            batches=batches,
-            prox_center=prox_center,
-            mu=self.constants.mu if prox_center is not None else 0.0,
-            context=f"interval {interval}",
-        )
+        options = dict(prox_center=prox_center, mu=self.constants.mu if prox_center is not None else 0.0,
+                       context=f"interval {interval}")
+        if self.streams is None:
+            return train_clients(self.task, clients, starts, steps, self.constants.eta, **options)
+        first = self.offset.take(clients) + used
+        if len(self.streams) == 1:
+            [stream] = self.streams.values()
+            return train_clients(self.task, clients, starts, steps, self.constants.eta,
+                                 stream=stream, first=first, **options)
+        # Rows of different widths train apart; no row's arithmetic reads
+        # another's. A divergence names the diverged clients of every width.
+        starts = np.asarray(starts, dtype=float)
+        out = np.empty((len(clients), self.task.dimension))
+        width = self.width.take(clients)
+        diverged = []
+        for w, stream in self.streams.items():
+            rows = np.flatnonzero(width == w)
+            if rows.size:
+                try:
+                    out[rows] = train_clients(self.task, clients[rows], starts[rows] if starts.ndim == 2 else starts,
+                                              steps[rows], self.constants.eta, stream=stream, first=first[rows],
+                                              **options)
+                except ValueError as error:
+                    if not hasattr(error, "clients"):
+                        raise
+                    diverged += error.clients
+        if diverged:
+            raise diverged_error(options["context"], diverged)
+        return out
 
     def new_log(self, strategy: str, seed: int, clock) -> RunLog:
         """An empty log of the run, its rows numbered and closed at the wall

@@ -56,7 +56,7 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 
 # Planned mini-batches are reduced this many batches at a time, which bounds
-# the (batches, b, d) gather of a long run's stream.
+# the gather (b * d values per batch) of a long run's stream.
 _REDUCE_BATCHES = 1024
 
 
@@ -218,22 +218,36 @@ class QuadraticTask(_Task):
         """Mini-batch gradients, row i on the offsets ``indices[i]`` of client ``clients[i]``."""
         return self.reduced_grads(clients, w, self._offsets[np.asarray(clients)[:, None], indices].mean(axis=1))
 
-    def reduce_batches(self, client: int, indices: np.ndarray) -> np.ndarray:
+    def reduce_batches(self, client: int, indices: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Client ``client``'s planned mini-batches ``(k, b)`` as ``reduced_grads``
         steps on them: their ``(k, d)`` batch-mean offsets, the means
-        ``sample_grads`` takes, bit for bit."""
-        # A gather through strided indices can round differently at d = 1.
-        indices = np.ascontiguousarray(indices)
+        ``sample_grads`` takes, bit for bit, written to ``out`` when given."""
         z = self._offsets[client]
-        out = np.empty((len(indices), self.dimension))
+        if out is None:
+            out = np.empty((len(indices), self.dimension))
+        if self.dimension == 1:
+            # At d = 1 the mean runs over a contiguous axis and sums pairwise;
+            # a gather through strided indices would round differently.
+            indices = np.ascontiguousarray(indices)
+            for lo in range(0, len(indices), _REDUCE_BATCHES):
+                out[lo : lo + _REDUCE_BATCHES] = z[indices[lo : lo + _REDUCE_BATCHES]].mean(axis=1)
+            return out
+        # Position-major: a (b, k, d) gather summed over its outer axis adds the
+        # positions in the order mean(axis=1) adds them, in contiguous rows.
+        b = indices.shape[1]
         for lo in range(0, len(indices), _REDUCE_BATCHES):
-            out[lo : lo + _REDUCE_BATCHES] = z[indices[lo : lo + _REDUCE_BATCHES]].mean(axis=1)
+            chunk = out[lo : lo + _REDUCE_BATCHES]
+            np.add.reduce(z.take(indices[lo : lo + _REDUCE_BATCHES].T, axis=0), axis=0, out=chunk)
+            chunk /= b
         return out
 
     def reduced_grads(self, clients, w: np.ndarray, mean_offsets: np.ndarray) -> np.ndarray:
         """Mini-batch gradients, row i on a batch of client ``clients[i]`` whose
-        mean offset is ``mean_offsets[i]`` (see ``reduce_batches``)."""
-        return (self.curvatures[clients] @ (w - self.centers[clients] - mean_offsets)[:, :, None])[:, :, 0]
+        mean offset is ``mean_offsets[i]`` (see ``reduce_batches``). ``take``
+        gathers the rows' terms faster than an index does."""
+        e = w - self.centers.take(clients, axis=0)
+        e -= mean_offsets
+        return (self.curvatures.take(clients, axis=0) @ e[:, :, None])[:, :, 0]
 
     def global_loss(self, w: np.ndarray) -> float:
         e = w - self._optima
@@ -350,9 +364,13 @@ class LogisticTask(_Task):
         rows = np.asarray(clients)[:, None]
         return self._grads(self._x[rows, indices], self._y[rows, indices], w, indices.shape[1])
 
-    def reduce_batches(self, client: int, indices: np.ndarray) -> np.ndarray:
-        """Planned mini-batches as ``reduced_grads`` steps on them: the indices."""
-        return indices
+    def reduce_batches(self, client: int, indices: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Planned mini-batches as ``reduced_grads`` steps on them: the indices,
+        copied to ``out`` when given."""
+        if out is None:
+            return indices
+        out[...] = indices
+        return out
 
     reduced_grads = sample_grads
 
@@ -599,13 +617,23 @@ def stochastic_gradient(task, client: int, w: np.ndarray, batch_size: int, rng) 
     )
 
 
+def diverged_error(context: str, clients) -> ValueError:
+    """The error of local models of ``clients`` that are not finite. It keeps
+    them in its ``clients`` attribute, so a caller that trains in parts can
+    name the diverged clients of every part."""
+    error = ValueError(f"{context}: local models of clients {sorted(clients)} are not finite")
+    error.clients = list(clients)
+    return error
+
+
 def train_clients(
     task,
     clients,
     starts,
     tau,
     eta: float,
-    batches=None,
+    stream: np.ndarray | None = None,
+    first=None,
     prox_center: np.ndarray | None = None,
     mu: float = 0.0,
     context: str = "local_train",
@@ -615,69 +643,55 @@ def train_clients(
     Row i starts at ``starts[i]`` (or at ``starts`` itself, one ``(d,)`` start
     shared by every row) and takes exactly ``tau[i]`` SGD steps on client
     ``clients[i]``; each step's gradients for all running rows come from one
-    stacked task call. ``batches=None`` uses full-batch gradients; otherwise
-    ``batches[i]`` holds row i's ``tau[i]`` mini-batches as
-    ``task.reduce_batches`` returns them, and step s takes
-    ``task.reduced_grads`` on ``batches[i][s]``. A non-zero ``mu`` with a
-    ``prox_center`` (one center for every row) adds the proximal pull
-    mu*(w - center) to every step. Rows with tau=0 return their start.
+    stacked task call. ``stream=None`` uses full-batch gradients; otherwise
+    ``stream`` holds planned steps as ``task.reduce_batches`` writes them, one
+    per row of one width, and row i's step s takes ``task.reduced_grads`` on
+    ``stream[first[i] + s]``. A non-zero ``mu`` with a ``prox_center`` (one
+    center for every row) adds the proximal pull mu*(w - center) to every
+    step. Rows with tau=0 return their start and read no step.
     Raises ``ValueError`` naming ``context`` and the clients whose results
     are not finite.
     """
     clients = np.asarray(clients, dtype=int)
     tau = np.asarray(tau, dtype=int)
-    if tau.min(initial=0) < 0:
-        raise ValueError("tau must be non-negative")
     k = clients.size
-    if batches is None:
-        widths = np.zeros(k, dtype=int)
-    elif [len(b) for b in batches] != tau.tolist():
-        raise ValueError("batches[i] must hold tau[i] mini-batches")
-    else:
-        widths = np.array([np.shape(b)[1] for b in batches], dtype=int)
-    # Rows sorted by batch width, then by step count, longest first: the rows
-    # still running at any step are a prefix of their width block, so each
-    # block steps as one view of w.
-    order = np.lexsort((-tau, widths))
+    # Rows sorted by step count, longest first: the rows still running at
+    # any step are a prefix, which steps as one view of w.
+    order = np.argsort(-tau, kind="stable")
+    tau = tau.take(order)
+    steps = tau.tolist()
+    if k and steps[-1] < 0:
+        raise ValueError("tau must be non-negative")
     starts = np.asarray(starts, dtype=float)
-    w = starts[order] if starts.ndim == 2 else np.repeat(starts[None], k, axis=0)
+    w = starts.take(order, axis=0) if starts.ndim == 2 else np.repeat(starts[None], k, axis=0)
     if w.shape != (k, task.dimension):
         raise ValueError("model dimension does not match the task")
-    ids = clients[order]
-    steps, widths, rows = tau[order].tolist(), widths[order].tolist(), order.tolist()
-    cuts = [0] + [r for r in range(1, k) if widths[r] != widths[r - 1]] + [k]
-    # Each block's mini-batches as one (steps, rows, width) stack: step s of
-    # the running prefix is one slice.
-    blocks = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        stack = None
-        if batches is not None:
-            # Indices or mean offsets: the type of the batches that are stepped on.
-            taken = [batches[rows[r]] for r in range(lo, hi) if steps[r]]
-            stack = np.zeros((steps[lo], hi - lo, widths[lo]), dtype=np.result_type(*taken) if taken else None)
-            for r in range(lo, lo + len(taken)):
-                stack[: steps[r], r - lo] = batches[rows[r]]
-        blocks.append([lo, hi, stack])
+    ids = clients.take(order)
+    end = steps.index(0) if 0 in steps else k  # rows with steps to take
+    stack = None
+    if stream is not None and end:
+        # The running rows' steps as one (steps, rows, width) stack, gathered
+        # at once. A row past its last step reads rows it never steps on,
+        # clipped to the stream, so a row that ends the stream stays inside.
+        lo = np.asarray(first, dtype=int).take(order[:end])
+        if lo.min() < 0 or (lo + tau[:end]).max() > len(stream):
+            raise ValueError("rows take steps past the ends of the stream")
+        stack = stream.take(lo + np.arange(steps[0])[:, None], axis=0, mode="clip")
     use_prox = mu > 0.0 and prox_center is not None
-    for step in range(max(steps, default=0)):
-        for block in blocks:
-            lo, end, stack = block
-            while end > lo and steps[end - 1] <= step:
-                end -= 1
-            block[1] = end
-            if end == lo:
-                continue
-            running = w[lo:end]
-            if stack is None:
-                g = task.local_grads(ids[lo:end], running)
-            else:
-                g = task.reduced_grads(ids[lo:end], running, stack[step, : end - lo])
-            if use_prox:
-                g = g + mu * (running - prox_center)
-            running -= eta * g
+    for step in range(steps[0] if end else 0):
+        while steps[end - 1] <= step:
+            end -= 1
+        rows = w[:end]
+        if stack is None:
+            g = task.local_grads(ids[:end], rows)
+        else:
+            g = task.reduced_grads(ids[:end], rows, stack[step, :end])
+        if use_prox:
+            g = g + mu * (rows - prox_center)
+        g *= eta
+        rows -= g
     if not np.isfinite(w).all():
-        diverged = sorted(ids[~np.isfinite(w).all(axis=1)].tolist())
-        raise ValueError(f"{context}: local models of clients {diverged} are not finite")
+        raise diverged_error(context, ids[~np.isfinite(w).all(axis=1)].tolist())
     out = np.empty_like(w)
     out[order] = w
     return out
@@ -701,15 +715,15 @@ def local_train(
     reduced by ``task.reduce_batches``. A non-zero ``mu`` with a
     ``prox_center`` adds the proximal pull mu*(w - center) to every step.
     tau=0 returns the start point unchanged. The one-row case of
-    ``train_clients``.
+    ``train_clients``, on a one-client stream.
     """
-    batches = None
+    stream = None
     if batch_size is not None:
         [drawn] = draw_batches([rng], task.data_size(client), batch_size, [tau])
-        batches = [task.reduce_batches(client, drawn)]
+        stream = task.reduce_batches(client, drawn)
     return train_clients(
         task, [client], np.asarray(w_start, dtype=float)[None], [tau], eta,
-        batches=batches, prox_center=prox_center, mu=mu,
+        stream=stream, first=[0], prox_center=prox_center, mu=mu,
     )[0]
 
 

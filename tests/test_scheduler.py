@@ -15,7 +15,7 @@ from tsfl.aggregation import (
 )
 from tsfl import scheduler
 from tsfl.core import SystemConstants
-from tsfl.scenarios import FixedIterations, Scenario, TaskSpec, preset
+from tsfl.scenarios import FixedIterations, GaussianFloorIterations, Scenario, TaskSpec, preset
 from tsfl.scheduler import (
     ALL_STRATEGIES,
     INTERVAL_STRATEGIES,
@@ -338,6 +338,16 @@ def test_diverging_run_names_the_interval_and_the_clients(strategy):
             run_strategy(scenario, strategy, SystemConstants(**DIVERGING), seed=0)
 
 
+def test_diverging_run_names_the_clients_of_every_batch_width():
+    # Clients 0 and 5 hold fewer samples than a batch: three widths train apart.
+    scenario = Scenario(name="mixed", processes=[FixedIterations(4)] * 6,
+                        data_sizes=[10, 50, 20, 64, 33, 8], batch_size=16,
+                        task=TaskSpec(kind="logistic", dimension=3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"^interval 0: local models of clients \[0, 1, 2, 3, 4, 5\] are not finite$"):
+            run_strategy(scenario, "fedavg", SystemConstants(**{**DIVERGING, "N": 6}), seed=0)
+
+
 def test_diverging_run_fails_its_cell(tmp_path):
     import json
 
@@ -390,12 +400,14 @@ def _one_interval_weights(strategy, setup, tau, eligible, t):
 def _choice_batches(setup, steps):
     """Each client's next ``steps[i]`` mini-batches from its own stream, one
     ``rng.choice`` call per step, reduced by ``task.reduce_batches`` as the
-    trainer takes them; None for a full-batch scenario."""
+    trainer takes them: the ``stream`` and ``first`` arguments of
+    ``train_clients``, none for a full-batch scenario."""
     if setup.scenario.full_batch:
-        return None
-    return [setup.task.reduce_batches(i, np.array([rng.choice(m, size=b, replace=False)
-                                                   for _ in range(k)]).reshape(k, b))
-            for i, (rng, m, b, k) in enumerate(zip(setup.batch_rngs, setup.sizes, setup.batch, steps))]
+        return {}
+    batches = [setup.task.reduce_batches(i, np.array([rng.choice(m, size=b, replace=False)
+                                                      for _ in range(k)]).reshape(k, b))
+               for i, (rng, m, b, k) in enumerate(zip(setup.batch_rngs, setup.sizes, setup.batch, steps))]
+    return {"stream": np.concatenate(batches), "first": np.cumsum([0] + list(steps))[:-1]}
 
 
 def _reference_loop(setup, tau, weights, proximal=False):
@@ -405,7 +417,7 @@ def _reference_loop(setup, tau, weights, proximal=False):
     w, models = setup.w0.copy(), []
     for t in range(len(tau)):
         local = train_clients(setup.task, np.arange(n), w, tau[t], c.eta,
-                              batches=_choice_batches(setup, tau[t]),
+                              **_choice_batches(setup, tau[t]),
                               prox_center=w if proximal else None, mu=c.mu if proximal else 0.0)
         if weights[t].any():
             w = weights[t] @ local
@@ -451,7 +463,7 @@ def test_sfl_equals_a_round_loop():
     w, clock, round_seconds = setup.w0.copy(), 0.0, setup.latency.sync_round_seconds(3)
     for record in log.records:
         w = weights.rho @ train_clients(setup.task, np.arange(6), w, np.full(6, 3), constants.eta,
-                                        batches=_choice_batches(setup, np.full(6, 3)))
+                                        **_choice_batches(setup, np.full(6, 3)))
         clock += round_seconds
         assert np.array_equal(record.model, w)
         assert record.wall_clock == clock
@@ -567,3 +579,62 @@ def test_training_past_the_planned_steps_raises(full_batch):
     setup.train([0], setup.w0, [1], 1)
     with pytest.raises(RuntimeError, match=r"^interval 1: clients \[1, 2\] ask for more local steps than were planned"):
         setup.train([0, 1, 2], setup.w0, [0, 1, 1], 1)
+
+
+class _ChoiceSetup(_RunSetup):
+    """A run setup that plans nothing and trains each row alone, step by
+    step, on one ``rng.choice`` mini-batch per step from the client's own
+    stream: the oracle of the planned streams and their gathered stacks."""
+
+    def plan_batches(self, steps):
+        pass
+
+    def train(self, clients, starts, steps, interval, prox_center=None):
+        c = self.constants
+        models = np.array(np.broadcast_to(starts, (len(clients), self.task.dimension)))
+        for w, i, k in zip(models, clients, steps):
+            for _ in range(k):
+                if self.scenario.full_batch:
+                    g = self.task.local_grad(i, w)
+                else:
+                    batch = self.batch_rngs[i].choice(self.sizes[i], size=self.batch[i], replace=False)
+                    g = self.task.sample_grad(i, w, batch)
+                if prox_center is not None:
+                    g = g + c.mu * (w - prox_center)
+                w -= c.eta * g
+        return models
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+@pytest.mark.parametrize("strategy", [s for s in ALL_STRATEGIES if s != "tsfl-theorem2"])
+def test_planned_streams_train_as_per_step_choice(monkeypatch, strategy, kind):
+    # Clients 0 and 5 hold fewer samples than a batch: a logistic run keeps
+    # three streams, of widths 10, 16 and 8. Client 4 takes no step in some
+    # intervals, and client 5 none at all outside sfl, so its offset is the
+    # end of its stream. fedasync and semiasync train groups of arrivals.
+    scenario = Scenario(
+        name="mixed",
+        processes=[FixedIterations(3), GaussianFloorIterations(2.0, 1.5), FixedIterations(1),
+                   FixedIterations(4), GaussianFloorIterations(1.0, 1.0), FixedIterations(0)],
+        data_sizes=[10, 50, 20, 64, 33, 8], batch_size=16,
+        task=TaskSpec(kind=kind, dimension=3, noniid_spread=0.5),
+    )
+    constants = SystemConstants(eta=0.05, L=1.0, N=6, H=4, T=6, gamma=0.5, sigma_global=1.0, mu=0.3)
+    log = run_strategy(scenario, strategy, constants, seed=3)
+    monkeypatch.setattr(scheduler, "_RunSetup", _ChoiceSetup)
+    oracle = run_strategy(scenario, strategy, constants, seed=3)
+    assert log.records.tau.any() and (strategy == "sfl" or (log.records.tau == 0).any())
+    assert np.array_equal(log.records.model, oracle.records.model)
+    assert np.array_equal(log.final_model, oracle.final_model)
+
+
+def test_planned_streams_hold_one_width_each():
+    scenario = Scenario(name="mixed", processes=[FixedIterations(2)] * 6,
+                        data_sizes=[10, 50, 20, 64, 33, 8], batch_size=16,
+                        task=TaskSpec(kind="logistic", dimension=3))
+    constants = SystemConstants(eta=0.05, L=1.0, N=6, H=4, T=2, sigma_global=1.0)
+    setup = _RunSetup(scenario, constants, 0, 0, False)
+    setup.plan_batches([3, 2, 0, 4, 1, 0])
+    assert setup.width.tolist() == [10, 16, 16, 16, 16, 8]
+    assert {w: s.shape for w, s in setup.streams.items()} == {10: (3, 10), 16: (7, 16), 8: (0, 8)}
+    assert setup.offset.tolist() == [0, 0, 2, 2, 6, 0]

@@ -520,6 +520,25 @@ def _choice_batches(task, rngs, clients, batch_sizes, tau):
             for rng, i, b, k in zip(rngs, clients, batch_sizes, tau)]
 
 
+def _train_by_width(task, clients, starts, tau, eta, batches, **kwargs):
+    """``train_clients`` on row i's planned steps ``batches[i]``, as a run
+    trains them: one stream per width, one call per stream; full batch when
+    ``batches`` is None."""
+    if batches is None:
+        return train_clients(task, clients, starts, tau, eta, **kwargs)
+    clients, starts, tau = np.asarray(clients), np.asarray(starts, dtype=float), np.asarray(tau)
+    widths = np.array([np.shape(b)[1] for b in batches])
+    out = np.empty((len(clients), task.dimension))
+    for width in set(widths.tolist()):
+        rows = np.flatnonzero(widths == width)
+        # A row without steps reduces an empty float array: its type is not read.
+        stream = np.concatenate([batches[r] for r in rows if len(batches[r])] or [np.empty((0, width))])
+        first = np.cumsum([0] + [len(batches[r]) for r in rows])[:-1]
+        out[rows] = train_clients(task, clients[rows], starts[rows] if starts.ndim == 2 else starts,
+                                  tau[rows], eta, stream=stream, first=first, **kwargs)
+    return out
+
+
 @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
 @pytest.mark.parametrize("layout", sorted(TRAINER_LAYOUTS))
 @pytest.mark.parametrize("batching", ["full", "mini"])
@@ -536,7 +555,7 @@ def test_lock_step_trainer_matches_per_client_local_train(kind, layout, batching
         stacked_rngs = [np.random.default_rng(100 + i) for i in range(n)]
         looped_rngs = [np.random.default_rng(100 + i) for i in range(n)]
         batches = None if full else _choice_batches(task, stacked_rngs, range(n), batch_sizes, tau)
-        stacked = train_clients(task, np.arange(n), starts, tau, 0.05, batches=batches, **prox)
+        stacked = _train_by_width(task, np.arange(n), starts, tau, 0.05, batches, **prox)
         looped = np.array([
             local_train(task, i, starts[i], tau[i], 0.05, rng=looped_rngs[i],
                         batch_size=None if full else batch_sizes[i], **prox)
@@ -557,7 +576,7 @@ def test_lock_step_trainer_rows_in_any_order_and_shared_start():
     start = np.random.default_rng(1).normal(size=task.dimension)
     batches = _choice_batches(task, [np.random.default_rng(i) for i in clients], clients,
                               [batch_sizes[i] for i in clients], tau)
-    out = train_clients(task, clients, start, tau, 0.1, batches=batches)
+    out = _train_by_width(task, clients, start, tau, 0.1, batches)
     for row, (client, steps) in enumerate(zip(clients, tau)):
         alone = local_train(task, client, start, steps, 0.1, rng=np.random.default_rng(client),
                             batch_size=batch_sizes[client])
@@ -577,8 +596,8 @@ def test_lock_step_trainer_rejects_negative_steps_and_wrong_dimension():
         train_clients(task, [0, 1], np.zeros(2), [1, -1], 0.1)
     with pytest.raises(ValueError, match="dimension"):
         train_clients(task, [0, 1], np.zeros((2, 3)), [1, 1], 0.1)
-    with pytest.raises(ValueError, match=r"batches\[i\] must hold tau\[i\] mini-batches"):
-        train_clients(task, [0, 1], np.zeros(2), [2, 1], 0.1, batches=[np.zeros((1, 4), int)] * 2)
+    with pytest.raises(ValueError, match="rows take steps past the ends of the stream"):
+        train_clients(task, [0, 1], np.zeros(2), [2, 1], 0.1, stream=np.zeros((2, 2)), first=[0, 2])
 
 
 # --- stacked set-up paths against the per-client loops they replace ---------
@@ -635,15 +654,18 @@ def _reduction_task(kind, dimension, sizes):
     return cls.generate(len(sizes), dimension, sizes, np.random.default_rng(8), noniid_spread=0.4)
 
 
-@pytest.mark.parametrize("kind, dimension", [("quadratic", 1), ("quadratic", 3), ("quadratic", 8), ("logistic", 3)])
+@pytest.mark.parametrize("kind, dimension",
+                         [("quadratic", 1), ("quadratic", 2), ("quadratic", 3), ("quadratic", 8), ("logistic", 3)])
 def test_reduced_batches_step_as_per_step_sample_grads(kind, dimension):
-    sizes = [40, 3000, 17]
+    # Batches of 8 samples and more: at d = 1 the mean of a batch sums
+    # pairwise, at d > 1 position by position.
+    sizes = [40, 3000, 17, 64, 300, 1000]
     task = _reduction_task(kind, dimension, sizes)
     # draw_batches returns transposed (F-ordered) views; 2500 batches span
     # several reduction chunks.
-    rngs = [np.random.default_rng(i) for i in range(3)]
-    streams = draw_batches(rngs, sizes, [16, 7, 17], [30, 2500, 5])
-    w = np.random.default_rng(9).normal(size=(3, task.dimension))
+    rngs = [np.random.default_rng(i) for i in range(len(sizes))]
+    streams = draw_batches(rngs, sizes, [16, 7, 17, 32, 64, 200], [30, 2500, 5, 40, 30, 12])
+    w = np.random.default_rng(9).normal(size=(len(sizes), task.dimension))
     for i, stream in enumerate(streams):
         for layout in (stream, np.ascontiguousarray(stream), np.asfortranarray(stream)):
             reduced = task.reduce_batches(i, layout)
