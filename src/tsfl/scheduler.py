@@ -193,9 +193,8 @@ class _RunSetup:
         return log
 
     def finish(self, log: RunLog, model: np.ndarray) -> RunLog:
-        grad = self.task.global_grad(model)
+        log.final_loss, grad = self.task.global_loss_and_grad(model)
         log.final_model = model.copy()
-        log.final_loss = self.task.global_loss(model)
         log.final_grad_norm_sq = float(grad @ grad)
         log.validate()
         return log
@@ -301,8 +300,7 @@ def _train(setup: _RunSetup, log: RunLog, intervals, groups, steps, combine,
     basis = np.tile(setup.w0, (setup.scenario.n_clients, 1))
     w = setup.w0.copy()
     for t in range(len(records)):
-        grad = setup.task.global_grad(w)
-        losses[t] = setup.task.global_loss(w)
+        losses[t], grad = setup.task.global_loss_and_grad(w)
         grad_norms[t] = grad @ grad
         for g in range(first[t], first[t + 1]):
             ids = groups[g]

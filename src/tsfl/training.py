@@ -42,12 +42,18 @@ def _size_groups(sizes: np.ndarray, clients):
     positions ``rows`` in ``clients`` of the clients ``picked`` that hold
     ``m`` samples. A group reads exactly its own samples, so it sums as each
     client alone would; a sum over zero padding could round differently, and
-    padding rows would add log 2 to a loss."""
+    padding rows would add log 2 to a loss. ``picked`` is a slice when the
+    group is a run of consecutive clients, so a padded block indexed by it
+    is a view: a gathered copy raises the task's peak memory and can cost
+    more than the arithmetic on it."""
     clients = np.asarray(clients)
     counts = sizes[clients]
     for m in set(counts.tolist()):  # np.unique costs 1.6 MiB of RSS on first use
         rows = np.flatnonzero(counts == m)
-        yield rows, clients[rows], m
+        picked = clients[rows]
+        if (np.diff(picked) == 1).all():
+            picked = slice(int(picked[0]), int(picked[-1]) + 1)
+        yield rows, picked, m
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -93,6 +99,11 @@ class _Task:
     def f_star(self) -> float:
         return self.global_loss(self.w_star)
 
+    def global_loss_and_grad(self, w: np.ndarray) -> tuple[float, np.ndarray]:
+        """``(global_loss(w), global_grad(w))``, bit for bit: what a run logs
+        at one model."""
+        return self.global_loss(w), self.global_grad(w)
+
 
 class QuadraticTask(_Task):
     """Per-client quadratics ``F_i(w) = mean_s 0.5 (w - c_i - z_s)' A_i (w - c_i - z_s)``.
@@ -136,11 +147,8 @@ class QuadraticTask(_Task):
         # + kappa_i, kappa_i being the loss spread of the offsets about their
         # mean. Both terms are non-negative, so no digits cancel.
         means = np.empty_like(self.centers)
-        for rows, _, m in _size_groups(self._sizes, np.arange(len(self.offsets))):
-            # A run of consecutive clients is read through a view: a gathered
-            # copy of their offsets would raise the task's peak memory.
-            lo, hi = rows[0], rows[-1] + 1
-            means[rows] = (block[lo:hi, :m] if hi - lo == len(rows) else block[rows, :m]).mean(axis=1)
+        for rows, picked, m in _size_groups(self._sizes, np.arange(len(self.offsets))):
+            means[rows] = block[picked, :m].mean(axis=1)
         self._optima = self.centers + means
         self._kappa = np.array([
             0.5 * np.einsum("sd,de,se->", z - m, a, z - m) / z.shape[0]
@@ -265,12 +273,13 @@ class LogisticTask(_Task):
     a per-client offset whose magnitude controls the non-IID degree. The model
     carries an intercept, so the parameter dimension is feature_dim + 1.
 
-    The data live in one zero-padded design block ``(n, m_max, d)`` and one
-    label block ``(n, m_max)``; ``features``, ``labels`` and ``_design`` are
-    per-client views into them. Padding rows carry label 0, so they add
-    exactly zero to a gradient. The optima are found by one stacked
-    fixed-step descent: a single row for w*, one row per client for the
-    local optima.
+    The data live in one zero-padded block ``(n, m_max, d)`` of signed design
+    rows ``s = y x``. Labels are +/-1 and a sign flip is exact, so the margin
+    ``y (x @ w)`` is ``s @ w`` and the gradient ``x' (-y / (1 + e^m))`` is
+    ``s' (-1 / (1 + e^m))``, bit for bit; a sample's label is the sign of its
+    intercept entry. Padding rows are zero, so they add exactly zero to a
+    gradient. The optima are found by one stacked fixed-step descent: a single
+    row for w*, one row per client for the local optima.
     """
 
     kind = "logistic"
@@ -282,16 +291,16 @@ class LogisticTask(_Task):
         sizes = [len(y) for y in labels]
         feature_dim = np.shape(features[0])[1]
         self._dim = feature_dim + 1
-        self._x = np.zeros((len(sizes), max(sizes), self._dim))
-        self._y = np.zeros((len(sizes), max(sizes)))
+        self._s = np.zeros((len(sizes), max(sizes), self._dim))
         for i, (x, y) in enumerate(zip(features, labels)):
-            self._x[i, : sizes[i], :feature_dim] = x
-            self._x[i, : sizes[i], feature_dim] = 1.0
-            self._y[i, : sizes[i]] = y
+            y = np.asarray(y, dtype=float)
+            if not np.all(np.abs(y) == 1.0):
+                raise ValueError(f"labels must be +1 or -1; client {i} has {y[np.abs(y) != 1.0][0]}")
+            s = self._s[i, : sizes[i]]
+            s[:, :feature_dim] = x
+            s[:, feature_dim] = 1.0
+            s *= y[:, None]
         self._sizes = np.array(sizes)
-        self._design = [self._x[i, :m] for i, m in enumerate(sizes)]
-        self.features = [x[:, :feature_dim] for x in self._design]
-        self.labels = [self._y[i, :m] for i, m in enumerate(sizes)]
 
     @classmethod
     def generate(
@@ -330,25 +339,26 @@ class LogisticTask(_Task):
         return self._dim
 
     def local_loss(self, client: int, w: np.ndarray) -> float:
-        y = self.labels[client]
-        m = y * (self._design[client] @ w)
+        m = self._s[client, : self._sizes[client]] @ w
         return float(np.mean(np.logaddexp(0.0, -m)) + 0.5 * self.l2_reg * np.dot(w, w))
 
-    def _grads(self, x, y, w: np.ndarray, size, margins=None) -> np.ndarray:
-        """Gradients at a stack of points, row i on design ``x[i]`` and labels
-        ``y[i]``, averaged over ``size`` rows. Rows with label 0 add exactly
-        zero. ``margins`` is an optional ``(k, m)`` buffer for the margins.
+    def _grads(self, s, w: np.ndarray, size, margins=None) -> np.ndarray:
+        """Gradients at a stack of points, row i on the signed rows ``s[i]``,
+        averaged over ``size`` rows. ``margins`` is an optional ``(k, m)``
+        buffer for the margins.
 
         Stacked matmuls, not einsums: with equal row counts each row equals
         the one-client product bit for bit.
         """
-        t = np.matmul(x, w[:, :, None], out=None if margins is None else margins[:, :, None])[:, :, 0]
-        t *= y  # the margins y * (x @ w)
+        t = np.matmul(s, w[:, :, None], out=None if margins is None else margins[:, :, None])[:, :, 0]
+        return self._margin_grads(s, t, w, size)
+
+    def _margin_grads(self, s, t: np.ndarray, w: np.ndarray, size) -> np.ndarray:
+        """``_grads`` continued from its margins ``t = s @ w``, which it overwrites."""
         np.exp(t, out=t)
         t += 1.0
-        np.divide(y, t, out=t)
-        np.negative(t, out=t)  # coef = -y / (1 + exp(m))
-        g = (x.transpose(0, 2, 1) @ t[:, :, None])[:, :, 0]
+        np.divide(-1.0, t, out=t)  # coef = -1 / (1 + exp(m))
+        g = (s.mT @ t[:, :, None])[:, :, 0]
         return g / size + self.l2_reg * w
 
     def local_grads(self, clients, w: np.ndarray) -> np.ndarray:
@@ -356,13 +366,12 @@ class LogisticTask(_Task):
         one stacked call per data size."""
         out = np.empty_like(w)
         for rows, picked, m in _size_groups(self._sizes, clients):
-            out[rows] = self._grads(self._x[picked, :m], self._y[picked, :m], w[rows], m)
+            out[rows] = self._grads(self._s[picked, :m], w[rows], m)
         return out
 
     def sample_grads(self, clients, w: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """Mini-batch gradients, row i on the samples ``indices[i]`` of client ``clients[i]``."""
-        rows = np.asarray(clients)[:, None]
-        return self._grads(self._x[rows, indices], self._y[rows, indices], w, indices.shape[1])
+        return self._grads(self._s[np.asarray(clients)[:, None], indices], w, indices.shape[1])
 
     def reduce_batches(self, client: int, indices: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Planned mini-batches as ``reduced_grads`` steps on them: the indices,
@@ -374,29 +383,61 @@ class LogisticTask(_Task):
 
     reduced_grads = sample_grads
 
-    def global_loss(self, w: np.ndarray) -> float:
-        """Mean of the clients' ``local_loss``, one stacked call per data size."""
+    @cached_property
+    def _groups(self) -> list:
+        return list(_size_groups(self._sizes, np.arange(self.n_clients)))
+
+    def _loss(self, w: np.ndarray, margins: np.ndarray | None = None) -> float:
+        """Mean of the clients' ``local_loss``, one stacked call per data size.
+        A group that fills the padded block reads its margins from
+        ``margins``, the block's margins at ``w``, when they are given; any
+        other group takes its own product, because a product over fewer rows
+        can round its last rows differently."""
         losses = np.empty(self.n_clients)
-        for rows, picked, m in _size_groups(self._sizes, np.arange(self.n_clients)):
-            margins = self._y[picked, :m] * (self._x[picked, :m] @ w)
-            losses[rows] = np.mean(np.logaddexp(0.0, -margins), axis=1)
+        for rows, picked, m in self._groups:
+            # One temporary per group, the negated margins, taken in place.
+            if margins is not None and m == margins.shape[1]:
+                z = np.negative(margins[picked])
+            else:
+                z = self._s[picked, :m] @ w
+                np.negative(z, out=z)
+            losses[rows] = np.mean(np.logaddexp(0.0, z, out=z), axis=1)
         return float(np.mean(losses + 0.5 * self.l2_reg * np.dot(w, w)))
+
+    def global_loss(self, w: np.ndarray) -> float:
+        return self._loss(w)
 
     @cached_property
     def _scratch(self) -> np.ndarray:
-        # One (n, m_max) buffer reused by every _full_grads call. Fresh
-        # temporaries of that size cost more than the arithmetic: the
-        # allocator hands them back to the system and faults them in again.
-        return np.empty_like(self._y)
+        # One (n, m_max) buffer for the margins of every pass over the whole
+        # block (_full_grads, global_loss_and_grad). Fresh temporaries of
+        # that size cost more than the arithmetic: the allocator hands them
+        # back to the system and faults them in again.
+        return np.empty(self._s.shape[:2])
 
     def _full_grads(self, w: np.ndarray) -> np.ndarray:
         """Full-batch gradients at a stack of points, row i on client i's data,
         over the whole padded block; with equal data sizes each row equals
-        ``local_grad`` bit for bit."""
-        return self._grads(self._x, self._y, w, self._sizes[:, None], margins=self._scratch)
+        ``local_grad`` bit for bit. A single ``(1, d)`` point serves every row."""
+        return self._grads(self._s, w, self._sizes[:, None], margins=self._scratch)
+
+    def _mean_grad(self, w: np.ndarray) -> np.ndarray:
+        """The global gradient at the ``(1, d)`` point ``w``, as a ``(1, d)``
+        row: the mean of the clients' gradients, as ``mean`` takes it."""
+        return np.add.reduce(self._full_grads(w), axis=0, keepdims=True) / self.n_clients
 
     def global_grad(self, w: np.ndarray) -> np.ndarray:
-        return self._full_grads(np.broadcast_to(w, (self.n_clients, self.dimension))).mean(axis=0)
+        return self._mean_grad(w[None])[0]
+
+    def global_loss_and_grad(self, w: np.ndarray) -> tuple[float, np.ndarray]:
+        """``(global_loss(w), global_grad(w))``, bit for bit, from one margin
+        pass over the padded block: the loss reads the margins, then the
+        gradient continues from them in place."""
+        row = w[None]
+        t = np.matmul(self._s, row[:, :, None], out=self._scratch[:, :, None])[:, :, 0]
+        loss = self._loss(w, t)
+        g = self._margin_grads(self._s, t, row, self._sizes[:, None])
+        return loss, np.add.reduce(g, axis=0) / self.n_clients
 
     def _descend(self, grad_fn, names, tol: float = 1e-12, max_iter: int = 200_000) -> np.ndarray:
         """Full-batch descent from the origin on a stack of points, one per
@@ -419,15 +460,18 @@ class LogisticTask(_Task):
 
     @cached_property
     def smoothness(self) -> float:
-        # Exact upper bound: sigmoid curvature is at most 1/4.
-        design_norm = max(
-            float(np.linalg.eigvalsh(x.T @ x / x.shape[0]).max()) for x in self._design
-        )
+        # Exact upper bound: sigmoid curvature is at most 1/4. Signed rows
+        # have the design's gram matrix, (y x)'(y x) = x'x, and one stacked
+        # product per size group equals each client's own bit for bit.
+        design_norm = 0.0
+        for _, picked, m in self._groups:
+            s = self._s[picked, :m]
+            design_norm = max(design_norm, float(np.linalg.eigvalsh(s.mT @ s / m).max()))
         return 0.25 * design_norm + self.l2_reg
 
     @cached_property
     def w_star(self) -> np.ndarray:
-        return self._descend(lambda w: self.global_grad(w[0])[None], ["w*"])[0]
+        return self._descend(self._mean_grad, ["w*"])[0]
 
     @cached_property
     def _optima(self) -> np.ndarray:

@@ -638,3 +638,26 @@ def test_planned_streams_hold_one_width_each():
     assert setup.width.tolist() == [10, 16, 16, 16, 16, 8]
     assert {w: s.shape for w, s in setup.streams.items()} == {10: (3, 10), 16: (7, 16), 8: (0, 8)}
     assert setup.offset.tolist() == [0, 0, 2, 2, 6, 0]
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+@pytest.mark.parametrize("sizes", [[48] * 6, [48, 30, 48, 17, 30, 64]], ids=["equal", "unequal"])
+@pytest.mark.parametrize("strategy", ["fedavg", "fedasync"])
+def test_logged_loss_and_gradient_are_those_of_the_model_entering_each_interval(kind, sizes, strategy):
+    scenario = Scenario(name="custom", processes=[GaussianFloorIterations(3.0, 1.0)] * 6,
+                        data_sizes=sizes, batch_size=8,
+                        task=TaskSpec(kind=kind, dimension=3, noniid_spread=0.5))
+    constants = SystemConstants(eta=0.05, L=1.0, N=6, H=4, T=6, sigma_global=1.0)
+    log = run_strategy(scenario, strategy, constants, seed=4, probe_count=2)
+    task = _RunSetup(scenario, constants, 4, 2, False).task
+    records = log.records
+    assert records.aggregated.any()
+    entering = np.vstack([log.initial_model[None], records.model[:-1]])
+    logged = zip(records.global_loss.tolist() + [log.final_loss],
+                 records.global_grad_norm_sq.tolist() + [log.final_grad_norm_sq])
+    for w, (loss, norm_sq) in zip(list(entering) + [log.final_model], logged):
+        grad = task.global_grad(w)
+        assert loss == task.global_loss(w) and norm_sq == grad @ grad
+        # The one-pass evaluation a run makes is the two calls, bit for bit.
+        fused_loss, fused_grad = task.global_loss_and_grad(w)
+        assert fused_loss == loss and np.array_equal(fused_grad, grad)

@@ -425,15 +425,98 @@ def test_logistic_stacked_descent_matches_per_client_definition(layout):
 
 
 def test_logistic_data_are_views_into_padded_blocks():
+    # The task holds its data in one signed block: no per-client copies, and
+    # zero padding rows.
     sizes = [5, 9, 7]
     task = LogisticTask.generate(3, 3, sizes, np.random.default_rng(6), noniid_spread=0.5)
-    assert task._x.shape == (3, 9, 3) and task._y.shape == (3, 9)
+    task.w_star, task.local_optimum(0)  # the cached members are built
+    blocks = [v for v in vars(task).values() if isinstance(v, np.ndarray) and v.ndim == 3]
+    assert len(blocks) == 1 and blocks[0] is task._s and task._s.shape == (3, 9, 3)
     for i, m in enumerate(sizes):
-        assert task.data_size(i) == m and task.features[i].shape == (m, 2)
-        assert np.shares_memory(task.features[i], task._x)
-        assert np.shares_memory(task._design[i], task._x)
-        assert np.shares_memory(task.labels[i], task._y)
-        assert np.all(task._y[i, m:] == 0.0) and np.all(task._x[i, m:] == 0.0)
+        assert task.data_size(i) == m and np.all(task._s[i, m:] == 0.0)
+        # The intercept entry of a signed row is its label.
+        assert np.all(np.abs(task._s[i, :m, 2]) == 1.0)
+
+
+@pytest.mark.parametrize("bad", [0.0, 2.0, -0.5, np.nan])
+def test_logistic_rejects_labels_other_than_plus_or_minus_one(bad):
+    features = [np.zeros((3, 2)), np.ones((2, 2))]
+    labels = [np.array([1.0, -1.0, 1.0]), np.array([-1.0, bad])]
+    with pytest.raises(ValueError, match=r"labels must be \+1 or -1; client 1 has"):
+        LogisticTask(features, labels)
+
+
+def _labelled_task(sizes, dimension=3, seed=29):
+    """A logistic task built from explicit data, with the padded feature and
+    label blocks ``(x, y)`` the oracle reads: ``x`` carries the intercept
+    column, and padding rows are zero with label 0."""
+    rng = np.random.default_rng(seed)
+    features = [rng.normal(scale=2.0, size=(m, dimension - 1)) for m in sizes]
+    labels = [rng.choice([-1.0, 1.0], size=m) for m in sizes]
+    x = np.zeros((len(sizes), max(sizes), dimension))
+    y = np.zeros((len(sizes), max(sizes)))
+    for i, m in enumerate(sizes):
+        x[i, :m, :-1], x[i, :m, -1], y[i, :m] = features[i], 1.0, labels[i]
+    return LogisticTask(features, labels), x, y
+
+
+def _labelled_grads(x, y, w, size, l2_reg):
+    """The labelled gradient arithmetic: margins ``y (x @ w)``, coefficients
+    ``-y / (1 + exp(m))``; rows with label 0 add exactly zero."""
+    t = np.matmul(x, w[:, :, None])[:, :, 0]
+    t *= y
+    np.exp(t, out=t)
+    t += 1.0
+    np.divide(y, t, out=t)
+    np.negative(t, out=t)
+    g = (x.transpose(0, 2, 1) @ t[:, :, None])[:, :, 0]
+    return g / size + l2_reg * w
+
+
+def _labelled_loss(x, y, w, l2_reg):
+    return float(np.mean(np.logaddexp(0.0, -(y * (x @ w)))) + 0.5 * l2_reg * np.dot(w, w))
+
+
+# Unequal sizes repeat, and some equal-size clients are not neighbours.
+SIGNED_LAYOUTS = {"equal": [40] * 5, "unequal": [16, 40, 24, 40, 33, 16, 7], "single": [30]}
+
+
+@pytest.mark.parametrize("layout", SIGNED_LAYOUTS)
+def test_signed_rows_compute_the_labelled_arithmetic_bit_for_bit(layout):
+    sizes = SIGNED_LAYOUTS[layout]
+    task, x, y = _labelled_task(sizes)
+    n, d, l2 = task.n_clients, task.dimension, task.l2_reg
+    m = np.array(sizes)
+    assert np.array_equal(task._s, y[:, :, None] * x)
+    design_norm = max(float(np.linalg.eigvalsh(x[i, :k].T @ x[i, :k] / k).max()) for i, k in enumerate(sizes))
+    assert task.smoothness == 0.25 * design_norm + l2
+    rng = np.random.default_rng(5)
+    for scale in (0.1, 1.0, 5.0):
+        w = rng.normal(scale=scale, size=(n, d))
+        assert np.array_equal(task._full_grads(w), _labelled_grads(x, y, w, m[:, None], l2))
+        clients = rng.permutation(n)
+        want = np.vstack([_labelled_grads(x[[c], : m[c]], y[[c], : m[c]], w[[k]], m[c], l2)
+                          for k, c in enumerate(clients)])
+        assert np.array_equal(task.local_grads(clients, w), want)
+        b = min(sizes)
+        idx = np.array([rng.choice(m[c], size=b, replace=False) for c in clients])
+        rows = clients[:, None]
+        want = _labelled_grads(x[rows, idx], y[rows, idx], w, b, l2)
+        assert np.array_equal(task.sample_grads(clients, w, idx), want)
+        losses = [_labelled_loss(x[i, : m[i]], y[i, : m[i]], w[0], l2) for i in range(n)]
+        assert [task.local_loss(i, w[0]) for i in range(n)] == losses
+        assert task.global_loss(w[0]) == float(np.mean(losses))
+
+
+@pytest.mark.parametrize("dimension", [3, 8])
+@pytest.mark.parametrize("layout", SIGNED_LAYOUTS)
+def test_logistic_loss_and_grad_is_the_two_calls_bit_for_bit(layout, dimension):
+    # At d = 8 a product over fewer rows often rounds its last rows apart
+    # from the padded block's: a group short of m_max takes its own margins.
+    task, _, _ = _labelled_task(SIGNED_LAYOUTS[layout], dimension=dimension)
+    for w in np.random.default_rng(9).normal(scale=3.0, size=(20, dimension)):
+        loss, grad = task.global_loss_and_grad(w)
+        assert loss == task.global_loss(w) and np.array_equal(grad, task.global_grad(w))
 
 
 def _short_descents(monkeypatch, max_iter=3):
