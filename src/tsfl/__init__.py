@@ -55,7 +55,6 @@ from .scenarios import (
     LatencyModel,
     Scenario,
     TaskSpec,
-    apply_client_selection,
     preset,
     two_tier_speed_profile,
 )

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import inspect
 import json
@@ -41,7 +42,6 @@ from .scenarios import (
     GaussianFloorIterations,
     Scenario,
     TaskSpec,
-    apply_client_selection,
     latency_table,
     tiered,
 )
@@ -175,13 +175,18 @@ _TYPES = {
     make: {key: kind for key, kind in typing.get_type_hints(make).items() if key != "return"}
     for make in (_Root, Scenario, TaskSpec, SystemConstants, latency_table, *_PROCESSES.values(), *PRESETS.values())
 }
+# A run takes N from its scenario, so config.constants has no N.
+del _TYPES[SystemConstants]["N"]
 # scenario_options: every preset factory's parameters; a preset takes its own.
 _SCENARIO_OPTIONS = {key: kind for make in PRESETS.values() for key, kind in _TYPES[make].items()}
 # runner: every strategy's options; a strategy takes its own.
 _RUNNER = {key: kind for spec in STRATEGIES.values() for key, kind in spec.options.items()}
+# The scenario settings that only the config root gives, to every scenario.
+_SETTINGS = ("full_batch", "min_upload_iterations")
 # An inline scenario: Scenario's fields but the task, which config.task gives,
-# with process specs tiled over n_clients and one data size or one per client.
-_INLINE = {key: kind for key, kind in _TYPES[Scenario].items() if key != "task"}
+# and the root's settings, with process specs tiled over n_clients and one data
+# size or one per client.
+_INLINE = {key: kind for key, kind in _TYPES[Scenario].items() if key not in ("task", *_SETTINGS)}
 _INLINE.update(n_clients=int, processes=list[dict], data_sizes=int | list[int])
 # emit: whether a run writes each cell's metrics.csv, its runlog.json and
 # report.json, and the plotdata/ loss curves.
@@ -214,7 +219,7 @@ def _process_from_spec(spec, location: str) -> object:
     return _make(make, fields, location)
 
 
-def _inline_scenario(obj, task: TaskSpec) -> Scenario:
+def _inline_scenario(obj) -> Scenario:
     fields = _coerce(_INLINE, obj, "config.scenario")
     _require(fields, ("n_clients", "processes"), "config.scenario")
     n_clients = fields.pop("n_clients")
@@ -231,18 +236,25 @@ def _inline_scenario(obj, task: TaskSpec) -> Scenario:
         raise ConfigError(f"config.scenario.data_sizes: {len(sizes)} sizes for n_clients={n_clients}")
     # Fewer specs than clients tile over contiguous equal blocks.
     processes = tiered(n_clients, specs)
-    fields = {"name": "custom", **fields, "processes": processes, "data_sizes": sizes, "task": task}
+    fields = {"name": "custom", **fields, "processes": processes, "data_sizes": sizes}
     return _make(Scenario, fields, "config.scenario")
 
 
-def _preset_scenario(name: str, options: dict, root: dict, task: TaskSpec) -> Scenario:
+def _preset_scenario(name: str, options: dict) -> Scenario:
     make = PRESETS[name]
-    own = {key: value for key, value in options.items() if key in _TYPES[make]}
-    scenario = _make(make, own, "config.scenario_options")
-    return dataclasses.replace(scenario, task=task, full_batch=root.get("full_batch", scenario.full_batch))
+    return _make(make, {key: value for key, value in options.items() if key in _TYPES[make]}, "config.scenario_options")
+
+
+def _reject_unread(options: dict, readers: list, location: str, reader: str) -> None:
+    """A ConfigError naming the first key of ``options`` that no reader
+    takes; ``readers`` holds the keys each configured ``reader`` takes."""
+    unread = sorted(set(options).difference(*readers))
+    if unread:
+        raise ConfigError(f"{location}.{unread[0]}: no configured {reader} takes it")
 
 
 def build_scenarios(config: dict) -> list[Scenario]:
+    """The config's scenarios, each with config.task and the root's settings."""
     root = _coerce(_TYPES[_Root], config, "config")
     task = _build(TaskSpec, root.get("task", {}), "config.task")
     options = _coerce(_SCENARIO_OPTIONS, root.get("scenario_options", {}), "config.scenario_options")
@@ -251,13 +263,13 @@ def build_scenarios(config: dict) -> list[Scenario]:
     if not entries:
         raise ConfigError("config.scenario: list must be non-empty")
     scenarios = [
-        _preset_scenario(entry, options, root, task) if isinstance(entry, str) else _inline_scenario(entry, task)
+        _preset_scenario(entry, options) if isinstance(entry, str) else _inline_scenario(entry)
         for entry in entries
     ]
-    try:
-        return [apply_client_selection(s, root.get("min_upload_iterations", 0)) for s in scenarios]
-    except ValueError as exc:
-        raise ConfigError(f"config.min_upload_iterations: {exc}") from exc
+    presets = [_TYPES[PRESETS[entry]] for entry in entries if isinstance(entry, str)]
+    _reject_unread(options, presets, "config.scenario_options", "scenario")
+    settings = {"task": task, **{key: root[key] for key in _SETTINGS if key in root}}
+    return [_make(functools.partial(dataclasses.replace, scenario), settings, "config") for scenario in scenarios]
 
 
 def build_constants(config: dict) -> SystemConstants:
@@ -296,6 +308,10 @@ def expand_seeds(config: dict, scenario: str, strategy: str) -> list[tuple[int, 
         for k, seed in enumerate(seeds):
             if seed < 0:
                 raise ConfigError(f"config.seeds[{k}]: must be at least 0, got {seed}")
+            if seed in seeds[:k]:
+                raise ConfigError(f"config.seeds[{k}]: repeats seed {seed}")
+        if "master_seed" in config:
+            raise ConfigError("config.master_seed (or --seed): unread, as config.seeds lists every seed")
         return list(enumerate(seeds))
     if seeds < 1:
         raise ConfigError("config.seeds: must be a positive count or a list of seeds")
@@ -312,13 +328,12 @@ def validate_run_config(config: dict) -> tuple[list[tuple], dict]:
     if not strategies:
         raise ConfigError("config.strategies: a non-empty list of strategy names is required")
     kwargs = {name: _run_kwargs(root, name) for name in strategies}
+    readers = [STRATEGIES[name].options for name in strategies]
+    _reject_unread(root.get("runner", {}), readers, "config.runner", "strategy")
     emit = {**_EMIT, **_coerce(dict.fromkeys(_EMIT, bool), root.get("emit", {}), "config.emit")}
     constants = build_constants(root)
     cells = []
     for scenario in build_scenarios(root):
-        if constants.N != scenario.n_clients:
-            raise ConfigError(f"config.constants.N: {constants.N} differs from the {scenario.n_clients} "
-                              f"clients of scenario {scenario.name!r}")
         for strategy in strategies:
             if kwargs[strategy].get("buffer_size", 1) > scenario.n_clients:
                 raise ConfigError(f"config.runner.buffer_size: more than the {scenario.n_clients} "
@@ -594,10 +609,6 @@ def run_experiment(config: dict, out_dir: Path, parallel: int = 1) -> int:
 
 def compare_latency(config: dict, out_dir: Path) -> int:
     root = _coerce(_TYPES[_Root], config, "config")
-    if not {"sfl", "tsfl-dms"} <= set(root.get("strategies", [])):
-        raise ConfigError(
-            "config.strategies: latency comparison needs at least 'sfl' and 'tsfl-dms'"
-        )
     rows = _build(latency_table, root.get("latency", {}), "config.latency")
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(

@@ -44,8 +44,9 @@ class SystemConstants:
     bound, gradient-norm bound, and common mini-batch noise bound. ``theta``
     caps the aggregation weights at theta/N; when omitted it defaults to the
     equality point of the weight-limit precondition, eta*L*(1+theta) = 1.
-    ``H`` is the largest per-interval iteration count, ``N`` the client count,
-    ``T`` the number of communication intervals. ``epsilon`` and ``V`` bound
+    ``H`` is the largest per-interval iteration count, ``N`` the client count
+    (a run takes it from its scenario), ``T`` the number of communication
+    intervals. ``epsilon`` and ``V`` bound
     gradient alignment and dissimilarity across clients, ``gamma`` is the
     depreciation factor of the asynchronous baseline, and ``mu`` the proximal
     coefficient of the FedProx baseline.

@@ -320,19 +320,6 @@ def preset(name: str, **kwargs) -> Scenario:
     return factory(**kwargs)
 
 
-def apply_client_selection(scenario: Scenario, min_iterations: int) -> Scenario:
-    """Exclude uploads from clients below an iteration threshold.
-
-    A threshold of zero leaves the scenario unchanged. Excluded clients are
-    dropped before any weight computation; the server never sees them.
-    """
-    if min_iterations < 0:
-        raise ValueError("min_iterations must be non-negative")
-    if min_iterations == 0:
-        return scenario
-    return dataclasses.replace(scenario, min_upload_iterations=min_iterations)
-
-
 def two_tier_speed_profile(delta: float, n_clients: int = 20, mean_tau: float = 2.5) -> np.ndarray:
     """Per-client mean iteration counts for a symmetric two-tier split of variance ``delta``.
 

@@ -47,9 +47,6 @@ class _RunSetup:
                  probe_count: int, equality_theta: bool):
         if probe_count < 0:
             raise ValueError(f"probe_count must be non-negative, got {probe_count}")
-        if constants.N != scenario.n_clients:
-            raise ValueError(f"constants.N={constants.N} differs from the {scenario.n_clients} "
-                             f"clients of scenario {scenario.name!r}")
         root = np.random.SeedSequence(seed)
         scenario_ss, server_ss, tau_parent, batch_parent = root.spawn(4)
         self.scenario_rng = np.random.default_rng(scenario_ss)
@@ -64,22 +61,18 @@ class _RunSetup:
         self.latency = scenario.latency_model()
         self.w0 = self.scenario_rng.normal(size=self.task.dimension)
 
+        # The run's N is its scenario's client count, whatever ``constants`` says.
+        resolved = {"N": scenario.n_clients}
         sources = {"L": "configured", "G": "configured", "sigma": "configured"}
         sigma_i = np.zeros(scenario.n_clients)
         if probe_count > 0:
             est = estimate_constants(self.task, self.batch, probe_count, self.scenario_rng)
             sigma_i = est.sigma_hat
-            sigma_global = float(max(est.sigma_hat.max(), 0.0))
-            constants = dataclasses.replace(
-                constants,
-                L=est.L_hat,
-                G=max(est.G_hat, 1e-12),
-                sigma_global=sigma_global,
-            )
+            resolved.update(L=est.L_hat, G=max(est.G_hat, 1e-12), sigma_global=float(max(est.sigma_hat.max(), 0.0)))
             sources = {"L": est.source["L"], "G": est.source["G"], "sigma": est.source["sigma"]}
         if equality_theta:
-            constants = dataclasses.replace(constants, theta=None)
-        self.constants = constants
+            resolved["theta"] = None
+        self.constants = dataclasses.replace(constants, **resolved)
         self.sources = sources
         self.sigma_i = sigma_i
 

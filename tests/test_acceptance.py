@@ -404,7 +404,7 @@ def test_criterion_12_byte_identical_outputs(tmp_path):
         "strategies": ["tsfl-dms", "fedavg"],
         "seeds": 2,
         "master_seed": 99,
-        "constants": {"eta": 0.05, "T": 4, "N": 4, "H": 4},
+        "constants": {"eta": 0.05, "T": 4, "H": 4},
         "estimate_probes": 2,
     }
     config_path = tmp_path / "config.json"

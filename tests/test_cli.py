@@ -16,6 +16,7 @@ from tsfl.cli import (
     _run_kwargs,
     _write_json,
     build_report,
+    build_scenarios,
     cell_seed,
     compare_latency,
     latency_table,
@@ -40,7 +41,7 @@ def small_config(**overrides):
         "strategies": ["tsfl-dms", "fedavg"],
         "seeds": 3,
         "master_seed": 7,
-        "constants": {"eta": 0.05, "T": 4, "N": 4, "H": 4},
+        "constants": {"eta": 0.05, "T": 4, "H": 4},
         "estimate_probes": 2,
     }
     config.update(overrides)
@@ -156,15 +157,18 @@ def test_cell_seeds_are_stable_under_matrix_growth():
     assert cell_seed(7, "case1", "fedavg", 1) != seed
 
 
-def test_explicit_seed_list(tmp_path):
-    config_path = write_config(
-        tmp_path, small_config(seeds=[11, 22], strategies=["fedavg"])
-    )
+def test_explicit_seed_list(tmp_path, capsys):
+    config = small_config(seeds=[11, 22], strategies=["fedavg"])
+    del config["master_seed"]
+    config_path = write_config(tmp_path, config)
     out = tmp_path / "out"
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
     logs = sorted((out / "runs").glob("*/runlog.json"))
     seeds = [json.loads(p.read_text(encoding="utf-8"))["seed"] for p in logs]
     assert seeds == [11, 22]
+    # Listed seeds read no master seed, so --seed is a config error.
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "o"), "--seed", "3"]) == 2
+    assert "config.master_seed (or --seed): unread" in capsys.readouterr().err
 
 
 def test_metrics_header_golden():
@@ -331,16 +335,16 @@ def test_presets_verb_lists_builtins(capsys):
         assert f"{name:<12} {PRESETS[name].__doc__.splitlines()[0]}\n" in out
 
 
-def test_latency_verb_requires_both_schedulers(tmp_path):
-    config_path = write_config(tmp_path, {"strategies": ["fedavg"]}, name="lat.json")
-    assert main(["latency", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+def test_latency_verb_needs_no_strategies(tmp_path):
+    # The comparison is analytic: it runs no strategy, so an empty config
+    # writes the default sweep.
+    config_path = write_config(tmp_path, {}, name="lat.json")
+    assert main(["latency", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 0
+    assert len((tmp_path / "o" / "latency.csv").read_text(encoding="utf-8").splitlines()) == 4
 
 
 def test_latency_verb_writes_table(tmp_path, capsys):
-    config = {
-        "strategies": ["sfl", "tsfl-dms"],
-        "latency": {"deltas": [0.0, 1.25, 2.25], "rounds": 50},
-    }
+    config = {"latency": {"deltas": [0.0, 1.25, 2.25], "rounds": 50}}
     config_path = write_config(tmp_path, config, name="lat.json")
     out = tmp_path / "lat"
     assert main(["latency", "--config", str(config_path), "--out", str(out)]) == 0
@@ -364,7 +368,7 @@ def test_latency_verb_writes_table(tmp_path, capsys):
     ],
 )
 def test_latency_config_errors(tmp_path, capsys, latency, message):
-    config = {"strategies": ["sfl", "tsfl-dms"], "latency": latency}
+    config = {"latency": latency}
     config_path = write_config(tmp_path, config, name="lat.json")
     out = tmp_path / "lat"
     assert main(["latency", "--config", str(config_path), "--out", str(out)]) == 2
@@ -393,7 +397,7 @@ def test_inline_scenario_config(tmp_path):
         "task": {"kind": "quadratic", "dimension": 2},
         "strategies": ["tsfl-dms"],
         "seeds": 1,
-        "constants": {"eta": 0.05, "T": 3, "N": 4, "H": 4},
+        "constants": {"eta": 0.05, "T": 3, "H": 4},
     }
     config_path = write_config(tmp_path, config)
     out = tmp_path / "out"
@@ -463,7 +467,7 @@ INLINE = {"n_clients": 4, "processes": [{"kind": "fixed", "tau": 1}], "data_size
          "config.scenario.processes[0]: missing key 'tau'"),
         ({"scenario": {**INLINE, "processes": []}}, "config.scenario.processes: must be a non-empty list"),
         ({"full_batch": "false"}, "config.full_batch: expected bool, got 'false'"),
-        ({"scenario": {**INLINE, "full_batch": "false"}}, "config.scenario.full_batch: expected bool"),
+        ({"scenario": {**INLINE, "full_batch": False}}, "config.scenario: unknown keys ['full_batch']"),
         ({"equality_theta": "false"}, "config.equality_theta: expected bool, got 'false'"),
         ({"emit": {"csv": "false"}}, "config.emit.csv: expected bool, got 'false'"),
         ({"emit": {"plotdata": 1}}, "config.emit.plotdata: expected bool, got 1"),
@@ -494,8 +498,8 @@ INLINE = {"n_clients": 4, "processes": [{"kind": "fixed", "tau": 1}], "data_size
          "config.scenario.processes: 5 specs for n_clients=4"),
         ({"scenario": "case9"}, "config.scenario: expected one of ['case1', 'case2', 'case3', 'homogeneous']"),
         ({"constant": {"T": 2}}, "config: unknown keys ['constant']"),
-        ({"min_upload_iterations": -1}, "config.min_upload_iterations: min_iterations must be non-negative"),
-        ({"constants": {"N": 3.5}}, "config.constants.N: expected int, got 3.5"),
+        ({"min_upload_iterations": -1}, "config.min_upload_iterations: must be at least 0, got -1"),
+        ({"constants": {"N": 4}}, "config.constants: unknown keys ['N']"),
         ({"task": {"kind": "mlp"}}, "config.task: kind must be 'quadratic' or 'logistic', got 'mlp'"),
         ({"task": {"dimension": "0"}}, "config.task: dimension=0 must be at least 1 for a quadratic task"),
         ({"task": {"kind": "logistic", "dimension": 1}}, "config.task: dimension=1 must be at least 2"),
@@ -515,8 +519,8 @@ INLINE = {"n_clients": 4, "processes": [{"kind": "fixed", "tau": 1}], "data_size
         ({"scenario": {**INLINE, "overhead": -1}}, "config.scenario.overhead: must be at least 0, got -1.0"),
         ({"scenario": {**INLINE, "required_iterations": 0}},
          "config.scenario.required_iterations: must be at least 1, got 0"),
-        ({"scenario": {**INLINE, "min_upload_iterations": -1}},
-         "config.scenario.min_upload_iterations: must be at least 0, got -1"),
+        ({"scenario": {**INLINE, "min_upload_iterations": 0}},
+         "config.scenario: unknown keys ['min_upload_iterations']"),
         ({"scenario": {**INLINE, "processes": [{"kind": "fixed", "tau": -1}]}},
          "config.scenario.processes[0].tau: must be at least 0, got -1"),
         ({"scenario": {**INLINE, "processes": [{"kind": "gaussian-floor", "mean": 2, "std": -1}]}},
@@ -528,9 +532,17 @@ INLINE = {"n_clients": 4, "processes": [{"kind": "fixed", "tau": 1}], "data_size
          "config.scenario_options.tau: must be at least 0, got -1"),
         ({"seeds": [3, -1]}, "config.seeds[1]: must be at least 0, got -1"),
         ({"scenario": []}, "config.scenario: list must be non-empty"),
-        ({"constants": {"eta": 0.05, "T": 4, "H": 4}},
-         "config.constants.N: 20 differs from the 4 clients of scenario 'case1'"),
+        ({"scenario": "case3", "scenario_options": {"data_size": 64, "tau": 9}},
+         "config.scenario_options.data_size: no configured scenario takes it"),
         ({"strategy": "fedavg"}, "config: unknown keys ['strategy']"),
+        # A key that no configured preset or strategy reads, or a master seed
+        # beside listed seeds, would be dropped unread.
+        ({"scenario": INLINE}, "config.scenario_options.batch_size: no configured scenario takes it"),
+        ({"strategies": ["fedavg"], "runner": {"buffer_size": 3}},
+         "config.runner.buffer_size: no configured strategy takes it"),
+        ({"runner": {"variant": "arrival-blend"}}, "config.runner.variant: no configured strategy takes it"),
+        ({"seeds": [3, 4]}, "config.master_seed (or --seed): unread, as config.seeds lists every seed"),
+        ({"seeds": [3, 4, 3]}, "config.seeds[2]: repeats seed 3"),
     ],
 )
 def test_unread_or_malformed_options_are_config_errors(tmp_path, capsys, overrides, location):
@@ -539,6 +551,20 @@ def test_unread_or_malformed_options_are_config_errors(tmp_path, capsys, overrid
     assert main(["run", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 2
     assert not out.exists()
     assert location in capsys.readouterr().err
+
+
+def test_root_settings_reach_every_scenario(tmp_path):
+    # full_batch and min_upload_iterations come only from the config root and
+    # reach a preset and an inline scenario alike.
+    inline = {**INLINE, "name": "two-tier", "processes": [{"kind": "fixed", "tau": 1}, {"kind": "fixed", "tau": 3}]}
+    config = small_config(scenario=["case1", inline], strategies=["fedavg"], seeds=1,
+                          full_batch=True, min_upload_iterations=2)
+    assert [(s.full_batch, s.min_upload_iterations) for s in build_scenarios(config)] == [(True, 2)] * 2
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 0
+    raw = json.loads((out / "runs" / "two-tier__fedavg__s000" / "runlog.json").read_text())
+    assert raw["scenario"]["full_batch"] is True and raw["scenario"]["min_upload_iterations"] == 2
+    assert {tuple(record["beta"]) for record in raw["records"]} == {(0, 0, 1, 1)}
 
 
 def test_options_apply_where_accepted(tmp_path):
@@ -594,7 +620,7 @@ def test_every_demo_leaf_mutation_is_a_config_error_or_runs(tmp_path):
     base["seeds"] = 1
     values = ["x", True, 2.5, math.nan, math.inf, -math.inf, 0, -1, [1], None]
     paths = list(_leaves(base))
-    assert len(paths) == 18
+    assert len(paths) == 17
     accepted = {}
     for path in paths:
         section = "config" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path[:-1])

@@ -6,7 +6,6 @@ from tsfl.scenarios import (
     FixedIterations,
     GaussianFloorIterations,
     LatencyModel,
-    apply_client_selection,
     preset,
     two_tier_speed_profile,
 )
@@ -61,16 +60,6 @@ def test_scenario_latency_model_paces_mean_tau_per_interval():
     model = scenario.latency_model()
     assert np.allclose(model.seconds_per_iteration[:10], 1.0)
     assert np.allclose(model.seconds_per_iteration[10:], 0.25)
-
-
-def test_apply_client_selection():
-    scenario = preset("case2")
-    assert apply_client_selection(scenario, 0) is scenario
-    limited = apply_client_selection(scenario, 2)
-    assert limited.min_upload_iterations == 2
-    assert scenario.min_upload_iterations == 0
-    with pytest.raises(ValueError):
-        apply_client_selection(scenario, -1)
 
 
 def test_two_tier_speed_profile_hits_requested_variance():

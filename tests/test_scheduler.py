@@ -323,7 +323,7 @@ def test_fedprox_pulls_models_toward_interval_start():
     assert drift_prox < drift_avg
 
 
-DIVERGING = dict(eta=1e200, L=1.0, T=3, N=4, H=4, sigma_global=1.0)
+DIVERGING = dict(eta=1e200, L=1.0, T=3, H=4, sigma_global=1.0)
 
 
 @pytest.mark.parametrize("strategy", ["fedavg", "tsfl-dms", "sfl", "fedasync"])
@@ -345,7 +345,7 @@ def test_diverging_run_names_the_clients_of_every_batch_width():
                         task=TaskSpec(kind="logistic", dimension=3))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match=r"^interval 0: local models of clients \[0, 1, 2, 3, 4, 5\] are not finite$"):
-            run_strategy(scenario, "fedavg", SystemConstants(**{**DIVERGING, "N": 6}), seed=0)
+            run_strategy(scenario, "fedavg", SystemConstants(**DIVERGING), seed=0)
 
 
 def test_diverging_run_fails_its_cell(tmp_path):
@@ -556,10 +556,14 @@ def test_arrivals_match_the_heap_loop(means, k, interval, T):
 
 @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
 def test_constants_n_must_be_the_client_count(strategy):
-    scenario = scenario_with([FixedIterations(2)] * 3)
-    constants = SystemConstants(eta=0.02, L=1.0, N=4, H=2, T=2, sigma_global=1.0)
-    with pytest.raises(ValueError, match=r"^constants.N=4 differs from the 3 clients of scenario 'custom'$"):
-        run_strategy(scenario, strategy, constants, seed=0)
+    # A run takes N from its scenario: given N=4 on three clients, it runs as
+    # given N=3, bit for bit.
+    scenario = scenario_with([FixedIterations(1), FixedIterations(2), FixedIterations(3)])
+    logs = [run_strategy(scenario, strategy, SystemConstants(eta=0.02, L=1.0, N=n, H=3, T=3, sigma_global=1.0),
+                         seed=0, probe_count=2) for n in (4, 3)]
+    assert logs[0].constants == logs[1].constants and logs[0].constants.N == 3
+    assert logs[0].records.tobytes() == logs[1].records.tobytes()
+    assert logs[0].final_model.tobytes() == logs[1].final_model.tobytes()
 
 
 def test_negative_probe_count_raises():

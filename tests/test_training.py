@@ -547,7 +547,7 @@ def test_logistic_descent_out_of_steps_fails_the_cell(monkeypatch, tmp_path):
         "task": {"kind": "logistic", "dimension": 3, "noniid_spread": 0.5},
         "strategies": ["tsfl-dms"],
         "seeds": 1,
-        "constants": {"eta": 0.05, "T": 2, "N": 4, "H": 4},
+        "constants": {"eta": 0.05, "T": 2, "H": 4},
         "estimate_probes": 2,
     }
     path = tmp_path / "config.json"
