@@ -6,7 +6,7 @@ the engine and the diagnostics stay independently testable.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,9 +39,6 @@ class BoundReport:
     applicable: bool
     h_used: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class ConvergenceReport:
@@ -52,9 +49,6 @@ class ConvergenceReport:
     satisfied: bool
     applicable: bool
     step_size_limit: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def convergence_rhs(constants: SystemConstants, intervals: int, loss_gap: float) -> float:

@@ -9,10 +9,10 @@ Seed scheme: each cell's rng seed is derived as the first eight bytes of
 sha256("<master>|<scenario>|<strategy>|<index>"), so adding scenarios,
 strategies, or seeds never perturbs existing cells.
 
-Metrics CSV schema (version 1): t, wall_clock, global_loss, grad_norm_sq,
-then tau_i, beta_i, rho_i for clients 1..N. One row per interval, evaluated
-at the interval's starting model, plus a final row (t = T, tau/beta/rho zero)
-carrying the final model's metrics.
+Metrics CSV columns: t, wall_clock, global_loss, grad_norm_sq, then tau_i,
+beta_i, rho_i for clients 1..N. One row per interval, evaluated at the
+interval's starting model, plus a final row (t = T, tau/beta/rho zero)
+carrying the final model's metrics. The JSON files carry the schema version.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .scenarios import (
 )
 from .scheduler import STRATEGIES, participation_frequency, run_strategy
 
-METRICS_SCHEMA_VERSION = 1
+METRICS_SCHEMA_VERSION = 2
 ENV_OUT_DIR = "TSFL_OUT_DIR"
 
 
@@ -161,7 +161,6 @@ class _Root(typing.TypedDict, total=False):
     seeds: int | list[int]
     master_seed: int
     estimate_probes: int
-    equality_theta: bool
     full_batch: bool
     min_upload_iterations: int
     emit: dict
@@ -277,9 +276,9 @@ def build_constants(config: dict) -> SystemConstants:
 
 
 def _run_kwargs(config: dict, strategy: str) -> dict:
-    """The keyword arguments of ``strategy``'s runner: the probe settings, of
-    which the probe count is at least 0, and the ``runner`` keys it accepts,
-    each of whose counts is at least 1."""
+    """The keyword arguments of ``strategy``'s runner: the probe count (at
+    least 0), ``equality_theta`` when config.constants gives no theta, and the
+    ``runner`` keys it accepts (each count at least 1)."""
     runner = _coerce(_RUNNER, config.get("runner", {}), "config.runner")
     for key, value in runner.items():
         if isinstance(value, int) and value < 1:
@@ -289,7 +288,7 @@ def _run_kwargs(config: dict, strategy: str) -> dict:
         raise ConfigError(f"config.estimate_probes: must be at least 0, got {probes}")
     return {
         "probe_count": probes,
-        "equality_theta": config.get("equality_theta", False),
+        "equality_theta": config.get("constants", {}).get("theta") is None,
         **{key: value for key, value in runner.items() if key in STRATEGIES[strategy].options},
     }
 
@@ -376,8 +375,14 @@ def _float_or_nan(value) -> float:
 def log_from_dict(data: dict) -> RunLog:
     """The RunLog that ``log_to_dict`` serialized; its per-interval models read
     back as NaN, and so does every float written as null (see ``_write_json``):
-    numpy reads a None in a float column as NaN."""
+    numpy reads a None in a float column as NaN. A log of another schema
+    version, or with no records, is a ValueError."""
+    version = data.get("schema_version") if isinstance(data, dict) else None
+    if version != METRICS_SCHEMA_VERSION:
+        raise ValueError(f"schema_version {version!r}, expected {METRICS_SCHEMA_VERSION}")
     rows = data["records"]
+    if not rows:
+        raise ValueError("records: empty, a run log has one record per interval")
     log = RunLog(
         scenario=data["scenario"],
         seed=data["seed"],
@@ -388,8 +393,8 @@ def log_from_dict(data: dict) -> RunLog:
         final_model=None if data["final_model"] is None else np.array(data["final_model"], dtype=float),
         final_loss=_float_or_nan(data["final_loss"]),
         final_grad_norm_sq=_float_or_nan(data["final_grad_norm_sq"]),
-        constants_source=data.get("constants_source", {}),
-        analysis_inputs=data.get("analysis_inputs", {}),
+        constants_source=data["constants_source"],
+        analysis_inputs=data["analysis_inputs"],
     )
     for t, row in enumerate(rows):
         log.records[t] = IntervalRecord(**row)
@@ -452,29 +457,15 @@ def write_metrics_csv(path: Path, log: RunLog) -> None:
 
 
 def build_report(log: RunLog) -> dict:
-    constants = log.constants
-    inputs = log.analysis_inputs
-    bound = evaluate_bound(log)
-    v_hat = inputs.get("v_hat")
-    epsilon_hat = inputs.get("epsilon_hat")
-    if v_hat is not None and epsilon_hat is not None and epsilon_hat > 0:
-        convergence_constants = dataclasses.replace(
-            constants, V=max(float(v_hat), 1.0), epsilon=float(epsilon_hat)
-        )
-        dissimilarity_source = "probed"
-    else:
-        convergence_constants = constants
-        dissimilarity_source = "configured"
-    convergence = verify_convergence(log, convergence_constants)
+    """The analysis of a run from its log, under the constants it resolved."""
     return {
         "schema_version": METRICS_SCHEMA_VERSION,
         "run": {"scenario": log.scenario["name"], "strategy": log.strategy, "seed": log.seed},
-        "constants": dataclasses.asdict(constants),
+        "constants": dataclasses.asdict(log.constants),
         "constants_source": log.constants_source,
-        "precondition_warnings": validate_constants(constants),
-        "dissimilarity_source": dissimilarity_source,
-        "bound": bound.to_dict(),
-        "convergence": convergence.to_dict(),
+        "precondition_warnings": validate_constants(log.constants),
+        "bound": dataclasses.asdict(evaluate_bound(log)),
+        "convergence": dataclasses.asdict(verify_convergence(log)),
         "participation": _participation(log),
         "final": {
             "loss": log.final_loss,
@@ -608,7 +599,8 @@ def run_experiment(config: dict, out_dir: Path, parallel: int = 1) -> int:
 
 
 def compare_latency(config: dict, out_dir: Path) -> int:
-    root = _coerce(_TYPES[_Root], config, "config")
+    """Write and print config.latency's table; any run key is a ConfigError."""
+    root = _coerce({key: _TYPES[_Root][key] for key in ("latency", "out_dir")}, config, "config")
     rows = _build(latency_table, root.get("latency", {}), "config.latency")
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
@@ -629,16 +621,23 @@ def compare_latency(config: dict, out_dir: Path) -> int:
 
 
 def reanalyze(out_dir: Path) -> int:
-    """Regenerate report.json for every serialized run log under out_dir."""
+    """Regenerate report.json for every serialized run log under out_dir; a
+    log it cannot analyse is named on stderr, keeps its report, and fails."""
     logs = sorted(out_dir.glob("runs/*/runlog.json"))
     if not logs:
         print(f"no run logs found under {out_dir}", file=sys.stderr)
         return 1
+    status = 0
     for path in logs:
-        log = log_from_dict(json.loads(path.read_text(encoding="utf-8")))
-        _write_json(path.parent / "report.json", build_report(log))
-        print(f"re-analyzed {path.parent.name}")
-    return 0
+        try:
+            report = build_report(log_from_dict(json.loads(path.read_text(encoding="utf-8"))))
+        except (OSError, ValueError, LookupError, TypeError) as exc:
+            print(f"{path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            status = 1
+        else:
+            _write_json(path.parent / "report.json", report)
+            print(f"re-analyzed {path.parent.name}")
+    return status
 
 
 def list_presets() -> int:

@@ -43,11 +43,14 @@ class SystemConstants:
     ``eta``, ``L``, ``G``, ``sigma_global`` are the learning rate, smoothness
     bound, gradient-norm bound, and common mini-batch noise bound. ``theta``
     caps the aggregation weights at theta/N; when omitted it defaults to the
-    equality point of the weight-limit precondition, eta*L*(1+theta) = 1.
+    equality point of the weight-limit precondition, eta*L*(1+theta) = 1, at
+    this ``L``; a runner's ``equality_theta`` (which ``tsfl run`` passes when
+    the config gives no theta) puts it there at the run's own L.
     ``H`` is the largest per-interval iteration count, ``N`` the client count
     (a run takes it from its scenario), ``T`` the number of communication
     intervals. ``epsilon`` and ``V`` bound
-    gradient alignment and dissimilarity across clients, ``gamma`` is the
+    gradient alignment and dissimilarity across clients (probes replace them,
+    and L, G and sigma_global, in a run), ``gamma`` is the
     depreciation factor of the asynchronous baseline, and ``mu`` the proximal
     coefficient of the FedProx baseline.
     """
@@ -166,9 +169,10 @@ class RunLog:
     ``(T, n)``, ``(T,)`` or ``(T, d)`` arrays. ``constants_source`` records,
     per analysis constant, whether the value was configured explicitly,
     derived exactly from the task, or estimated from probes.
-    ``analysis_inputs`` carries the quantities the report generator needs
-    (per-client noise/optimum-distance, initial/optimal models, loss at the
-    optimum) so logs can be re-analyzed without rebuilding the task.
+    ``analysis_inputs`` carries the other quantities the report generator
+    needs (per-client noise and optimum distance, the optimal model and loss,
+    the raw dissimilarity estimates) so logs can be re-analyzed without
+    rebuilding the task; the initial model is ``initial_model``.
     """
 
     scenario: dict

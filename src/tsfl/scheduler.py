@@ -41,7 +41,7 @@ from .training import diverged_error, draw_batches, estimate_constants, local_tr
 
 class _RunSetup:
     """Materialized task, client data and batch sizes, rng streams, and
-    resolved constants."""
+    resolved constants; ``equality_theta`` moves theta to the run's L."""
 
     def __init__(self, scenario: Scenario, constants: SystemConstants, seed: int,
                  probe_count: int, equality_theta: bool):
@@ -61,20 +61,16 @@ class _RunSetup:
         self.latency = scenario.latency_model()
         self.w0 = self.scenario_rng.normal(size=self.task.dimension)
 
-        # The run's N is its scenario's client count, whatever ``constants`` says.
+        # Every analysis constant is resolved here, once: N is the scenario's
+        # client count, and probes replace L, G, sigma_global, V and epsilon.
         resolved = {"N": scenario.n_clients}
-        sources = {"L": "configured", "G": "configured", "sigma": "configured"}
-        sigma_i = np.zeros(scenario.n_clients)
+        self.sources = dict.fromkeys(("L", "G", "sigma", "V", "epsilon"), "configured")
+        self.sigma_i = np.zeros(scenario.n_clients)
         if probe_count > 0:
             est = estimate_constants(self.task, self.batch, probe_count, self.scenario_rng)
-            sigma_i = est.sigma_hat
+            self.sigma_i = est.sigma_hat
             resolved.update(L=est.L_hat, G=max(est.G_hat, 1e-12), sigma_global=float(max(est.sigma_hat.max(), 0.0)))
-            sources = {"L": est.source["L"], "G": est.source["G"], "sigma": est.source["sigma"]}
-        if equality_theta:
-            resolved["theta"] = None
-        self.constants = dataclasses.replace(constants, **resolved)
-        self.sources = sources
-        self.sigma_i = sigma_i
+            self.sources.update(est.source)
 
         probes = [self.w0 + 0.5 * self.scenario_rng.normal(size=self.task.dimension)
                   for _ in range(probe_count)]
@@ -84,13 +80,17 @@ class _RunSetup:
                 v_hat, epsilon_hat = estimate_dissimilarity(self.task, probes)
             except ValueError:
                 pass
-
+        if v_hat is not None and epsilon_hat > 0:
+            resolved.update(V=max(v_hat, 1.0), epsilon=epsilon_hat)
+            self.sources.update(V="probed", epsilon="probed")
+        if equality_theta:
+            resolved["theta"] = None  # the equality point of the run's L
+        self.constants = dataclasses.replace(constants, **resolved)
         self.analysis_inputs = {
-            "sigma_i": sigma_i.tolist(),
+            "sigma_i": self.sigma_i.tolist(),
             "gamma_noniid": self.task.gamma_noniid.tolist(),
             "w_star": self.task.w_star.tolist(),
             "f_star": self.task.f_star,
-            "w0": self.w0.tolist(),
             "v_hat": v_hat,
             "epsilon_hat": epsilon_hat,
         }

@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import json
 import math
 import tempfile
@@ -11,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from tsfl.analysis import verify_convergence
 from tsfl.cli import (
+    METRICS_SCHEMA_VERSION,
     ConfigError,
     _run_kwargs,
     _write_json,
@@ -28,7 +31,7 @@ from tsfl.cli import (
     run_experiment,
     validate_run_config,
 )
-from tsfl.core import RunLog, SystemConstants, interval_records
+from tsfl.core import RunLog, SystemConstants, default_weight_limit, interval_records
 from tsfl.scenarios import PRESETS
 from tsfl.scheduler import ALL_STRATEGIES
 
@@ -328,6 +331,34 @@ def test_report_verb_fails_cleanly_without_logs(tmp_path):
     assert main(["report", "--out", str(tmp_path / "empty")]) == 1
 
 
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda raw: {**raw, "records": []}, "ValueError: records: empty"),
+        (lambda raw: {"records": 3}, f"ValueError: schema_version None, expected {METRICS_SCHEMA_VERSION}"),
+        (lambda raw: {"schema_version": METRICS_SCHEMA_VERSION, "records": 3}, "KeyError: 'scenario'"),
+        # An older log's constants were resolved by other rules.
+        (lambda raw: {**raw, "schema_version": 1}, f"ValueError: schema_version 1, expected {METRICS_SCHEMA_VERSION}"),
+    ],
+)
+def test_report_verb_names_each_log_it_cannot_read(tmp_path, capsys, edit, reason):
+    # The bad log keeps its report, and the other log is still re-analyzed.
+    config_path = write_config(tmp_path, small_config(seeds=2, strategies=["fedavg"]))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    bad, good = sorted(out.glob("runs/*/runlog.json"))
+    bad.write_text(json.dumps(edit(json.loads(bad.read_text()))), encoding="utf-8")
+    reports = {p: p.read_bytes() for p in out.glob("runs/*/report.json")}
+    (good.parent / "report.json").unlink()
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert f"{bad}: {reason}" in captured.err
+    assert captured.out == f"re-analyzed {good.parent.name}\n"
+    for p, blob in reports.items():
+        assert p.read_bytes() == blob, p
+
+
 def test_presets_verb_lists_builtins(capsys):
     assert main(["presets"]) == 0
     out = capsys.readouterr().out
@@ -365,10 +396,17 @@ def test_latency_verb_writes_table(tmp_path, capsys):
         ({"deltas": 0.5}, "config.latency.deltas: expected list[float], got 0.5"),
         # null takes the default, so the error is the next key's.
         ({"required_iterations": None, "n_clients": "x"}, "config.latency.n_clients: expected int, got 'x'"),
+        # A whole config: the comparison reads no run key, so each is an error.
+        ({"scenario": "case3", "strategies": ["fedavg"], "constants": {"T": 5}, "seeds": [1, 1],
+          "equality_theta": True, "latency": {"rounds": 5}},
+         "config: unknown keys ['constants', 'equality_theta', 'scenario', 'seeds', 'strategies']"),
+        ({"estimate_probes": 2, "latency": {"rounds": 5}}, "config: unknown keys ['estimate_probes']"),
+        ({"emit": {"csv": True}, "latency": {}}, "config: unknown keys ['emit']"),
     ],
 )
 def test_latency_config_errors(tmp_path, capsys, latency, message):
-    config = {"latency": latency}
+    # A case holding a latency key is a whole config, any other its latency.
+    config = latency if "latency" in latency else {"latency": latency}
     config_path = write_config(tmp_path, config, name="lat.json")
     out = tmp_path / "lat"
     assert main(["latency", "--config", str(config_path), "--out", str(out)]) == 2
@@ -468,7 +506,7 @@ INLINE = {"n_clients": 4, "processes": [{"kind": "fixed", "tau": 1}], "data_size
         ({"scenario": {**INLINE, "processes": []}}, "config.scenario.processes: must be a non-empty list"),
         ({"full_batch": "false"}, "config.full_batch: expected bool, got 'false'"),
         ({"scenario": {**INLINE, "full_batch": False}}, "config.scenario: unknown keys ['full_batch']"),
-        ({"equality_theta": "false"}, "config.equality_theta: expected bool, got 'false'"),
+        ({"equality_theta": "false"}, "config: unknown keys ['equality_theta']"),
         ({"emit": {"csv": "false"}}, "config.emit.csv: expected bool, got 'false'"),
         ({"emit": {"plotdata": 1}}, "config.emit.plotdata: expected bool, got 1"),
         ({"scenario": {**INLINE, "batch_size": 31.9}}, "config.scenario.batch_size: expected int, got 31.9"),
@@ -602,6 +640,54 @@ def test_committed_configs_pass_their_command(tmp_path, path):
         assert compare_latency(config, tmp_path / "out") == 0
     else:
         validate_run_config(config)
+
+
+def test_demo_reports_read_the_constants_their_runs_resolved(tmp_path):
+    # configs/demo.json gives no theta, so each run puts it at the equality
+    # point of its probed L, and the bound's preconditions hold.
+    out = tmp_path / "demo"
+    assert main(["run", "--config", str(CONFIGS / "demo.json"), "--out", str(out)]) == 0
+    cells = sorted(out.glob("runs/*"))
+    assert len(cells) == 9
+    for cell in cells:
+        runlog = json.loads((cell / "runlog.json").read_text(encoding="utf-8"))
+        report = json.loads((cell / "report.json").read_text(encoding="utf-8"))
+        c = report["constants"]
+        assert report["bound"]["preconditions_met"] is True, cell.name
+        assert c["theta"] == default_weight_limit(c["eta"], c["L"]), cell.name
+        assert report["convergence"]["step_size_limit"] == 2 * c["epsilon"] / (c["V"] ** 2 * c["L"]), cell.name
+        assert (c, report["constants_source"]) == (runlog["constants"], runlog["constants_source"]), cell.name
+        assert report["constants_source"]["V"] == report["constants_source"]["epsilon"] == "probed", cell.name
+        assert "dissimilarity_source" not in report and "w0" not in runlog["analysis_inputs"], cell.name
+        assert dataclasses.asdict(verify_convergence(log_from_dict(runlog))) == report["convergence"], cell.name
+
+
+def test_run_keeps_an_explicit_theta_and_puts_an_omitted_one_at_the_run_equality_point(tmp_path):
+    constants = {}
+    for name, theta in (("omitted", {}), ("null", {"theta": None}), ("explicit", {"theta": 3.0})):
+        config = small_config(seeds=1, strategies=["fedavg"], constants={"eta": 0.05, "T": 4, "H": 4, **theta})
+        out = tmp_path / name
+        assert main(["run", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 0
+        runlog = json.loads((out / "runs" / "case1__fedavg__s000" / "runlog.json").read_text(encoding="utf-8"))
+        constants[name] = runlog["constants"]
+    L = constants["explicit"]["L"]
+    assert L != 1.0 and constants["explicit"]["theta"] == 3.0
+    assert constants["omitted"] == constants["null"] == {**constants["explicit"], "theta": default_weight_limit(0.05, L)}
+
+
+@pytest.mark.parametrize("probes, source", [(0, "configured"), (2, "probed")])
+def test_dissimilarity_constants_name_their_source(tmp_path, probes, source):
+    config = small_config(seeds=1, strategies=["fedavg"], estimate_probes=probes,
+                          constants={"eta": 0.05, "T": 4, "H": 4, "V": 2.0, "epsilon": 0.5})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 0
+    runlog = json.loads((out / "runs" / "case1__fedavg__s000" / "runlog.json").read_text(encoding="utf-8"))
+    c, inputs = runlog["constants"], runlog["analysis_inputs"]
+    assert runlog["constants_source"]["V"] == runlog["constants_source"]["epsilon"] == source
+    if probes:
+        assert (c["V"], c["epsilon"]) == (max(inputs["v_hat"], 1.0), inputs["epsilon_hat"])
+    else:
+        assert (c["V"], c["epsilon"]) == (2.0, 0.5) and inputs["v_hat"] is None
 
 
 def _leaves(value, path=()):

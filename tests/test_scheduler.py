@@ -566,6 +566,27 @@ def test_constants_n_must_be_the_client_count(strategy):
     assert logs[0].final_model.tobytes() == logs[1].final_model.tobytes()
 
 
+def test_library_run_keeps_an_omitted_theta_unless_asked_to_move_it():
+    # Without equality_theta an omitted theta stays at the equality point of
+    # the configured L, as the tsfl-theorem2 benchmark reference was recorded;
+    # with it, theta follows the run's probed L. V and epsilon are probed.
+    scenario = scenario_with([FixedIterations(1), FixedIterations(3)] * 2,
+                             task=TaskSpec(kind="logistic", dimension=3, noniid_spread=0.5))
+    constants = SystemConstants(eta=0.1, L=1.0, H=3, T=3)
+    kept = run_tsfl(scenario, "fedavg", constants, seed=1, probe_count=2)
+    moved = run_tsfl(scenario, "fedavg", constants, seed=1, probe_count=2, equality_theta=True)
+    assert kept.constants.L != 1.0 and kept.constants.theta == constants.theta
+    assert moved.constants == dataclasses.replace(kept.constants, theta=None)
+    assert moved.constants.theta != constants.theta
+    assert moved.records.tobytes() == kept.records.tobytes()  # fedavg reads no theta
+    inputs = kept.analysis_inputs
+    assert (kept.constants.V, kept.constants.epsilon) == (max(inputs["v_hat"], 1.0), inputs["epsilon_hat"])
+    assert kept.constants_source == {"L": "probed", "G": "probed", "sigma": "probed", "V": "probed", "epsilon": "probed"}
+    unprobed = run_tsfl(scenario, "fedavg", constants, seed=1)
+    assert unprobed.constants == dataclasses.replace(constants, N=4)
+    assert set(unprobed.constants_source.values()) == {"configured"}
+
+
 def test_negative_probe_count_raises():
     scenario = scenario_with([FixedIterations(2)] * 3)
     constants = SystemConstants(eta=0.02, L=1.0, N=3, H=2, T=2, sigma_global=1.0)
