@@ -457,14 +457,21 @@ def write_metrics_csv(path: Path, log: RunLog) -> None:
 
 
 def build_report(log: RunLog) -> dict:
-    """The analysis of a run from its log, under the constants it resolved."""
+    """The analysis of a run from its log, under the constants it resolved.
+    Every precondition the bound finds unmet is named in
+    ``precondition_warnings``: the constants' own, and an observed iteration
+    count above ``H``."""
+    bound = evaluate_bound(log)
+    warnings = validate_constants(log.constants)
+    if bound.h_used > log.constants.H:
+        warnings.append(f"observed iteration count {bound.h_used} > H={log.constants.H}")
     return {
         "schema_version": METRICS_SCHEMA_VERSION,
         "run": {"scenario": log.scenario["name"], "strategy": log.strategy, "seed": log.seed},
         "constants": dataclasses.asdict(log.constants),
         "constants_source": log.constants_source,
-        "precondition_warnings": validate_constants(log.constants),
-        "bound": dataclasses.asdict(evaluate_bound(log)),
+        "precondition_warnings": warnings,
+        "bound": dataclasses.asdict(bound),
         "convergence": dataclasses.asdict(verify_convergence(log)),
         "participation": _participation(log),
         "final": {

@@ -76,24 +76,22 @@ class GaussianFloorSize:
 
 @dataclass
 class LatencyModel:
-    """Wall-clock accounting for the schedulers.
-
-    The time-driven scheduler advances by exactly ``interval_length`` per
-    interval; upload and aggregation happen inside the fixed schedule. The
-    round-driven scheduler waits for the slowest client, so a round costs
-    ``required_iterations * max(seconds_per_iteration) + overhead``.
+    """Wall-clock accounting for the round-driven scheduler, which waits for
+    the slowest client: a round costs
+    ``required_iterations * max(seconds_per_iteration) + overhead``. The
+    time-driven scheduler reads none of it: it advances by exactly
+    ``Scenario.interval_length`` per interval.
     """
 
     seconds_per_iteration: np.ndarray
-    interval_length: float = 1.0
     overhead: float = 0.0
 
     def __post_init__(self) -> None:
         self.seconds_per_iteration = np.asarray(self.seconds_per_iteration, dtype=float)
         if not np.all(self.seconds_per_iteration > 0):
             raise ValueError("per-iteration times must be positive")
-        if not (0 < self.interval_length < np.inf and 0 <= self.overhead < np.inf):
-            raise ValueError("interval_length must be positive, overhead non-negative, both finite")
+        if not 0 <= self.overhead < np.inf:
+            raise ValueError("overhead must be non-negative and finite")
 
     def sync_round_seconds(self, required_iterations: int) -> float:
         return float(required_iterations * self.seconds_per_iteration.max() + self.overhead)
@@ -168,7 +166,6 @@ class Scenario:
     task: TaskSpec = field(default_factory=TaskSpec)
     interval_length: float = 1.0
     overhead: float = 0.0
-    required_iterations: int | None = None
     min_upload_iterations: int = 0
     full_batch: bool = False
 
@@ -181,8 +178,6 @@ class Scenario:
         if not 0 < self.interval_length < np.inf:
             raise FieldError(f"interval_length: must be positive and finite, got {self.interval_length!r}")
         _at_least("overhead", self.overhead, 0)
-        if self.required_iterations is not None:
-            _at_least("required_iterations", self.required_iterations, 1)
         _at_least("min_upload_iterations", self.min_upload_iterations, 0)
 
     @property
@@ -194,18 +189,14 @@ class Scenario:
         return np.array([p.mean for p in self.processes])
 
     def default_required_iterations(self) -> int:
-        if self.required_iterations is not None:
-            return self.required_iterations
+        """The fast tier's mean iteration count, rounded: the baselines' count
+        unless their runner is given one."""
         return max(1, int(round(self.mean_tau.max())))
 
     def latency_model(self) -> LatencyModel:
         # A client paces so that its mean iteration count fits one interval.
         spi = self.interval_length / np.maximum(self.mean_tau, 1e-9)
-        return LatencyModel(
-            seconds_per_iteration=spi,
-            interval_length=self.interval_length,
-            overhead=self.overhead,
-        )
+        return LatencyModel(seconds_per_iteration=spi, overhead=self.overhead)
 
     def materialize(self, rng):
         """Draw the data sizes and build the task."""
@@ -361,11 +352,7 @@ def latency_table(
     rows = []
     for delta in deltas:
         profile = two_tier_speed_profile(float(delta), n_clients=n_clients, mean_tau=mean_tau)
-        model = LatencyModel(
-            seconds_per_iteration=interval_length / profile,
-            interval_length=interval_length,
-            overhead=overhead,
-        )
+        model = LatencyModel(seconds_per_iteration=interval_length / profile, overhead=overhead)
         required = float(profile.max()) if required_iterations is None else float(required_iterations)
         sfl_total = rounds * model.sync_round_seconds(required)
         tsfl_total = rounds * interval_length

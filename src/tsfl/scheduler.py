@@ -36,7 +36,7 @@ from .aggregation import (  # noqa: F401
 from .analysis import estimate_dissimilarity
 from .core import IntervalRecord, RunLog, SystemConstants, interval_records  # noqa: F401
 from .scenarios import Scenario
-from .training import diverged_error, draw_batches, estimate_constants, local_train, train_clients  # noqa: F401
+from .training import draw_batches, estimate_constants, local_train, train_clients  # noqa: F401
 
 
 class _RunSetup:
@@ -101,17 +101,19 @@ class _RunSetup:
         in one ``draw_batches`` call, from its own stream, and reduced at once
         to what its SGD steps read (``task.reduce_batches``), in place, into
         one stream per width of a reduced step: client i's steps are rows
-        ``offset[i]`` on of ``streams[width[i]]``."""
+        ``offset[i]`` on of ``streams[width[i]]``. A full-batch run reads no
+        steps: its one stream entry is ``{0: None}``."""
         self.planned = np.asarray(steps, dtype=int)
         self.used = np.zeros_like(self.planned)
-        self.streams = None
+        self.width = np.zeros_like(self.planned)
+        self.offset = np.zeros_like(self.planned)
+        self.streams = {0: None}
         if self.scenario.full_batch:
             return
         drawn = draw_batches(self.batch_rngs, self.sizes, self.batch, self.planned)
         # The reduction of no batches has the width and type of a reduced step.
         layouts = [self.task.reduce_batches(i, indices[:0]) for i, indices in enumerate(drawn)]
         self.width = np.array([layout.shape[1] for layout in layouts])
-        self.offset = np.zeros_like(self.planned)
         self.streams = {}
         for width in set(self.width.tolist()):
             members = np.flatnonzero(self.width == width)
@@ -128,8 +130,10 @@ class _RunSetup:
     def train(self, clients, starts, steps, interval: int, prox_center=None) -> np.ndarray:
         """Lock-step local SGD: client ``clients[i]`` takes ``steps[i]`` steps
         from ``starts[i]`` on its next ``steps[i]`` planned mini-batches, one
-        ``train_clients`` call per stream. A client that asks for more steps
-        than were planned raises."""
+        ``train_clients`` call per stream width. Rows of different widths
+        train apart; no row's arithmetic reads another's. A client that asks
+        for more steps than were planned raises, and so does a local model
+        that is not finite, naming every diverged client of the group."""
         clients, steps = np.asarray(clients, dtype=int), np.asarray(steps, dtype=int)
         used = self.used.take(clients)
         end = used + steps
@@ -138,34 +142,20 @@ class _RunSetup:
             raise RuntimeError(f"interval {interval}: clients {clients[over].tolist()} "
                                "ask for more local steps than were planned")
         self.used[clients] = end
-        options = dict(prox_center=prox_center, mu=self.constants.mu if prox_center is not None else 0.0,
-                       context=f"interval {interval}")
-        if self.streams is None:
-            return train_clients(self.task, clients, starts, steps, self.constants.eta, **options)
         first = self.offset.take(clients) + used
-        if len(self.streams) == 1:
-            [stream] = self.streams.values()
-            return train_clients(self.task, clients, starts, steps, self.constants.eta,
-                                 stream=stream, first=first, **options)
-        # Rows of different widths train apart; no row's arithmetic reads
-        # another's. A divergence names the diverged clients of every width.
+        width = self.width.take(clients)
         starts = np.asarray(starts, dtype=float)
         out = np.empty((len(clients), self.task.dimension))
-        width = self.width.take(clients)
-        diverged = []
-        for w, stream in self.streams.items():
-            rows = np.flatnonzero(width == w)
-            if rows.size:
-                try:
-                    out[rows] = train_clients(self.task, clients[rows], starts[rows] if starts.ndim == 2 else starts,
-                                              steps[rows], self.constants.eta, stream=stream, first=first[rows],
-                                              **options)
-                except ValueError as error:
-                    if not hasattr(error, "clients"):
-                        raise
-                    diverged += error.clients
-        if diverged:
-            raise diverged_error(options["context"], diverged)
+        widths = set(width.tolist())
+        for w in widths:
+            # A group of one width reads its rows as views.
+            rows = slice(None) if len(widths) == 1 else np.flatnonzero(width == w)
+            out[rows] = train_clients(self.task, clients[rows], starts[rows] if starts.ndim == 2 else starts,
+                                      steps[rows], self.constants.eta, stream=self.streams[w], first=first[rows],
+                                      prox_center=prox_center, mu=self.constants.mu)
+        if not np.isfinite(out).all():
+            diverged = sorted(clients[~np.isfinite(out).all(axis=1)].tolist())
+            raise ValueError(f"interval {interval}: local models of clients {diverged} are not finite")
         return out
 
     def new_log(self, strategy: str, seed: int, clock) -> RunLog:
@@ -323,7 +313,7 @@ def _run_plan(setup: _RunSetup, strategy: str, seed: int, tau, beta, rho, clock,
 
     def combine(t, w, clients, models):
         # RunLog.validate checks every row's weights once the run is over,
-        # and train_clients has checked that the local models are finite.
+        # and setup.train has checked that the local models are finite.
         return rho[t] @ models if weighed[t] else None
 
     T, n = tau.shape

@@ -661,15 +661,6 @@ def stochastic_gradient(task, client: int, w: np.ndarray, batch_size: int, rng) 
     )
 
 
-def diverged_error(context: str, clients) -> ValueError:
-    """The error of local models of ``clients`` that are not finite. It keeps
-    them in its ``clients`` attribute, so a caller that trains in parts can
-    name the diverged clients of every part."""
-    error = ValueError(f"{context}: local models of clients {sorted(clients)} are not finite")
-    error.clients = list(clients)
-    return error
-
-
 def train_clients(
     task,
     clients,
@@ -680,7 +671,6 @@ def train_clients(
     first=None,
     prox_center: np.ndarray | None = None,
     mu: float = 0.0,
-    context: str = "local_train",
 ) -> np.ndarray:
     """Lock-step local SGD on a stack of models; returns the ``(k, d)`` results.
 
@@ -692,9 +682,8 @@ def train_clients(
     per row of one width, and row i's step s takes ``task.reduced_grads`` on
     ``stream[first[i] + s]``. A non-zero ``mu`` with a ``prox_center`` (one
     center for every row) adds the proximal pull mu*(w - center) to every
-    step. Rows with tau=0 return their start and read no step.
-    Raises ``ValueError`` naming ``context`` and the clients whose results
-    are not finite.
+    step. Rows with tau=0 return their start and read no step. Rows come
+    back as computed: a diverged row is not finite, and the caller checks.
     """
     clients = np.asarray(clients, dtype=int)
     tau = np.asarray(tau, dtype=int)
@@ -734,8 +723,6 @@ def train_clients(
             g = g + mu * (rows - prox_center)
         g *= eta
         rows -= g
-    if not np.isfinite(w).all():
-        raise diverged_error(context, ids[~np.isfinite(w).all(axis=1)].tolist())
     out = np.empty_like(w)
     out[order] = w
     return out
@@ -759,16 +746,20 @@ def local_train(
     reduced by ``task.reduce_batches``. A non-zero ``mu`` with a
     ``prox_center`` adds the proximal pull mu*(w - center) to every step.
     tau=0 returns the start point unchanged. The one-row case of
-    ``train_clients``, on a one-client stream.
+    ``train_clients``, on a one-client stream; raises ``ValueError`` when the
+    result is not finite.
     """
     stream = None
     if batch_size is not None:
         [drawn] = draw_batches([rng], task.data_size(client), batch_size, [tau])
         stream = task.reduce_batches(client, drawn)
-    return train_clients(
+    [w] = train_clients(
         task, [client], np.asarray(w_start, dtype=float)[None], [tau], eta,
         stream=stream, first=[0], prox_center=prox_center, mu=mu,
-    )[0]
+    )
+    if not np.isfinite(w).all():
+        raise ValueError(f"local_train: local models of clients [{client}] are not finite")
+    return w
 
 
 @dataclass

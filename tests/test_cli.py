@@ -497,7 +497,7 @@ INLINE = {"n_clients": 4, "processes": [{"kind": "fixed", "tau": 1}], "data_size
         ({"min_upload_iterations": "x"}, "config.min_upload_iterations:"),
         ({"scenario": {**INLINE, "n_clients": "x"}}, "config.scenario.n_clients:"),
         ({"scenario": {**INLINE, "batch_size": "x"}}, "config.scenario.batch_size:"),
-        ({"scenario": {**INLINE, "required_iterations": "x"}}, "config.scenario.required_iterations:"),
+        ({"scenario": {**INLINE, "required_iterations": "x"}}, "config.scenario: unknown keys ['required_iterations']"),
         ({"scenario": {**INLINE, "data_sizes": [64, "x"]}}, "config.scenario.data_sizes[1]:"),
         ({"scenario": {**INLINE, "processes": [{"kind": "fixed", "tau": "x"}]}},
          "config.scenario.processes[0].tau:"),
@@ -555,8 +555,8 @@ INLINE = {"n_clients": 4, "processes": [{"kind": "fixed", "tau": 1}], "data_size
         ({"scenario": {**INLINE, "interval_length": 0}},
          "config.scenario.interval_length: must be positive and finite, got 0.0"),
         ({"scenario": {**INLINE, "overhead": -1}}, "config.scenario.overhead: must be at least 0, got -1.0"),
-        ({"scenario": {**INLINE, "required_iterations": 0}},
-         "config.scenario.required_iterations: must be at least 1, got 0"),
+        ({"strategies": ["sfl"], "runner": {"required_iterations": 0}},
+         "config.runner.required_iterations: must be at least 1, got 0"),
         ({"scenario": {**INLINE, "min_upload_iterations": 0}},
          "config.scenario: unknown keys ['min_upload_iterations']"),
         ({"scenario": {**INLINE, "processes": [{"kind": "fixed", "tau": -1}]}},
@@ -660,6 +660,18 @@ def test_demo_reports_read_the_constants_their_runs_resolved(tmp_path):
         assert report["constants_source"]["V"] == report["constants_source"]["epsilon"] == "probed", cell.name
         assert "dissimilarity_source" not in report and "w0" not in runlog["analysis_inputs"], cell.name
         assert dataclasses.asdict(verify_convergence(log_from_dict(runlog))) == report["convergence"], cell.name
+
+
+def test_every_report_whose_preconditions_fail_names_a_reason(tmp_path):
+    # case1 clients take 1 or 4 steps an interval: past H=2 under either runner.
+    config = small_config(seeds=1, strategies=["fedavg", "fedasync"], constants={"eta": 0.05, "T": 4, "H": 2})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 0
+    reports = [json.loads(path.read_text(encoding="utf-8")) for path in sorted(out.glob("runs/*/report.json"))]
+    assert len(reports) == 2
+    for report in reports:
+        assert not report["bound"]["preconditions_met"]
+        assert report["precondition_warnings"] == ["observed iteration count 4 > H=2"], report["run"]
 
 
 def test_run_keeps_an_explicit_theta_and_puts_an_omitted_one_at_the_run_equality_point(tmp_path):

@@ -47,12 +47,11 @@ def test_case3_materialization_draws_sizes_above_batch():
 
 
 def test_latency_model_round_time():
-    model = LatencyModel(seconds_per_iteration=[1.0, 0.25], interval_length=1.0, overhead=0.5)
+    model = LatencyModel(seconds_per_iteration=[1.0, 0.25], overhead=0.5)
     assert model.sync_round_seconds(4) == pytest.approx(4.5)
-    for spi, interval_length, overhead in [([0.0], 1.0, 0.0), ([np.nan], 1.0, 0.0), ([1.0], np.nan, 0.0),
-                                           ([1.0], np.inf, 0.0), ([1.0], 1.0, np.nan), ([1.0], 1.0, np.inf)]:
+    for spi, overhead in [([0.0], 0.0), ([np.nan], 0.0), ([1.0], np.nan), ([1.0], np.inf)]:
         with pytest.raises(ValueError):
-            LatencyModel(seconds_per_iteration=spi, interval_length=interval_length, overhead=overhead)
+            LatencyModel(seconds_per_iteration=spi, overhead=overhead)
 
 
 def test_scenario_latency_model_paces_mean_tau_per_interval():

@@ -331,11 +331,12 @@ def test_diverging_run_names_the_interval_and_the_clients(strategy):
     # One step at eta=1e200 stays finite; the second overflows. Clients 0 and
     # 2 take four steps in interval 0 (under fedasync they upload two steps
     # at t=0.5, client 3 not before t=2); sfl has all four take two.
-    scenario = scenario_with([FixedIterations(k) for k in (4, 0, 4, 1)], required_iterations=2)
+    scenario = scenario_with([FixedIterations(k) for k in (4, 0, 4, 1)])
+    kwargs = {"sfl": {"required_iterations": 2}, "fedasync": {"local_iterations": 2}}.get(strategy, {})
     clients = "0, 1, 2, 3" if strategy == "sfl" else "0, 2"
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match=rf"^interval 0: local models of clients \[{clients}\] are not finite"):
-            run_strategy(scenario, strategy, SystemConstants(**DIVERGING), seed=0)
+            run_strategy(scenario, strategy, SystemConstants(**DIVERGING), seed=0, **kwargs)
 
 
 def test_diverging_run_names_the_clients_of_every_batch_width():
@@ -631,18 +632,22 @@ class _ChoiceSetup(_RunSetup):
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
-@pytest.mark.parametrize("strategy", [s for s in ALL_STRATEGIES if s != "tsfl-theorem2"])
-def test_planned_streams_train_as_per_step_choice(monkeypatch, strategy, kind):
+@pytest.mark.parametrize("strategy, full_batch", [
+    pytest.param(s, full, id=f"{s}-full-batch" if full else s)
+    for s in ALL_STRATEGIES if s != "tsfl-theorem2" for full in (False, True)
+])
+def test_planned_streams_train_as_per_step_choice(monkeypatch, strategy, full_batch, kind):
     # Clients 0 and 5 hold fewer samples than a batch: a logistic run keeps
     # three streams, of widths 10, 16 and 8. Client 4 takes no step in some
     # intervals, and client 5 none at all outside sfl, so its offset is the
-    # end of its stream. fedasync and semiasync train groups of arrivals.
+    # end of its stream. fedasync and semiasync train groups of arrivals. A
+    # full-batch run trains on its one stream entry, which holds no steps.
     scenario = Scenario(
         name="mixed",
         processes=[FixedIterations(3), GaussianFloorIterations(2.0, 1.5), FixedIterations(1),
                    FixedIterations(4), GaussianFloorIterations(1.0, 1.0), FixedIterations(0)],
         data_sizes=[10, 50, 20, 64, 33, 8], batch_size=16,
-        task=TaskSpec(kind=kind, dimension=3, noniid_spread=0.5),
+        task=TaskSpec(kind=kind, dimension=3, noniid_spread=0.5), full_batch=full_batch,
     )
     constants = SystemConstants(eta=0.05, L=1.0, N=6, H=4, T=6, gamma=0.5, sigma_global=1.0, mu=0.3)
     log = run_strategy(scenario, strategy, constants, seed=3)

@@ -667,10 +667,14 @@ def test_lock_step_trainer_rows_in_any_order_and_shared_start():
 
 
 def test_lock_step_trainer_names_the_clients_that_diverge():
+    # The trainer returns its rows as computed, diverged ones included, and
+    # its caller names them; local_train names its one client.
     task = small_quadratic(np.random.default_rng(0), n_clients=4, spread=1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match=r"^interval 7: local models of clients \[0, 2\] are not finite"):
-            train_clients(task, np.arange(4), np.ones(2), [5, 0, 5, 1], 1e200, context="interval 7")
+        out = train_clients(task, np.arange(4), np.ones(2), [5, 0, 5, 1], 1e200)
+        assert np.isfinite(out).all(axis=1).tolist() == [False, True, False, True]
+        with pytest.raises(ValueError, match=r"^local_train: local models of clients \[2\] are not finite$"):
+            local_train(task, 2, np.ones(2), 5, 1e200)
 
 
 def test_lock_step_trainer_rejects_negative_steps_and_wrong_dimension():
