@@ -45,7 +45,7 @@ from .scenarios import (
     latency_table,
     tiered,
 )
-from .scheduler import STRATEGIES, participation_frequency, run_strategy
+from .scheduler import STRATEGIES, RunSetup, participation_frequency
 
 METRICS_SCHEMA_VERSION = 2
 ENV_OUT_DIR = "TSFL_OUT_DIR"
@@ -168,7 +168,6 @@ class _Root(typing.TypedDict, total=False):
     out_dir: str
 
 
-
 # The key types of what each config object builds, resolved once.
 _TYPES = {
     make: {key: kind for key, kind in typing.get_type_hints(make).items() if key != "return"}
@@ -276,21 +275,12 @@ def build_constants(config: dict) -> SystemConstants:
 
 
 def _run_kwargs(config: dict, strategy: str) -> dict:
-    """The keyword arguments of ``strategy``'s runner: the probe count (at
-    least 0), ``equality_theta`` when config.constants gives no theta, and the
-    ``runner`` keys it accepts (each count at least 1)."""
+    """The ``runner`` keys that ``strategy`` accepts, each count at least 1."""
     runner = _coerce(_RUNNER, config.get("runner", {}), "config.runner")
     for key, value in runner.items():
         if isinstance(value, int) and value < 1:
             raise ConfigError(f"config.runner.{key}: must be at least 1, got {value}")
-    probes = config.get("estimate_probes", 4)
-    if probes < 0:
-        raise ConfigError(f"config.estimate_probes: must be at least 0, got {probes}")
-    return {
-        "probe_count": probes,
-        "equality_theta": config.get("constants", {}).get("theta") is None,
-        **{key: value for key, value in runner.items() if key in STRATEGIES[strategy].options},
-    }
+    return {key: value for key, value in runner.items() if key in STRATEGIES[strategy].options}
 
 
 def cell_seed(master_seed: int, scenario: str, strategy: str, index: int) -> int:
@@ -319,29 +309,37 @@ def expand_seeds(config: dict, scenario: str, strategy: str) -> list[tuple[int, 
 
 
 def validate_run_config(config: dict) -> tuple[list[tuple], dict]:
-    """Full validation pass. Returns the cells to run, each ``(scenario,
-    strategy, seed index, seed, constants, runner kwargs)``, and the emit
-    flags; raises before any output."""
+    """Full validation pass; raises before any output. Returns the cells to
+    run as groups ``(make_setup, cells)``, one per (scenario entry, seed), and
+    the emit flags; each cell is ``(scenario, strategy, seed index, seed,
+    runner kwargs)``, and ``make_setup()`` builds the setup they share."""
     root = _coerce(_TYPES[_Root], config, "config")
     strategies = root.get("strategies", [])
     if not strategies:
         raise ConfigError("config.strategies: a non-empty list of strategy names is required")
     kwargs = {name: _run_kwargs(root, name) for name in strategies}
+    probes = root.get("estimate_probes", 4)
+    if probes < 0:
+        raise ConfigError(f"config.estimate_probes: must be at least 0, got {probes}")
     readers = [STRATEGIES[name].options for name in strategies]
     _reject_unread(root.get("runner", {}), readers, "config.runner", "strategy")
     emit = {**_EMIT, **_coerce(dict.fromkeys(_EMIT, bool), root.get("emit", {}), "config.emit")}
     constants = build_constants(root)
-    cells = []
-    for scenario in build_scenarios(root):
+    equality_theta = root.get("constants", {}).get("theta") is None
+    groups: dict[tuple[int, int], tuple] = {}
+    scenarios = build_scenarios(root)
+    for k, scenario in enumerate(scenarios):
+        if scenario.name in [s.name for s in scenarios[:k]]:
+            raise ConfigError(f"config.scenario[{k}]: repeats scenario name {scenario.name!r}")
         for strategy in strategies:
             if kwargs[strategy].get("buffer_size", 1) > scenario.n_clients:
                 raise ConfigError(f"config.runner.buffer_size: more than the {scenario.n_clients} "
                                   f"clients of scenario {scenario.name!r}")
-            cells += [
-                (scenario, strategy, index, seed, constants, kwargs[strategy])
-                for index, seed in expand_seeds(root, scenario.name, strategy)
-            ]
-    return cells, emit
+            for index, seed in expand_seeds(root, scenario.name, strategy):
+                make_setup = functools.partial(RunSetup, scenario, constants, seed, probes, equality_theta)
+                group = groups.setdefault((k, seed), (make_setup, []))
+                group[1].append((scenario, strategy, index, seed, kwargs[strategy]))
+    return list(groups.values()), emit
 
 
 # ---------------------------------------------------------------------------
@@ -490,11 +488,19 @@ def _cell_dir(out_dir: Path, scenario: str, strategy: str, index: int) -> Path:
     return out_dir / "runs" / f"{scenario}__{strategy}__s{index:03d}"
 
 
-def _execute_cell(args: tuple) -> tuple[dict, list | None]:
+def _execute_group(group: tuple) -> list[tuple[dict, list | None]]:
+    """Run one group's cells in order, on the setup its first cell builds."""
+    make_setup, cells, out_dir, emit = group
+    shared: list = []
+    return [_execute_cell(cell, make_setup, shared, out_dir, emit) for cell in cells]
+
+
+def _execute_cell(args: tuple, make_setup, shared: list, out_dir: Path, emit: dict) -> tuple[dict, list | None]:
     """Run one cell and write its files. Returns the cell's summary entry and,
     for a cell that ran, its loss curve: every interval's ``global_loss``,
-    then the final loss, as its ``metrics.csv`` lists them."""
-    scenario, strategy, index, seed, constants, kwargs, out_dir, emit = args
+    then the final loss, as its ``metrics.csv`` lists them. A group's first
+    cell puts its setup, or the error building it raised, in ``shared``."""
+    scenario, strategy, index, seed, kwargs = args
     cell_dir = _cell_dir(out_dir, scenario.name, strategy, index)
     cell = {
         "scenario": scenario.name,
@@ -505,7 +511,14 @@ def _execute_cell(args: tuple) -> tuple[dict, list | None]:
     }
     curve = None
     try:
-        log = run_strategy(scenario, strategy, constants, seed, **kwargs)
+        if not shared:
+            try:
+                shared.append(make_setup())
+            except Exception as exc:  # noqa: BLE001 - it fails each cell of the group
+                shared.append(exc)
+        if isinstance(shared[0], Exception):
+            raise shared[0]
+        log = STRATEGIES[strategy].run(shared[0], strategy, **kwargs)
         cell_dir.mkdir(parents=True, exist_ok=True)
         if emit["csv"]:
             write_metrics_csv(cell_dir / "metrics.csv", log)
@@ -571,12 +584,14 @@ def _write_plotdata(results: list[tuple[dict, list | None]], out_dir: Path) -> N
 
 def run_experiment(config: dict, out_dir: Path, parallel: int = 1) -> int:
     """Execute every (scenario x strategy x seed) cell of a validated config.
+    The cells of one (scenario entry, seed) run on one shared setup, one
+    group after another, or one group per task of a ``parallel``-worker pool.
 
     Returns 0 when every cell succeeded, 1 when some cells failed at runtime.
     Configuration problems raise ConfigError before anything is written.
     """
-    cells, emit = validate_run_config(config)
-    tasks = [(*cell, out_dir, emit) for cell in cells]
+    groups, emit = validate_run_config(config)
+    tasks = [(*group, out_dir, emit) for group in groups]
     out_dir.mkdir(parents=True, exist_ok=True)
     if parallel > 1:
         # Imported here: the pool loads multiprocessing and logging, which a
@@ -584,9 +599,9 @@ def run_experiment(config: dict, out_dir: Path, parallel: int = 1) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(_execute_cell, tasks))
+            results = [result for group in pool.map(_execute_group, tasks) for result in group]
     else:
-        results = [_execute_cell(task) for task in tasks]
+        results = [result for task in tasks for result in _execute_group(task)]
     results.sort(key=lambda r: (r[0]["scenario"], r[0]["strategy"], r[0]["seed_index"]))
     cells = [cell for cell, _ in results]
     _summarize(cells, out_dir)
@@ -674,7 +689,7 @@ def main(argv=None) -> int:
     run_parser.add_argument("--config", required=True, help="path to a JSON config")
     run_parser.add_argument("--out", help="output directory")
     run_parser.add_argument("--seed", type=int, help="override the master seed")
-    run_parser.add_argument("--parallel", type=int, default=1, help="cells to run in parallel")
+    run_parser.add_argument("--parallel", type=int, default=1, help="pool workers, each running one (scenario, seed) group")
     run_parser.add_argument("--strategy", help="run only this strategy")
 
     latency_parser = sub.add_parser("latency", help="latency comparison mode")
@@ -687,6 +702,8 @@ def main(argv=None) -> int:
     sub.add_parser("presets", help="list built-in scenario presets")
 
     args = parser.parse_args(argv)
+    if args.command == "run" and args.parallel < 1:
+        run_parser.error(f"argument --parallel: must be at least 1, got {args.parallel}")
     try:
         if args.command == "run":
             config = load_config(args.config)

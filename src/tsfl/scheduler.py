@@ -3,14 +3,19 @@ and buffered semi-async. Each plans its whole upload schedule first, and one
 loop (``_train``) trains every run into the same RunLog shape.
 
 Determinism contract: a run is a pure function of (scenario, strategy,
-constants, seed). The seed expands through a fixed spawn layout - one stream
-for scenario materialization, one for server-side draws, and one pair
-(iteration process, mini-batch sampling) per client - so clients may train in
-any order, or in parallel, without changing the result.
+constants, seed). The seed expands through a fixed layout,
+``SeedSequence(seed).spawn(4)``: child 0 materializes the scenario, child 1
+makes the server-side draws, and children 2 and 3 each spawn one stream per
+client, for its iteration process and its mini-batch sampling, so clients
+may train in any order, or in parallel, without changing the result. Only
+child 0 builds a ``RunSetup``, which every run of the same (scenario, seed,
+constants, probe count) may share; each run (``_Run``) spawns children 1 to
+3 afresh, so it draws on a shared setup exactly what it draws on its own.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from collections.abc import Callable
 from typing import Literal, get_args
@@ -39,27 +44,23 @@ from .scenarios import Scenario
 from .training import draw_batches, estimate_constants, local_train, train_clients  # noqa: F401
 
 
-class _RunSetup:
-    """Materialized task, client data and batch sizes, rng streams, and
+class RunSetup:
+    """What every run of one (scenario, seed, constants, probe count) shares,
+    all drawn from the seed's scenario stream, so it reads no strategy: the
+    materialized task, client data and batch sizes, latency, ``w0``, and the
     resolved constants; ``equality_theta`` moves theta to the run's L."""
 
     def __init__(self, scenario: Scenario, constants: SystemConstants, seed: int,
                  probe_count: int, equality_theta: bool):
         if probe_count < 0:
             raise ValueError(f"probe_count must be non-negative, got {probe_count}")
-        root = np.random.SeedSequence(seed)
-        scenario_ss, server_ss, tau_parent, batch_parent = root.spawn(4)
-        self.scenario_rng = np.random.default_rng(scenario_ss)
-        self.server_rng = np.random.default_rng(server_ss)
-        self.tau_rngs = [np.random.default_rng(s) for s in tau_parent.spawn(scenario.n_clients)]
-        self.batch_rngs = [np.random.default_rng(s) for s in batch_parent.spawn(scenario.n_clients)]
-
-        self.scenario = scenario
-        self.task = scenario.materialize(self.scenario_rng)
+        self.scenario, self.seed = scenario, seed
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[0])
+        self.task = scenario.materialize(rng)
         self.sizes = np.array([self.task.data_size(i) for i in range(scenario.n_clients)])
         self.batch = np.minimum(scenario.batch_size, self.sizes)
         self.latency = scenario.latency_model()
-        self.w0 = self.scenario_rng.normal(size=self.task.dimension)
+        self.w0 = rng.normal(size=self.task.dimension)
 
         # Every analysis constant is resolved here, once: N is the scenario's
         # client count, and probes replace L, G, sigma_global, V and epsilon.
@@ -67,13 +68,12 @@ class _RunSetup:
         self.sources = dict.fromkeys(("L", "G", "sigma", "V", "epsilon"), "configured")
         self.sigma_i = np.zeros(scenario.n_clients)
         if probe_count > 0:
-            est = estimate_constants(self.task, self.batch, probe_count, self.scenario_rng)
+            est = estimate_constants(self.task, self.batch, probe_count, rng)
             self.sigma_i = est.sigma_hat
             resolved.update(L=est.L_hat, G=max(est.G_hat, 1e-12), sigma_global=float(max(est.sigma_hat.max(), 0.0)))
             self.sources.update(est.source)
 
-        probes = [self.w0 + 0.5 * self.scenario_rng.normal(size=self.task.dimension)
-                  for _ in range(probe_count)]
+        probes = [self.w0 + 0.5 * rng.normal(size=self.task.dimension) for _ in range(probe_count)]
         v_hat = epsilon_hat = None
         if probes:
             try:
@@ -95,6 +95,37 @@ class _RunSetup:
             "epsilon_hat": epsilon_hat,
         }
 
+    def new_log(self, strategy: str, clock) -> RunLog:
+        """An empty log of a run on this setup, its rows numbered and closed
+        at the wall clock times ``clock``, with its own copies of its dicts."""
+        log = RunLog(
+            scenario=self.scenario.describe(),
+            seed=self.seed,
+            strategy=strategy,
+            constants=self.constants,
+            records=interval_records(self.constants.T, self.scenario.n_clients, self.task.dimension),
+            initial_model=self.w0.copy(),
+            constants_source=dict(self.sources),
+            analysis_inputs=copy.deepcopy(self.analysis_inputs),
+        )
+        log.records.t = np.arange(self.constants.T)
+        log.records.wall_clock = clock
+        return log
+
+
+class _Run:
+    """One run on a setup: the seed's server, iteration and batch streams,
+    spawned afresh (a spawn child kept on the setup would give a later run
+    other streams), and, once planned, the mini-batch steps it may take."""
+
+    def __init__(self, setup: RunSetup):
+        self.setup = setup
+        n = setup.scenario.n_clients
+        _, server_ss, tau_parent, batch_parent = np.random.SeedSequence(setup.seed).spawn(4)
+        self.server_rng = np.random.default_rng(server_ss)
+        self.tau_rngs = [np.random.default_rng(s) for s in tau_parent.spawn(n)]
+        self.batch_rngs = [np.random.default_rng(s) for s in batch_parent.spawn(n)]
+
     def plan_batches(self, steps) -> None:
         """Plan the run's local steps before training: client i may take
         ``steps[i]`` of them. Its mini-batches for all of them are drawn now,
@@ -103,16 +134,17 @@ class _RunSetup:
         one stream per width of a reduced step: client i's steps are rows
         ``offset[i]`` on of ``streams[width[i]]``. A full-batch run reads no
         steps: its one stream entry is ``{0: None}``."""
+        setup, task = self.setup, self.setup.task
         self.planned = np.asarray(steps, dtype=int)
         self.used = np.zeros_like(self.planned)
         self.width = np.zeros_like(self.planned)
         self.offset = np.zeros_like(self.planned)
         self.streams = {0: None}
-        if self.scenario.full_batch:
+        if setup.scenario.full_batch:
             return
-        drawn = draw_batches(self.batch_rngs, self.sizes, self.batch, self.planned)
+        drawn = draw_batches(self.batch_rngs, setup.sizes, setup.batch, self.planned)
         # The reduction of no batches has the width and type of a reduced step.
-        layouts = [self.task.reduce_batches(i, indices[:0]) for i, indices in enumerate(drawn)]
+        layouts = [task.reduce_batches(i, indices[:0]) for i, indices in enumerate(drawn)]
         self.width = np.array([layout.shape[1] for layout in layouts])
         self.streams = {}
         for width in set(self.width.tolist()):
@@ -124,7 +156,7 @@ class _RunSetup:
             dtype = np.result_type(*[layouts[i] for i in members[counts > 0]] or [layouts[members[0]]])
             self.streams[width] = np.empty((ends[-1], width), dtype=dtype)
         for i, (lo, k) in enumerate(zip(self.offset.tolist(), self.planned.tolist())):
-            self.task.reduce_batches(i, drawn[i], out=self.streams[self.width[i]][lo : lo + k])
+            task.reduce_batches(i, drawn[i], out=self.streams[self.width[i]][lo : lo + k])
             drawn[i] = None  # each index stream is dropped as soon as it is reduced
 
     def train(self, clients, starts, steps, interval: int, prox_center=None) -> np.ndarray:
@@ -134,6 +166,7 @@ class _RunSetup:
         train apart; no row's arithmetic reads another's. A client that asks
         for more steps than were planned raises, and so does a local model
         that is not finite, naming every diverged client of the group."""
+        task, c = self.setup.task, self.setup.constants
         clients, steps = np.asarray(clients, dtype=int), np.asarray(steps, dtype=int)
         used = self.used.take(clients)
         end = used + steps
@@ -145,58 +178,47 @@ class _RunSetup:
         first = self.offset.take(clients) + used
         width = self.width.take(clients)
         starts = np.asarray(starts, dtype=float)
-        out = np.empty((len(clients), self.task.dimension))
+        out = np.empty((len(clients), task.dimension))
         widths = set(width.tolist())
         for w in widths:
             # A group of one width reads its rows as views.
             rows = slice(None) if len(widths) == 1 else np.flatnonzero(width == w)
-            out[rows] = train_clients(self.task, clients[rows], starts[rows] if starts.ndim == 2 else starts,
-                                      steps[rows], self.constants.eta, stream=self.streams[w], first=first[rows],
-                                      prox_center=prox_center, mu=self.constants.mu)
+            out[rows] = train_clients(task, clients[rows], starts[rows] if starts.ndim == 2 else starts,
+                                      steps[rows], c.eta, stream=self.streams[w], first=first[rows],
+                                      prox_center=prox_center, mu=c.mu)
         if not np.isfinite(out).all():
             diverged = sorted(clients[~np.isfinite(out).all(axis=1)].tolist())
             raise ValueError(f"interval {interval}: local models of clients {diverged} are not finite")
         return out
 
-    def new_log(self, strategy: str, seed: int, clock) -> RunLog:
-        """An empty log of the run, its rows numbered and closed at the wall
-        clock times ``clock``."""
-        log = RunLog(
-            scenario=self.scenario.describe(),
-            seed=seed,
-            strategy=strategy,
-            constants=self.constants,
-            records=interval_records(self.constants.T, self.scenario.n_clients, self.task.dimension),
-            initial_model=self.w0.copy(),
-            constants_source=self.sources,
-            analysis_inputs=self.analysis_inputs,
-        )
-        log.records.t = np.arange(self.constants.T)
-        log.records.wall_clock = clock
-        return log
 
-    def finish(self, log: RunLog, model: np.ndarray) -> RunLog:
-        log.final_loss, grad = self.task.global_loss_and_grad(model)
-        log.final_model = model.copy()
-        log.final_grad_norm_sq = float(grad @ grad)
-        log.validate()
-        return log
+# Whole-run weight rules. A rule plans a whole run before any training: it
+# maps (run, tau, eligible), the run's (T, n) iteration counts and upload
+# mask, to the (T, n) weights rho and participation beta. The weights never
+# read the model, so planning first changes no result. Rules and schedule
+# builders look engines up as module globals at call time, so rebinding one
+# of those names (to trace it, say) reaches every strategy that uses it.
 
 
-# Strategy table. A weight rule plans a whole run before any training: it maps
-# (setup, tau, eligible), the run's (T, n) iteration counts and upload mask, to
-# the (T, n) weights rho and participation beta. The weights never read the
-# model, so planning first changes no result. Rules and runner adapters look
-# engines and runners up as module globals at call time, so rebinding one of
-# those names (to trace it, say) reaches every strategy that uses it.
+def _fedavg_plan(run, tau, eligible):
+    return proportional_weight_plan(run.setup.sizes, eligible), eligible
 
 
-def _fedavg_plan(setup, tau, eligible):
-    return proportional_weight_plan(setup.sizes, eligible), eligible
+def _uniform_plan(run, tau, eligible):
+    return proportional_weight_plan(1.0, eligible), eligible
 
 
-def _theorem2_plan(setup, tau, eligible):
-    rho = np.zeros(tau.shape)
+def _corollary1_plan(run, tau, eligible):
+    return spaced_weight_plan(tau, eligible, run.setup.constants)[0], eligible
+
+
+def _dms_plan(run, tau, eligible):
+    # The filter draws on the server stream in every interval, nobody eligible too.
+    return dms_weight_plan(tau, eligible, run.setup.constants, run.server_rng)[:2]
+
+
+def _theorem2_plan(run, tau, eligible):
+    setup, rho = run.setup, np.zeros(tau.shape)
     # A run where no upload reaches the server needs no solve, nor noise bounds.
     if eligible.any():
         r0 = float(np.sum((setup.w0 - setup.task.w_star) ** 2))
@@ -205,57 +227,7 @@ def _theorem2_plan(setup, tau, eligible):
     return rho, eligible
 
 
-# The update rules of ``run_afl``; the config's ``runner.variant`` takes one.
-AsyncVariant = Literal["footnote-mean", "arrival-blend"]
-
-
-def _run_interval(scenario, strategy, constants, seed, **kwargs):
-    return run_tsfl(scenario, strategy, constants, seed, **kwargs)
-
-
-def _run_buffered(scenario, _, constants, seed, buffer_size=None, **kwargs):
-    size = max(1, scenario.n_clients // 2) if buffer_size is None else buffer_size
-    return run_semi_async(scenario, size, constants, seed, **kwargs)
-
-
-@dataclasses.dataclass(frozen=True)
-class Strategy:
-    """One strategy: ``run(scenario, name, constants, seed, **kwargs)``; the
-    whole-run weight rule, for strategies run by ``run_tsfl``; the config
-    ``runner`` keys it accepts, with the type each value is converted to; and
-    whether local training adds the FedProx proximal term."""
-
-    run: Callable[..., RunLog] = _run_interval
-    weights: Callable[..., tuple[np.ndarray, np.ndarray]] | None = None
-    options: dict[str, object] = dataclasses.field(default_factory=dict)
-    proximal: bool = False
-
-
-STRATEGIES: dict[str, Strategy] = {
-    "fedavg": Strategy(weights=_fedavg_plan),
-    "fedprox": Strategy(weights=_fedavg_plan, proximal=True),
-    "tsfl-uniform": Strategy(weights=lambda setup, tau, eligible: (
-        proportional_weight_plan(1.0, eligible), eligible)),
-    "tsfl-corollary1": Strategy(weights=lambda setup, tau, eligible: (
-        spaced_weight_plan(tau, eligible, setup.constants)[0], eligible)),
-    "tsfl-theorem2": Strategy(weights=_theorem2_plan),
-    # The filter draw consumes the server stream every interval, in interval
-    # order, even where nobody is eligible.
-    "tsfl-dms": Strategy(weights=lambda setup, tau, eligible: dms_weight_plan(
-        tau, eligible, setup.constants, setup.server_rng)[:2]),
-    "fedasync": Strategy(
-        lambda scenario, _, constants, seed, **kwargs: run_afl(scenario, constants, seed, **kwargs),
-        options={"variant": AsyncVariant, "local_iterations": int}),
-    "semiasync": Strategy(_run_buffered, options={"buffer_size": int, "local_iterations": int}),
-    "sfl": Strategy(
-        lambda scenario, _, constants, seed, **kwargs: run_sfl(scenario, constants, seed, **kwargs),
-        options={"required_iterations": int}),
-}
-INTERVAL_STRATEGIES = tuple(name for name, spec in STRATEGIES.items() if spec.weights)
-ALL_STRATEGIES = tuple(STRATEGIES)
-
-
-def _train(setup: _RunSetup, log: RunLog, intervals, groups, steps, combine,
+def _train(run: _Run, log: RunLog, intervals, groups, steps, combine,
            proximal: bool = False) -> RunLog:
     """Train a planned run: the one training loop of every strategy.
 
@@ -268,12 +240,12 @@ def _train(setup: _RunSetup, log: RunLog, intervals, groups, steps, combine,
     toward the current global model. The schedule is written to
     ``records.tau`` and its mini-batches are planned before training.
     """
-    records = log.records
+    setup, records = run.setup, log.records
     tau = records.tau
     # A group lists each client at most once.
     for t, ids, k in zip(intervals, groups, steps):
         tau[t, ids] += k
-    setup.plan_batches(tau.sum(axis=0))
+    run.plan_batches(tau.sum(axis=0))
     # Interval t trains groups first[t] to first[t + 1].
     first = np.searchsorted(intervals, np.arange(len(records) + 1))
     # Columns looked up once: a recarray attribute lookup per interval costs
@@ -287,17 +259,19 @@ def _train(setup: _RunSetup, log: RunLog, intervals, groups, steps, combine,
         grad_norms[t] = grad @ grad
         for g in range(first[t], first[t + 1]):
             ids = groups[g]
-            new = combine(g, w, ids, setup.train(ids, basis[ids], steps[g], t,
-                                                 prox_center=w if proximal else None))
+            new = combine(g, w, ids, run.train(ids, basis[ids], steps[g], t,
+                                               prox_center=w if proximal else None))
             if new is not None:
                 w, aggregated[t] = new, True
             basis[ids] = w
         models[t] = w
-    return setup.finish(log, w)
+    log.final_loss, grad = setup.task.global_loss_and_grad(w)
+    log.final_model, log.final_grad_norm_sq = w.copy(), float(grad @ grad)
+    log.validate()
+    return log
 
 
-def _run_plan(setup: _RunSetup, strategy: str, seed: int, tau, beta, rho, clock,
-              proximal: bool = False) -> RunLog:
+def _run_plan(run: _Run, strategy: str, tau, beta, rho, clock, proximal: bool = False) -> RunLog:
     """Train a planned synchronous run: in interval t every client takes
     ``tau[t]`` local steps from the current global model, then the local
     models are combined under ``rho[t]``. An interval where every weight is
@@ -307,27 +281,20 @@ def _run_plan(setup: _RunSetup, strategy: str, seed: int, tau, beta, rho, clock,
     # A strided row of rho (a plan built from a transposed tau, say) would
     # round its product with the local models differently.
     rho = np.ascontiguousarray(rho)
-    log = setup.new_log(strategy, seed, clock)
+    log = run.setup.new_log(strategy, clock)
     log.records.beta, log.records.rho = beta, rho
     weighed = (rho > 0.0).any(axis=1)
 
     def combine(t, w, clients, models):
         # RunLog.validate checks every row's weights once the run is over,
-        # and setup.train has checked that the local models are finite.
+        # and run.train has checked that the local models are finite.
         return rho[t] @ models if weighed[t] else None
 
     T, n = tau.shape
-    return _train(setup, log, np.arange(T), [np.arange(n)] * T, tau, combine, proximal)
+    return _train(run, log, np.arange(T), [np.arange(n)] * T, tau, combine, proximal)
 
 
-def run_tsfl(
-    scenario: Scenario,
-    strategy: str,
-    constants: SystemConstants,
-    seed: int,
-    probe_count: int = 0,
-    equality_theta: bool = False,
-) -> RunLog:
+def _time_driven(setup: RunSetup, strategy: str) -> RunLog:
     """Time-driven run, planned before it is trained: draw every interval's
     iteration counts, weigh the whole run with the strategy's rule, then train
     interval by interval from the current global model and aggregate.
@@ -338,50 +305,35 @@ def run_tsfl(
     marked non-aggregated. Wall clock advances by exactly one interval length
     per interval.
     """
-    spec = STRATEGIES.get(strategy)
-    if spec is None or spec.weights is None:
-        raise ValueError(f"{strategy!r} is not an interval strategy")
-    setup = _RunSetup(scenario, constants, seed, probe_count, equality_theta)
-    T = setup.constants.T
+    spec, run, scenario, T = STRATEGIES[strategy], _Run(setup), setup.scenario, setup.constants.T
     # Each client draws its own T counts from its own stream, so drawing them
     # client by client yields the values of the interval-by-interval order.
     # The transpose is copied, so the plans read contiguous rows.
     tau = np.ascontiguousarray(np.array(
-        [process.draw(rng, size=T) for process, rng in zip(scenario.processes, setup.tau_rngs)],
+        [process.draw(rng, size=T) for process, rng in zip(scenario.processes, run.tau_rngs)],
         dtype=int,
     ).T)
     eligible = tau >= scenario.min_upload_iterations
-    rho, beta = spec.weights(setup, tau, eligible)
+    rho, beta = spec.weights(run, tau, eligible)
     clock = np.arange(1, T + 1) * scenario.interval_length
-    return _run_plan(setup, strategy, seed, tau, beta, rho, clock, spec.proximal)
+    return _run_plan(run, strategy, tau, beta, rho, clock, spec.proximal)
 
 
-def run_sfl(
-    scenario: Scenario,
-    constants: SystemConstants,
-    seed: int,
-    required_iterations: int | None = None,
-    probe_count: int = 0,
-    equality_theta: bool = False,
-) -> RunLog:
+def _round_driven(setup: RunSetup, strategy: str, required_iterations: int | None = None) -> RunLog:
     """Round-driven run: every client performs the same fixed iteration count,
     data-size weighting aggregates, and each round's wall clock is dominated
     by the slowest client.
     """
-    setup = _RunSetup(scenario, constants, seed, probe_count, equality_theta)
-    T = setup.constants.T
-    required = (
-        scenario.default_required_iterations()
-        if required_iterations is None
-        else int(required_iterations)
-    )
+    scenario, T = setup.scenario, setup.constants.T
+    required = (scenario.default_required_iterations() if required_iterations is None
+                else int(required_iterations))
     if required < 1:
         raise ValueError("required_iterations must be >= 1")
     n = scenario.n_clients
     rho = np.tile(fedavg_weights(setup.sizes).rho, (T, 1))
     # cumsum adds in sequence: the same bits as a clock advanced round by round.
     clock = np.cumsum(np.full(T, setup.latency.sync_round_seconds(required)))
-    return _run_plan(setup, "sfl", seed, np.full((T, n), required), np.ones((T, n), dtype=int),
+    return _run_plan(_Run(setup), strategy, np.full((T, n), required), np.ones((T, n), dtype=int),
                      rho, clock)
 
 
@@ -401,16 +353,7 @@ def _arrivals(cycles, horizon: float) -> tuple[np.ndarray, np.ndarray]:
     return times[order], clients[order]
 
 
-def _event_run(
-    scenario: Scenario,
-    constants: SystemConstants,
-    seed: int,
-    strategy: str,
-    upload,
-    local_iterations: int | None,
-    probe_count: int,
-    equality_theta: bool,
-) -> RunLog:
+def _event_run(setup: RunSetup, strategy: str, upload, local_iterations: int | None) -> RunLog:
     """Train a per-arrival run. Client i uploads after ``k`` local steps, so
     every ``k * seconds_per_iteration[i]`` seconds; the arrival times never
     read the model, so the whole schedule is planned first. Arrivals sharing
@@ -420,7 +363,7 @@ def _event_run(
     Records are emitted at interval boundaries, for comparability with the
     interval runners.
     """
-    setup = _RunSetup(scenario, constants, seed, probe_count, equality_theta)
+    scenario = setup.scenario
     k = scenario.default_required_iterations() if local_iterations is None else int(local_iterations)
     if k < 1:
         raise ValueError("local_iterations must be >= 1")
@@ -433,19 +376,16 @@ def _event_run(
     starts = np.flatnonzero(np.diff(times, prepend=-np.inf))
     groups = np.split(clients, starts)[1:]
     steps = np.split(np.full(clients.size, k), starts)[1:]
-    log = setup.new_log(strategy, seed, boundaries)
-    return _train(setup, log, np.searchsorted(boundaries, times[starts]), groups, steps, upload)
+    log = setup.new_log(strategy, boundaries)
+    return _train(_Run(setup), log, np.searchsorted(boundaries, times[starts]), groups, steps, upload)
 
 
-def run_afl(
-    scenario: Scenario,
-    constants: SystemConstants,
-    seed: int,
-    variant: AsyncVariant = "footnote-mean",
-    local_iterations: int | None = None,
-    probe_count: int = 0,
-    equality_theta: bool = False,
-) -> RunLog:
+# The update rules of ``run_afl``; the config's ``runner.variant`` takes one.
+AsyncVariant = Literal["footnote-mean", "arrival-blend"]
+
+
+def _per_arrival(setup: RunSetup, strategy: str, variant: AsyncVariant = "footnote-mean",
+                 local_iterations: int | None = None) -> RunLog:
     """Per-arrival asynchronous run with the depreciated blend update.
 
     ``footnote-mean`` blends the previous global model with the mean of every
@@ -462,66 +402,109 @@ def run_afl(
         if latest is None:
             # Slots start at the initial global model, which is still current
             # on the first arrival.
-            latest = np.tile(w, (scenario.n_clients, 1))
+            latest = np.tile(w, (setup.scenario.n_clients, 1))
         for i, model in zip(clients, models):
             latest[i] = model
-            w = fedasync_update(w, latest if variant == "footnote-mean" else model[None], constants.gamma)
+            w = fedasync_update(w, latest if variant == "footnote-mean" else model[None], setup.constants.gamma)
         return w
 
-    return _event_run(
-        scenario, constants, seed, "fedasync", upload,
-        local_iterations, probe_count, equality_theta,
-    )
+    return _event_run(setup, strategy, upload, local_iterations)
 
 
-def run_semi_async(
-    scenario: Scenario,
-    buffer_size: int,
-    constants: SystemConstants,
-    seed: int,
-    local_iterations: int | None = None,
-    probe_count: int = 0,
-    equality_theta: bool = False,
-) -> RunLog:
+def _buffered(setup: RunSetup, strategy: str, buffer_size: int | None = None,
+              local_iterations: int | None = None) -> RunLog:
     """Buffered semi-asynchronous run.
 
     Arrivals accumulate in a buffer; every time it holds ``buffer_size``
-    models they are averaged uniformly into the global model, oldest first.
-    Uploaders download the post-flush global model before starting their next
-    cycle. buffer_size=1 reproduces the per-arrival update order; a full
-    buffer with homogeneous clients reproduces the round-driven trajectory.
+    models (half the clients by default) they are averaged uniformly into the
+    global model, oldest first. Uploaders download the post-flush global model
+    before starting their next cycle. buffer_size=1 reproduces the
+    per-arrival update order; a full buffer with homogeneous clients
+    reproduces the round-driven trajectory.
     """
-    if not 1 <= buffer_size <= scenario.n_clients:
+    n = setup.scenario.n_clients
+    size = max(1, n // 2) if buffer_size is None else buffer_size
+    if not 1 <= size <= n:
         raise ValueError("buffer_size must lie in [1, n_clients]")
     buffer: list[np.ndarray] = []
 
     def upload(_, w, clients, models):
         buffer.extend(models)
         new = None
-        while len(buffer) >= buffer_size:
-            new = np.mean(buffer[:buffer_size], axis=0)
-            del buffer[:buffer_size]
+        while len(buffer) >= size:
+            new = np.mean(buffer[:size], axis=0)
+            del buffer[:size]
         return new
 
-    return _event_run(
-        scenario, constants, seed, "semiasync", upload,
-        local_iterations, probe_count, equality_theta,
-    )
+    return _event_run(setup, strategy, upload, local_iterations)
 
 
-def run_strategy(
-    scenario: Scenario,
-    strategy: str,
-    constants: SystemConstants,
-    seed: int,
-    **kwargs,
-) -> RunLog:
-    """Run a strategy by name; ``kwargs`` go to its runner."""
-    try:
-        spec = STRATEGIES[strategy]
-    except KeyError:
-        raise ValueError(f"unknown strategy {strategy!r}; choose from {ALL_STRATEGIES}") from None
-    return spec.run(scenario, strategy, constants, seed, **kwargs)
+@dataclasses.dataclass(frozen=True)
+class Strategy:
+    """One strategy: its schedule builder ``run(setup, name, **options)``,
+    which plans and trains one run on a setup, on streams of the run's own;
+    the whole-run weight rule of a ``_time_driven`` strategy; the config
+    ``runner`` keys it accepts, with the type each value is converted to; and
+    whether local training adds the FedProx proximal term."""
+
+    run: Callable[..., RunLog] = _time_driven
+    weights: Callable[..., tuple[np.ndarray, np.ndarray]] | None = None
+    options: dict[str, object] = dataclasses.field(default_factory=dict)
+    proximal: bool = False
+
+
+STRATEGIES: dict[str, Strategy] = {
+    "fedavg": Strategy(weights=_fedavg_plan),
+    "fedprox": Strategy(weights=_fedavg_plan, proximal=True),
+    "tsfl-uniform": Strategy(weights=_uniform_plan),
+    "tsfl-corollary1": Strategy(weights=_corollary1_plan),
+    "tsfl-theorem2": Strategy(weights=_theorem2_plan),
+    "tsfl-dms": Strategy(weights=_dms_plan),
+    "fedasync": Strategy(_per_arrival, options={"variant": AsyncVariant, "local_iterations": int}),
+    "semiasync": Strategy(_buffered, options={"buffer_size": int, "local_iterations": int}),
+    "sfl": Strategy(_round_driven, options={"required_iterations": int}),
+}
+INTERVAL_STRATEGIES = tuple(name for name, spec in STRATEGIES.items() if spec.weights)
+ALL_STRATEGIES = tuple(STRATEGIES)
+
+
+def run_strategy(scenario: Scenario, strategy: str, constants: SystemConstants, seed: int,
+                 probe_count: int = 0, equality_theta: bool = False, **options) -> RunLog:
+    """Run a strategy by name on a setup of its own; ``options`` go to its
+    schedule builder."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; choose from {ALL_STRATEGIES}")
+    setup = RunSetup(scenario, constants, seed, probe_count, equality_theta)
+    return STRATEGIES[strategy].run(setup, strategy, **options)
+
+
+def run_tsfl(scenario: Scenario, strategy: str, constants: SystemConstants, seed: int,
+             probe_count: int = 0, equality_theta: bool = False) -> RunLog:
+    """A time-driven run of an interval strategy (``_time_driven``)."""
+    if strategy not in INTERVAL_STRATEGIES:
+        raise ValueError(f"{strategy!r} is not an interval strategy")
+    return run_strategy(scenario, strategy, constants, seed, probe_count, equality_theta)
+
+
+def run_sfl(scenario: Scenario, constants: SystemConstants, seed: int, required_iterations: int | None = None,
+            probe_count: int = 0, equality_theta: bool = False) -> RunLog:
+    """A round-driven run (``_round_driven``)."""
+    return run_strategy(scenario, "sfl", constants, seed, probe_count, equality_theta,
+                        required_iterations=required_iterations)
+
+
+def run_afl(scenario: Scenario, constants: SystemConstants, seed: int, variant: AsyncVariant = "footnote-mean",
+            local_iterations: int | None = None, probe_count: int = 0, equality_theta: bool = False) -> RunLog:
+    """A per-arrival asynchronous run (``_per_arrival``)."""
+    return run_strategy(scenario, "fedasync", constants, seed, probe_count, equality_theta,
+                        variant=variant, local_iterations=local_iterations)
+
+
+def run_semi_async(scenario: Scenario, buffer_size: int, constants: SystemConstants, seed: int,
+                   local_iterations: int | None = None, probe_count: int = 0, equality_theta: bool = False) -> RunLog:
+    """A buffered semi-asynchronous run (``_buffered``)."""
+    return run_strategy(scenario, "semiasync", constants, seed, probe_count, equality_theta,
+                        buffer_size=buffer_size, local_iterations=local_iterations)
 
 
 def participation_frequency(log: RunLog) -> np.ndarray | None:

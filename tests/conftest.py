@@ -10,7 +10,7 @@ from tsfl.scheduler import run_tsfl
 @pytest.fixture(scope="session")
 def case3_dms_log():
     """One long dynamic-tier run with discriminative selection, shared by the
-    participation-statistics tests (it dominates suite runtime)."""
+    participation-statistics tests (one to two seconds of the tier-1 run)."""
     constants = SystemConstants(eta=0.02, L=1.0, T=10_000, N=20, H=8, sigma_global=1.0)
     scenario = dataclasses.replace(
         preset("case3"),

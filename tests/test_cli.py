@@ -33,6 +33,7 @@ from tsfl.cli import (
 )
 from tsfl.core import RunLog, SystemConstants, default_weight_limit, interval_records
 from tsfl.scenarios import PRESETS
+from tsfl import scheduler
 from tsfl.scheduler import ALL_STRATEGIES
 
 
@@ -95,6 +96,37 @@ def test_parallel_run_matches_serial(tmp_path):
     assert main(["run", "--config", str(config_path), "--out", str(out_a)]) == 0
     assert main(["run", "--config", str(config_path), "--out", str(out_b), "--parallel", "3"]) == 0
     assert tree_bytes(out_a) == tree_bytes(out_b)
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_parallel_below_one_is_a_usage_error(tmp_path, capsys, workers):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(write_config(tmp_path, small_config())), "--out", str(out), "--parallel", workers])
+    assert exc.value.code == 2 and not out.exists()
+    assert f"argument --parallel: must be at least 1, got {workers}" in capsys.readouterr().err
+
+
+def test_a_setup_that_fails_fails_every_cell_of_its_group(tmp_path, monkeypatch):
+    # Two scenarios, two listed seeds and two strategies: four groups of two
+    # cells. Each group builds its setup once, and its error fails both cells.
+    calls = []
+
+    def boom(*args):
+        calls.append(args)
+        raise ValueError("boom")
+
+    monkeypatch.setattr(scheduler, "estimate_constants", boom)
+    config = small_config(scenario=["case1", "homogeneous"], seeds=[1, 2])
+    del config["master_seed"]
+    out = tmp_path / "out"
+    assert run_experiment(config, out) == 1
+    cells = json.loads((out / "summary.json").read_text(encoding="utf-8"))["cells"]
+    assert len(cells) == 8 and len(calls) == 4
+    assert {(cell["status"], cell["error"]) for cell in cells} == {("failed", "ValueError: boom")}
+    with (out / "summary.csv").open(encoding="utf-8") as fh:
+        assert [(row["seeds"], row["failed"]) for row in csv.DictReader(fh)] == [("2", "2")] * 4
+    assert not (out / "runs").exists()
 
 
 def test_missing_strategy_is_config_error_without_outputs(tmp_path, capsys):
@@ -581,6 +613,10 @@ INLINE = {"n_clients": 4, "processes": [{"kind": "fixed", "tau": 1}], "data_size
         ({"runner": {"variant": "arrival-blend"}}, "config.runner.variant: no configured strategy takes it"),
         ({"seeds": [3, 4]}, "config.master_seed (or --seed): unread, as config.seeds lists every seed"),
         ({"seeds": [3, 4, 3]}, "config.seeds[2]: repeats seed 3"),
+        # Two scenarios of one name would write the same cell directories.
+        ({"scenario": [INLINE, {**INLINE, "n_clients": 6}], "scenario_options": {}},
+         "config.scenario[1]: repeats scenario name 'custom'"),
+        ({"scenario": ["case1", "case1"]}, "config.scenario[1]: repeats scenario name 'case1'"),
     ],
 )
 def test_unread_or_malformed_options_are_config_errors(tmp_path, capsys, overrides, location):

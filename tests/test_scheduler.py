@@ -20,7 +20,8 @@ from tsfl.scheduler import (
     ALL_STRATEGIES,
     INTERVAL_STRATEGIES,
     _arrivals,
-    _RunSetup,
+    RunSetup,
+    _Run,
     participation_frequency,
     run_afl,
     run_semi_async,
@@ -373,13 +374,14 @@ def test_diverging_run_fails_its_cell(tmp_path):
     assert cell["error"] == "ValueError: interval 0: local models of clients [0, 2] are not finite"
 
 
-def _one_interval_weights(strategy, setup, tau, eligible, t):
+def _one_interval_weights(strategy, run, tau, eligible, t):
     """Interval t's (rho, beta) from the one-interval engines, weighed in
     interval order as a per-interval runner would."""
+    setup = run.setup
     c, mask, n = setup.constants, eligible[t], tau.shape[1]
     if strategy == "tsfl-dms":
         # Drawn every interval, with nobody eligible too.
-        one = dms_weights(tau[t], c, setup.server_rng, eligible=mask)
+        one = dms_weights(tau[t], c, run.server_rng, eligible=mask)
         return one.rho, one.participation
     rho = np.zeros(n)
     if not mask.any():
@@ -398,27 +400,29 @@ def _one_interval_weights(strategy, setup, tau, eligible, t):
     return rho, mask
 
 
-def _choice_batches(setup, steps):
+def _choice_batches(run, steps):
     """Each client's next ``steps[i]`` mini-batches from its own stream, one
     ``rng.choice`` call per step, reduced by ``task.reduce_batches`` as the
     trainer takes them: the ``stream`` and ``first`` arguments of
     ``train_clients``, none for a full-batch scenario."""
+    setup = run.setup
     if setup.scenario.full_batch:
         return {}
     batches = [setup.task.reduce_batches(i, np.array([rng.choice(m, size=b, replace=False)
                                                       for _ in range(k)]).reshape(k, b))
-               for i, (rng, m, b, k) in enumerate(zip(setup.batch_rngs, setup.sizes, setup.batch, steps))]
+               for i, (rng, m, b, k) in enumerate(zip(run.batch_rngs, setup.sizes, setup.batch, steps))]
     return {"stream": np.concatenate(batches), "first": np.cumsum([0] + list(steps))[:-1]}
 
 
-def _reference_loop(setup, tau, weights, proximal=False):
+def _reference_loop(run, tau, weights, proximal=False):
     """Train interval by interval with train_clients and aggregate each
     interval's one-interval weights; returns the models after each interval."""
+    setup = run.setup
     c, n = setup.constants, tau.shape[1]
     w, models = setup.w0.copy(), []
     for t in range(len(tau)):
         local = train_clients(setup.task, np.arange(n), w, tau[t], c.eta,
-                              **_choice_batches(setup, tau[t]),
+                              **_choice_batches(run, tau[t]),
                               prox_center=w if proximal else None, mu=c.mu if proximal else 0.0)
         if weights[t].any():
             w = weights[t] @ local
@@ -436,16 +440,16 @@ def test_planned_run_equals_a_per_interval_loop(strategy, full_batch):
     constants = SystemConstants(eta=0.02, L=1.0, N=10, H=8, T=8, sigma_global=1.0, mu=0.5)
     log = run_tsfl(scenario, strategy, constants, seed=5, probe_count=3)
 
-    setup = _RunSetup(scenario, constants, 5, 3, False)
+    run = _Run(RunSetup(scenario, constants, 5, 3, False))
     # The counts drawn interval by interval, all clients in each.
-    tau = np.array([[process.draw(rng) for process, rng in zip(scenario.processes, setup.tau_rngs)]
+    tau = np.array([[process.draw(rng) for process, rng in zip(scenario.processes, run.tau_rngs)]
                     for _ in range(constants.T)])
     eligible = tau >= scenario.min_upload_iterations
     assert eligible.any() and not eligible.all()
-    rho, beta = zip(*(_one_interval_weights(strategy, setup, tau, eligible, t)
+    rho, beta = zip(*(_one_interval_weights(strategy, run, tau, eligible, t)
                       for t in range(constants.T)))
     rho, beta = np.array(rho), np.array(beta)
-    models = _reference_loop(setup, tau, rho, proximal=strategy == "fedprox")
+    models = _reference_loop(run, tau, rho, proximal=strategy == "fedprox")
 
     assert np.array_equal(log.records.tau, tau)
     assert np.array_equal(log.records.rho, rho) and np.array_equal(log.records.beta, beta)
@@ -459,12 +463,13 @@ def test_sfl_equals_a_round_loop():
     constants = SystemConstants(eta=0.02, L=1.0, N=6, H=4, T=5, sigma_global=1.0)
     log = run_sfl(scenario, constants, seed=3, required_iterations=3)
 
-    setup = _RunSetup(scenario, constants, 3, 0, False)
+    run = _Run(RunSetup(scenario, constants, 3, 0, False))
+    setup = run.setup
     weights = fedavg_weights(setup.sizes)
     w, clock, round_seconds = setup.w0.copy(), 0.0, setup.latency.sync_round_seconds(3)
     for record in log.records:
         w = weights.rho @ train_clients(setup.task, np.arange(6), w, np.full(6, 3), constants.eta,
-                                        **_choice_batches(setup, np.full(6, 3)))
+                                        **_choice_batches(run, np.full(6, 3)))
         clock += round_seconds
         assert np.array_equal(record.model, w)
         assert record.wall_clock == clock
@@ -494,12 +499,12 @@ def test_event_runs_plan_exactly_the_steps_they_train(monkeypatch, strategy, nam
     # Every strategy: the run trains every step it planned, and no other.
     setups = []
 
-    class Recorded(_RunSetup):
+    class Recorded(_Run):
         def __init__(self, *args):
             super().__init__(*args)
             setups.append(self)
 
-    monkeypatch.setattr(scheduler, "_RunSetup", Recorded)
+    monkeypatch.setattr(scheduler, "_Run", Recorded)
     scenario = dataclasses.replace(preset(name, n_clients=8, batch_size=8), interval_length=interval_length,
                                    task=quadratic_task_spec(dimension=3, spread=0.5))
     constants = SystemConstants(eta=0.02, L=1.0, N=8, H=4, T=12, sigma_global=1.0)
@@ -592,39 +597,41 @@ def test_negative_probe_count_raises():
     scenario = scenario_with([FixedIterations(2)] * 3)
     constants = SystemConstants(eta=0.02, L=1.0, N=3, H=2, T=2, sigma_global=1.0)
     with pytest.raises(ValueError, match=r"^probe_count must be non-negative, got -1$"):
-        _RunSetup(scenario, constants, 0, -1, False)
+        RunSetup(scenario, constants, 0, -1, False)
 
 
 @pytest.mark.parametrize("full_batch", [False, True])
 def test_training_past_the_planned_steps_raises(full_batch):
     scenario = dataclasses.replace(scenario_with([FixedIterations(2)] * 3), full_batch=full_batch)
     constants = SystemConstants(eta=0.02, L=1.0, N=3, H=2, T=2, sigma_global=1.0)
-    setup = _RunSetup(scenario, constants, 0, 0, False)
-    setup.plan_batches([2, 1, 0])
-    setup.train([0, 1, 2], setup.w0, [1, 1, 0], 0)
-    setup.train([0], setup.w0, [1], 1)
+    run = _Run(RunSetup(scenario, constants, 0, 0, False))
+    w0 = run.setup.w0
+    run.plan_batches([2, 1, 0])
+    run.train([0, 1, 2], w0, [1, 1, 0], 0)
+    run.train([0], w0, [1], 1)
     with pytest.raises(RuntimeError, match=r"^interval 1: clients \[1, 2\] ask for more local steps than were planned"):
-        setup.train([0, 1, 2], setup.w0, [0, 1, 1], 1)
+        run.train([0, 1, 2], w0, [0, 1, 1], 1)
 
 
-class _ChoiceSetup(_RunSetup):
-    """A run setup that plans nothing and trains each row alone, step by
-    step, on one ``rng.choice`` mini-batch per step from the client's own
-    stream: the oracle of the planned streams and their gathered stacks."""
+class _ChoiceRun(_Run):
+    """A run that plans nothing and trains each row alone, step by step, on
+    one ``rng.choice`` mini-batch per step from the client's own stream: the
+    oracle of the planned streams and their gathered stacks."""
 
     def plan_batches(self, steps):
         pass
 
     def train(self, clients, starts, steps, interval, prox_center=None):
-        c = self.constants
-        models = np.array(np.broadcast_to(starts, (len(clients), self.task.dimension)))
+        setup = self.setup
+        c, task = setup.constants, setup.task
+        models = np.array(np.broadcast_to(starts, (len(clients), task.dimension)))
         for w, i, k in zip(models, clients, steps):
             for _ in range(k):
-                if self.scenario.full_batch:
-                    g = self.task.local_grad(i, w)
+                if setup.scenario.full_batch:
+                    g = task.local_grad(i, w)
                 else:
-                    batch = self.batch_rngs[i].choice(self.sizes[i], size=self.batch[i], replace=False)
-                    g = self.task.sample_grad(i, w, batch)
+                    batch = self.batch_rngs[i].choice(setup.sizes[i], size=setup.batch[i], replace=False)
+                    g = task.sample_grad(i, w, batch)
                 if prox_center is not None:
                     g = g + c.mu * (w - prox_center)
                 w -= c.eta * g
@@ -651,7 +658,7 @@ def test_planned_streams_train_as_per_step_choice(monkeypatch, strategy, full_ba
     )
     constants = SystemConstants(eta=0.05, L=1.0, N=6, H=4, T=6, gamma=0.5, sigma_global=1.0, mu=0.3)
     log = run_strategy(scenario, strategy, constants, seed=3)
-    monkeypatch.setattr(scheduler, "_RunSetup", _ChoiceSetup)
+    monkeypatch.setattr(scheduler, "_Run", _ChoiceRun)
     oracle = run_strategy(scenario, strategy, constants, seed=3)
     assert log.records.tau.any() and (strategy == "sfl" or (log.records.tau == 0).any())
     assert np.array_equal(log.records.model, oracle.records.model)
@@ -663,11 +670,11 @@ def test_planned_streams_hold_one_width_each():
                         data_sizes=[10, 50, 20, 64, 33, 8], batch_size=16,
                         task=TaskSpec(kind="logistic", dimension=3))
     constants = SystemConstants(eta=0.05, L=1.0, N=6, H=4, T=2, sigma_global=1.0)
-    setup = _RunSetup(scenario, constants, 0, 0, False)
-    setup.plan_batches([3, 2, 0, 4, 1, 0])
-    assert setup.width.tolist() == [10, 16, 16, 16, 16, 8]
-    assert {w: s.shape for w, s in setup.streams.items()} == {10: (3, 10), 16: (7, 16), 8: (0, 8)}
-    assert setup.offset.tolist() == [0, 0, 2, 2, 6, 0]
+    run = _Run(RunSetup(scenario, constants, 0, 0, False))
+    run.plan_batches([3, 2, 0, 4, 1, 0])
+    assert run.width.tolist() == [10, 16, 16, 16, 16, 8]
+    assert {w: s.shape for w, s in run.streams.items()} == {10: (3, 10), 16: (7, 16), 8: (0, 8)}
+    assert run.offset.tolist() == [0, 0, 2, 2, 6, 0]
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
@@ -679,7 +686,7 @@ def test_logged_loss_and_gradient_are_those_of_the_model_entering_each_interval(
                         task=TaskSpec(kind=kind, dimension=3, noniid_spread=0.5))
     constants = SystemConstants(eta=0.05, L=1.0, N=6, H=4, T=6, sigma_global=1.0)
     log = run_strategy(scenario, strategy, constants, seed=4, probe_count=2)
-    task = _RunSetup(scenario, constants, 4, 2, False).task
+    task = RunSetup(scenario, constants, 4, 2, False).task
     records = log.records
     assert records.aggregated.any()
     entering = np.vstack([log.initial_model[None], records.model[:-1]])
@@ -691,3 +698,53 @@ def test_logged_loss_and_gradient_are_those_of_the_model_entering_each_interval(
         # The one-pass evaluation a run makes is the two calls, bit for bit.
         fused_loss, fused_grad = task.global_loss_and_grad(w)
         assert fused_loss == loss and np.array_equal(fused_grad, grad)
+
+
+def _assert_same_run(shared, fresh):
+    if isinstance(fresh, Exception):
+        assert type(shared) is type(fresh) and str(shared) == str(fresh)
+        return
+    for name in fresh.records.dtype.names:
+        assert np.array_equal(shared.records[name], fresh.records[name]), name
+    assert np.array_equal(shared.final_model, fresh.final_model)
+    assert (shared.final_loss, shared.final_grad_norm_sq) == (fresh.final_loss, fresh.final_grad_norm_sq)
+    assert shared.constants == fresh.constants and shared.constants_source == fresh.constants_source
+    assert shared.analysis_inputs == fresh.analysis_inputs
+
+
+def _outcome(run, *args, **kwargs):
+    try:
+        return run(*args, **kwargs)
+    except ValueError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+@pytest.mark.parametrize("full_batch", [False, True])
+@pytest.mark.parametrize("sizes", [[48] * 6, [10, 50, 20, 64, 33, 8]], ids=["equal", "small-clients"])
+def test_runs_on_one_shared_setup_equal_runs_on_their_own(kind, full_batch, sizes):
+    # Every strategy, in either order and then once more, on one setup: each
+    # run draws its own streams and leaves the setup as it found it. Clients 0 and 5 of the
+    # small-client scenario hold no more samples than a batch, so
+    # tsfl-theorem2 fails there, on the shared setup as on its own.
+    scenario = Scenario(
+        name="mixed", processes=[FixedIterations(3), GaussianFloorIterations(2.0, 1.5), FixedIterations(1),
+                                 FixedIterations(4), GaussianFloorIterations(1.0, 1.0), FixedIterations(2)],
+        data_sizes=sizes, batch_size=16, full_batch=full_batch,
+        task=TaskSpec(kind=kind, dimension=3, noniid_spread=0.5),
+    )
+    constants = SystemConstants(eta=0.05, L=1.0, N=6, H=4, T=6, gamma=0.5, sigma_global=1.0, mu=0.3)
+    fresh = {s: _outcome(run_strategy, scenario, s, constants, seed=9, probe_count=2) for s in ALL_STRATEGIES}
+    assert isinstance(fresh["tsfl-theorem2"], Exception) == (sizes[0] < 16)
+    for order in (ALL_STRATEGIES, ALL_STRATEGIES[::-1]):
+        setup = RunSetup(scenario, constants, 9, 2, False)
+        shared = {s: _outcome(scheduler.STRATEGIES[s].run, setup, s) for s in order}
+        # A log owns its dicts and lists: changing one changes no other.
+        first = shared[order[0]]
+        first.analysis_inputs["sigma_i"][0] = first.analysis_inputs["v_hat"] = -1.0
+        first.constants_source["L"] = "changed"
+        for s in order[1:]:
+            _assert_same_run(shared[s], fresh[s])
+        # A second pass on the same setup: no run drew on another's streams.
+        for s in order:
+            _assert_same_run(_outcome(scheduler.STRATEGIES[s].run, setup, s), fresh[s])
