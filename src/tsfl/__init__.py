@@ -52,7 +52,6 @@ from .analysis import (
 from .scenarios import (
     FixedIterations,
     GaussianFloorIterations,
-    LatencyModel,
     Scenario,
     TaskSpec,
     preset,

@@ -228,10 +228,7 @@ def _inline_scenario(obj) -> Scenario:
     if len(specs) > n_clients:
         raise ConfigError(f"config.scenario.processes: {len(specs)} specs for n_clients={n_clients}")
     sizes = fields.get("data_sizes", 1024)
-    if isinstance(sizes, int):
-        sizes = [sizes] * n_clients
-    if len(sizes) != n_clients:
-        raise ConfigError(f"config.scenario.data_sizes: {len(sizes)} sizes for n_clients={n_clients}")
+    sizes = [sizes] * n_clients if isinstance(sizes, int) else sizes
     # Fewer specs than clients tile over contiguous equal blocks.
     processes = tiered(n_clients, specs)
     fields = {"name": "custom", **fields, "processes": processes, "data_sizes": sizes}
@@ -328,6 +325,9 @@ def validate_run_config(config: dict) -> tuple[list[tuple], dict]:
     equality_theta = root.get("constants", {}).get("theta") is None
     groups: dict[tuple[int, int], tuple] = {}
     scenarios = build_scenarios(root)
+    if probes == 1 and scenarios[0].task.kind == "logistic":
+        raise ConfigError("config.estimate_probes: a logistic task probes L from pairs of points, "
+                          "so it takes 0 or at least 2, got 1")
     for k, scenario in enumerate(scenarios):
         if scenario.name in [s.name for s in scenarios[:k]]:
             raise ConfigError(f"config.scenario[{k}]: repeats scenario name {scenario.name!r}")
@@ -489,17 +489,21 @@ def _cell_dir(out_dir: Path, scenario: str, strategy: str, index: int) -> Path:
 
 
 def _execute_group(group: tuple) -> list[tuple[dict, list | None]]:
-    """Run one group's cells in order, on the setup its first cell builds."""
+    """Build one group's setup, then run its cells on it in order; an error
+    building it fails each cell."""
     make_setup, cells, out_dir, emit = group
-    shared: list = []
-    return [_execute_cell(cell, make_setup, shared, out_dir, emit) for cell in cells]
+    try:
+        setup = make_setup()
+    except Exception as exc:  # noqa: BLE001 - it fails each cell of the group
+        setup = exc
+    return [_execute_cell(cell, setup, out_dir, emit) for cell in cells]
 
 
-def _execute_cell(args: tuple, make_setup, shared: list, out_dir: Path, emit: dict) -> tuple[dict, list | None]:
-    """Run one cell and write its files. Returns the cell's summary entry and,
+def _execute_cell(args: tuple, setup, out_dir: Path, emit: dict) -> tuple[dict, list | None]:
+    """Run one cell on ``setup``, or fail it with the error that building the
+    setup raised, and write its files. Returns the cell's summary entry and,
     for a cell that ran, its loss curve: every interval's ``global_loss``,
-    then the final loss, as its ``metrics.csv`` lists them. A group's first
-    cell puts its setup, or the error building it raised, in ``shared``."""
+    then the final loss, as its ``metrics.csv`` lists them."""
     scenario, strategy, index, seed, kwargs = args
     cell_dir = _cell_dir(out_dir, scenario.name, strategy, index)
     cell = {
@@ -511,14 +515,9 @@ def _execute_cell(args: tuple, make_setup, shared: list, out_dir: Path, emit: di
     }
     curve = None
     try:
-        if not shared:
-            try:
-                shared.append(make_setup())
-            except Exception as exc:  # noqa: BLE001 - it fails each cell of the group
-                shared.append(exc)
-        if isinstance(shared[0], Exception):
-            raise shared[0]
-        log = STRATEGIES[strategy].run(shared[0], strategy, **kwargs)
+        if isinstance(setup, Exception):
+            raise setup
+        log = STRATEGIES[strategy].run(setup, strategy, **kwargs)
         cell_dir.mkdir(parents=True, exist_ok=True)
         if emit["csv"]:
             write_metrics_csv(cell_dir / "metrics.csv", log)

@@ -1,4 +1,4 @@
-"""Scenario presets: client populations, compute-power processes, latency model.
+"""Scenario presets: client populations, compute-power processes, client pace.
 
 The built-in presets mirror three heterogeneity patterns: a two-tier static
 split (case1), a four-tier static split (case2), and a dynamic population
@@ -74,27 +74,17 @@ class GaussianFloorSize:
         return max(minimum, int(np.floor(rng.normal(self.mean_value, self.std))))
 
 
-@dataclass
-class LatencyModel:
-    """Wall-clock accounting for the round-driven scheduler, which waits for
-    the slowest client: a round costs
-    ``required_iterations * max(seconds_per_iteration) + overhead``. The
-    time-driven scheduler reads none of it: it advances by exactly
-    ``Scenario.interval_length`` per interval.
-    """
+def round_seconds(seconds_per_iteration, required, overhead: float) -> float:
+    """A synchronous round's wall clock time: ``required`` iterations at the slowest pace, plus ``overhead``."""
+    return float(required * np.max(seconds_per_iteration) + overhead)
 
-    seconds_per_iteration: np.ndarray
-    overhead: float = 0.0
 
-    def __post_init__(self) -> None:
-        self.seconds_per_iteration = np.asarray(self.seconds_per_iteration, dtype=float)
-        if not np.all(self.seconds_per_iteration > 0):
-            raise ValueError("per-iteration times must be positive")
-        if not 0 <= self.overhead < np.inf:
-            raise ValueError("overhead must be non-negative and finite")
-
-    def sync_round_seconds(self, required_iterations: int) -> float:
-        return float(required_iterations * self.seconds_per_iteration.max() + self.overhead)
+def _check_timing(interval_length: float, overhead: float) -> None:
+    if not 0 < interval_length < np.inf:
+        raise FieldError(f"interval_length: must be positive and finite, got {interval_length!r}")
+    _at_least("overhead", overhead, 0)
+    if overhead == np.inf:
+        raise FieldError("overhead: must be finite, got inf")
 
 
 @dataclass(frozen=True)
@@ -171,13 +161,13 @@ class Scenario:
 
     def __post_init__(self) -> None:
         _at_least("n_clients", self.n_clients, 1)
+        if len(self.data_sizes) != self.n_clients:
+            raise FieldError(f"data_sizes: {len(self.data_sizes)} sizes for n_clients={self.n_clients}")
         _at_least("batch_size", self.batch_size, 1)
         for k, size in enumerate(self.data_sizes):
             if not isinstance(size, GaussianFloorSize):
                 _at_least(f"data_sizes[{k}]", size, 1)
-        if not 0 < self.interval_length < np.inf:
-            raise FieldError(f"interval_length: must be positive and finite, got {self.interval_length!r}")
-        _at_least("overhead", self.overhead, 0)
+        _check_timing(self.interval_length, self.overhead)
         _at_least("min_upload_iterations", self.min_upload_iterations, 0)
 
     @property
@@ -193,10 +183,12 @@ class Scenario:
         unless their runner is given one."""
         return max(1, int(round(self.mean_tau.max())))
 
-    def latency_model(self) -> LatencyModel:
-        # A client paces so that its mean iteration count fits one interval.
-        spi = self.interval_length / np.maximum(self.mean_tau, 1e-9)
-        return LatencyModel(seconds_per_iteration=spi, overhead=self.overhead)
+    @property
+    def seconds_per_iteration(self) -> np.ndarray:
+        """Each client's pace: its mean iteration count fits one interval. A
+        client whose mean count is not positive never iterates: its pace is inf."""
+        mean = self.mean_tau
+        return np.divide(self.interval_length, mean, out=np.full(mean.shape, np.inf), where=mean > 0)
 
     def materialize(self, rng):
         """Draw the data sizes and build the task."""
@@ -349,12 +341,14 @@ def latency_table(
     """
     if rounds < 1:
         raise ValueError(f"rounds={rounds} must be at least 1")
+    _check_timing(interval_length, overhead)
+    if required_iterations is not None and not required_iterations > 0:
+        raise FieldError(f"required_iterations: must be positive, got {required_iterations!r}")
     rows = []
     for delta in deltas:
         profile = two_tier_speed_profile(float(delta), n_clients=n_clients, mean_tau=mean_tau)
-        model = LatencyModel(seconds_per_iteration=interval_length / profile, overhead=overhead)
         required = float(profile.max()) if required_iterations is None else float(required_iterations)
-        sfl_total = rounds * model.sync_round_seconds(required)
+        sfl_total = rounds * round_seconds(interval_length / profile, required, overhead)
         tsfl_total = rounds * interval_length
         rows.append(
             {

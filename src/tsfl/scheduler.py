@@ -40,14 +40,14 @@ from .aggregation import (  # noqa: F401
 )
 from .analysis import estimate_dissimilarity
 from .core import IntervalRecord, RunLog, SystemConstants, interval_records  # noqa: F401
-from .scenarios import Scenario
+from .scenarios import Scenario, round_seconds
 from .training import draw_batches, estimate_constants, local_train, train_clients  # noqa: F401
 
 
 class RunSetup:
     """What every run of one (scenario, seed, constants, probe count) shares,
     all drawn from the seed's scenario stream, so it reads no strategy: the
-    materialized task, client data and batch sizes, latency, ``w0``, and the
+    materialized task, client data and batch sizes, ``w0``, and the
     resolved constants; ``equality_theta`` moves theta to the run's L."""
 
     def __init__(self, scenario: Scenario, constants: SystemConstants, seed: int,
@@ -59,7 +59,6 @@ class RunSetup:
         self.task = scenario.materialize(rng)
         self.sizes = np.array([self.task.data_size(i) for i in range(scenario.n_clients)])
         self.batch = np.minimum(scenario.batch_size, self.sizes)
-        self.latency = scenario.latency_model()
         self.w0 = rng.normal(size=self.task.dimension)
 
         # Every analysis constant is resolved here, once: N is the scenario's
@@ -183,8 +182,8 @@ class _Run:
         for w in widths:
             # A group of one width reads its rows as views.
             rows = slice(None) if len(widths) == 1 else np.flatnonzero(width == w)
-            out[rows] = train_clients(task, clients[rows], starts[rows] if starts.ndim == 2 else starts,
-                                      steps[rows], c.eta, stream=self.streams[w], first=first[rows],
+            out[rows] = train_clients(task, clients[rows], starts[rows], steps[rows], c.eta,
+                                      stream=self.streams[w], first=first[rows],
                                       prox_center=prox_center, mu=c.mu)
         if not np.isfinite(out).all():
             diverged = sorted(clients[~np.isfinite(out).all(axis=1)].tolist())
@@ -329,10 +328,14 @@ def _round_driven(setup: RunSetup, strategy: str, required_iterations: int | Non
                 else int(required_iterations))
     if required < 1:
         raise ValueError("required_iterations must be >= 1")
+    pace = scenario.seconds_per_iteration
+    idle = np.flatnonzero(np.isinf(pace))
+    if idle.size:
+        raise ValueError(f"clients {idle.tolist()} never iterate, so no synchronous round ends")
     n = scenario.n_clients
     rho = np.tile(fedavg_weights(setup.sizes).rho, (T, 1))
     # cumsum adds in sequence: the same bits as a clock advanced round by round.
-    clock = np.cumsum(np.full(T, setup.latency.sync_round_seconds(required)))
+    clock = np.cumsum(np.full(T, round_seconds(pace, required, scenario.overhead)))
     return _run_plan(_Run(setup), strategy, np.full((T, n), required), np.ones((T, n), dtype=int),
                      rho, clock)
 
@@ -355,20 +358,20 @@ def _arrivals(cycles, horizon: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _event_run(setup: RunSetup, strategy: str, upload, local_iterations: int | None) -> RunLog:
     """Train a per-arrival run. Client i uploads after ``k`` local steps, so
-    every ``k * seconds_per_iteration[i]`` seconds; the arrival times never
-    read the model, so the whole schedule is planned first. Arrivals sharing
-    a timestamp train as one group, in client order, each from the global
-    model it downloaded after its previous upload. ``upload`` is the
-    ``combine`` rule of ``_train``.
-    Records are emitted at interval boundaries, for comparability with the
-    interval runners.
+    every ``k * seconds_per_iteration[i]`` seconds, and a client that never
+    iterates never uploads; the arrival times never read the model, so the
+    whole schedule is planned first. Arrivals sharing a timestamp train as
+    one group, in client order, each from the global model it downloaded
+    after its previous upload. ``upload`` is the ``combine`` rule of
+    ``_train``. Records are emitted at interval boundaries, for comparability
+    with the interval runners.
     """
     scenario = setup.scenario
     k = scenario.default_required_iterations() if local_iterations is None else int(local_iterations)
     if k < 1:
         raise ValueError("local_iterations must be >= 1")
     boundaries = np.arange(1, setup.constants.T + 1) * scenario.interval_length
-    times, clients = _arrivals(k * setup.latency.seconds_per_iteration, boundaries[-1])
+    times, clients = _arrivals(k * scenario.seconds_per_iteration, boundaries[-1])
     # Arrivals sharing a timestamp form one group, trained in the interval
     # their timestamp falls in; one exactly on a boundary closes that
     # interval. The uploads are weighed outside the interval rows, so beta

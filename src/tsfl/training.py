@@ -319,6 +319,8 @@ class LogisticTask(_Task):
         if feature_dim < 1:
             raise ValueError("logistic tasks need model dimension >= 2")
         data_sizes = np.asarray(data_sizes, dtype=int)
+        if len(data_sizes) != n_clients:
+            raise ValueError("one data size per client required")
         base = rng.normal(size=feature_dim)
         base /= np.linalg.norm(base)
         features, labels = [], []
@@ -782,7 +784,7 @@ def estimate_constants(task, batch_sizes, probe_count: int, rng) -> EstimatedCon
     has no sampling noise: its bound is exactly 0, though its batches are
     still drawn, so every client sees the same probe stream. Smoothness is
     exact for quadratic tasks and probed otherwise, from the full-batch
-    gradients at consecutive probe points.
+    gradients at consecutive probe points, so it needs at least two.
 
     The values, and the state ``rng`` is left in, are those of one
     ``stochastic_gradient`` call per probe point and client, in that order:
@@ -792,6 +794,8 @@ def estimate_constants(task, batch_sizes, probe_count: int, rng) -> EstimatedCon
     """
     if probe_count < 1:
         raise ValueError("probe_count must be >= 1")
+    if probe_count < 2 and task.kind != "quadratic":
+        raise ValueError(f"probe_count must be >= 2 for a {task.kind} task: L is probed from pairs of points")
     n, d = task.n_clients, task.dimension
     sizes = [task.data_size(i) for i in range(n)]
     batch = np.asarray(batch_sizes, dtype=int)

@@ -434,6 +434,11 @@ def test_latency_verb_writes_table(tmp_path, capsys):
          "config: unknown keys ['constants', 'equality_theta', 'scenario', 'seeds', 'strategies']"),
         ({"estimate_probes": 2, "latency": {"rounds": 5}}, "config: unknown keys ['estimate_probes']"),
         ({"emit": {"csv": True}, "latency": {}}, "config: unknown keys ['emit']"),
+        ({"interval_length": 0.0}, "config.latency.interval_length: must be positive and finite, got 0.0"),
+        ({"interval_length": -1.0}, "config.latency.interval_length: must be positive and finite, got -1.0"),
+        ({"overhead": -1.0}, "config.latency.overhead: must be at least 0, got -1.0"),
+        ({"required_iterations": 0}, "config.latency.required_iterations: must be positive, got 0.0"),
+        ({"required_iterations": -2}, "config.latency.required_iterations: must be positive, got -2.0"),
     ],
 )
 def test_latency_config_errors(tmp_path, capsys, latency, message):
@@ -617,6 +622,9 @@ INLINE = {"n_clients": 4, "processes": [{"kind": "fixed", "tau": 1}], "data_size
         ({"scenario": [INLINE, {**INLINE, "n_clients": 6}], "scenario_options": {}},
          "config.scenario[1]: repeats scenario name 'custom'"),
         ({"scenario": ["case1", "case1"]}, "config.scenario[1]: repeats scenario name 'case1'"),
+        # A logistic task probes L from pairs of probe points.
+        ({"task": {"kind": "logistic"}, "estimate_probes": 1},
+         "config.estimate_probes: a logistic task probes L from pairs of points, so it takes 0 or at least 2, got 1"),
     ],
 )
 def test_unread_or_malformed_options_are_config_errors(tmp_path, capsys, overrides, location):
@@ -752,7 +760,7 @@ def test_every_demo_leaf_mutation_is_a_config_error_or_runs(tmp_path):
     base = load_config(CONFIGS / "demo.json")
     base["constants"]["T"] = 3
     base["seeds"] = 1
-    values = ["x", True, 2.5, math.nan, math.inf, -math.inf, 0, -1, [1], None]
+    values = ["x", True, 2.5, math.nan, math.inf, -math.inf, 0, 1, -1, [1], None]
     paths = list(_leaves(base))
     assert len(paths) == 17
     accepted = {}

@@ -1,12 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from tsfl.analysis import heterogeneity_degree
 from tsfl.scenarios import (
+    FieldError,
     FixedIterations,
     GaussianFloorIterations,
-    LatencyModel,
+    Scenario,
+    TaskSpec,
+    latency_table,
     preset,
+    round_seconds,
     two_tier_speed_profile,
 )
 
@@ -46,19 +52,36 @@ def test_case3_materialization_draws_sizes_above_batch():
         assert task.data_size(i) >= scenario.batch_size
 
 
-def test_latency_model_round_time():
-    model = LatencyModel(seconds_per_iteration=[1.0, 0.25], overhead=0.5)
-    assert model.sync_round_seconds(4) == pytest.approx(4.5)
-    for spi, overhead in [([0.0], 0.0), ([np.nan], 0.0), ([1.0], np.nan), ([1.0], np.inf)]:
-        with pytest.raises(ValueError):
-            LatencyModel(seconds_per_iteration=spi, overhead=overhead)
+def test_round_seconds_waits_for_the_slowest_client():
+    assert round_seconds(np.array([1.0, 0.25]), 4, 0.5) == pytest.approx(4.5)
+    for overhead in (np.nan, np.inf):
+        with pytest.raises(FieldError, match=r"^overhead: "):
+            dataclasses.replace(preset("case1"), overhead=overhead)
+        with pytest.raises(FieldError, match=r"^overhead: "):
+            latency_table(overhead=overhead)
+    for interval_length in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(FieldError, match=r"^interval_length: "):
+            latency_table(interval_length=interval_length)
 
 
-def test_scenario_latency_model_paces_mean_tau_per_interval():
-    scenario = preset("case1")
-    model = scenario.latency_model()
-    assert np.allclose(model.seconds_per_iteration[:10], 1.0)
-    assert np.allclose(model.seconds_per_iteration[10:], 0.25)
+def test_scenario_paces_mean_tau_per_interval():
+    spi = preset("case1").seconds_per_iteration
+    assert np.allclose(spi[:10], 1.0)
+    assert np.allclose(spi[10:], 0.25)
+    # A client whose mean count is not positive never iterates; no division
+    # by zero warns.
+    processes = [FixedIterations(0), GaussianFloorIterations(-1.0, 0.5), FixedIterations(2)]
+    idle = Scenario(name="idle", processes=processes, data_sizes=[8] * 3, interval_length=0.5)
+    assert idle.seconds_per_iteration.tolist() == [np.inf, np.inf, 0.25]
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+@pytest.mark.parametrize("count", [3, 5])
+def test_data_sizes_give_one_size_per_client(kind, count):
+    with pytest.raises(FieldError, match=rf"^data_sizes: {count} sizes for n_clients=4$"):
+        Scenario(name="x", processes=[FixedIterations(1)] * 4, data_sizes=[16] * count, task=TaskSpec(kind=kind))
+    with pytest.raises(ValueError, match=r"^one data size per client required$"):
+        TaskSpec(kind=kind).build(4, [16] * count, np.random.default_rng(0))
 
 
 def test_two_tier_speed_profile_hits_requested_variance():

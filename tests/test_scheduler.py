@@ -15,7 +15,7 @@ from tsfl.aggregation import (
 )
 from tsfl import scheduler
 from tsfl.core import SystemConstants
-from tsfl.scenarios import FixedIterations, GaussianFloorIterations, Scenario, TaskSpec, preset
+from tsfl.scenarios import FixedIterations, GaussianFloorIterations, Scenario, TaskSpec, preset, round_seconds
 from tsfl.scheduler import (
     ALL_STRATEGIES,
     INTERVAL_STRATEGIES,
@@ -148,6 +148,21 @@ def test_straggler_latency_ratio_bound():
     sfl_total = run_sfl(scenario, constants, seed=0, required_iterations=4).records[-1].wall_clock
     tsfl_total = run_tsfl(scenario, "tsfl-uniform", constants, seed=0).records[-1].wall_clock
     assert sfl_total >= 4.0 * tsfl_total
+
+
+def test_an_idle_client_fails_sfl_and_never_uploads():
+    # Client 1 never iterates: no synchronous round ends, so sfl names it,
+    # while the event runners never see it arrive and the time-driven
+    # selection never takes its upload.
+    scenario = scenario_with([FixedIterations(2), FixedIterations(0), FixedIterations(3)], min_upload_iterations=1)
+    constants = SystemConstants(eta=0.02, L=1.0, N=3, H=3, T=6, sigma_global=1.0)
+    with pytest.raises(ValueError, match=r"^clients \[1\] never iterate, so no synchronous round ends$"):
+        run_sfl(scenario, constants, seed=0)
+    for strategy in ("fedasync", "semiasync", "tsfl-dms"):
+        log = run_strategy(scenario, strategy, constants, seed=0)
+        assert log.records.tau.sum(axis=0)[[0, 2]].min() > 0
+        assert not log.records.tau[:, 1].any() and not log.records.beta[:, 1].any()
+        assert log.records.wall_clock[-1] == 6.0 and np.isfinite(log.final_loss)
 
 
 def test_afl_single_client_is_damped_sequential_sgd():
@@ -331,8 +346,9 @@ DIVERGING = dict(eta=1e200, L=1.0, T=3, H=4, sigma_global=1.0)
 def test_diverging_run_names_the_interval_and_the_clients(strategy):
     # One step at eta=1e200 stays finite; the second overflows. Clients 0 and
     # 2 take four steps in interval 0 (under fedasync they upload two steps
-    # at t=0.5, client 3 not before t=2); sfl has all four take two.
-    scenario = scenario_with([FixedIterations(k) for k in (4, 0, 4, 1)])
+    # at t=0.5, client 3 not before t=2); sfl, where every client must
+    # iterate, has all four take two.
+    scenario = scenario_with([FixedIterations(k) for k in (4, int(strategy == "sfl"), 4, 1)])
     kwargs = {"sfl": {"required_iterations": 2}, "fedasync": {"local_iterations": 2}}.get(strategy, {})
     clients = "0, 1, 2, 3" if strategy == "sfl" else "0, 2"
     with np.errstate(over="ignore", invalid="ignore"):
@@ -466,11 +482,11 @@ def test_sfl_equals_a_round_loop():
     run = _Run(RunSetup(scenario, constants, 3, 0, False))
     setup = run.setup
     weights = fedavg_weights(setup.sizes)
-    w, clock, round_seconds = setup.w0.copy(), 0.0, setup.latency.sync_round_seconds(3)
+    w, clock, seconds = setup.w0.copy(), 0.0, round_seconds(scenario.seconds_per_iteration, 3, scenario.overhead)
     for record in log.records:
         w = weights.rho @ train_clients(setup.task, np.arange(6), w, np.full(6, 3), constants.eta,
                                         **_choice_batches(run, np.full(6, 3)))
-        clock += round_seconds
+        clock += seconds
         assert np.array_equal(record.model, w)
         assert record.wall_clock == clock
         assert np.array_equal(record.rho, weights.rho)
@@ -514,7 +530,7 @@ def test_event_runs_plan_exactly_the_steps_they_train(monkeypatch, strategy, nam
     assert np.array_equal(setup.planned, log.records.tau.sum(axis=0))
     if strategy in ("fedasync", "semiasync"):
         k = scenario.default_required_iterations()
-        _, clients = _arrivals(k * scenario.latency_model().seconds_per_iteration,
+        _, clients = _arrivals(k * scenario.seconds_per_iteration,
                                constants.T * interval_length)
         planned = k * np.bincount(clients, minlength=8)
         assert np.array_equal(planned, setup.planned)
@@ -646,13 +662,15 @@ class _ChoiceRun(_Run):
 def test_planned_streams_train_as_per_step_choice(monkeypatch, strategy, full_batch, kind):
     # Clients 0 and 5 hold fewer samples than a batch: a logistic run keeps
     # three streams, of widths 10, 16 and 8. Client 4 takes no step in some
-    # intervals, and client 5 none at all outside sfl, so its offset is the
-    # end of its stream. fedasync and semiasync train groups of arrivals. A
-    # full-batch run trains on its one stream entry, which holds no steps.
+    # intervals, and client 5 none at all outside sfl (where every client
+    # must iterate), so its offset is the end of its stream. fedasync and
+    # semiasync train groups of arrivals. A full-batch run trains on its one
+    # stream entry, which holds no steps.
+    idle = FixedIterations(int(strategy == "sfl"))
     scenario = Scenario(
         name="mixed",
         processes=[FixedIterations(3), GaussianFloorIterations(2.0, 1.5), FixedIterations(1),
-                   FixedIterations(4), GaussianFloorIterations(1.0, 1.0), FixedIterations(0)],
+                   FixedIterations(4), GaussianFloorIterations(1.0, 1.0), idle],
         data_sizes=[10, 50, 20, 64, 33, 8], batch_size=16,
         task=TaskSpec(kind=kind, dimension=3, noniid_spread=0.5), full_batch=full_batch,
     )

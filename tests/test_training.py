@@ -798,6 +798,11 @@ def test_estimate_constants_equals_the_stochastic_gradient_loop(kind, dimension,
     cls = QuadraticTask if kind == "quadratic" else LogisticTask
     task = cls.generate(len(sizes), dimension, sizes, np.random.default_rng(2), noniid_spread=0.5)
     batch = [min(b, m) for m, b in zip(sizes, batch)]
+    if kind == "logistic" and probe_count == 1:
+        # One probe point leaves no pair of points to probe L from.
+        with pytest.raises(ValueError, match=r"^probe_count must be >= 2 for a logistic task: L is probed from pairs"):
+            estimate_constants(task, batch, probe_count, np.random.default_rng(6))
+        return
     est = estimate_constants(task, batch, probe_count, rng := np.random.default_rng(6))
     l_hat, g_max, sigma = _probe_loop(task, batch, probe_count, looped := np.random.default_rng(6))
     assert rng.bit_generator.state == looped.bit_generator.state
