@@ -64,13 +64,15 @@ class ConfigError(ValueError):
 def load_config(path: str | Path) -> dict:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        config = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
-    try:
-        config = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: nested too deeply to decode") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: top-level value must be an object")
     return config
@@ -652,7 +654,7 @@ def reanalyze(out_dir: Path) -> int:
     for path in logs:
         try:
             report = build_report(log_from_dict(json.loads(path.read_text(encoding="utf-8"))))
-        except (OSError, ValueError, LookupError, TypeError) as exc:
+        except (OSError, ValueError, LookupError, TypeError, RecursionError) as exc:
             print(f"{path}: {type(exc).__name__}: {exc}", file=sys.stderr)
             status = 1
         else:

@@ -87,9 +87,13 @@ def _check_timing(interval_length: float, overhead: float) -> None:
         raise FieldError("overhead: must be finite, got inf")
 
 
+_KINDS = {cls.kind: cls for cls in (QuadraticTask, LogisticTask)}
+
+
 @dataclass(frozen=True)
 class TaskSpec:
-    """Synthetic-task recipe; materialized per run seed."""
+    """Synthetic-task recipe, the only one: ``build`` and each task's
+    ``generate`` read every value from it. Materialized per run seed."""
 
     kind: str = "quadratic"
     dimension: int = 4
@@ -101,7 +105,7 @@ class TaskSpec:
     l2_reg: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.kind not in ("quadratic", "logistic"):
+        if self.kind not in _KINDS:
             raise ValueError(f"kind must be 'quadratic' or 'logistic', got {self.kind!r}")
         least = 2 if self.kind == "logistic" else 1
         if self.dimension < least:
@@ -114,28 +118,9 @@ class TaskSpec:
         if self.l2_reg <= 0:
             raise ValueError("l2_reg must be positive")
 
-    def build(self, n_clients: int, data_sizes, rng):
-        if self.kind == "quadratic":
-            return QuadraticTask.generate(
-                n_clients,
-                self.dimension,
-                data_sizes,
-                rng,
-                noniid_spread=self.noniid_spread,
-                sample_noise=self.sample_noise,
-                curvature_range=self.curvature_range,
-                shared_curvature=self.shared_curvature,
-            )
-        return LogisticTask.generate(
-            n_clients,
-            self.dimension,
-            data_sizes,
-            rng,
-            noniid_spread=self.noniid_spread,
-            separation=self.separation,
-            sample_noise=self.sample_noise,
-            l2_reg=self.l2_reg,
-        )
+    def build(self, data_sizes, rng):
+        """The task of this recipe, one client per entry of ``data_sizes``."""
+        return _KINDS[self.kind].generate(self, data_sizes, rng)
 
 
 @dataclass
@@ -194,7 +179,7 @@ class Scenario:
         """Draw the data sizes and build the task."""
         sizes = [spec.draw(rng, minimum=self.batch_size) if isinstance(spec, GaussianFloorSize) else int(spec)
                  for spec in self.data_sizes]
-        return self.task.build(self.n_clients, sizes, rng)
+        return self.task.build(sizes, rng)
 
     def describe(self) -> dict:
         return {
@@ -219,7 +204,7 @@ def tiered(n_clients: int, tiers: list) -> list:
     return [tiers[i * len(tiers) // n_clients] for i in range(n_clients)]
 
 
-def case1(n_clients: int = 20, data_size: int = 1024, batch_size: int = 32, **task_kwargs) -> Scenario:
+def case1(n_clients: int = 20, data_size: int = 1024, batch_size: int = 32) -> Scenario:
     """Two static tiers: half the clients at 1 iteration, half at 4 (degree 2.25)."""
     processes = tiered(n_clients, [FixedIterations(1), FixedIterations(4)])
     return Scenario(
@@ -227,11 +212,10 @@ def case1(n_clients: int = 20, data_size: int = 1024, batch_size: int = 32, **ta
         processes=processes,
         data_sizes=_equal_sizes(n_clients, data_size),
         batch_size=batch_size,
-        task=TaskSpec(**task_kwargs),
     )
 
 
-def case2(n_clients: int = 20, data_size: int = 1024, batch_size: int = 32, **task_kwargs) -> Scenario:
+def case2(n_clients: int = 20, data_size: int = 1024, batch_size: int = 32) -> Scenario:
     """Four static tiers at 1/2/3/4 iterations by quarters (degree 1.25)."""
     processes = tiered(
         n_clients,
@@ -242,11 +226,10 @@ def case2(n_clients: int = 20, data_size: int = 1024, batch_size: int = 32, **ta
         processes=processes,
         data_sizes=_equal_sizes(n_clients, data_size),
         batch_size=batch_size,
-        task=TaskSpec(**task_kwargs),
     )
 
 
-def case3(n_clients: int = 20, batch_size: int = 32, **task_kwargs) -> Scenario:
+def case3(n_clients: int = 20, batch_size: int = 32) -> Scenario:
     """Dynamic tiers: floored-Gaussian iteration counts and tiered data sizes."""
     processes = tiered(
         n_clients,
@@ -272,18 +255,16 @@ def case3(n_clients: int = 20, batch_size: int = 32, **task_kwargs) -> Scenario:
         processes=processes,
         data_sizes=sizes,
         batch_size=batch_size,
-        task=TaskSpec(**task_kwargs),
     )
 
 
-def homogeneous(n_clients: int = 20, tau: int = 4, data_size: int = 1024, batch_size: int = 32, **task_kwargs) -> Scenario:
+def homogeneous(n_clients: int = 20, tau: int = 4, data_size: int = 1024, batch_size: int = 32) -> Scenario:
     """Every client identical: fixed iteration count and equal data."""
     return Scenario(
         name="homogeneous",
         processes=[FixedIterations(tau)] * n_clients,
         data_sizes=_equal_sizes(n_clients, data_size),
         batch_size=batch_size,
-        task=TaskSpec(**task_kwargs),
     )
 
 
@@ -341,6 +322,7 @@ def latency_table(
     """
     if rounds < 1:
         raise ValueError(f"rounds={rounds} must be at least 1")
+    _at_least("n_clients", n_clients, 2)  # one client per tier
     _check_timing(interval_length, overhead)
     if required_iterations is not None and not required_iterations > 0:
         raise FieldError(f"required_iterations: must be positive, got {required_iterations!r}")

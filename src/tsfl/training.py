@@ -156,20 +156,11 @@ class QuadraticTask(_Task):
         ])
 
     @classmethod
-    def generate(
-        cls,
-        n_clients: int,
-        dimension: int,
-        data_sizes,
-        rng,
-        noniid_spread: float = 0.0,
-        sample_noise: float = 0.5,
-        curvature_range: tuple[float, float] = (0.5, 1.0),
-        shared_curvature: bool = False,
-    ) -> "QuadraticTask":
+    def generate(cls, spec, data_sizes, rng) -> "QuadraticTask":
+        """The task of the recipe ``spec`` (a ``TaskSpec``), one client per
+        entry of ``data_sizes``, drawn from ``rng``."""
         data_sizes = np.asarray(data_sizes, dtype=int)
-        if len(data_sizes) != n_clients:
-            raise ValueError("one data size per client required")
+        n_clients, dimension = len(data_sizes), spec.dimension
         # Drawn in the order of one draw per matrix, eigenvalues then basis,
         # the shared matrix first (drawn, and discarded, when every client
         # has its own); the matrices are built from the draws afterwards.
@@ -177,7 +168,7 @@ class QuadraticTask(_Task):
         bases = np.empty((n_clients + 1, dimension, dimension))
 
         def draw_spd(k: int) -> None:
-            eigs[k] = rng.uniform(*curvature_range, size=dimension)
+            eigs[k] = rng.uniform(*spec.curvature_range, size=dimension)
             if dimension > 1:
                 bases[k] = rng.normal(size=(dimension, dimension))
 
@@ -186,20 +177,20 @@ class QuadraticTask(_Task):
         # Drawn in place: a copy of the offsets would double the task's peak memory.
         offsets = np.zeros((n_clients, data_sizes.max(), dimension))
         for i in range(n_clients):
-            if not shared_curvature:
+            if not spec.shared_curvature:
                 draw_spd(i + 1)
-            if noniid_spread > 0.0:
+            if spec.noniid_spread > 0.0:
                 directions[i] = rng.normal(size=dimension)
             z = offsets[i, : data_sizes[i]]
-            np.multiply(sample_noise, rng.normal(size=z.shape), out=z)
+            np.multiply(spec.sample_noise, rng.normal(size=z.shape), out=z)
             z -= z.mean(axis=0)  # centered so the full batch is exact
-        if shared_curvature:
+        if spec.shared_curvature:
             curvatures = np.repeat(_spd(eigs[:1], bases[:1]), n_clients, axis=0)
         else:
             curvatures = _spd(eigs[1:], bases[1:])
-        if noniid_spread > 0.0:
+        if spec.noniid_spread > 0.0:
             directions /= _row_norms(directions)[:, None]
-        return cls(curvatures, noniid_spread * directions, offsets, sizes=data_sizes)
+        return cls(curvatures, spec.noniid_spread * directions, offsets, sizes=data_sizes)
 
     @property
     def dimension(self) -> int:
@@ -284,7 +275,7 @@ class LogisticTask(_Task):
 
     kind = "logistic"
 
-    def __init__(self, features, labels, l2_reg: float = 0.05):
+    def __init__(self, features, labels, l2_reg: float):
         self.l2_reg = float(l2_reg)
         if l2_reg <= 0:
             raise ValueError("l2_reg must be positive so optima are unique")
@@ -303,38 +294,24 @@ class LogisticTask(_Task):
         self._sizes = np.array(sizes)
 
     @classmethod
-    def generate(
-        cls,
-        n_clients: int,
-        dimension: int,
-        data_sizes,
-        rng,
-        noniid_spread: float = 0.0,
-        separation: float = 1.5,
-        sample_noise: float = 1.0,
-        l2_reg: float = 0.05,
-    ) -> "LogisticTask":
-        # ``dimension`` is the model dimension; feature space is one less.
-        feature_dim = dimension - 1
-        if feature_dim < 1:
-            raise ValueError("logistic tasks need model dimension >= 2")
-        data_sizes = np.asarray(data_sizes, dtype=int)
-        if len(data_sizes) != n_clients:
-            raise ValueError("one data size per client required")
+    def generate(cls, spec, data_sizes, rng) -> "LogisticTask":
+        """The task of the recipe ``spec`` (a ``TaskSpec``), one client per
+        entry of ``data_sizes``, drawn from ``rng``. ``spec.dimension`` is the
+        model dimension; feature space is one less."""
+        feature_dim = spec.dimension - 1
         base = rng.normal(size=feature_dim)
         base /= np.linalg.norm(base)
         features, labels = [], []
-        for i in range(n_clients):
-            n = int(data_sizes[i])
+        for n in map(int, data_sizes):
             y = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
             shift = np.zeros(feature_dim)
-            if noniid_spread > 0.0:
+            if spec.noniid_spread > 0.0:
                 shift = rng.normal(size=feature_dim)
-                shift *= noniid_spread / np.linalg.norm(shift)
-            x = y[:, None] * separation * base + shift + sample_noise * rng.normal(size=(n, feature_dim))
+                shift *= spec.noniid_spread / np.linalg.norm(shift)
+            x = y[:, None] * spec.separation * base + shift + spec.sample_noise * rng.normal(size=(n, feature_dim))
             features.append(x)
             labels.append(y)
-        return cls(features, labels, l2_reg=l2_reg)
+        return cls(features, labels, spec.l2_reg)
 
     @property
     def dimension(self) -> int:

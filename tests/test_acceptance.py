@@ -432,11 +432,11 @@ def test_criterion_13_gradient_correctness():
     worst = 0.0
     for kind in ("quadratic", "logistic"):
         if kind == "quadratic":
-            task = QuadraticTask.generate(
-                3, 3, [8, 8, 8], rng, noniid_spread=0.7, sample_noise=0.5
-            )
+            task = QuadraticTask.generate(TaskSpec(dimension=3, noniid_spread=0.7, sample_noise=0.5), [8, 8, 8], rng)
         else:
-            task = LogisticTask.generate(3, 3, [8, 8, 8], rng, noniid_spread=0.5)
+            task = LogisticTask.generate(
+                TaskSpec(kind="logistic", dimension=3, noniid_spread=0.5, sample_noise=1.0), [8, 8, 8], rng
+            )
         for _ in range(100):
             w = rng.normal(size=task.dimension)
             client = int(rng.integers(task.n_clients))

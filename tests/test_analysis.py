@@ -11,7 +11,8 @@ from tsfl.analysis import (
     verify_convergence,
 )
 from tsfl.core import RunLog, SystemConstants, interval_records
-from tsfl.training import LogisticTask, QuadraticTask
+from tsfl.scenarios import TaskSpec
+from tsfl.training import QuadraticTask
 
 
 def make_log(constants, tau, beta, rho, *, w0, w_star, final_grad_norm_sq,
@@ -241,9 +242,9 @@ def _dissimilarity_loop(task, probe_points):
 @pytest.mark.parametrize("kind, dimension", [("quadratic", 1), ("quadratic", 4), ("logistic", 3)])
 def test_dissimilarity_equals_the_per_client_loop(kind, dimension):
     sizes = [10, 50, 20, 64, 33, 8, 50, 64, 12, 40, 64]
-    cls = QuadraticTask if kind == "quadratic" else LogisticTask
+    noise = 1.0 if kind == "logistic" else 0.5
     rng = np.random.default_rng(12)
-    task = cls.generate(len(sizes), dimension, sizes, rng, noniid_spread=0.8)
+    task = TaskSpec(kind=kind, dimension=dimension, noniid_spread=0.8, sample_noise=noise).build(sizes, rng)
     probes = list(rng.normal(size=(6, task.dimension)))
     assert estimate_dissimilarity(task, probes) == _dissimilarity_loop(task, probes)
 

@@ -152,6 +152,22 @@ def test_json_syntax_error_is_line_anchored(tmp_path, capsys):
     assert "broken.json:3:" in err
 
 
+# Bytes that are not UTF-8, and arrays nested past the interpreter's
+# recursion limit.
+UNDECODABLE = [(b"\xff", "not UTF-8"), (b"[" * 100_000, "nested too deeply to decode")]
+
+
+@pytest.mark.parametrize("command", ["run", "latency"])
+@pytest.mark.parametrize("raw, reason", UNDECODABLE, ids=["not-utf8", "too-deep"])
+def test_undecodable_config_is_config_error_without_outputs(tmp_path, capsys, command, raw, reason):
+    path = tmp_path / "config.json"
+    path.write_bytes(raw)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"config error: {path}: {reason}" in capsys.readouterr().err
+
+
 def test_failing_cell_does_not_stop_matrix(tmp_path):
     # tsfl-theorem2 without probes cannot resolve noise bounds and must fail,
     # while the fedavg cells still complete.
@@ -391,6 +407,21 @@ def test_report_verb_names_each_log_it_cannot_read(tmp_path, capsys, edit, reaso
         assert p.read_bytes() == blob, p
 
 
+def test_report_verb_names_a_log_nested_too_deeply(tmp_path, capsys):
+    config_path = write_config(tmp_path, small_config(seeds=2, strategies=["fedavg"]))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    deep, good = sorted(out.glob("runs/*/runlog.json"))
+    deep.write_bytes(b"[" * 100_000)
+    report = (deep.parent / "report.json").read_bytes()
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert f"{deep}: RecursionError: " in captured.err
+    assert captured.out == f"re-analyzed {good.parent.name}\n"
+    assert (deep.parent / "report.json").read_bytes() == report
+
+
 def test_presets_verb_lists_builtins(capsys):
     assert main(["presets"]) == 0
     out = capsys.readouterr().out
@@ -439,6 +470,10 @@ def test_latency_verb_writes_table(tmp_path, capsys):
         ({"overhead": -1.0}, "config.latency.overhead: must be at least 0, got -1.0"),
         ({"required_iterations": 0}, "config.latency.required_iterations: must be positive, got 0.0"),
         ({"required_iterations": -2}, "config.latency.required_iterations: must be positive, got -2.0"),
+        # Two tiers need a client each.
+        ({"n_clients": 1}, "config.latency.n_clients: must be at least 2, got 1"),
+        ({"n_clients": 0}, "config.latency.n_clients: must be at least 2, got 0"),
+        ({"n_clients": -4}, "config.latency.n_clients: must be at least 2, got -4"),
     ],
 )
 def test_latency_config_errors(tmp_path, capsys, latency, message):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from tsfl.core import SystemConstants
-from tsfl.scenarios import preset
+from tsfl.scenarios import TaskSpec, preset
 from tsfl.scheduler import ALL_STRATEGIES, run_strategy
 
 GOLDEN_PATH = Path(__file__).with_name("golden_strategies.json")
@@ -28,7 +28,8 @@ TASKS = ("quadratic", "logistic")
 
 def golden_run(kind: str, strategy: str):
     scenario = dataclasses.replace(
-        preset("case3", n_clients=8, batch_size=8, kind=kind, dimension=3, noniid_spread=0.4),
+        preset("case3", n_clients=8, batch_size=8),
+        task=TaskSpec(kind=kind, dimension=3, noniid_spread=0.4),
         min_upload_iterations=2,
     )
     constants = SystemConstants(eta=0.05, T=12, H=8, N=8)

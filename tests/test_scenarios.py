@@ -80,8 +80,39 @@ def test_scenario_paces_mean_tau_per_interval():
 def test_data_sizes_give_one_size_per_client(kind, count):
     with pytest.raises(FieldError, match=rf"^data_sizes: {count} sizes for n_clients=4$"):
         Scenario(name="x", processes=[FixedIterations(1)] * 4, data_sizes=[16] * count, task=TaskSpec(kind=kind))
-    with pytest.raises(ValueError, match=r"^one data size per client required$"):
-        TaskSpec(kind=kind).build(4, [16] * count, np.random.default_rng(0))
+
+
+# Each kind's recipe fields, and a changed value for each.
+RECIPE_CHANGES = {
+    "dimension": 4,
+    "noniid_spread": 0.7,
+    "sample_noise": 0.9,
+    "curvature_range": (0.5, 2.0),
+    "shared_curvature": True,
+    "separation": 3.0,
+    "l2_reg": 0.5,
+}
+READS = {
+    "quadratic": ("dimension", "noniid_spread", "sample_noise", "curvature_range", "shared_curvature"),
+    "logistic": ("dimension", "noniid_spread", "sample_noise", "separation", "l2_reg"),
+}
+
+
+def _built(spec):
+    """The arrays and numbers a task is built with, from a fixed draw."""
+    task = spec.build([5, 9, 7], np.random.default_rng(11))
+    return {key: value for key, value in vars(task).items() if isinstance(value, (np.ndarray, float))}
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+@pytest.mark.parametrize("name", RECIPE_CHANGES)
+def test_every_recipe_field_reaches_the_task(kind, name):
+    base = TaskSpec(kind=kind, dimension=3, noniid_spread=0.5)
+    before, after = _built(base), _built(dataclasses.replace(base, **{name: RECIPE_CHANGES[name]}))
+    same = before.keys() == after.keys() and all(np.array_equal(before[k], after[k]) for k in before)
+    # A field the kind reads changes the task; one it does not read changes
+    # no bit of it.
+    assert same == (name not in READS[kind])
 
 
 def test_two_tier_speed_profile_hits_requested_variance():

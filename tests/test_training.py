@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from tsfl.scenarios import preset
+from tsfl.scenarios import TaskSpec, preset
 from tsfl.training import (
     LogisticTask,
     QuadraticTask,
@@ -25,14 +27,14 @@ def central_difference(loss_fn, w, h=1e-5):
 
 def small_quadratic(rng, n_clients=2, dimension=2, data_size=8, spread=0.0, noise=0.5):
     return QuadraticTask.generate(
-        n_clients, dimension, [data_size] * n_clients, rng,
-        noniid_spread=spread, sample_noise=noise,
+        TaskSpec(dimension=dimension, noniid_spread=spread, sample_noise=noise), [data_size] * n_clients, rng
     )
 
 
 def small_logistic(rng, n_clients=2, dimension=2, data_size=4, spread=0.0):
     return LogisticTask.generate(
-        n_clients, dimension, [data_size] * n_clients, rng, noniid_spread=spread
+        TaskSpec(kind="logistic", dimension=dimension, noniid_spread=spread, sample_noise=1.0),
+        [data_size] * n_clients, rng,
     )
 
 
@@ -123,7 +125,7 @@ QUADRATIC_CASES = [f"{name}-d{d}" for name in ("case1", "case2", "case3") for d 
 def _quadratic_task(case):
     rng = np.random.default_rng(17)
     if case == "shared-curvature":
-        return QuadraticTask.generate(4, 3, [10, 20, 30, 40], rng, noniid_spread=1.0, shared_curvature=True)
+        return QuadraticTask.generate(TaskSpec(dimension=3, noniid_spread=1.0, shared_curvature=True), [10, 20, 30, 40], rng)
     if case == "uncentered":
         # A small spread about a large offset mean: at a client's minimum the
         # loss is tiny next to the offsets' own quadratic terms.
@@ -134,7 +136,8 @@ def _quadratic_task(case):
         )
     name, d = case.split("-d")
     sizes = {} if name == "case3" else {"data_size": 96}  # case3 draws tiered sizes
-    scenario = preset(name, n_clients=6, kind="quadratic", dimension=int(d), noniid_spread=0.6, **sizes)
+    scenario = dataclasses.replace(preset(name, n_clients=6, **sizes),
+                                   task=TaskSpec(kind="quadratic", dimension=int(d), noniid_spread=0.6))
     return scenario.materialize(rng)
 
 
@@ -347,7 +350,7 @@ def test_sigma_estimate_is_exactly_zero_for_full_batch_probes():
     # Clients 0 and 5 hold no more samples than a batch: their probe batch is
     # their whole data set, whose gradient equals the full one up to rounding.
     sizes = [10, 50, 20, 64, 33, 8]
-    task = QuadraticTask.generate(6, 4, sizes, np.random.default_rng(1), noniid_spread=0.5)
+    task = QuadraticTask.generate(TaskSpec(dimension=4, noniid_spread=0.5), sizes, np.random.default_rng(1))
     batch = [min(16, m) for m in sizes]
     rng = np.random.default_rng(4)
     est = estimate_constants(task, batch, 4, rng)
@@ -368,7 +371,7 @@ def test_sigma_estimate_is_exactly_zero_for_full_batch_probes():
 def test_logistic_global_loss_is_the_mean_local_loss_bit_for_bit(layout):
     sizes = {"equal": [40] * 5, "unequal": [16, 40, 24, 64, 33, 16, 7], "single": [30]}[layout]
     rng = np.random.default_rng(23)
-    task = LogisticTask.generate(len(sizes), 4, sizes, rng, noniid_spread=0.8)
+    task = LogisticTask.generate(TaskSpec(kind="logistic", dimension=4, noniid_spread=0.8, sample_noise=1.0), sizes, rng)
     for w in rng.normal(scale=2.0, size=(20, task.dimension)):
         loop = float(np.mean([task.local_loss(i, w) for i in range(task.n_clients)]))
         assert task.global_loss(w) == loop
@@ -393,7 +396,8 @@ LOGISTIC_LAYOUTS = {"equal": [40] * 5, "unequal": [16, 40, 24, 64, 33], "single"
 @pytest.mark.parametrize("layout", LOGISTIC_LAYOUTS)
 def test_logistic_stacked_descent_matches_per_client_definition(layout):
     sizes = LOGISTIC_LAYOUTS[layout]
-    task = LogisticTask.generate(len(sizes), 3, sizes, np.random.default_rng(19), noniid_spread=0.8)
+    task = LogisticTask.generate(TaskSpec(kind="logistic", dimension=3, noniid_spread=0.8, sample_noise=1.0),
+                                 sizes, np.random.default_rng(19))
     n = task.n_clients
 
     def agree(got, want, scale):
@@ -428,7 +432,8 @@ def test_logistic_data_are_views_into_padded_blocks():
     # The task holds its data in one signed block: no per-client copies, and
     # zero padding rows.
     sizes = [5, 9, 7]
-    task = LogisticTask.generate(3, 3, sizes, np.random.default_rng(6), noniid_spread=0.5)
+    task = LogisticTask.generate(TaskSpec(kind="logistic", dimension=3, noniid_spread=0.5, sample_noise=1.0),
+                                 sizes, np.random.default_rng(6))
     task.w_star, task.local_optimum(0)  # the cached members are built
     blocks = [v for v in vars(task).values() if isinstance(v, np.ndarray) and v.ndim == 3]
     assert len(blocks) == 1 and blocks[0] is task._s and task._s.shape == (3, 9, 3)
@@ -443,7 +448,7 @@ def test_logistic_rejects_labels_other_than_plus_or_minus_one(bad):
     features = [np.zeros((3, 2)), np.ones((2, 2))]
     labels = [np.array([1.0, -1.0, 1.0]), np.array([-1.0, bad])]
     with pytest.raises(ValueError, match=r"labels must be \+1 or -1; client 1 has"):
-        LogisticTask(features, labels)
+        LogisticTask(features, labels, 0.05)
 
 
 def _labelled_task(sizes, dimension=3, seed=29):
@@ -457,7 +462,7 @@ def _labelled_task(sizes, dimension=3, seed=29):
     y = np.zeros((len(sizes), max(sizes)))
     for i, m in enumerate(sizes):
         x[i, :m, :-1], x[i, :m, -1], y[i, :m] = features[i], 1.0, labels[i]
-    return LogisticTask(features, labels), x, y
+    return LogisticTask(features, labels, 0.05), x, y
 
 
 def _labelled_grads(x, y, w, size, l2_reg):
@@ -561,7 +566,7 @@ def test_logistic_descent_out_of_steps_fails_the_cell(monkeypatch, tmp_path):
 
 def test_quadratic_offsets_are_views_into_one_padded_block():
     sizes = [5, 9, 7]
-    task = QuadraticTask.generate(3, 2, sizes, np.random.default_rng(6), noniid_spread=0.5)
+    task = QuadraticTask.generate(TaskSpec(dimension=2, noniid_spread=0.5), sizes, np.random.default_rng(6))
     assert task._offsets.shape == (3, 9, 2)
     for i, m in enumerate(sizes):
         assert task.data_size(i) == m and task.offsets[i].shape == (m, 2)
@@ -584,13 +589,13 @@ def _trainer_task(kind, layout):
     rng = np.random.default_rng(23)
     dimension = 3
     if TRAINER_LAYOUTS[layout] is None:
-        scenario = preset("case3", n_clients=6, batch_size=16, kind=kind, dimension=dimension,
-                          noniid_spread=0.6)
+        scenario = dataclasses.replace(preset("case3", n_clients=6, batch_size=16),
+                                       task=TaskSpec(kind=kind, dimension=dimension, noniid_spread=0.6))
         task = scenario.materialize(rng)
         return task, [min(scenario.batch_size, task.data_size(i)) for i in range(task.n_clients)]
     sizes = TRAINER_LAYOUTS[layout]
-    cls = QuadraticTask if kind == "quadratic" else LogisticTask
-    task = cls.generate(len(sizes), dimension, sizes, rng, noniid_spread=0.6)
+    noise = 1.0 if kind == "logistic" else 0.5
+    task = TaskSpec(kind=kind, dimension=dimension, noniid_spread=0.6, sample_noise=noise).build(sizes, rng)
     return task, [min(16, m) for m in sizes]
 
 
@@ -723,8 +728,8 @@ def _generate_loop(n, d, sizes, rng, spread, noise, curvature_range, shared):
 @pytest.mark.parametrize("spread", [0.0, 0.7])
 def test_generate_equals_a_per_matrix_loop(dimension, shared, spread):
     sizes = [10, 50, 20, 64, 33, 8, 50]
-    task = QuadraticTask.generate(len(sizes), dimension, sizes, rng := np.random.default_rng(3),
-                                  noniid_spread=spread, curvature_range=(0.3, 2.0), shared_curvature=shared)
+    spec = TaskSpec(dimension=dimension, noniid_spread=spread, curvature_range=(0.3, 2.0), shared_curvature=shared)
+    task = QuadraticTask.generate(spec, sizes, rng := np.random.default_rng(3))
     curvatures, centers, offsets = _generate_loop(len(sizes), dimension, sizes, looped := np.random.default_rng(3),
                                                   spread, 0.5, (0.3, 2.0), shared)
     assert rng.bit_generator.state == looped.bit_generator.state
@@ -737,8 +742,9 @@ def test_generate_equals_a_per_matrix_loop(dimension, shared, spread):
 
 
 def _reduction_task(kind, dimension, sizes):
-    cls = QuadraticTask if kind == "quadratic" else LogisticTask
-    return cls.generate(len(sizes), dimension, sizes, np.random.default_rng(8), noniid_spread=0.4)
+    noise = 1.0 if kind == "logistic" else 0.5
+    spec = TaskSpec(kind=kind, dimension=dimension, noniid_spread=0.4, sample_noise=noise)
+    return spec.build(sizes, np.random.default_rng(8))
 
 
 @pytest.mark.parametrize("kind, dimension",
@@ -795,8 +801,9 @@ def test_estimate_constants_equals_the_stochastic_gradient_loop(kind, dimension,
     # whose batch is their whole data set.
     sizes = [10, 50, 20, 64, 33, 8, 50, 64]
     batch = [16, 8, 16, 32, 8, 16, 4, 64]
-    cls = QuadraticTask if kind == "quadratic" else LogisticTask
-    task = cls.generate(len(sizes), dimension, sizes, np.random.default_rng(2), noniid_spread=0.5)
+    noise = 1.0 if kind == "logistic" else 0.5
+    task = TaskSpec(kind=kind, dimension=dimension, noniid_spread=0.5, sample_noise=noise).build(
+        sizes, np.random.default_rng(2))
     batch = [min(b, m) for m, b in zip(sizes, batch)]
     if kind == "logistic" and probe_count == 1:
         # One probe point leaves no pair of points to probe L from.
