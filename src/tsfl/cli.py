@@ -227,12 +227,9 @@ def _inline_scenario(obj) -> Scenario:
              for k, spec in enumerate(fields["processes"])]
     if not specs:
         raise ConfigError("config.scenario.processes: must be a non-empty list")
-    if len(specs) > n_clients:
-        raise ConfigError(f"config.scenario.processes: {len(specs)} specs for n_clients={n_clients}")
     sizes = fields.get("data_sizes", 1024)
     sizes = [sizes] * n_clients if isinstance(sizes, int) else sizes
-    # Fewer specs than clients tile over contiguous equal blocks.
-    processes = tiered(n_clients, specs)
+    processes = _make(tiered, {"n_clients": n_clients, "tiers": specs}, "config.scenario")
     fields = {"name": "custom", **fields, "processes": processes, "data_sizes": sizes}
     return _make(Scenario, fields, "config.scenario")
 
@@ -316,6 +313,9 @@ def validate_run_config(config: dict) -> tuple[list[tuple], dict]:
     strategies = root.get("strategies", [])
     if not strategies:
         raise ConfigError("config.strategies: a non-empty list of strategy names is required")
+    for k, name in enumerate(strategies):
+        if name in strategies[:k]:
+            raise ConfigError(f"config.strategies[{k}]: repeats strategy {name!r}")
     kwargs = {name: _run_kwargs(root, name) for name in strategies}
     probes = root.get("estimate_probes", 4)
     if probes < 0:
@@ -594,12 +594,15 @@ def run_experiment(config: dict, out_dir: Path, parallel: int = 1) -> int:
     groups, emit = validate_run_config(config)
     tasks = [(*group, out_dir, emit) for group in groups]
     out_dir.mkdir(parents=True, exist_ok=True)
-    if parallel > 1:
+    # A forked pool starts every worker at its first task, so it gets no more
+    # workers than groups, and one group runs serially.
+    workers = min(parallel, len(tasks))
+    if workers > 1:
         # Imported here: the pool loads multiprocessing and logging, which a
         # serial run never needs.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = [result for group in pool.map(_execute_group, tasks) for result in group]
     else:
         results = [result for task in tasks for result in _execute_group(task)]
@@ -644,8 +647,9 @@ def compare_latency(config: dict, out_dir: Path) -> int:
 
 
 def reanalyze(out_dir: Path) -> int:
-    """Regenerate report.json for every serialized run log under out_dir; a
-    log it cannot analyse is named on stderr, keeps its report, and fails."""
+    """Regenerate report.json for every serialized run log under out_dir. A
+    log it cannot analyse (it keeps its report), or whose report it cannot
+    write, is named on stderr with the error and fails; the rest still run."""
     logs = sorted(out_dir.glob("runs/*/runlog.json"))
     if not logs:
         print(f"no run logs found under {out_dir}", file=sys.stderr)
@@ -654,11 +658,11 @@ def reanalyze(out_dir: Path) -> int:
     for path in logs:
         try:
             report = build_report(log_from_dict(json.loads(path.read_text(encoding="utf-8"))))
+            _write_json(path.parent / "report.json", report)
         except (OSError, ValueError, LookupError, TypeError, RecursionError) as exc:
             print(f"{path}: {type(exc).__name__}: {exc}", file=sys.stderr)
             status = 1
         else:
-            _write_json(path.parent / "report.json", report)
             print(f"re-analyzed {path.parent.name}")
     return status
 

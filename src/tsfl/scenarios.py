@@ -194,52 +194,33 @@ class Scenario:
         }
 
 
-def _equal_sizes(n_clients: int, data_size: int) -> list:
-    _at_least("data_size", data_size, 1)
-    return [data_size] * n_clients
-
-
 def tiered(n_clients: int, tiers: list) -> list:
-    """Assign ``tiers`` to clients in contiguous equal blocks, one per tier."""
+    """Assign ``tiers`` to clients in contiguous blocks, in order, whose sizes
+    differ by at most one. Every tier needs a client."""
+    _at_least("n_clients", n_clients, len(tiers))
     return [tiers[i * len(tiers) // n_clients] for i in range(n_clients)]
+
+
+def _fixed_tiers(name: str, n_clients: int, taus: list, data_size: int, batch_size: int) -> Scenario:
+    """Clients tiered over fixed iteration counts ``taus``, each holding ``data_size`` samples."""
+    tiers = [FixedIterations(tau) for tau in taus]
+    _at_least("data_size", data_size, 1)
+    return Scenario(name=name, processes=tiered(n_clients, tiers), data_sizes=[data_size] * n_clients, batch_size=batch_size)
 
 
 def case1(n_clients: int = 20, data_size: int = 1024, batch_size: int = 32) -> Scenario:
     """Two static tiers: half the clients at 1 iteration, half at 4 (degree 2.25)."""
-    processes = tiered(n_clients, [FixedIterations(1), FixedIterations(4)])
-    return Scenario(
-        name="case1",
-        processes=processes,
-        data_sizes=_equal_sizes(n_clients, data_size),
-        batch_size=batch_size,
-    )
+    return _fixed_tiers("case1", n_clients, [1, 4], data_size, batch_size)
 
 
 def case2(n_clients: int = 20, data_size: int = 1024, batch_size: int = 32) -> Scenario:
     """Four static tiers at 1/2/3/4 iterations by quarters (degree 1.25)."""
-    processes = tiered(
-        n_clients,
-        [FixedIterations(1), FixedIterations(2), FixedIterations(3), FixedIterations(4)],
-    )
-    return Scenario(
-        name="case2",
-        processes=processes,
-        data_sizes=_equal_sizes(n_clients, data_size),
-        batch_size=batch_size,
-    )
+    return _fixed_tiers("case2", n_clients, [1, 2, 3, 4], data_size, batch_size)
 
 
 def case3(n_clients: int = 20, batch_size: int = 32) -> Scenario:
     """Dynamic tiers: floored-Gaussian iteration counts and tiered data sizes."""
-    processes = tiered(
-        n_clients,
-        [
-            GaussianFloorIterations(2.0, 0.4),
-            GaussianFloorIterations(3.0, 0.6),
-            GaussianFloorIterations(4.0, 0.8),
-            GaussianFloorIterations(5.0, 1.0),
-        ],
-    )
+    # The five size tiers first: they set the preset's least client count.
     sizes = tiered(
         n_clients,
         [
@@ -248,6 +229,15 @@ def case3(n_clients: int = 20, batch_size: int = 32) -> Scenario:
             GaussianFloorSize(1024.0, 200.0),
             GaussianFloorSize(1280.0, 250.0),
             GaussianFloorSize(1536.0, 300.0),
+        ],
+    )
+    processes = tiered(
+        n_clients,
+        [
+            GaussianFloorIterations(2.0, 0.4),
+            GaussianFloorIterations(3.0, 0.6),
+            GaussianFloorIterations(4.0, 0.8),
+            GaussianFloorIterations(5.0, 1.0),
         ],
     )
     return Scenario(
@@ -260,12 +250,7 @@ def case3(n_clients: int = 20, batch_size: int = 32) -> Scenario:
 
 def homogeneous(n_clients: int = 20, tau: int = 4, data_size: int = 1024, batch_size: int = 32) -> Scenario:
     """Every client identical: fixed iteration count and equal data."""
-    return Scenario(
-        name="homogeneous",
-        processes=[FixedIterations(tau)] * n_clients,
-        data_sizes=_equal_sizes(n_clients, data_size),
-        batch_size=batch_size,
-    )
+    return _fixed_tiers("homogeneous", n_clients, [tau], data_size, batch_size)
 
 
 PRESETS = {
@@ -287,9 +272,10 @@ def preset(name: str, **kwargs) -> Scenario:
 def two_tier_speed_profile(delta: float, n_clients: int = 20, mean_tau: float = 2.5) -> np.ndarray:
     """Per-client mean iteration counts for a symmetric two-tier split of variance ``delta``.
 
-    Half the clients run at mean_tau + sqrt(delta), half at mean_tau -
-    sqrt(delta); delta=2.25 reproduces the case1 split. Used by the latency
-    sweep, where fractional counts are fine because only speeds matter.
+    ``tiered`` puts the clients at mean_tau - sqrt(delta), then mean_tau +
+    sqrt(delta), half in each tier for an even ``n_clients``; delta=2.25
+    reproduces the case1 split. Used by the latency sweep, where fractional
+    counts are fine because only speeds matter.
     """
     if delta < 0:
         raise ValueError(f"delta={delta:g} must be non-negative")
@@ -299,8 +285,7 @@ def two_tier_speed_profile(delta: float, n_clients: int = 20, mean_tau: float = 
             f"delta={delta:g} puts the slow tier at mean_tau - sqrt(delta) = "
             f"{mean_tau - spread:g}; it must stay positive"
         )
-    half = n_clients // 2
-    return np.array([mean_tau - spread] * half + [mean_tau + spread] * (n_clients - half))
+    return np.array(tiered(n_clients, [mean_tau - spread, mean_tau + spread]))
 
 
 def latency_table(
@@ -323,6 +308,8 @@ def latency_table(
     if rounds < 1:
         raise ValueError(f"rounds={rounds} must be at least 1")
     _at_least("n_clients", n_clients, 2)  # one client per tier
+    if n_clients % 2:
+        raise FieldError(f"n_clients: must be even, so both tiers hold n_clients/2 clients, got {n_clients}")
     _check_timing(interval_length, overhead)
     if required_iterations is not None and not required_iterations > 0:
         raise FieldError(f"required_iterations: must be positive, got {required_iterations!r}")

@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import csv
 import dataclasses
@@ -96,6 +97,34 @@ def test_parallel_run_matches_serial(tmp_path):
     assert main(["run", "--config", str(config_path), "--out", str(out_a)]) == 0
     assert main(["run", "--config", str(config_path), "--out", str(out_b), "--parallel", "3"]) == 0
     assert tree_bytes(out_a) == tree_bytes(out_b)
+
+
+@pytest.mark.parametrize("seeds, pools", [([1, 2], [2]), ([1], [])])
+def test_parallel_pool_has_no_more_workers_than_groups(tmp_path, monkeypatch, seeds, pools):
+    # One (scenario, seed) group per listed seed. A forked pool starts every
+    # worker it is given, so this one records its size and maps in-process.
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    config = small_config(seeds=seeds)
+    del config["master_seed"]
+    assert run_experiment(config, tmp_path / "pool", parallel=8) == 0
+    assert sizes == pools
+    assert run_experiment(config, tmp_path / "serial") == 0
+    assert tree_bytes(tmp_path / "pool") == tree_bytes(tmp_path / "serial")
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])
@@ -422,6 +451,24 @@ def test_report_verb_names_a_log_nested_too_deeply(tmp_path, capsys):
     assert (deep.parent / "report.json").read_bytes() == report
 
 
+def test_report_verb_names_a_report_it_cannot_write(tmp_path, capsys):
+    # A failed write is named like a failed read, and the next log is still re-analyzed.
+    config_path = write_config(tmp_path, small_config(seeds=2, strategies=["fedavg"]))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    bad, good = sorted(out.glob("runs/*/runlog.json"))
+    (bad.parent / "report.json").unlink()
+    (bad.parent / "report.json").mkdir()
+    report = (good.parent / "report.json").read_bytes()
+    (good.parent / "report.json").unlink()
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert f"{bad}: IsADirectoryError: " in captured.err
+    assert captured.out == f"re-analyzed {good.parent.name}\n"
+    assert (good.parent / "report.json").read_bytes() == report
+
+
 def test_presets_verb_lists_builtins(capsys):
     assert main(["presets"]) == 0
     out = capsys.readouterr().out
@@ -474,6 +521,9 @@ def test_latency_verb_writes_table(tmp_path, capsys):
         ({"n_clients": 1}, "config.latency.n_clients: must be at least 2, got 1"),
         ({"n_clients": 0}, "config.latency.n_clients: must be at least 2, got 0"),
         ({"n_clients": -4}, "config.latency.n_clients: must be at least 2, got -4"),
+        # An odd count would split the tiers unevenly, off the row's delta.
+        ({"n_clients": 3}, "config.latency.n_clients: must be even, so both tiers hold n_clients/2 clients, got 3"),
+        ({"n_clients": 21}, "config.latency.n_clients: must be even, so both tiers hold n_clients/2 clients, got 21"),
     ],
 )
 def test_latency_config_errors(tmp_path, capsys, latency, message):
@@ -605,7 +655,7 @@ INLINE = {"n_clients": 4, "processes": [{"kind": "fixed", "tau": 1}], "data_size
         ({"scenario": {**INLINE, "name": 5}}, "config.scenario.name: expected str, got 5"),
         ({"scenario": {**INLINE, "data_sizes": [64, 64, 64]}}, "config.scenario.data_sizes: 3 sizes for n_clients=4"),
         ({"scenario": {**INLINE, "processes": [{"kind": "fixed", "tau": 1}] * 5}},
-         "config.scenario.processes: 5 specs for n_clients=4"),
+         "config.scenario.n_clients: must be at least 5, got 4"),
         ({"scenario": "case9"}, "config.scenario: expected one of ['case1', 'case2', 'case3', 'homogeneous']"),
         ({"constant": {"T": 2}}, "config: unknown keys ['constant']"),
         ({"min_upload_iterations": -1}, "config.min_upload_iterations: must be at least 0, got -1"),
@@ -637,7 +687,7 @@ INLINE = {"n_clients": 4, "processes": [{"kind": "fixed", "tau": 1}], "data_size
          "config.scenario.processes[0].std: must be at least 0, got -1.0"),
         ({"scenario_options": {"batch_size": 0}}, "config.scenario_options.batch_size: must be at least 1, got 0"),
         ({"scenario_options": {"data_size": 0}}, "config.scenario_options.data_size: must be at least 1, got 0"),
-        ({"scenario_options": {"n_clients": 0}}, "config.scenario_options.n_clients: must be at least 1, got 0"),
+        ({"scenario_options": {"n_clients": 0}}, "config.scenario_options.n_clients: must be at least 2, got 0"),
         ({"scenario": "homogeneous", "scenario_options": {"tau": -1}},
          "config.scenario_options.tau: must be at least 0, got -1"),
         ({"seeds": [3, -1]}, "config.seeds[1]: must be at least 0, got -1"),
@@ -660,6 +710,8 @@ INLINE = {"n_clients": 4, "processes": [{"kind": "fixed", "tau": 1}], "data_size
         # A logistic task probes L from pairs of probe points.
         ({"task": {"kind": "logistic"}, "estimate_probes": 1},
          "config.estimate_probes: a logistic task probes L from pairs of points, so it takes 0 or at least 2, got 1"),
+        # A strategy listed twice would run its cells twice, into the same directories.
+        ({"strategies": ["fedavg", "fedavg"]}, "config.strategies[1]: repeats strategy 'fedavg'"),
     ],
 )
 def test_unread_or_malformed_options_are_config_errors(tmp_path, capsys, overrides, location):

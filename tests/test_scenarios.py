@@ -2,9 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tsfl.analysis import heterogeneity_degree
 from tsfl.scenarios import (
+    PRESETS,
     FieldError,
     FixedIterations,
     GaussianFloorIterations,
@@ -13,6 +16,7 @@ from tsfl.scenarios import (
     latency_table,
     preset,
     round_seconds,
+    tiered,
     two_tier_speed_profile,
 )
 
@@ -21,6 +25,34 @@ def test_preset_heterogeneity_degrees():
     assert heterogeneity_degree(preset("case1").mean_tau) == pytest.approx(2.25)
     assert heterogeneity_degree(preset("case2").mean_tau) == pytest.approx(1.25)
     assert heterogeneity_degree(preset("homogeneous").mean_tau) == 0.0
+
+
+@given(st.integers(1, 12), st.integers(-2, 40))
+def test_tiered_gives_each_tier_a_contiguous_block(k, n):
+    tiers = list(range(k))
+    if n < k:
+        with pytest.raises(FieldError, match=rf"^n_clients: must be at least {k}, got {n}$"):
+            tiered(n, tiers)
+        return
+    assigned = tiered(n, tiers)
+    sizes = [assigned.count(tier) for tier in tiers]
+    # Every tier present, in order, in one block; block sizes differ by at most one.
+    assert assigned == [tier for tier, size in zip(tiers, sizes) for _ in range(size)]
+    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+
+
+# Each preset's least client count: case3 has five data size tiers.
+LEAST_CLIENTS = {"case1": 2, "case2": 4, "case3": 5, "homogeneous": 1}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_each_preset_needs_a_client_per_tier(name):
+    least = LEAST_CLIENTS[name]
+    scenario = preset(name, n_clients=least)
+    # At its least count, every client of a preset is a tier of its own.
+    assert max(len(set(scenario.processes)), len(set(scenario.data_sizes))) == least
+    with pytest.raises(FieldError, match=rf"^n_clients: must be at least {least}, got {least - 1}$"):
+        preset(name, n_clients=least - 1)
 
 
 def test_unknown_preset_raises():
