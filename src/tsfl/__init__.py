@@ -55,7 +55,6 @@ from .scenarios import (
     Scenario,
     TaskSpec,
     preset,
-    two_tier_speed_profile,
 )
 from .scheduler import (
     ALL_STRATEGIES,

@@ -37,6 +37,7 @@ from .analysis import evaluate_bound, verify_convergence
 from .core import IntervalRecord, RunLog, SystemConstants, interval_records, validate_constants
 from .scenarios import (
     PRESETS,
+    TASK_READS,
     FieldError,
     FixedIterations,
     GaussianFloorIterations,
@@ -239,18 +240,20 @@ def _preset_scenario(name: str, options: dict) -> Scenario:
     return _make(make, {key: value for key, value in options.items() if key in _TYPES[make]}, "config.scenario_options")
 
 
-def _reject_unread(options: dict, readers: list, location: str, reader: str) -> None:
+def _reject_unread(options: dict, readers: list, location: str, why: str) -> None:
     """A ConfigError naming the first key of ``options`` that no reader
-    takes; ``readers`` holds the keys each configured ``reader`` takes."""
+    takes, and ``why``; ``readers`` holds the keys each reader takes."""
     unread = sorted(set(options).difference(*readers))
     if unread:
-        raise ConfigError(f"{location}.{unread[0]}: no configured {reader} takes it")
+        raise ConfigError(f"{location}.{unread[0]}: {why}")
 
 
 def build_scenarios(config: dict) -> list[Scenario]:
     """The config's scenarios, each with config.task and the root's settings."""
     root = _coerce(_TYPES[_Root], config, "config")
     task = _build(TaskSpec, root.get("task", {}), "config.task")
+    _reject_unread(root.get("task", {}), [("kind", *TASK_READS[task.kind])], "config.task",
+                   f"a {task.kind} task does not read it")
     options = _coerce(_SCENARIO_OPTIONS, root.get("scenario_options", {}), "config.scenario_options")
     entries = root.get("scenario", "case1")
     entries = entries if isinstance(entries, list) else [entries]
@@ -261,7 +264,7 @@ def build_scenarios(config: dict) -> list[Scenario]:
         for entry in entries
     ]
     presets = [_TYPES[PRESETS[entry]] for entry in entries if isinstance(entry, str)]
-    _reject_unread(options, presets, "config.scenario_options", "scenario")
+    _reject_unread(options, presets, "config.scenario_options", "no configured scenario takes it")
     settings = {"task": task, **{key: root[key] for key in _SETTINGS if key in root}}
     return [_make(functools.partial(dataclasses.replace, scenario), settings, "config") for scenario in scenarios]
 
@@ -270,38 +273,29 @@ def build_constants(config: dict) -> SystemConstants:
     return _build(SystemConstants, config.get("constants", {}), "config.constants")
 
 
-def _run_kwargs(config: dict, strategy: str) -> dict:
-    """The ``runner`` keys that ``strategy`` accepts, each count at least 1."""
-    runner = _coerce(_RUNNER, config.get("runner", {}), "config.runner")
-    for key, value in runner.items():
-        if isinstance(value, int) and value < 1:
-            raise ConfigError(f"config.runner.{key}: must be at least 1, got {value}")
-    return {key: value for key, value in runner.items() if key in STRATEGIES[strategy].options}
-
-
 def cell_seed(master_seed: int, scenario: str, strategy: str, index: int) -> int:
     digest = hashlib.sha256(f"{master_seed}|{scenario}|{strategy}|{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 
-def expand_seeds(config: dict, scenario: str, strategy: str) -> list[tuple[int, int]]:
-    """(index, seed) pairs for one cell column of a converted config."""
+def _checked_seeds(config: dict) -> int | list[int]:
+    """``seeds`` of a converted config: a positive count, or a non-empty list
+    of distinct seeds of at least 0 with no ``master_seed`` beside it."""
     seeds = config.get("seeds", 1)
-    if isinstance(seeds, list):
-        if not seeds:
-            raise ConfigError("config.seeds: list must be non-empty")
-        for k, seed in enumerate(seeds):
-            if seed < 0:
-                raise ConfigError(f"config.seeds[{k}]: must be at least 0, got {seed}")
-            if seed in seeds[:k]:
-                raise ConfigError(f"config.seeds[{k}]: repeats seed {seed}")
-        if "master_seed" in config:
-            raise ConfigError("config.master_seed (or --seed): unread, as config.seeds lists every seed")
-        return list(enumerate(seeds))
-    if seeds < 1:
-        raise ConfigError("config.seeds: must be a positive count or a list of seeds")
-    master = config.get("master_seed", 0)
-    return [(i, cell_seed(master, scenario, strategy, i)) for i in range(seeds)]
+    if not isinstance(seeds, list):
+        if seeds < 1:
+            raise ConfigError("config.seeds: must be a positive count or a list of seeds")
+        return seeds
+    if not seeds:
+        raise ConfigError("config.seeds: list must be non-empty")
+    for k, seed in enumerate(seeds):
+        if seed < 0:
+            raise ConfigError(f"config.seeds[{k}]: must be at least 0, got {seed}")
+        if seed in seeds[:k]:
+            raise ConfigError(f"config.seeds[{k}]: repeats seed {seed}")
+    if "master_seed" in config:
+        raise ConfigError("config.master_seed (or --seed): unread, as config.seeds lists every seed")
+    return seeds
 
 
 def validate_run_config(config: dict) -> tuple[list[tuple], dict]:
@@ -316,20 +310,31 @@ def validate_run_config(config: dict) -> tuple[list[tuple], dict]:
     for k, name in enumerate(strategies):
         if name in strategies[:k]:
             raise ConfigError(f"config.strategies[{k}]: repeats strategy {name!r}")
-    kwargs = {name: _run_kwargs(root, name) for name in strategies}
+    runner = _coerce(_RUNNER, root.get("runner", {}), "config.runner")
+    for key, value in runner.items():
+        if isinstance(value, int) and value < 1:
+            raise ConfigError(f"config.runner.{key}: must be at least 1, got {value}")
     probes = root.get("estimate_probes", 4)
     if probes < 0:
         raise ConfigError(f"config.estimate_probes: must be at least 0, got {probes}")
     readers = [STRATEGIES[name].options for name in strategies]
-    _reject_unread(root.get("runner", {}), readers, "config.runner", "strategy")
+    _reject_unread(runner, readers, "config.runner", "no configured strategy takes it")
+    kwargs = {name: {key: value for key, value in runner.items() if key in STRATEGIES[name].options}
+              for name in strategies}
     emit = {**_EMIT, **_coerce(dict.fromkeys(_EMIT, bool), root.get("emit", {}), "config.emit")}
     constants = build_constants(root)
-    equality_theta = root.get("constants", {}).get("theta") is None
+    configured = root.get("constants", {})
+    probed = [key for key in ("L", "G", "sigma_global") if key in configured]
+    if probes > 0 and probed:
+        raise ConfigError(f"config.constants.{probed[0]}: estimate_probes={probes} replaces it with a "
+                          "probed value, so it is read only with estimate_probes 0")
+    equality_theta = configured.get("theta") is None
     groups: dict[tuple[int, int], tuple] = {}
     scenarios = build_scenarios(root)
     if probes == 1 and scenarios[0].task.kind == "logistic":
         raise ConfigError("config.estimate_probes: a logistic task probes L from pairs of points, "
                           "so it takes 0 or at least 2, got 1")
+    seeds, master = _checked_seeds(root), root.get("master_seed", 0)
     for k, scenario in enumerate(scenarios):
         if scenario.name in [s.name for s in scenarios[:k]]:
             raise ConfigError(f"config.scenario[{k}]: repeats scenario name {scenario.name!r}")
@@ -337,7 +342,10 @@ def validate_run_config(config: dict) -> tuple[list[tuple], dict]:
             if kwargs[strategy].get("buffer_size", 1) > scenario.n_clients:
                 raise ConfigError(f"config.runner.buffer_size: more than the {scenario.n_clients} "
                                   f"clients of scenario {scenario.name!r}")
-            for index, seed in expand_seeds(root, scenario.name, strategy):
+            # A cell column runs the listed seeds, or a count expanded from master_seed.
+            column = enumerate(seeds) if isinstance(seeds, list) else (
+                (i, cell_seed(master, scenario.name, strategy, i)) for i in range(seeds))
+            for index, seed in column:
                 make_setup = functools.partial(RunSetup, scenario, constants, seed, probes, equality_theta)
                 group = groups.setdefault((k, seed), (make_setup, []))
                 group[1].append((scenario, strategy, index, seed, kwargs[strategy]))

@@ -88,6 +88,11 @@ def _check_timing(interval_length: float, overhead: float) -> None:
 
 
 _KINDS = {cls.kind: cls for cls in (QuadraticTask, LogisticTask)}
+# The TaskSpec fields each kind's ``generate`` reads, ``kind`` aside.
+TASK_READS = {
+    "quadratic": ("dimension", "noniid_spread", "sample_noise", "curvature_range", "shared_curvature"),
+    "logistic": ("dimension", "noniid_spread", "sample_noise", "separation", "l2_reg"),
+}
 
 
 @dataclass(frozen=True)
@@ -269,29 +274,9 @@ def preset(name: str, **kwargs) -> Scenario:
     return factory(**kwargs)
 
 
-def two_tier_speed_profile(delta: float, n_clients: int = 20, mean_tau: float = 2.5) -> np.ndarray:
-    """Per-client mean iteration counts for a symmetric two-tier split of variance ``delta``.
-
-    ``tiered`` puts the clients at mean_tau - sqrt(delta), then mean_tau +
-    sqrt(delta), half in each tier for an even ``n_clients``; delta=2.25
-    reproduces the case1 split. Used by the latency sweep, where fractional
-    counts are fine because only speeds matter.
-    """
-    if delta < 0:
-        raise ValueError(f"delta={delta:g} must be non-negative")
-    spread = float(np.sqrt(delta))
-    if spread >= mean_tau:
-        raise ValueError(
-            f"delta={delta:g} puts the slow tier at mean_tau - sqrt(delta) = "
-            f"{mean_tau - spread:g}; it must stay positive"
-        )
-    return np.array(tiered(n_clients, [mean_tau - spread, mean_tau + spread]))
-
-
 def latency_table(
     deltas: list[float] = (0.0, 1.25, 2.25),
     rounds: int = 50,
-    n_clients: int = 20,
     mean_tau: float = 2.5,
     interval_length: float = 1.0,
     overhead: float = 0.0,
@@ -300,28 +285,34 @@ def latency_table(
     """Wall-clock totals of round-driven vs time-driven scheduling per
     heterogeneity degree.
 
-    Each degree maps to a symmetric two-tier speed split around ``mean_tau``.
-    The round-driven schedule requires the fast tier's per-interval count from
-    every client unless overridden, so its round time is governed by the
-    slowest client while the time-driven total stays fixed.
+    A row's population is two equal tiers of mean iteration counts
+    ``mean_tau -/+ sqrt(delta)``, whose variance is ``delta`` (delta=2.25 is
+    the case1 split). The round-driven schedule requires the fast tier's count
+    from every client unless overridden, so the slow tier sets its round time,
+    while the time-driven total stays fixed.
     """
     if rounds < 1:
         raise ValueError(f"rounds={rounds} must be at least 1")
-    _at_least("n_clients", n_clients, 2)  # one client per tier
-    if n_clients % 2:
-        raise FieldError(f"n_clients: must be even, so both tiers hold n_clients/2 clients, got {n_clients}")
     _check_timing(interval_length, overhead)
     if required_iterations is not None and not required_iterations > 0:
         raise FieldError(f"required_iterations: must be positive, got {required_iterations!r}")
     rows = []
-    for delta in deltas:
-        profile = two_tier_speed_profile(float(delta), n_clients=n_clients, mean_tau=mean_tau)
-        required = float(profile.max()) if required_iterations is None else float(required_iterations)
-        sfl_total = rounds * round_seconds(interval_length / profile, required, overhead)
+    for delta in map(float, deltas):
+        if delta < 0:
+            raise ValueError(f"delta={delta:g} must be non-negative")
+        spread = float(np.sqrt(delta))
+        if spread >= mean_tau:
+            raise ValueError(
+                f"delta={delta:g} puts the slow tier at mean_tau - sqrt(delta) = "
+                f"{mean_tau - spread:g}; it must stay positive"
+            )
+        speeds = np.array([mean_tau - spread, mean_tau + spread])
+        required = float(speeds[1]) if required_iterations is None else float(required_iterations)
+        sfl_total = rounds * round_seconds(interval_length / speeds, required, overhead)
         tsfl_total = rounds * interval_length
         rows.append(
             {
-                "delta": float(delta),
+                "delta": delta,
                 "rounds": rounds,
                 "required_iterations": required,
                 "sfl_seconds": sfl_total,

@@ -125,6 +125,47 @@ def test_other_bit_generators_are_replayed(replays):
     assert replays == [(100, 10, 3), (100, 10, 2)]
 
 
+def _spy_stacks(patch) -> list:
+    """The batch counts of every later ``_draw_stack`` call, one list per call."""
+    calls = []
+    draw_stack = training._draw_stack
+
+    def spy(rngs, n, b, counts):
+        calls.append(list(counts))
+        return draw_stack(rngs, n, b, counts)
+
+    patch.setattr(training, "_draw_stack", spy)
+    return calls
+
+
+@pytest.fixture
+def stacks(monkeypatch):
+    return _spy_stacks(monkeypatch)
+
+
+def test_a_stack_past_the_cap_splits_between_clients(stacks):
+    # 18 000 batches of one (n, b) pass the 16 384 cap: the third client
+    # starts a second stack.
+    _assert_matches_choice(64, 8, [6000, 7000, 5000], [21, 22, 23])
+    assert stacks[:2] == [[6000, 7000], [5000]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 300), st.data())
+def test_stacks_split_at_a_small_cap_equal_successive_choice_calls(cap, n, data):
+    b = data.draw(st.integers(1, min(n, 40)))
+    counts = data.draw(st.lists(st.integers(0, 2 * cap), min_size=1, max_size=5))
+    counts.insert(data.draw(st.integers(0, len(counts))), data.draw(st.integers(cap + 1, 3 * cap)))
+    seeds = data.draw(st.lists(st.integers(0, 2**63), min_size=len(counts), max_size=len(counts), unique=True))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "_STACK_BATCHES", cap)
+        stacks = _spy_stacks(patch)
+        _assert_matches_choice(n, b, counts, seeds)
+    # A stack of two or more clients stays within the cap, so the client
+    # above it is a stack of its own.
+    assert all(sum(c) <= cap for c in stacks if len(c) > 1)
+
+
 def test_oversized_batches_raise_only_for_clients_that_draw():
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state

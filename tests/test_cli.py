@@ -17,7 +17,6 @@ from tsfl.analysis import verify_convergence
 from tsfl.cli import (
     METRICS_SCHEMA_VERSION,
     ConfigError,
-    _run_kwargs,
     _write_json,
     build_report,
     build_scenarios,
@@ -505,7 +504,7 @@ def test_latency_verb_writes_table(tmp_path, capsys):
         ({"rounds": 0}, "config.latency: rounds=0 must be at least 1"),
         ({"deltas": 0.5}, "config.latency.deltas: expected list[float], got 0.5"),
         # null takes the default, so the error is the next key's.
-        ({"required_iterations": None, "n_clients": "x"}, "config.latency.n_clients: expected int, got 'x'"),
+        ({"required_iterations": None, "mean_tau": "x"}, "config.latency.mean_tau: expected float, got 'x'"),
         # A whole config: the comparison reads no run key, so each is an error.
         ({"scenario": "case3", "strategies": ["fedavg"], "constants": {"T": 5}, "seeds": [1, 1],
           "equality_theta": True, "latency": {"rounds": 5}},
@@ -517,13 +516,8 @@ def test_latency_verb_writes_table(tmp_path, capsys):
         ({"overhead": -1.0}, "config.latency.overhead: must be at least 0, got -1.0"),
         ({"required_iterations": 0}, "config.latency.required_iterations: must be positive, got 0.0"),
         ({"required_iterations": -2}, "config.latency.required_iterations: must be positive, got -2.0"),
-        # Two tiers need a client each.
-        ({"n_clients": 1}, "config.latency.n_clients: must be at least 2, got 1"),
-        ({"n_clients": 0}, "config.latency.n_clients: must be at least 2, got 0"),
-        ({"n_clients": -4}, "config.latency.n_clients: must be at least 2, got -4"),
-        # An odd count would split the tiers unevenly, off the row's delta.
-        ({"n_clients": 3}, "config.latency.n_clients: must be even, so both tiers hold n_clients/2 clients, got 3"),
-        ({"n_clients": 21}, "config.latency.n_clients: must be even, so both tiers hold n_clients/2 clients, got 21"),
+        # A row times two equal tiers, so it reads no client count.
+        ({"n_clients": 20}, "config.latency: unknown keys ['n_clients']"),
     ],
 )
 def test_latency_config_errors(tmp_path, capsys, latency, message):
@@ -712,6 +706,22 @@ INLINE = {"n_clients": 4, "processes": [{"kind": "fixed", "tau": 1}], "data_size
          "config.estimate_probes: a logistic task probes L from pairs of points, so it takes 0 or at least 2, got 1"),
         # A strategy listed twice would run its cells twice, into the same directories.
         ({"strategies": ["fedavg", "fedavg"]}, "config.strategies[1]: repeats strategy 'fedavg'"),
+        ({"seeds": []}, "config.seeds: list must be non-empty"),
+        # A task field that the task's kind never reads would be dropped unread.
+        ({"task": {"kind": "quadratic", "l2_reg": 7.0, "separation": 9.0}},
+         "config.task.l2_reg: a quadratic task does not read it"),
+        ({"task": {"separation": 9.0}}, "config.task.separation: a quadratic task does not read it"),
+        ({"task": {"kind": "logistic", "curvature_range": [0.5, 1.0]}},
+         "config.task.curvature_range: a logistic task does not read it"),
+        ({"task": {"kind": "logistic", "shared_curvature": True}},
+         "config.task.shared_curvature: a logistic task does not read it"),
+        # Probes replace L, G and sigma_global, so a configured one would go unread.
+        ({"constants": {"eta": 0.05, "T": 4, "H": 4, "L": 123.0, "G": 5.0, "sigma_global": 2.0}},
+         "config.constants.L: estimate_probes=2 replaces it with a probed value, so it is read only with "
+         "estimate_probes 0"),
+        ({"constants": {"eta": 0.05, "T": 4, "H": 4, "G": 5.0}}, "config.constants.G: estimate_probes=2 replaces it"),
+        ({"constants": {"sigma_global": 2.0}, "estimate_probes": 3},
+         "config.constants.sigma_global: estimate_probes=3 replaces it"),
     ],
 )
 def test_unread_or_malformed_options_are_config_errors(tmp_path, capsys, overrides, location):
@@ -746,12 +756,33 @@ def test_options_apply_where_accepted(tmp_path):
         runner={"buffer_size": "3"},
         seeds=1,
     )
-    assert _run_kwargs(config, "semiasync")["buffer_size"] == 3
-    assert "buffer_size" not in _run_kwargs(config, "fedavg")
+    groups, _ = validate_run_config(config)
+    kwargs = {strategy: runner for _, cells in groups for _, strategy, _, _, runner in cells}
+    assert kwargs["semiasync"]["buffer_size"] == 3
+    assert "buffer_size" not in kwargs["fedavg"]
     out = tmp_path / "out"
     assert main(["run", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 0
     raw = json.loads((out / "runs" / "homogeneous__fedavg__s000" / "runlog.json").read_text())
     assert raw["scenario"]["mean_tau"] == [2.0] * 4
+
+
+def test_missing_config_file_is_config_error_without_outputs(tmp_path, capsys):
+    path, out = tmp_path / "absent.json", tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"config error: {path}: No such file or directory\n"
+
+
+def test_zero_probes_keep_a_configured_L_G_and_sigma(tmp_path):
+    # Positive probes make these keys a config error, which names this way out.
+    constants = {"eta": 0.05, "T": 4, "H": 4, "L": 3.0, "G": 5.0, "sigma_global": 2.0}
+    config = small_config(seeds=1, strategies=["fedavg"], estimate_probes=0, constants=constants)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 0
+    runlog = json.loads((out / "runs" / "case1__fedavg__s000" / "runlog.json").read_text(encoding="utf-8"))
+    c, source = runlog["constants"], runlog["constants_source"]
+    assert (c["L"], c["G"], c["sigma_global"]) == (3.0, 5.0, 2.0)
+    assert (source["L"], source["G"], source["sigma"]) == ("configured",) * 3
 
 
 def test_load_config_rejects_non_object(tmp_path):

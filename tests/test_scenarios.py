@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tsfl.analysis import heterogeneity_degree
 from tsfl.scenarios import (
     PRESETS,
+    TASK_READS,
     FieldError,
     FixedIterations,
     GaussianFloorIterations,
@@ -17,7 +18,6 @@ from tsfl.scenarios import (
     preset,
     round_seconds,
     tiered,
-    two_tier_speed_profile,
 )
 
 
@@ -114,7 +114,7 @@ def test_data_sizes_give_one_size_per_client(kind, count):
         Scenario(name="x", processes=[FixedIterations(1)] * 4, data_sizes=[16] * count, task=TaskSpec(kind=kind))
 
 
-# Each kind's recipe fields, and a changed value for each.
+# Every recipe field but kind, and a changed value for each.
 RECIPE_CHANGES = {
     "dimension": 4,
     "noniid_spread": 0.7,
@@ -123,10 +123,6 @@ RECIPE_CHANGES = {
     "shared_curvature": True,
     "separation": 3.0,
     "l2_reg": 0.5,
-}
-READS = {
-    "quadratic": ("dimension", "noniid_spread", "sample_noise", "curvature_range", "shared_curvature"),
-    "logistic": ("dimension", "noniid_spread", "sample_noise", "separation", "l2_reg"),
 }
 
 
@@ -142,19 +138,25 @@ def test_every_recipe_field_reaches_the_task(kind, name):
     base = TaskSpec(kind=kind, dimension=3, noniid_spread=0.5)
     before, after = _built(base), _built(dataclasses.replace(base, **{name: RECIPE_CHANGES[name]}))
     same = before.keys() == after.keys() and all(np.array_equal(before[k], after[k]) for k in before)
-    # A field the kind reads changes the task; one it does not read changes
-    # no bit of it.
-    assert same == (name not in READS[kind])
+    # A field the kind reads, as TASK_READS lists (a config may set only
+    # those), changes the task; one it does not read changes no bit of it.
+    assert same == (name not in TASK_READS[kind])
 
 
-def test_two_tier_speed_profile_hits_requested_variance():
-    for delta in (0.0, 1.25, 2.25):
-        profile = two_tier_speed_profile(delta)
-        assert heterogeneity_degree(profile) == pytest.approx(delta)
-        assert profile.mean() == pytest.approx(2.5)
-    assert np.allclose(two_tier_speed_profile(2.25), [1.0] * 10 + [4.0] * 10)
-    with pytest.raises(ValueError):
-        two_tier_speed_profile(7.0)
+@pytest.mark.parametrize("mean_tau", [2.5, 3.0])
+def test_latency_rows_time_two_equal_tiers_of_variance_delta(mean_tau):
+    deltas = [0.0, 0.5, 1.25, 2.25, 4.0]
+    for delta, row in zip(deltas, latency_table(deltas, rounds=10, mean_tau=mean_tau)):
+        # The fast tier sets the required count and the slow tier the round
+        # time: rounds * fast / slow seconds at interval length 1, no overhead.
+        fast = row["required_iterations"]
+        slow = row["rounds"] * fast / row["sfl_seconds"]
+        assert heterogeneity_degree([slow, fast]) == pytest.approx(delta)
+        assert np.mean([slow, fast]) == pytest.approx(mean_tau)
+    [case1] = latency_table([2.25])
+    assert (case1["required_iterations"], case1["ratio"]) == (4.0, 0.25)
+    with pytest.raises(ValueError, match=r"^delta=7 puts the slow tier at mean_tau - sqrt\(delta\) = -0.145751"):
+        latency_table([7.0])
 
 
 def test_default_required_iterations_is_fast_tier():
