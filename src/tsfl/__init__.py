@@ -3,6 +3,17 @@ over heterogeneous clients, with optimal-weight engines, discriminative model
 selection, baseline strategies, and loss-bound diagnostics.
 """
 
+import os
+import sys
+
+# BLAS and OpenMP read their thread counts once, when numpy loads, and a
+# product or solve split over more threads can round differently, so the
+# host's core count would be a hidden input of a run. Pin one thread unless
+# the caller set a count, or loaded numpy first and so keeps its own.
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
+
 from .core import (
     IntervalRecord,
     RunLog,

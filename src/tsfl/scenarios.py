@@ -291,6 +291,8 @@ def latency_table(
     from every client unless overridden, so the slow tier sets its round time,
     while the time-driven total stays fixed.
     """
+    if not len(deltas):
+        raise FieldError("deltas: list must be non-empty")
     if rounds < 1:
         raise ValueError(f"rounds={rounds} must be at least 1")
     _check_timing(interval_length, overhead)

@@ -115,7 +115,7 @@ class RunSetup:
 class _Run:
     """One run on a setup: the seed's server, iteration and batch streams,
     spawned afresh (a spawn child kept on the setup would give a later run
-    other streams), and, once planned, the mini-batch steps it may take."""
+    other streams), and, once planned, the mini-batch steps of its window."""
 
     def __init__(self, setup: RunSetup):
         self.setup = setup
@@ -126,11 +126,11 @@ class _Run:
         self.batch_rngs = [np.random.default_rng(s) for s in batch_parent.spawn(n)]
 
     def plan_batches(self, steps) -> None:
-        """Plan the run's local steps before training: client i may take
-        ``steps[i]`` of them. Its mini-batches for all of them are drawn now,
-        in one ``draw_batches`` call, from its own stream, and reduced at once
-        to what its SGD steps read (``task.reduce_batches``), in place, into
-        one stream per width of a reduced step: client i's steps are rows
+        """Plan the next window's local steps: client i may take ``steps[i]`` of
+        them. Their mini-batches are drawn now, in one ``draw_batches`` call,
+        each from its client's stream where the last window left it, and reduced
+        at once to what the SGD steps read (``task.reduce_batches``), in place,
+        into one stream per width of a reduced step: client i's steps are rows
         ``offset[i]`` on of ``streams[width[i]]``. A full-batch run reads no
         steps: its one stream entry is ``{0: None}``."""
         setup, task = self.setup, self.setup.task
@@ -226,6 +226,11 @@ def _theorem2_plan(run, tau, eligible):
     return rho, eligible
 
 
+# The most steps a client plans in one window of intervals, unless one interval
+# asks for more: a run holds one window's mini-batches, however long it is.
+_WINDOW = 4096
+
+
 def _train(run: _Run, log: RunLog, intervals, groups, steps, combine,
            proximal: bool = False) -> RunLog:
     """Train a planned run: the one training loop of every strategy.
@@ -237,14 +242,13 @@ def _train(run: _Run, log: RunLog, intervals, groups, steps, combine,
     Groups of one interval train in order, and every member of a group
     downloads the model its group leaves. ``proximal`` adds the FedProx pull
     toward the current global model. The schedule is written to
-    ``records.tau`` and its mini-batches are planned before training.
+    ``records.tau``, and its mini-batches are planned a window at a time.
     """
     setup, records = run.setup, log.records
     tau = records.tau
     # A group lists each client at most once.
     for t, ids, k in zip(intervals, groups, steps):
         tau[t, ids] += k
-    run.plan_batches(tau.sum(axis=0))
     # Interval t trains groups first[t] to first[t + 1].
     first = np.searchsorted(intervals, np.arange(len(records) + 1))
     # Columns looked up once: a recarray attribute lookup per interval costs
@@ -252,8 +256,16 @@ def _train(run: _Run, log: RunLog, intervals, groups, steps, combine,
     losses, grad_norms, models = records.global_loss, records.global_grad_norm_sq, records.model
     aggregated = records.aggregated
     basis = np.tile(setup.w0, (setup.scenario.n_clients, 1))
-    w = setup.w0.copy()
+    w, end = setup.w0.copy(), 0
     for t in range(len(records)):
+        if t == end:
+            # The window: the longest run of intervals from t (at least t) in
+            # which no client plans more than _WINDOW steps. Cumulative counts
+            # never fall, so the rows within the bound are a prefix.
+            planned = np.cumsum(tau[t : t + _WINDOW], axis=0)
+            k = max(1, int((planned <= _WINDOW).all(axis=1).sum()))
+            run.plan_batches(planned[k - 1])
+            end = t + k
         losses[t], grad = setup.task.global_loss_and_grad(w)
         grad_norms[t] = grad @ grad
         for g in range(first[t], first[t + 1]):

@@ -61,11 +61,6 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(row_dot(x, x))
 
 
-# Planned mini-batches are reduced this many batches at a time, which bounds
-# the gather (b * d values per batch) of a long run's stream.
-_REDUCE_BATCHES = 1024
-
-
 class _Task:
     """The members both task families share. A task holds its clients' data
     sizes in ``_sizes`` and their local optima in ``_optima``; its one-client
@@ -224,20 +219,20 @@ class QuadraticTask(_Task):
         z = self._offsets[client]
         if out is None:
             out = np.empty((len(indices), self.dimension))
+        if not len(indices):
+            return out
         if self.dimension == 1:
             # At d = 1 the mean runs over a contiguous axis and sums pairwise;
             # a gather through strided indices would round differently.
-            indices = np.ascontiguousarray(indices)
-            for lo in range(0, len(indices), _REDUCE_BATCHES):
-                out[lo : lo + _REDUCE_BATCHES] = z[indices[lo : lo + _REDUCE_BATCHES]].mean(axis=1)
+            out[...] = z[np.ascontiguousarray(indices)].mean(axis=1)
             return out
-        # Position-major: a (b, k, d) gather summed over its outer axis adds the
-        # positions in the order mean(axis=1) adds them, in contiguous rows.
-        b = indices.shape[1]
-        for lo in range(0, len(indices), _REDUCE_BATCHES):
-            chunk = out[lo : lo + _REDUCE_BATCHES]
-            np.add.reduce(z.take(indices[lo : lo + _REDUCE_BATCHES].T, axis=0), axis=0, out=chunk)
-            chunk /= b
+        # mean(axis=1) adds a batch's positions in order, so a running sum of one
+        # (k, d) gather per position gives its bits, and holds no (b, k, d) one.
+        columns = np.ascontiguousarray(indices.T)
+        z.take(columns[0], axis=0, out=out)
+        for column in columns[1:]:
+            out += z.take(column, axis=0)
+        out /= len(columns)
         return out
 
     def reduced_grads(self, clients, w: np.ndarray, mean_offsets: np.ndarray) -> np.ndarray:
@@ -558,11 +553,6 @@ def _draw_stack(rngs, n: int, b: int, counts) -> list[np.ndarray]:
     return out
 
 
-# The most batches sampled as one stack, unless one client draws more: this
-# bounds the uint32 draws held at once (about 2b per batch) on long runs.
-_STACK_BATCHES = 1 << 14
-
-
 def draw_batches(rngs, n, b, counts) -> list[np.ndarray]:
     """Whole mini-batch streams: entry i is the ``(counts[i], b[i])`` array of
     ``counts[i]`` successive ``rngs[i].choice(n[i], size=b[i], replace=False)``
@@ -579,7 +569,8 @@ def draw_batches(rngs, n, b, counts) -> list[np.ndarray]:
     tail-shuffle branch (``n > 10000`` and ``b > n // 50``), a range past 32
     bits, or a bit generator other than PCG64. Raises if a client that draws
     at least one batch has ``b > n``, or if two clients share a bit
-    generator: their draws would interleave.
+    generator: their draws would interleave. A stack holds about 2b uint32
+    draws per batch, so memory follows the counts asked for.
     """
     k = len(rngs)
     if len({id(rng.bit_generator) for rng in rngs}) < k:
@@ -590,7 +581,7 @@ def draw_batches(rngs, n, b, counts) -> list[np.ndarray]:
     if any(size > m and c > 0 for m, size, c in zip(n, b, counts)):
         raise ValueError("batch_size exceeds the client's data size")
     out: list = [None] * k
-    stacks: dict[tuple[int, int], list[list[int]]] = {}
+    stacks: dict[tuple[int, int], list[int]] = {}
     for i, rng in enumerate(rngs):
         if counts[i] == 0:
             out[i] = np.empty((0, b[i]), dtype=np.int64)
@@ -598,23 +589,19 @@ def draw_batches(rngs, n, b, counts) -> list[np.ndarray]:
                 or (n[i] > 10000 and b[i] > n[i] // 50)):
             out[i] = _replay(rng, n[i], b[i], counts[i])
         else:
-            group = stacks.setdefault((n[i], b[i]), [[]])
-            if group[-1] and sum(counts[j] for j in group[-1]) + counts[i] > _STACK_BATCHES:
-                group.append([])
-            group[-1].append(i)
-    for (m, size), group in stacks.items():
-        for members in group:
-            drawn = _draw_stack([rngs[i] for i in members], m, size, [counts[i] for i in members])
-            for i, batches in zip(members, drawn):
-                pieces, left = [batches], counts[i] - len(batches)
-                while left:  # the stack stopped at a rejected batch: choice draws it
-                    pieces.append(_replay(rngs[i], m, size, 1))
-                    left -= 1
-                    if left:
-                        [stacked] = _draw_stack([rngs[i]], m, size, [left])
-                        pieces.append(stacked)
-                        left -= len(stacked)
-                out[i] = np.concatenate(pieces, dtype=batches.dtype) if len(pieces) > 1 else batches
+            stacks.setdefault((n[i], b[i]), []).append(i)
+    for (m, size), members in stacks.items():
+        drawn = _draw_stack([rngs[i] for i in members], m, size, [counts[i] for i in members])
+        for i, batches in zip(members, drawn):
+            pieces, left = [batches], counts[i] - len(batches)
+            while left:  # the stack stopped at a rejected batch: choice draws it
+                pieces.append(_replay(rngs[i], m, size, 1))
+                left -= 1
+                if left:
+                    [stacked] = _draw_stack([rngs[i]], m, size, [left])
+                    pieces.append(stacked)
+                    left -= len(stacked)
+            out[i] = np.concatenate(pieces, dtype=batches.dtype) if len(pieces) > 1 else batches
     return out
 
 

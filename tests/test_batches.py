@@ -125,7 +125,8 @@ def test_other_bit_generators_are_replayed(replays):
     assert replays == [(100, 10, 3), (100, 10, 2)]
 
 
-def _spy_stacks(patch) -> list:
+@pytest.fixture
+def stacks(monkeypatch):
     """The batch counts of every later ``_draw_stack`` call, one list per call."""
     calls = []
     draw_stack = training._draw_stack
@@ -134,36 +135,24 @@ def _spy_stacks(patch) -> list:
         calls.append(list(counts))
         return draw_stack(rngs, n, b, counts)
 
-    patch.setattr(training, "_draw_stack", spy)
+    monkeypatch.setattr(training, "_draw_stack", spy)
     return calls
 
 
-@pytest.fixture
-def stacks(monkeypatch):
-    return _spy_stacks(monkeypatch)
-
-
-def test_a_stack_past_the_cap_splits_between_clients(stacks):
-    # 18 000 batches of one (n, b) pass the 16 384 cap: the third client
-    # starts a second stack.
+def test_clients_of_one_size_draw_one_stack(stacks):
+    # 18 000 batches of one (n, b): every client of that size is in the first
+    # stack, however many batches they draw together.
     _assert_matches_choice(64, 8, [6000, 7000, 5000], [21, 22, 23])
-    assert stacks[:2] == [[6000, 7000], [5000]]
+    assert stacks[0] == [6000, 7000, 5000]
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 300), st.data())
-def test_stacks_split_at_a_small_cap_equal_successive_choice_calls(cap, n, data):
+@given(st.integers(1, 300), st.data())
+def test_a_stack_of_several_clients_equals_successive_choice_calls(n, data):
     b = data.draw(st.integers(1, min(n, 40)))
-    counts = data.draw(st.lists(st.integers(0, 2 * cap), min_size=1, max_size=5))
-    counts.insert(data.draw(st.integers(0, len(counts))), data.draw(st.integers(cap + 1, 3 * cap)))
+    counts = data.draw(st.lists(st.integers(0, 300), min_size=2, max_size=6))
     seeds = data.draw(st.lists(st.integers(0, 2**63), min_size=len(counts), max_size=len(counts), unique=True))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(training, "_STACK_BATCHES", cap)
-        stacks = _spy_stacks(patch)
-        _assert_matches_choice(n, b, counts, seeds)
-    # A stack of two or more clients stays within the cap, so the client
-    # above it is a stack of its own.
-    assert all(sum(c) <= cap for c in stacks if len(c) > 1)
+    _assert_matches_choice(n, b, counts, seeds)
 
 
 def test_oversized_batches_raise_only_for_clients_that_draw():

@@ -4,6 +4,9 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -13,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import tsfl
 from tsfl.analysis import verify_convergence
 from tsfl.cli import (
     METRICS_SCHEMA_VERSION,
@@ -518,6 +522,8 @@ def test_latency_verb_writes_table(tmp_path, capsys):
         ({"required_iterations": -2}, "config.latency.required_iterations: must be positive, got -2.0"),
         # A row times two equal tiers, so it reads no client count.
         ({"n_clients": 20}, "config.latency: unknown keys ['n_clients']"),
+        # An empty sweep would write a header-only table.
+        ({"deltas": []}, "config.latency.deltas: list must be non-empty"),
     ],
 )
 def test_latency_config_errors(tmp_path, capsys, latency, message):
@@ -911,3 +917,28 @@ def test_every_demo_leaf_mutation_is_a_config_error_or_runs(tmp_path):
         assert run_experiment(config, out) == 0, config
         cells = json.loads((out / "summary.json").read_text())["cells"]
         assert {cell["status"] for cell in cells} == {"ok"}, config
+
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_a_run_does_not_read_the_host_thread_count(tmp_path):
+    # At dimension 128, w_star's solve rounds differently on two BLAS threads
+    # than on one, so a run that took the host's core count would write
+    # another runlog.json on a host with two or more cores.
+    config = {
+        "scenario": {"name": "wide", "n_clients": 4, "processes": [{"kind": "fixed", "tau": 1}] * 4,
+                     "data_sizes": [128] * 4, "batch_size": 16},
+        "task": {"kind": "quadratic", "dimension": 128},
+        "strategies": ["fedavg"], "seeds": [1], "constants": {"T": 2}, "estimate_probes": 0,
+    }
+    config_path = write_config(tmp_path, config)
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(tsfl.__file__).parents[1]), env.get("PYTHONPATH")]))
+    trees = []
+    for pinned in ({}, dict.fromkeys(_THREAD_VARS, "1")):
+        out = tmp_path / f"out{len(trees)}"
+        subprocess.run([sys.executable, "-m", "tsfl.cli", "run", "--config", str(config_path), "--out", str(out)],
+                       env={**env, **pinned}, check=True, capture_output=True)
+        trees.append(tree_bytes(out))
+    assert trees[0] == trees[1]

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import heapq
+import json
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from tsfl.aggregation import (
     uniform_weights,
 )
 from tsfl import scheduler
+from tsfl.cli import log_to_dict
 from tsfl.core import SystemConstants
 from tsfl.scenarios import FixedIterations, GaussianFloorIterations, Scenario, TaskSpec, preset, round_seconds
 from tsfl.scheduler import (
@@ -766,3 +769,74 @@ def test_runs_on_one_shared_setup_equal_runs_on_their_own(kind, full_batch, size
         # A second pass on the same setup: no run drew on another's streams.
         for s in order:
             _assert_same_run(_outcome(scheduler.STRATEGIES[s].run, setup, s), fresh[s])
+
+
+@functools.cache
+def _mixed_setups(kind, dimension):
+    """One shared setup per strategy of a mixed scenario: client 5 holds fewer
+    samples than a batch, clients 1 and 4 draw Gaussian counts, some of them
+    zero. tsfl-theorem2 needs sampling noise on every client, so its
+    scenario's clients all hold more samples than a batch."""
+    processes = [FixedIterations(3), GaussianFloorIterations(2.0, 1.5), FixedIterations(1),
+                 FixedIterations(4), GaussianFloorIterations(1.0, 1.0), FixedIterations(2)]
+    constants = SystemConstants(eta=0.05, L=1.0, N=6, H=4, T=24, gamma=0.5, sigma_global=1.0, mu=0.3)
+    setups = {}
+    for sizes in ([10, 50, 20, 64, 33, 8], [48, 50, 20, 64, 33, 17]):
+        scenario = Scenario(name="mixed", processes=processes, data_sizes=sizes, batch_size=16,
+                            task=TaskSpec(kind=kind, dimension=dimension, noniid_spread=0.5))
+        setups[sizes[0]] = RunSetup(scenario, constants, 5, 2, False)
+    return {s: setups[48 if s == "tsfl-theorem2" else 10] for s in ALL_STRATEGIES}
+
+
+def _windowed_runs(kind, dimension):
+    """Every strategy's log as its ``runlog.json`` text and its models."""
+    out = {}
+    for strategy, setup in _mixed_setups(kind, dimension).items():
+        log = scheduler.STRATEGIES[strategy].run(setup, strategy)
+        out[strategy] = json.dumps(log_to_dict(log), sort_keys=True), log.records.model
+    return out
+
+
+_default_window_runs = functools.cache(_windowed_runs)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 64), st.sampled_from([("quadratic", 1), ("quadratic", 3), ("logistic", 3)]))
+def test_every_planning_window_gives_the_same_runs(window, task):
+    # Each window continues every client's batch stream where the last one
+    # left it, so no window size changes a bit of any run.
+    want = _default_window_runs(*task)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scheduler, "_WINDOW", window)
+        got = _windowed_runs(*task)
+    for strategy in ALL_STRATEGIES:
+        assert got[strategy][0] == want[strategy][0], strategy
+        assert np.array_equal(got[strategy][1], want[strategy][1]), strategy
+
+
+@pytest.mark.parametrize("strategy", ["tsfl-dms", "fedasync"])
+def test_a_window_plans_at_most_its_bound_unless_one_interval_asks_more(monkeypatch, strategy):
+    windows = []
+    plan_batches = _Run.plan_batches
+
+    def spy(self, steps):
+        windows.append(np.array(steps))
+        plan_batches(self, steps)
+
+    monkeypatch.setattr(_Run, "plan_batches", spy)
+    monkeypatch.setattr(scheduler, "_WINDOW", 16)
+    scenario = scenario_with([GaussianFloorIterations(8.0, 6.0), FixedIterations(3), GaussianFloorIterations(2.0, 2.0)],
+                             data_size=40, batch_size=4)
+    constants = SystemConstants(eta=0.01, L=1.0, N=3, H=4, T=600, sigma_global=1.0)
+    tau = run_strategy(scenario, strategy, constants, seed=2).records.tau
+    assert len(windows) > 1
+    assert np.array_equal(np.sum(windows, axis=0), tau.sum(axis=0))
+    # Window j covers intervals t to t + k: the longest run of intervals
+    # from t whose steps it holds, so one more interval would pass the bound.
+    t = 0
+    for planned in windows:
+        k = np.flatnonzero((np.cumsum(tau[t:], axis=0) == planned).all(axis=1))[-1] + 1
+        assert planned.max() <= 16 or k == 1
+        assert t + k == len(tau) or (planned + tau[t + k]).max() > 16
+        t += k
+    assert t == len(tau)
