@@ -3,14 +3,15 @@ and buffered semi-async. Each plans its whole upload schedule first, and one
 loop (``_train``) trains every run into the same RunLog shape.
 
 Determinism contract: a run is a pure function of (scenario, strategy,
-constants, seed). The seed expands through a fixed layout,
-``SeedSequence(seed).spawn(4)``: child 0 materializes the scenario, child 1
-makes the server-side draws, and children 2 and 3 each spawn one stream per
-client, for its iteration process and its mini-batch sampling, so clients
-may train in any order, or in parallel, without changing the result. Only
-child 0 builds a ``RunSetup``, which every run of the same (scenario, seed,
-constants, probe count) may share; each run (``_Run``) spawns children 1 to
-3 afresh, so it draws on a shared setup exactly what it draws on its own.
+constants, seed). Each stream of a seed is named by its spawn key,
+``SeedSequence(seed, spawn_key=key)``: ``(0,)`` materializes the scenario,
+``(1,)`` makes the server-side draws, and client i draws its iteration
+process from ``(2, i)`` and its mini-batches from ``(3, i)`` (as
+``SeedSequence(seed).spawn(4)[k].spawn(n)[i]`` would), so clients may train
+in any order, or in parallel, without changing the result. Only stream 0
+builds a ``RunSetup``, which every run of the same (scenario, seed,
+constants, probe count) may share; a run (``_Run``) builds the others, so it
+draws on a shared setup exactly what it draws on its own.
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ from .scenarios import Scenario, round_seconds
 from .training import draw_batches, estimate_constants, local_train, train_clients  # noqa: F401
 
 
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    """The generator of the seed's stream with the spawn key ``key``."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
 class RunSetup:
     """What every run of one (scenario, seed, constants, probe count) shares,
     all drawn from the seed's scenario stream, so it reads no strategy: the
@@ -55,7 +61,7 @@ class RunSetup:
         if probe_count < 0:
             raise ValueError(f"probe_count must be non-negative, got {probe_count}")
         self.scenario, self.seed = scenario, seed
-        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[0])
+        rng = _stream(seed, 0)
         self.task = scenario.materialize(rng)
         self.sizes = np.array([self.task.data_size(i) for i in range(scenario.n_clients)])
         self.batch = np.minimum(scenario.batch_size, self.sizes)
@@ -114,16 +120,14 @@ class RunSetup:
 
 class _Run:
     """One run on a setup: the seed's server, iteration and batch streams,
-    spawned afresh (a spawn child kept on the setup would give a later run
-    other streams), and, once planned, the mini-batch steps of its window."""
+    and, once planned, the mini-batch steps of its window."""
 
     def __init__(self, setup: RunSetup):
         self.setup = setup
         n = setup.scenario.n_clients
-        _, server_ss, tau_parent, batch_parent = np.random.SeedSequence(setup.seed).spawn(4)
-        self.server_rng = np.random.default_rng(server_ss)
-        self.tau_rngs = [np.random.default_rng(s) for s in tau_parent.spawn(n)]
-        self.batch_rngs = [np.random.default_rng(s) for s in batch_parent.spawn(n)]
+        self.server_rng = _stream(setup.seed, 1)
+        self.tau_rngs = [_stream(setup.seed, 2, i) for i in range(n)]
+        self.batch_rngs = [_stream(setup.seed, 3, i) for i in range(n)]
 
     def plan_batches(self, steps) -> None:
         """Plan the next window's local steps: client i may take ``steps[i]`` of

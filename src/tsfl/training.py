@@ -62,10 +62,24 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 
 class _Task:
-    """The members both task families share. A task holds its clients' data
-    sizes in ``_sizes`` and their local optima in ``_optima``; its one-client
-    gradients are the one-row cases of its stacked ``local_grads`` and
-    ``sample_grads``."""
+    """The members both task families share. A task keeps its data, without a
+    copy, in one zero-padded block ``(n, m_max, d)`` whose row i starts with
+    client i's ``sizes[i]`` samples; it holds the sizes ``_sizes``, their
+    groups ``_groups`` (see ``_size_groups``) and its local optima
+    ``_optima``. Its one-client gradients are the one-row cases of its
+    stacked ``local_grads`` and ``sample_grads``."""
+
+    def __init__(self, block: np.ndarray, sizes):
+        block, sizes = np.asarray(block, dtype=float), np.asarray(sizes)
+        if block.ndim != 3 or sizes.shape != block.shape[:1] or not np.issubdtype(sizes.dtype, np.integer):
+            raise ValueError(f"sizes must be one integer count per block row; got {sizes.shape} {sizes.dtype} sizes"
+                             f" for a block of shape {block.shape}")
+        for i, m in enumerate(sizes.tolist()):
+            if not 0 < m <= block.shape[1]:
+                raise ValueError(f"client {i} has {m} samples; a client of this block holds 1 to {block.shape[1]}")
+        self._block, self._sizes = block, sizes
+        self.dimension = block.shape[2]
+        self._groups = list(_size_groups(sizes, np.arange(len(sizes))))
 
     @property
     def n_clients(self) -> int:
@@ -108,31 +122,22 @@ class QuadraticTask(_Task):
     up to rounding. Mini-batch gradients carry the batch-mean offset, which
     gives a controllable noise level with an exact expectation identity.
 
-    Curvatures are stacked as ``(n, d, d)`` and centers as ``(n, d)``. The
-    offsets live in one zero-padded block ``(n, m_max, d)``; ``offsets`` holds
-    per-client views into it. ``offsets`` is given either as a list of
-    per-client ``(m_i, d)`` arrays, copied into a new block, or, with
-    ``sizes``, as the block itself, kept without a copy. Losses, gradients and
-    optima are evaluated in closed form from per-client terms computed once;
-    they hold for any offsets, centered or not.
+    Curvatures are stacked as ``(n, d, d)`` and centers as ``(n, d)``; the
+    offsets are the task's padded block ``(n, m_max, d)`` with their data
+    sizes (see ``_Task``), and ``offsets`` holds per-client views into it.
+    Losses, gradients and optima are evaluated in closed form from
+    per-client terms computed once; they hold for any offsets, centered or
+    not.
     """
 
     kind = "quadratic"
 
-    def __init__(self, curvatures, centers, offsets, sizes=None):
+    def __init__(self, curvatures, centers, offsets: np.ndarray, sizes):
+        super().__init__(offsets, sizes)
         self.curvatures = np.asarray(curvatures, dtype=float)
         self.centers = np.asarray(centers, dtype=float)
-        if sizes is None:
-            sizes = [len(z) for z in offsets]
-            block = np.zeros((len(sizes), max(sizes), self.centers.shape[1]))
-            for i, z in enumerate(offsets):
-                block[i, : sizes[i]] = z
-        else:
-            block = offsets
-        self._offsets = block
-        self._sizes = np.asarray(sizes)
-        self.offsets = [block[i, :m] for i, m in enumerate(sizes)]
-        if not (len(self.curvatures) == len(self.centers) == len(self.offsets)):
+        self.offsets = [self._block[i, :m] for i, m in enumerate(self._sizes.tolist())]
+        if not len(self.curvatures) == len(self.centers) == self.n_clients:
             raise ValueError("per-client pieces must have equal length")
         eigs = np.linalg.eigvalsh(self.curvatures)
         if np.any(eigs <= 0):
@@ -142,8 +147,8 @@ class QuadraticTask(_Task):
         # + kappa_i, kappa_i being the loss spread of the offsets about their
         # mean. Both terms are non-negative, so no digits cancel.
         means = np.empty_like(self.centers)
-        for rows, picked, m in _size_groups(self._sizes, np.arange(len(self.offsets))):
-            means[rows] = block[picked, :m].mean(axis=1)
+        for rows, picked, m in self._groups:
+            means[rows] = self._block[picked, :m].mean(axis=1)
         self._optima = self.centers + means
         self._kappa = np.array([
             0.5 * np.einsum("sd,de,se->", z - m, a, z - m) / z.shape[0]
@@ -185,11 +190,7 @@ class QuadraticTask(_Task):
             curvatures = _spd(eigs[1:], bases[1:])
         if spec.noniid_spread > 0.0:
             directions /= _row_norms(directions)[:, None]
-        return cls(curvatures, spec.noniid_spread * directions, offsets, sizes=data_sizes)
-
-    @property
-    def dimension(self) -> int:
-        return self.centers[0].shape[0]
+        return cls(curvatures, spec.noniid_spread * directions, offsets, data_sizes)
 
     @cached_property
     def w_star(self) -> np.ndarray:
@@ -210,13 +211,13 @@ class QuadraticTask(_Task):
 
     def sample_grads(self, clients, w: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """Mini-batch gradients, row i on the offsets ``indices[i]`` of client ``clients[i]``."""
-        return self.reduced_grads(clients, w, self._offsets[np.asarray(clients)[:, None], indices].mean(axis=1))
+        return self.reduced_grads(clients, w, self._block[np.asarray(clients)[:, None], indices].mean(axis=1))
 
     def reduce_batches(self, client: int, indices: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Client ``client``'s planned mini-batches ``(k, b)`` as ``reduced_grads``
         steps on them: their ``(k, d)`` batch-mean offsets, the means
         ``sample_grads`` takes, bit for bit, written to ``out`` when given."""
-        z = self._offsets[client]
+        z = self._block[client]
         if out is None:
             out = np.empty((len(indices), self.dimension))
         if not len(indices):
@@ -259,61 +260,59 @@ class LogisticTask(_Task):
     a per-client offset whose magnitude controls the non-IID degree. The model
     carries an intercept, so the parameter dimension is feature_dim + 1.
 
-    The data live in one zero-padded block ``(n, m_max, d)`` of signed design
-    rows ``s = y x``. Labels are +/-1 and a sign flip is exact, so the margin
-    ``y (x @ w)`` is ``s @ w`` and the gradient ``x' (-y / (1 + e^m))`` is
-    ``s' (-1 / (1 + e^m))``, bit for bit; a sample's label is the sign of its
-    intercept entry. Padding rows are zero, so they add exactly zero to a
-    gradient. The optima are found by one stacked fixed-step descent: a single
-    row for w*, one row per client for the local optima.
+    The data are the task's padded block ``(n, m_max, d)`` of signed design
+    rows ``s = y x`` (see ``_Task``). Labels are +/-1 and a sign flip is
+    exact, so the margin ``y (x @ w)`` is ``s @ w`` and the gradient
+    ``x' (-y / (1 + e^m))`` is ``s' (-1 / (1 + e^m))``, bit for bit; a
+    sample's label is the sign of its intercept entry, the last. Padding rows
+    must be zero, so they add exactly zero to a gradient. The optima are
+    found by one stacked fixed-step descent: a single row for w*, one row per
+    client for the local optima.
     """
 
     kind = "logistic"
 
-    def __init__(self, features, labels, l2_reg: float):
+    def __init__(self, signed: np.ndarray, sizes, l2_reg: float):
+        super().__init__(signed, sizes)
         self.l2_reg = float(l2_reg)
         if l2_reg <= 0:
             raise ValueError("l2_reg must be positive so optima are unique")
-        sizes = [len(y) for y in labels]
-        feature_dim = np.shape(features[0])[1]
-        self._dim = feature_dim + 1
-        self._s = np.zeros((len(sizes), max(sizes), self._dim))
-        for i, (x, y) in enumerate(zip(features, labels)):
-            y = np.asarray(y, dtype=float)
-            if not np.all(np.abs(y) == 1.0):
-                raise ValueError(f"labels must be +1 or -1; client {i} has {y[np.abs(y) != 1.0][0]}")
-            s = self._s[i, : sizes[i]]
-            s[:, :feature_dim] = x
-            s[:, feature_dim] = 1.0
-            s *= y[:, None]
-        self._sizes = np.array(sizes)
+        for i, m in enumerate(self._sizes.tolist()):
+            labels = self._block[i, :m, -1]
+            bad = labels[np.abs(labels) != 1.0]
+            if bad.size:
+                raise ValueError(f"labels must be +1 or -1; client {i} has {bad[0]}")
+            if self._block[i, m:].any():
+                raise ValueError(f"client {i} has non-zero padding rows past its {m} samples")
 
     @classmethod
     def generate(cls, spec, data_sizes, rng) -> "LogisticTask":
         """The task of the recipe ``spec`` (a ``TaskSpec``), one client per
         entry of ``data_sizes``, drawn from ``rng``. ``spec.dimension`` is the
         model dimension; feature space is one less."""
+        data_sizes = np.asarray(data_sizes, dtype=int)
         feature_dim = spec.dimension - 1
         base = rng.normal(size=feature_dim)
         base /= np.linalg.norm(base)
-        features, labels = [], []
-        for n in map(int, data_sizes):
+        # Drawn in place: per-client copies would double the task's peak memory.
+        signed = np.zeros((len(data_sizes), data_sizes.max(), spec.dimension))
+        for i, n in enumerate(data_sizes.tolist()):
             y = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
             shift = np.zeros(feature_dim)
             if spec.noniid_spread > 0.0:
                 shift = rng.normal(size=feature_dim)
                 shift *= spec.noniid_spread / np.linalg.norm(shift)
-            x = y[:, None] * spec.separation * base + shift + spec.sample_noise * rng.normal(size=(n, feature_dim))
-            features.append(x)
-            labels.append(y)
-        return cls(features, labels, spec.l2_reg)
-
-    @property
-    def dimension(self) -> int:
-        return self._dim
+            s = signed[i, :n]
+            x = s[:, :feature_dim]
+            np.multiply(y[:, None] * spec.separation, base, out=x)
+            x += shift
+            x += spec.sample_noise * rng.normal(size=(n, feature_dim))
+            s[:, feature_dim] = 1.0
+            s *= y[:, None]
+        return cls(signed, data_sizes, spec.l2_reg)
 
     def local_loss(self, client: int, w: np.ndarray) -> float:
-        m = self._s[client, : self._sizes[client]] @ w
+        m = self._block[client, : self._sizes[client]] @ w
         return float(np.mean(np.logaddexp(0.0, -m)) + 0.5 * self.l2_reg * np.dot(w, w))
 
     def _grads(self, s, w: np.ndarray, size, margins=None) -> np.ndarray:
@@ -340,12 +339,12 @@ class LogisticTask(_Task):
         one stacked call per data size."""
         out = np.empty_like(w)
         for rows, picked, m in _size_groups(self._sizes, clients):
-            out[rows] = self._grads(self._s[picked, :m], w[rows], m)
+            out[rows] = self._grads(self._block[picked, :m], w[rows], m)
         return out
 
     def sample_grads(self, clients, w: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """Mini-batch gradients, row i on the samples ``indices[i]`` of client ``clients[i]``."""
-        return self._grads(self._s[np.asarray(clients)[:, None], indices], w, indices.shape[1])
+        return self._grads(self._block[np.asarray(clients)[:, None], indices], w, indices.shape[1])
 
     def reduce_batches(self, client: int, indices: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Planned mini-batches as ``reduced_grads`` steps on them: the indices,
@@ -356,10 +355,6 @@ class LogisticTask(_Task):
         return out
 
     reduced_grads = sample_grads
-
-    @cached_property
-    def _groups(self) -> list:
-        return list(_size_groups(self._sizes, np.arange(self.n_clients)))
 
     def _loss(self, w: np.ndarray, margins: np.ndarray | None = None) -> float:
         """Mean of the clients' ``local_loss``, one stacked call per data size.
@@ -373,7 +368,7 @@ class LogisticTask(_Task):
             if margins is not None and m == margins.shape[1]:
                 z = np.negative(margins[picked])
             else:
-                z = self._s[picked, :m] @ w
+                z = self._block[picked, :m] @ w
                 np.negative(z, out=z)
             losses[rows] = np.mean(np.logaddexp(0.0, z, out=z), axis=1)
         return float(np.mean(losses + 0.5 * self.l2_reg * np.dot(w, w)))
@@ -387,13 +382,13 @@ class LogisticTask(_Task):
         # block (_full_grads, global_loss_and_grad). Fresh temporaries of
         # that size cost more than the arithmetic: the allocator hands them
         # back to the system and faults them in again.
-        return np.empty(self._s.shape[:2])
+        return np.empty(self._block.shape[:2])
 
     def _full_grads(self, w: np.ndarray) -> np.ndarray:
         """Full-batch gradients at a stack of points, row i on client i's data,
         over the whole padded block; with equal data sizes each row equals
         ``local_grad`` bit for bit. A single ``(1, d)`` point serves every row."""
-        return self._grads(self._s, w, self._sizes[:, None], margins=self._scratch)
+        return self._grads(self._block, w, self._sizes[:, None], margins=self._scratch)
 
     def _mean_grad(self, w: np.ndarray) -> np.ndarray:
         """The global gradient at the ``(1, d)`` point ``w``, as a ``(1, d)``
@@ -408,9 +403,9 @@ class LogisticTask(_Task):
         pass over the padded block: the loss reads the margins, then the
         gradient continues from them in place."""
         row = w[None]
-        t = np.matmul(self._s, row[:, :, None], out=self._scratch[:, :, None])[:, :, 0]
+        t = np.matmul(self._block, row[:, :, None], out=self._scratch[:, :, None])[:, :, 0]
         loss = self._loss(w, t)
-        g = self._margin_grads(self._s, t, row, self._sizes[:, None])
+        g = self._margin_grads(self._block, t, row, self._sizes[:, None])
         return loss, np.add.reduce(g, axis=0) / self.n_clients
 
     def _descend(self, grad_fn, names, tol: float = 1e-12, max_iter: int = 200_000) -> np.ndarray:
@@ -439,7 +434,7 @@ class LogisticTask(_Task):
         # product per size group equals each client's own bit for bit.
         design_norm = 0.0
         for _, picked, m in self._groups:
-            s = self._s[picked, :m]
+            s = self._block[picked, :m]
             design_norm = max(design_norm, float(np.linalg.eigvalsh(s.mT @ s / m).max()))
         return 0.25 * design_norm + self.l2_reg
 

@@ -14,6 +14,8 @@ from tsfl.core import RunLog, SystemConstants, interval_records
 from tsfl.scenarios import TaskSpec
 from tsfl.training import QuadraticTask
 
+from task_blocks import padded
+
 
 def make_log(constants, tau, beta, rho, *, w0, w_star, final_grad_norm_sq,
              sigma_i=None, gamma=None, losses=None, grads=None, f_star=0.0):
@@ -188,9 +190,9 @@ def test_heterogeneity_translation_and_scaling():
 
 def _quadratic(centers, curvature=1.0):
     return QuadraticTask(
-        curvatures=[np.array([[curvature]]) for _ in centers],
-        centers=[np.array([c]) for c in centers],
-        offsets=[np.zeros((2, 1)) for _ in centers],
+        [np.array([[curvature]]) for _ in centers],
+        [np.array([c]) for c in centers],
+        *padded([np.zeros((2, 1)) for _ in centers]),
     )
 
 

@@ -14,6 +14,8 @@ from tsfl.training import (
     train_clients,
 )
 
+from task_blocks import padded
+
 
 def central_difference(loss_fn, w, h=1e-5):
     """Independent gradient oracle: central finite differences, coordinate-wise."""
@@ -45,11 +47,7 @@ def test_full_batch_gradient_vanishes_at_local_optimum():
 
 
 def test_one_dimensional_quadratic_gradient_value():
-    task = QuadraticTask(
-        curvatures=[np.array([[2.0]])],
-        centers=[np.array([0.0])],
-        offsets=[np.zeros((4, 1))],
-    )
+    task = QuadraticTask([np.array([[2.0]])], [np.array([0.0])], *padded([np.zeros((4, 1))]))
     sample = stochastic_gradient(task, 0, np.array([3.0]), 2, np.random.default_rng(0))
     assert sample.full_batch[0] == pytest.approx(6.0)
 
@@ -130,9 +128,9 @@ def _quadratic_task(case):
         # A small spread about a large offset mean: at a client's minimum the
         # loss is tiny next to the offsets' own quadratic terms.
         return QuadraticTask(
-            curvatures=[np.array([[2.0, 0.3], [0.3, 1.0]]), np.eye(2)],
-            centers=[np.array([0.5, -1.0]), np.array([2.0, 0.0])],
-            offsets=[3.0 + 1e-3 * rng.normal(size=(7, 2)), rng.normal(loc=-1.0, size=(12, 2))],
+            [np.array([[2.0, 0.3], [0.3, 1.0]]), np.eye(2)],
+            [np.array([0.5, -1.0]), np.array([2.0, 0.0])],
+            *padded([3.0 + 1e-3 * rng.normal(size=(7, 2)), rng.normal(loc=-1.0, size=(12, 2))]),
         )
     name, d = case.split("-d")
     sizes = {} if name == "case3" else {"data_size": 96}  # case3 draws tiered sizes
@@ -205,11 +203,7 @@ def test_local_train_zero_iterations_is_identity():
 
 
 def test_local_train_single_full_batch_step_value():
-    task = QuadraticTask(
-        curvatures=[np.array([[1.0]])],
-        centers=[np.array([0.0])],
-        offsets=[np.zeros((4, 1))],
-    )
+    task = QuadraticTask([np.array([[1.0]])], [np.array([0.0])], *padded([np.zeros((4, 1))]))
     out = local_train(task, 0, np.array([1.0]), 1, eta=0.1)
     assert out[0] == pytest.approx(0.9)
 
@@ -274,9 +268,9 @@ def test_quadratic_uncentered_offsets_set_gradient_and_optima():
     # c_i + mean_s z_s, not at c_i, and every full-batch quantity follows it.
     rng = np.random.default_rng(4)
     task = QuadraticTask(
-        curvatures=[np.array([[2.0, 0.3], [0.3, 1.0]]), 0.7 * np.eye(2)],
-        centers=[np.array([0.5, -1.0]), np.array([2.0, 0.0])],
-        offsets=[rng.normal(loc=1.5, size=(7, 2)), rng.normal(loc=-1.0, size=(12, 2))],
+        [np.array([[2.0, 0.3], [0.3, 1.0]]), 0.7 * np.eye(2)],
+        [np.array([0.5, -1.0]), np.array([2.0, 0.0])],
+        *padded([rng.normal(loc=1.5, size=(7, 2)), rng.normal(loc=-1.0, size=(12, 2))]),
     )
     for client in range(task.n_clients):
         for w in rng.normal(size=(5, 2)):
@@ -297,22 +291,15 @@ def _batches(task):
 
 
 def test_estimate_constants_identity_curvature_gives_exact_smoothness():
-    task = QuadraticTask(
-        curvatures=[np.eye(2), np.eye(2)],
-        centers=[np.zeros(2), np.zeros(2)],
-        offsets=[np.zeros((4, 2)), np.zeros((4, 2))],
-    )
+    task = QuadraticTask([np.eye(2), np.eye(2)], [np.zeros(2), np.zeros(2)], *padded([np.zeros((4, 2))] * 2))
     est = estimate_constants(task, _batches(task), 3, np.random.default_rng(0))
     assert est.L_hat == 1.0
     assert est.source["L"] == "exact"
 
 
 def test_estimate_constants_symmetric_centers():
-    task = QuadraticTask(
-        curvatures=[np.array([[1.0]]), np.array([[1.0]])],
-        centers=[np.array([-1.0]), np.array([1.0])],
-        offsets=[np.zeros((4, 1)), np.zeros((4, 1))],
-    )
+    task = QuadraticTask([np.array([[1.0]])] * 2, [np.array([-1.0]), np.array([1.0])],
+                         *padded([np.zeros((4, 1))] * 2))
     estimate_constants(task, _batches(task), 3, np.random.default_rng(0))
     assert task.w_star == pytest.approx(0.0)
     assert task.gamma_noniid == pytest.approx([1.0, 1.0])
@@ -436,19 +423,50 @@ def test_logistic_data_are_views_into_padded_blocks():
                                  sizes, np.random.default_rng(6))
     task.w_star, task.local_optimum(0)  # the cached members are built
     blocks = [v for v in vars(task).values() if isinstance(v, np.ndarray) and v.ndim == 3]
-    assert len(blocks) == 1 and blocks[0] is task._s and task._s.shape == (3, 9, 3)
+    assert len(blocks) == 1 and blocks[0] is task._block and task._block.shape == (3, 9, 3)
     for i, m in enumerate(sizes):
-        assert task.data_size(i) == m and np.all(task._s[i, m:] == 0.0)
+        assert task.data_size(i) == m and np.all(task._block[i, m:] == 0.0)
         # The intercept entry of a signed row is its label.
-        assert np.all(np.abs(task._s[i, :m, 2]) == 1.0)
+        assert np.all(np.abs(task._block[i, :m, 2]) == 1.0)
+    # The block a task is given is kept without a copy.
+    assert LogisticTask(task._block, sizes, 0.05)._block is task._block
 
 
 @pytest.mark.parametrize("bad", [0.0, 2.0, -0.5, np.nan])
 def test_logistic_rejects_labels_other_than_plus_or_minus_one(bad):
-    features = [np.zeros((3, 2)), np.ones((2, 2))]
-    labels = [np.array([1.0, -1.0, 1.0]), np.array([-1.0, bad])]
+    # A signed row's last entry, y * 1, is its label.
+    rows = [np.zeros((3, 3)), np.ones((2, 3))]
+    rows[0][:, -1], rows[1][:, -1] = [1.0, -1.0, 1.0], [-1.0, bad]
     with pytest.raises(ValueError, match=r"labels must be \+1 or -1; client 1 has"):
-        LogisticTask(features, labels, 0.05)
+        LogisticTask(*padded(rows), 0.05)
+
+
+def test_logistic_rejects_non_zero_padding_rows():
+    signed, sizes = padded([np.ones((3, 2)), np.ones((2, 2))])
+    signed[1, 2, 0] = 0.5
+    with pytest.raises(ValueError, match=r"^client 1 has non-zero padding rows past its 2 samples$"):
+        LogisticTask(signed, sizes, 0.05)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+@pytest.mark.parametrize(("sizes", "message"), [
+    ([5, 9], r"^client 1 has 9 samples; a client of this block holds 1 to 7$"),
+    ([5, 0], r"^client 1 has 0 samples; a client of this block holds 1 to 7$"),
+    ([-1, 5], r"^client 0 has -1 samples; a client of this block holds 1 to 7$"),
+    ([5], r"^sizes must be one integer count per block row; got \(1,\) int64 sizes for a block of shape \(2, 7, 2\)"),
+    ([5, 7, 7], r"^sizes must be one integer count per block row; got \(3,\) int64"),
+    ([5.0, 7.0], r"^sizes must be one integer count per block row; got \(2,\) float64"),
+    ([[5, 7]], r"^sizes must be one integer count per block row; got \(1, 2\) int64"),
+])
+def test_task_rejects_sizes_that_do_not_fit_its_block(kind, sizes, message):
+    # Each client holds between one sample and the block's m_max rows; a
+    # size past the block read padding, and a size of 0 gave a NaN loss.
+    block = np.ones((2, 7, 2))
+    with pytest.raises(ValueError, match=message):
+        if kind == "quadratic":
+            QuadraticTask(np.repeat(np.eye(2)[None], 2, axis=0), np.zeros((2, 2)), block, sizes)
+        else:
+            LogisticTask(block, sizes, 0.05)
 
 
 def _labelled_task(sizes, dimension=3, seed=29):
@@ -458,11 +476,9 @@ def _labelled_task(sizes, dimension=3, seed=29):
     rng = np.random.default_rng(seed)
     features = [rng.normal(scale=2.0, size=(m, dimension - 1)) for m in sizes]
     labels = [rng.choice([-1.0, 1.0], size=m) for m in sizes]
-    x = np.zeros((len(sizes), max(sizes), dimension))
-    y = np.zeros((len(sizes), max(sizes)))
-    for i, m in enumerate(sizes):
-        x[i, :m, :-1], x[i, :m, -1], y[i, :m] = features[i], 1.0, labels[i]
-    return LogisticTask(features, labels, 0.05), x, y
+    x, _ = padded([np.column_stack([f, np.ones(len(f))]) for f in features])
+    y = padded([label[:, None] for label in labels])[0][:, :, 0]
+    return LogisticTask(x * y[..., None], sizes, 0.05), x, y
 
 
 def _labelled_grads(x, y, w, size, l2_reg):
@@ -492,7 +508,7 @@ def test_signed_rows_compute_the_labelled_arithmetic_bit_for_bit(layout):
     task, x, y = _labelled_task(sizes)
     n, d, l2 = task.n_clients, task.dimension, task.l2_reg
     m = np.array(sizes)
-    assert np.array_equal(task._s, y[:, :, None] * x)
+    assert np.array_equal(task._block, y[:, :, None] * x)
     design_norm = max(float(np.linalg.eigvalsh(x[i, :k].T @ x[i, :k] / k).max()) for i, k in enumerate(sizes))
     assert task.smoothness == 0.25 * design_norm + l2
     rng = np.random.default_rng(5)
@@ -567,14 +583,13 @@ def test_logistic_descent_out_of_steps_fails_the_cell(monkeypatch, tmp_path):
 def test_quadratic_offsets_are_views_into_one_padded_block():
     sizes = [5, 9, 7]
     task = QuadraticTask.generate(TaskSpec(dimension=2, noniid_spread=0.5), sizes, np.random.default_rng(6))
-    assert task._offsets.shape == (3, 9, 2)
+    assert task._block.shape == (3, 9, 2)
     for i, m in enumerate(sizes):
         assert task.data_size(i) == m and task.offsets[i].shape == (m, 2)
-        assert np.shares_memory(task.offsets[i], task._offsets)
-        assert np.all(task._offsets[i, m:] == 0.0)
-    # Offsets given as a list are copied into a block of the same layout.
-    copied = QuadraticTask(task.curvatures, task.centers, [z.copy() for z in task.offsets])
-    assert np.array_equal(copied._offsets, task._offsets)
+        assert np.shares_memory(task.offsets[i], task._block)
+        assert np.all(task._block[i, m:] == 0.0)
+    # The block a task is given is kept without a copy.
+    assert QuadraticTask(task.curvatures, task.centers, task._block, sizes)._block is task._block
 
 
 # Client layouts for the lock-step trainer: case3 draws unequal data sizes;
@@ -735,10 +750,47 @@ def test_generate_equals_a_per_matrix_loop(dimension, shared, spread):
     assert rng.bit_generator.state == looped.bit_generator.state
     assert np.array_equal(task.curvatures, curvatures)
     assert np.array_equal(task.centers, centers)
-    assert np.array_equal(task._offsets, offsets)
+    assert np.array_equal(task._block, offsets)
     # The per-size-group means equal each client's own.
     minima = [c + z[:m].mean(axis=0) for c, z, m in zip(centers, offsets, sizes)]
     assert np.array_equal([task.local_optimum(i) for i in range(len(sizes))], minima)
+
+
+def _logistic_lists(spec, sizes, rng):
+    """The signed block of ``LogisticTask.generate`` built as it once was:
+    per-client feature and label lists first, then copied into a block."""
+    feature_dim = spec.dimension - 1
+    base = rng.normal(size=feature_dim)
+    base /= np.linalg.norm(base)
+    features, labels = [], []
+    for n in sizes:
+        y = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        shift = np.zeros(feature_dim)
+        if spec.noniid_spread > 0.0:
+            shift = rng.normal(size=feature_dim)
+            shift *= spec.noniid_spread / np.linalg.norm(shift)
+        noise = spec.sample_noise * rng.normal(size=(n, feature_dim))
+        features.append(y[:, None] * spec.separation * base + shift + noise)
+        labels.append(y)
+    signed = np.zeros((len(sizes), max(sizes), spec.dimension))
+    for i, (x, y) in enumerate(zip(features, labels)):
+        s = signed[i, : sizes[i]]
+        s[:, :feature_dim] = x
+        s[:, feature_dim] = 1.0
+        s *= y[:, None]
+    return signed
+
+
+@pytest.mark.parametrize("dimension", [2, 3, 40])
+@pytest.mark.parametrize("spread", [0.0, 0.5])
+@pytest.mark.parametrize("sizes", [[24] * 4, [10, 50, 20, 64, 33, 8, 50], [17]])
+def test_logistic_generate_writes_the_list_path_block_in_place(dimension, spread, sizes):
+    spec = TaskSpec(kind="logistic", dimension=dimension, noniid_spread=spread, sample_noise=0.7)
+    task = LogisticTask.generate(spec, sizes, rng := np.random.default_rng(3))
+    signed = _logistic_lists(spec, sizes, looped := np.random.default_rng(3))
+    assert rng.bit_generator.state == looped.bit_generator.state
+    assert np.array_equal(task._block, signed)
+    assert task._sizes.tolist() == sizes and task.dimension == dimension
 
 
 def _reduction_task(kind, dimension, sizes):
