@@ -69,9 +69,13 @@ class RunSetup:
 
         # Every analysis constant is resolved here, once: N is the scenario's
         # client count, and probes replace L, G, sigma_global, V and epsilon.
+        # Without probes, a client that samples (a mini-batch run whose batch
+        # is smaller than its data) has the noise bound sigma_global, and any
+        # other client has none.
         resolved = {"N": scenario.n_clients}
         self.sources = dict.fromkeys(("L", "G", "sigma", "V", "epsilon"), "configured")
-        self.sigma_i = np.zeros(scenario.n_clients)
+        samples = (self.batch < self.sizes) & (not scenario.full_batch)
+        self.sigma_i = np.where(samples, constants.sigma_global, 0.0)
         if probe_count > 0:
             est = estimate_constants(self.task, self.batch, probe_count, rng)
             self.sigma_i = est.sigma_hat
@@ -133,34 +137,27 @@ class _Run:
         """Plan the next window's local steps: client i may take ``steps[i]`` of
         them. Their mini-batches are drawn now, in one ``draw_batches`` call,
         each from its client's stream where the last window left it, and reduced
-        at once to what the SGD steps read (``task.reduce_batches``), in place,
-        into one stream per width of a reduced step: client i's steps are rows
-        ``offset[i]`` on of ``streams[width[i]]``. A full-batch run reads no
-        steps: its one stream entry is ``{0: None}``."""
+        at once to what the SGD steps read (``task.reduce_batches``). Each width
+        of a reduced step has one stream, its clients' reductions concatenated
+        in client order: client i's steps are rows ``offset[i]`` on of
+        ``streams[width[i]]``. A full-batch run plans no stream."""
         setup, task = self.setup, self.setup.task
         self.planned = np.asarray(steps, dtype=int)
         self.used = np.zeros_like(self.planned)
         self.width = np.zeros_like(self.planned)
         self.offset = np.zeros_like(self.planned)
-        self.streams = {0: None}
+        self.streams = {}
         if setup.scenario.full_batch:
             return
-        drawn = draw_batches(self.batch_rngs, setup.sizes, setup.batch, self.planned)
-        # The reduction of no batches has the width and type of a reduced step.
-        layouts = [task.reduce_batches(i, indices[:0]) for i, indices in enumerate(drawn)]
-        self.width = np.array([layout.shape[1] for layout in layouts])
-        self.streams = {}
+        reduced = draw_batches(self.batch_rngs, setup.sizes, setup.batch, self.planned)
+        for i, indices in enumerate(reduced):
+            reduced[i] = task.reduce_batches(i, indices)  # a client's indices are dropped once reduced
+        self.width = np.array([r.shape[1] for r in reduced])
         for width in set(self.width.tolist()):
             members = np.flatnonzero(self.width == width)
             counts = self.planned[members]
-            ends = np.cumsum(counts)
-            self.offset[members] = ends - counts
-            # A client that plans no step draws int64 indices: its type is not read.
-            dtype = np.result_type(*[layouts[i] for i in members[counts > 0]] or [layouts[members[0]]])
-            self.streams[width] = np.empty((ends[-1], width), dtype=dtype)
-        for i, (lo, k) in enumerate(zip(self.offset.tolist(), self.planned.tolist())):
-            task.reduce_batches(i, drawn[i], out=self.streams[self.width[i]][lo : lo + k])
-            drawn[i] = None  # each index stream is dropped as soon as it is reduced
+            self.offset[members] = np.cumsum(counts) - counts
+            self.streams[width] = np.concatenate([reduced[i] for i in members])
 
     def train(self, clients, starts, steps, interval: int, prox_center=None) -> np.ndarray:
         """Lock-step local SGD: client ``clients[i]`` takes ``steps[i]`` steps
@@ -187,7 +184,7 @@ class _Run:
             # A group of one width reads its rows as views.
             rows = slice(None) if len(widths) == 1 else np.flatnonzero(width == w)
             out[rows] = train_clients(task, clients[rows], starts[rows], steps[rows], c.eta,
-                                      stream=self.streams[w], first=first[rows],
+                                      stream=self.streams.get(w), first=first[rows],
                                       prox_center=prox_center, mu=c.mu)
         if not np.isfinite(out).all():
             diverged = sorted(clients[~np.isfinite(out).all(axis=1)].tolist())

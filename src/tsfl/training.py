@@ -213,24 +213,21 @@ class QuadraticTask(_Task):
         """Mini-batch gradients, row i on the offsets ``indices[i]`` of client ``clients[i]``."""
         return self.reduced_grads(clients, w, self._block[np.asarray(clients)[:, None], indices].mean(axis=1))
 
-    def reduce_batches(self, client: int, indices: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def reduce_batches(self, client: int, indices: np.ndarray) -> np.ndarray:
         """Client ``client``'s planned mini-batches ``(k, b)`` as ``reduced_grads``
         steps on them: their ``(k, d)`` batch-mean offsets, the means
-        ``sample_grads`` takes, bit for bit, written to ``out`` when given."""
+        ``sample_grads`` takes, bit for bit."""
         z = self._block[client]
-        if out is None:
-            out = np.empty((len(indices), self.dimension))
         if not len(indices):
-            return out
+            return np.empty((0, self.dimension))
         if self.dimension == 1:
             # At d = 1 the mean runs over a contiguous axis and sums pairwise;
             # a gather through strided indices would round differently.
-            out[...] = z[np.ascontiguousarray(indices)].mean(axis=1)
-            return out
+            return z[np.ascontiguousarray(indices)].mean(axis=1)
         # mean(axis=1) adds a batch's positions in order, so a running sum of one
         # (k, d) gather per position gives its bits, and holds no (b, k, d) one.
         columns = np.ascontiguousarray(indices.T)
-        z.take(columns[0], axis=0, out=out)
+        out = z.take(columns[0], axis=0)
         for column in columns[1:]:
             out += z.take(column, axis=0)
         out /= len(columns)
@@ -346,13 +343,9 @@ class LogisticTask(_Task):
         """Mini-batch gradients, row i on the samples ``indices[i]`` of client ``clients[i]``."""
         return self._grads(self._block[np.asarray(clients)[:, None], indices], w, indices.shape[1])
 
-    def reduce_batches(self, client: int, indices: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Planned mini-batches as ``reduced_grads`` steps on them: the indices,
-        copied to ``out`` when given."""
-        if out is None:
-            return indices
-        out[...] = indices
-        return out
+    def reduce_batches(self, client: int, indices: np.ndarray) -> np.ndarray:
+        """Planned mini-batches as ``reduced_grads`` steps on them: the indices."""
+        return indices
 
     reduced_grads = sample_grads
 
@@ -447,9 +440,15 @@ class LogisticTask(_Task):
         return self._descend(self._full_grads, [f"client {i}" for i in range(self.n_clients)])
 
 
+def _index_type(n: int) -> type:
+    """The narrowest of int16, int32 and int64 that holds ``n - 1``: a run holds its batches."""
+    return next(t for t in (np.int16, np.int32, np.int64) if n - 1 <= np.iinfo(t).max)
+
+
 def _replay(rng, n: int, b: int, count: int) -> np.ndarray:
     """``count`` successive ``rng.choice(n, size=b, replace=False)`` calls."""
-    return np.array([rng.choice(n, size=b, replace=False) for _ in range(count)]).reshape(count, b)
+    return np.array([rng.choice(n, size=b, replace=False) for _ in range(count)],
+                    dtype=_index_type(n)).reshape(count, b)
 
 
 def _next_uint32s(bitgen, state: dict, count: int) -> np.ndarray:
@@ -488,8 +487,7 @@ def _choice_rows(stream: np.ndarray, n: int, b: int) -> tuple[np.ndarray, np.nda
     the ``(batches, b)`` indices and which batches hit a Lemire rejection,
     whose indices (and every later batch of the same stream) are not valid.
     """
-    # The narrowest indices that hold n - 1: a run holds its batches.
-    dtype = next(t for t in (np.int16, np.int32, np.int64) if n - 1 <= np.iinfo(t).max)
+    dtype = _index_type(n)
     batches = stream.shape[1]
     # Built position by position: row p holds position p of every batch.
     idx = np.empty((b, batches), dtype=dtype)
@@ -555,17 +553,17 @@ def draw_batches(rngs, n, b, counts) -> list[np.ndarray]:
 
     ``n``, ``b`` and ``counts`` hold one value per rng, or one for all. The
     indices come in the narrowest of int16, int32 and int64 that holds
-    ``n - 1`` (``choice`` returns int64), except for replayed clients. The
-    streams of clients with equal ``(n, b)`` are sampled as one stack, one
-    numpy operation per draw over every batch, from one ``random_raw`` call
-    per rng. A batch whose draws hit a Lemire rejection is drawn by
-    ``choice`` itself, and the stack resumes after it. A client is replayed
-    with ``choice`` throughout where the stack cannot follow numpy: numpy's
-    tail-shuffle branch (``n > 10000`` and ``b > n // 50``), a range past 32
-    bits, or a bit generator other than PCG64. Raises if a client that draws
-    at least one batch has ``b > n``, or if two clients share a bit
-    generator: their draws would interleave. A stack holds about 2b uint32
-    draws per batch, so memory follows the counts asked for.
+    ``n - 1`` (``choice`` returns int64). The streams of clients with equal
+    ``(n, b)`` are sampled as one stack, one numpy operation per draw over
+    every batch, from one ``random_raw`` call per rng. A batch whose draws
+    hit a Lemire rejection is drawn by ``choice`` itself, and the stack
+    resumes after it. A client is replayed with ``choice`` throughout where
+    the stack cannot follow numpy: numpy's tail-shuffle branch
+    (``n > 10000`` and ``b > n // 50``), a range past 32 bits, or a bit
+    generator other than PCG64. Raises if a client that draws at least one
+    batch has ``b > n``, or if two clients share a bit generator: their draws
+    would interleave. A stack holds about 2b uint32 draws per batch, so
+    memory follows the counts asked for.
     """
     k = len(rngs)
     if len({id(rng.bit_generator) for rng in rngs}) < k:
@@ -579,7 +577,7 @@ def draw_batches(rngs, n, b, counts) -> list[np.ndarray]:
     stacks: dict[tuple[int, int], list[int]] = {}
     for i, rng in enumerate(rngs):
         if counts[i] == 0:
-            out[i] = np.empty((0, b[i]), dtype=np.int64)
+            out[i] = np.empty((0, b[i]), dtype=_index_type(n[i]))
         elif (type(rng.bit_generator) is not np.random.PCG64 or n[i] >= 2**32
                 or (n[i] > 10000 and b[i] > n[i] // 50)):
             out[i] = _replay(rng, n[i], b[i], counts[i])
@@ -596,7 +594,7 @@ def draw_batches(rngs, n, b, counts) -> list[np.ndarray]:
                     [stacked] = _draw_stack([rngs[i]], m, size, [left])
                     pieces.append(stacked)
                     left -= len(stacked)
-            out[i] = np.concatenate(pieces, dtype=batches.dtype) if len(pieces) > 1 else batches
+            out[i] = np.concatenate(pieces) if len(pieces) > 1 else batches
     return out
 
 
@@ -639,7 +637,7 @@ def train_clients(
     shared by every row) and takes exactly ``tau[i]`` SGD steps on client
     ``clients[i]``; each step's gradients for all running rows come from one
     stacked task call. ``stream=None`` uses full-batch gradients; otherwise
-    ``stream`` holds planned steps as ``task.reduce_batches`` writes them, one
+    ``stream`` holds planned steps as ``task.reduce_batches`` returns them, one
     per row of one width, and row i's step s takes ``task.reduced_grads`` on
     ``stream[first[i] + s]``. A non-zero ``mu`` with a ``prox_center`` (one
     center for every row) adds the proximal pull mu*(w - center) to every

@@ -89,12 +89,15 @@ def test_whole_population_and_single_sample_batches(n, b):
     _assert_matches_choice(n, b, [3, 0, 5], [11, 12, 13], buffered=[False, True, True])
 
 
-@pytest.mark.parametrize("n, dtype", [(2**15, np.int16), (2**15 + 1, np.int32), (2**31, np.int32),
-                                      (2**31 + 1, np.int64)])
-def test_indices_come_in_the_narrowest_type_that_holds_them(n, dtype):
-    _assert_matches_choice(n, 3, [4], [7])
-    [batches] = draw_batches([np.random.default_rng(7)], n, 3, [4])
-    assert batches.dtype == dtype
+@pytest.mark.parametrize("n, b, dtype", [(2**15, 3, np.int16), (2**15, 656, np.int16), (2**15 + 1, 3, np.int32),
+                                         (2**15 + 1, 656, np.int32), (2**31, 3, np.int32), (2**31 + 1, 3, np.int64)])
+def test_indices_come_in_the_narrowest_type_that_holds_them(replays, n, b, dtype):
+    # The second client is idle: its empty draw comes in the same type. At
+    # b = 656 > n // 50 numpy takes its tail shuffle, which choice replays.
+    _assert_matches_choice(n, b, [4, 0], [7, 8])
+    drawn = draw_batches([np.random.default_rng(7), np.random.default_rng(8)], n, b, [4, 0])
+    assert [batches.dtype for batches in drawn] == [dtype, dtype]
+    assert ((n, b, 4) in replays) == (b > n // 50)
 
 
 def test_rejected_draws_replay_only_their_batches(replays):

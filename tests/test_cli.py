@@ -201,9 +201,10 @@ def test_undecodable_config_is_config_error_without_outputs(tmp_path, capsys, co
 
 
 def test_failing_cell_does_not_stop_matrix(tmp_path):
-    # tsfl-theorem2 without probes cannot resolve noise bounds and must fail,
-    # while the fedavg cells still complete.
-    config = small_config(strategies=["tsfl-theorem2", "fedavg"], estimate_probes=0, seeds=2)
+    # A batch of a client's whole data set probes no noise, so tsfl-theorem2
+    # has no noise bounds and must fail, while the fedavg cells still complete.
+    config = small_config(strategies=["tsfl-theorem2", "fedavg"], seeds=2,
+                          scenario_options={"n_clients": 4, "data_size": 8, "batch_size": 8})
     config_path = write_config(tmp_path, config)
     out = tmp_path / "out"
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1

@@ -308,11 +308,21 @@ def test_theorem2_strategy_runs_with_probed_noise():
     assert np.all(log.records.rho >= 0.0)
 
 
-def test_theorem2_strategy_requires_noise_estimates():
+def test_without_probes_a_sampling_client_has_the_noise_bound_sigma_global():
+    # A client samples when the run takes mini-batches smaller than its data;
+    # theorem2 runs on those bounds, and names the clients that have none.
     scenario = dataclasses.replace(preset("case2", n_clients=4, data_size=64), batch_size=8)
-    constants = SystemConstants(eta=0.02, L=1.0, N=4, H=4, T=3, sigma_global=1.0)
-    with pytest.raises(ValueError, match="noise"):
-        run_tsfl(scenario, "tsfl-theorem2", constants, seed=3, probe_count=0)
+    constants = SystemConstants(eta=0.02, L=1.0, N=4, H=4, T=3, sigma_global=0.5)
+    log = run_tsfl(scenario, "tsfl-theorem2", constants, seed=3, probe_count=0)
+    assert log.analysis_inputs["sigma_i"] == [0.5] * 4
+    assert log.constants.sigma_global == 0.5 and log.constants_source["sigma"] == "configured"
+    assert log.records.aggregated.any()
+    full = dataclasses.replace(scenario, full_batch=True)
+    assert run_tsfl(full, "fedavg", constants, seed=3).analysis_inputs["sigma_i"] == [0.0] * 4
+    whole = dataclasses.replace(scenario, data_sizes=[64, 8, 64, 5])
+    assert run_tsfl(whole, "fedavg", constants, seed=3).analysis_inputs["sigma_i"] == [0.5, 0.0, 0.5, 0.0]
+    with pytest.raises(ValueError, match=r"^per-client noise bounds must be positive; clients \[1, 3\] have none$"):
+        run_tsfl(whole, "tsfl-theorem2", constants, seed=3, probe_count=0)
 
 
 def test_run_strategy_dispatch():
@@ -686,16 +696,47 @@ def test_planned_streams_train_as_per_step_choice(monkeypatch, strategy, full_ba
     assert np.array_equal(log.final_model, oracle.final_model)
 
 
-def test_planned_streams_hold_one_width_each():
+def _small_clients_setup(kind, full_batch=False):
     scenario = Scenario(name="mixed", processes=[FixedIterations(2)] * 6,
                         data_sizes=[10, 50, 20, 64, 33, 8], batch_size=16,
-                        task=TaskSpec(kind="logistic", dimension=3))
+                        task=TaskSpec(kind=kind, dimension=3), full_batch=full_batch)
     constants = SystemConstants(eta=0.05, L=1.0, N=6, H=4, T=2, sigma_global=1.0)
-    run = _Run(RunSetup(scenario, constants, 0, 0, False))
+    return RunSetup(scenario, constants, 0, 0, False)
+
+
+@pytest.mark.parametrize("kind, widths, shapes, offsets, dtype", [
+    ("logistic", [10, 16, 16, 16, 16, 8], {10: (3, 10), 16: (7, 16), 8: (0, 8)}, [0, 0, 2, 2, 6, 0], np.int16),
+    ("quadratic", [3] * 6, {3: (10, 3)}, [0, 3, 5, 5, 9, 10], np.float64),
+], ids=["logistic", "quadratic"])
+def test_planned_streams_hold_one_width_each(kind, widths, shapes, offsets, dtype):
+    run = _Run(_small_clients_setup(kind))
     run.plan_batches([3, 2, 0, 4, 1, 0])
-    assert run.width.tolist() == [10, 16, 16, 16, 16, 8]
-    assert {w: s.shape for w, s in run.streams.items()} == {10: (3, 10), 16: (7, 16), 8: (0, 8)}
-    assert run.offset.tolist() == [0, 0, 2, 2, 6, 0]
+    assert run.width.tolist() == widths
+    assert {w: s.shape for w, s in run.streams.items()} == shapes
+    assert run.offset.tolist() == offsets
+    # Logistic steps are indices: int16 in every stream, the one that holds
+    # the idle client 2 too.
+    assert all(s.dtype == dtype for s in run.streams.values())
+    full = _Run(_small_clients_setup(kind, full_batch=True))
+    full.plan_batches([3, 2, 0, 4, 1, 0])
+    assert full.streams == {} and not full.width.any() and not full.offset.any()
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+def test_planning_a_window_reduces_each_clients_draw_once(kind):
+    run = _Run(_small_clients_setup(kind))
+    task, calls = run.setup.task, []
+    reduce_batches = task.reduce_batches
+
+    def spy(client, indices):
+        calls.append((client, indices.shape))
+        return reduce_batches(client, indices)
+
+    task.reduce_batches = spy
+    for steps in ([3, 2, 0, 4, 1, 0], [1, 0, 5, 2, 2, 3]):
+        calls.clear()
+        run.plan_batches(steps)
+        assert calls == list(enumerate(zip(steps, [10, 16, 16, 16, 16, 8])))
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
