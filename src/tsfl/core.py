@@ -69,23 +69,31 @@ class SystemConstants:
     mu: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.eta <= 0 or self.L <= 0:
+        # Each check is written so that a NaN fails it.
+        floats = ["eta", "L", "G", "sigma_global", "epsilon", "V", "gamma", "mu"]
+        if self.theta is not None:
+            floats.append("theta")
+        for name in floats:
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if not (self.eta > 0 and self.L > 0):
             raise ValueError("eta and L must be positive")
-        if self.G < 0 or self.sigma_global < 0:
+        if not (self.G >= 0 and self.sigma_global >= 0):
             raise ValueError("G and sigma_global must be non-negative")
-        if self.H < 1 or self.N < 1 or self.T < 1:
+        if not (self.H >= 1 and self.N >= 1 and self.T >= 1):
             raise ValueError("H, N, T must be positive integers")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.V < 1:
+        if not self.V >= 1:
             raise ValueError("V must be >= 1")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
-        if self.mu < 0:
+        if not self.mu >= 0:
             raise ValueError("mu must be non-negative")
         if self.theta is None:
             object.__setattr__(self, "theta", default_weight_limit(self.eta, self.L))
-        elif self.theta < 1:
+        elif not self.theta >= 1:
             raise ValueError("theta must be >= 1")
 
     @property

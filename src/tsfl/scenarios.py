@@ -27,6 +27,11 @@ def _at_least(name: str, value, least) -> None:
         raise FieldError(f"{name}: must be at least {least}, got {value!r}")
 
 
+def _finite(name: str, value) -> None:
+    if not np.isfinite(value):
+        raise FieldError(f"{name}: must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FixedIterations:
     """Constant per-interval iteration count; never consumes randomness."""
@@ -53,6 +58,8 @@ class GaussianFloorIterations:
     std: float
 
     def __post_init__(self) -> None:
+        _finite("mean", self.mean)
+        _finite("std", self.std)
         _at_least("std", self.std, 0)
 
     def draw(self, rng, size: int | None = None):
@@ -70,6 +77,11 @@ class GaussianFloorSize:
     mean_value: float
     std: float
 
+    def __post_init__(self) -> None:
+        _finite("mean_value", self.mean_value)
+        _finite("std", self.std)
+        _at_least("std", self.std, 0)
+
     def draw(self, rng, minimum: int) -> int:
         return max(minimum, int(np.floor(rng.normal(self.mean_value, self.std))))
 
@@ -83,8 +95,7 @@ def _check_timing(interval_length: float, overhead: float) -> None:
     if not 0 < interval_length < np.inf:
         raise FieldError(f"interval_length: must be positive and finite, got {interval_length!r}")
     _at_least("overhead", overhead, 0)
-    if overhead == np.inf:
-        raise FieldError("overhead: must be finite, got inf")
+    _finite("overhead", overhead)
 
 
 _KINDS = {cls.kind: cls for cls in (QuadraticTask, LogisticTask)}
@@ -115,12 +126,14 @@ class TaskSpec:
         least = 2 if self.kind == "logistic" else 1
         if self.dimension < least:
             raise ValueError(f"dimension={self.dimension} must be at least {least} for a {self.kind} task")
-        if self.noniid_spread < 0 or self.sample_noise < 0:
+        for name in ("noniid_spread", "sample_noise", "separation", "l2_reg"):
+            _finite(name, getattr(self, name))
+        if not (self.noniid_spread >= 0 and self.sample_noise >= 0):
             raise ValueError("noniid_spread and sample_noise must be non-negative")
         lo, hi = self.curvature_range
-        if not 0 < lo <= hi:
-            raise ValueError(f"curvature_range={self.curvature_range} must satisfy 0 < lo <= hi")
-        if self.l2_reg <= 0:
+        if not 0 < lo <= hi < np.inf:
+            raise ValueError(f"curvature_range={self.curvature_range} must satisfy 0 < lo <= hi < inf")
+        if not self.l2_reg > 0:
             raise ValueError("l2_reg must be positive")
 
     def build(self, data_sizes, rng):

@@ -61,6 +61,14 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(row_dot(x, x))
 
 
+def _each_client(ok: np.ndarray, problem: str) -> None:
+    """Raise ``ValueError`` naming the first client whose entry of ``ok`` is
+    False."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise ValueError(f"client {bad[0]}: {problem}")
+
+
 class _Task:
     """The members both task families share. A task keeps its data, without a
     copy, in one zero-padded block ``(n, m_max, d)`` whose row i starts with
@@ -109,8 +117,7 @@ class _Task:
         return self.global_loss(self.w_star)
 
     def global_loss_and_grad(self, w: np.ndarray) -> tuple[float, np.ndarray]:
-        """``(global_loss(w), global_grad(w))``, bit for bit: what a run logs
-        at one model."""
+        """What a run logs at one model: ``(global_loss(w), global_grad(w))``."""
         return self.global_loss(w), self.global_grad(w)
 
 
@@ -134,26 +141,35 @@ class QuadraticTask(_Task):
 
     def __init__(self, curvatures, centers, offsets: np.ndarray, sizes):
         super().__init__(offsets, sizes)
-        self.curvatures = np.asarray(curvatures, dtype=float)
+        curvatures = self.curvatures = np.asarray(curvatures, dtype=float)
         self.centers = np.asarray(centers, dtype=float)
         self.offsets = [self._block[i, :m] for i, m in enumerate(self._sizes.tolist())]
-        if not len(self.curvatures) == len(self.centers) == self.n_clients:
+        if not len(curvatures) == len(self.centers) == self.n_clients:
             raise ValueError("per-client pieces must have equal length")
-        eigs = np.linalg.eigvalsh(self.curvatures)
-        if np.any(eigs <= 0):
-            raise ValueError("curvature matrices must be positive definite")
+        _each_client(np.isfinite(curvatures).all(axis=(1, 2)), "curvature is not finite")
+        # eigvalsh reads one triangle only: an asymmetric matrix would pass
+        # as the symmetric one of its lower triangle.
+        scale = np.abs(curvatures).max(axis=(1, 2), keepdims=True)
+        symmetric = np.abs(curvatures - curvatures.mT) <= 1e-12 * scale
+        _each_client(symmetric.all(axis=(1, 2)), "curvature is not symmetric")
+        eigs = np.linalg.eigvalsh(curvatures)
+        _each_client((eigs > 0).all(axis=1), "curvature is not positive definite")
+        _each_client(np.isfinite(self.centers).all(axis=1), "center is not finite")
         self.smoothness = float(eigs.max())
         # With m_i = c_i + mean_s z_s, F_i(w) = 0.5 (w - m_i)' A_i (w - m_i)
         # + kappa_i, kappa_i being the loss spread of the offsets about their
-        # mean. Both terms are non-negative, so no digits cancel.
+        # mean. Both terms are non-negative, so no digits cancel. Offsets that
+        # are not finite, or overflow, give a kappa that is not.
         means = np.empty_like(self.centers)
-        for rows, picked, m in self._groups:
-            means[rows] = self._block[picked, :m].mean(axis=1)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for rows, picked, m in self._groups:
+                means[rows] = self._block[picked, :m].mean(axis=1)
+            self._kappa = np.array([
+                0.5 * np.einsum("sd,de,se->", z - m, a, z - m) / z.shape[0]
+                for z, m, a in zip(self.offsets, means, curvatures)
+            ])
+        _each_client(np.isfinite(self._kappa), "offsets are not finite")
         self._optima = self.centers + means
-        self._kappa = np.array([
-            0.5 * np.einsum("sd,de,se->", z - m, a, z - m) / z.shape[0]
-            for z, m, a in zip(self.offsets, means, self.curvatures)
-        ])
 
     @classmethod
     def generate(cls, spec, data_sizes, rng) -> "QuadraticTask":
@@ -312,19 +328,14 @@ class LogisticTask(_Task):
         m = self._block[client, : self._sizes[client]] @ w
         return float(np.mean(np.logaddexp(0.0, -m)) + 0.5 * self.l2_reg * np.dot(w, w))
 
-    def _grads(self, s, w: np.ndarray, size, margins=None) -> np.ndarray:
+    def _grads(self, s, w: np.ndarray, size) -> np.ndarray:
         """Gradients at a stack of points, row i on the signed rows ``s[i]``,
-        averaged over ``size`` rows. ``margins`` is an optional ``(k, m)``
-        buffer for the margins.
+        averaged over ``size`` rows.
 
         Stacked matmuls, not einsums: with equal row counts each row equals
         the one-client product bit for bit.
         """
-        t = np.matmul(s, w[:, :, None], out=None if margins is None else margins[:, :, None])[:, :, 0]
-        return self._margin_grads(s, t, w, size)
-
-    def _margin_grads(self, s, t: np.ndarray, w: np.ndarray, size) -> np.ndarray:
-        """``_grads`` continued from its margins ``t = s @ w``, which it overwrites."""
+        t = (s @ w[:, :, None])[:, :, 0]
         np.exp(t, out=t)
         t += 1.0
         np.divide(-1.0, t, out=t)  # coef = -1 / (1 + exp(m))
@@ -349,57 +360,24 @@ class LogisticTask(_Task):
 
     reduced_grads = sample_grads
 
-    def _loss(self, w: np.ndarray, margins: np.ndarray | None = None) -> float:
-        """Mean of the clients' ``local_loss``, one stacked call per data size.
-        A group that fills the padded block reads its margins from
-        ``margins``, the block's margins at ``w``, when they are given; any
-        other group takes its own product, because a product over fewer rows
-        can round its last rows differently."""
+    def global_loss(self, w: np.ndarray) -> float:
+        """Mean of the clients' ``local_loss``, one stacked call per data size."""
         losses = np.empty(self.n_clients)
         for rows, picked, m in self._groups:
             # One temporary per group, the negated margins, taken in place.
-            if margins is not None and m == margins.shape[1]:
-                z = np.negative(margins[picked])
-            else:
-                z = self._block[picked, :m] @ w
-                np.negative(z, out=z)
+            z = self._block[picked, :m] @ w
+            np.negative(z, out=z)
             losses[rows] = np.mean(np.logaddexp(0.0, z, out=z), axis=1)
         return float(np.mean(losses + 0.5 * self.l2_reg * np.dot(w, w)))
-
-    def global_loss(self, w: np.ndarray) -> float:
-        return self._loss(w)
-
-    @cached_property
-    def _scratch(self) -> np.ndarray:
-        # One (n, m_max) buffer for the margins of every pass over the whole
-        # block (_full_grads, global_loss_and_grad). Fresh temporaries of
-        # that size cost more than the arithmetic: the allocator hands them
-        # back to the system and faults them in again.
-        return np.empty(self._block.shape[:2])
 
     def _full_grads(self, w: np.ndarray) -> np.ndarray:
         """Full-batch gradients at a stack of points, row i on client i's data,
         over the whole padded block; with equal data sizes each row equals
         ``local_grad`` bit for bit. A single ``(1, d)`` point serves every row."""
-        return self._grads(self._block, w, self._sizes[:, None], margins=self._scratch)
-
-    def _mean_grad(self, w: np.ndarray) -> np.ndarray:
-        """The global gradient at the ``(1, d)`` point ``w``, as a ``(1, d)``
-        row: the mean of the clients' gradients, as ``mean`` takes it."""
-        return np.add.reduce(self._full_grads(w), axis=0, keepdims=True) / self.n_clients
+        return self._grads(self._block, w, self._sizes[:, None])
 
     def global_grad(self, w: np.ndarray) -> np.ndarray:
-        return self._mean_grad(w[None])[0]
-
-    def global_loss_and_grad(self, w: np.ndarray) -> tuple[float, np.ndarray]:
-        """``(global_loss(w), global_grad(w))``, bit for bit, from one margin
-        pass over the padded block: the loss reads the margins, then the
-        gradient continues from them in place."""
-        row = w[None]
-        t = np.matmul(self._block, row[:, :, None], out=self._scratch[:, :, None])[:, :, 0]
-        loss = self._loss(w, t)
-        g = self._margin_grads(self._block, t, row, self._sizes[:, None])
-        return loss, np.add.reduce(g, axis=0) / self.n_clients
+        return self._full_grads(w[None]).mean(axis=0)
 
     def _descend(self, grad_fn, names, tol: float = 1e-12, max_iter: int = 200_000) -> np.ndarray:
         """Full-batch descent from the origin on a stack of points, one per
@@ -433,7 +411,7 @@ class LogisticTask(_Task):
 
     @cached_property
     def w_star(self) -> np.ndarray:
-        return self._descend(self._mean_grad, ["w*"])[0]
+        return self._descend(lambda w: self.global_grad(w[0])[None], ["w*"])[0]
 
     @cached_property
     def _optima(self) -> np.ndarray:

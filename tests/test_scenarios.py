@@ -6,12 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tsfl.analysis import heterogeneity_degree
+from tsfl.core import SystemConstants
 from tsfl.scenarios import (
     PRESETS,
     TASK_READS,
     FieldError,
     FixedIterations,
     GaussianFloorIterations,
+    GaussianFloorSize,
     Scenario,
     TaskSpec,
     latency_table,
@@ -74,6 +76,35 @@ def test_gaussian_floor_draws_are_nonnegative_integers():
     draws = [process.draw(rng) for _ in range(2000)]
     assert all(isinstance(d, int) and d >= 0 for d in draws)
     assert min(draws) == 0  # the clip actually engages
+
+
+def _setting(make, name, **given):
+    return lambda x: make(**given, **{name: x})
+
+
+# (value type, field) -> the value made with that field set to x.
+_FLOAT_FIELDS = {
+    **{("SystemConstants", name): _setting(SystemConstants, name)
+       for name in ("eta", "L", "G", "sigma_global", "theta", "epsilon", "V", "gamma", "mu")},
+    **{("TaskSpec", name): _setting(TaskSpec, name)
+       for name in ("noniid_spread", "sample_noise", "separation", "l2_reg")},
+    ("TaskSpec", "curvature_range[0]"): lambda x: TaskSpec(curvature_range=(x, 1.0)),
+    ("TaskSpec", "curvature_range[1]"): lambda x: TaskSpec(curvature_range=(0.5, x)),
+    ("GaussianFloorIterations", "mean"): _setting(GaussianFloorIterations, "mean", std=1.0),
+    ("GaussianFloorIterations", "std"): _setting(GaussianFloorIterations, "std", mean=3.0),
+    ("GaussianFloorSize", "mean_value"): _setting(GaussianFloorSize, "mean_value", std=1.0),
+    ("GaussianFloorSize", "std"): _setting(GaussianFloorSize, "std", mean_value=64.0),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", _FLOAT_FIELDS, ids="-".join)
+def test_value_types_reject_non_finite_numbers(field, value):
+    # A NaN used to pass every range check, and an infinite eta or L built
+    # constants whose weight limit is meaningless.
+    name = field[1].split("[")[0]
+    with pytest.raises(ValueError, match=rf"^{name}\b"):
+        _FLOAT_FIELDS[field](value)
 
 
 def test_case3_materialization_draws_sizes_above_batch():

@@ -757,9 +757,27 @@ def test_logged_loss_and_gradient_are_those_of_the_model_entering_each_interval(
     for w, (loss, norm_sq) in zip(list(entering) + [log.final_model], logged):
         grad = task.global_grad(w)
         assert loss == task.global_loss(w) and norm_sq == grad @ grad
-        # The one-pass evaluation a run makes is the two calls, bit for bit.
-        fused_loss, fused_grad = task.global_loss_and_grad(w)
-        assert fused_loss == loss and np.array_equal(fused_grad, grad)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+@pytest.mark.parametrize("sizes", [[24] * 4, [24, 17, 40, 17]], ids=["equal", "padded"])
+def test_a_run_logs_each_model_through_the_tasks_own_loss_and_gradient(monkeypatch, kind, sizes):
+    # Every task kind logs the T models entering the intervals and the final
+    # one by its own global_loss and global_grad, one call each per model.
+    scenario = Scenario(name="custom", processes=[FixedIterations(2), GaussianFloorIterations(2.0, 1.0)] * 2,
+                        data_sizes=sizes, batch_size=8, task=TaskSpec(kind=kind, dimension=3, noniid_spread=0.5))
+    constants = SystemConstants(eta=0.05, L=1.0, N=4, H=4, T=5, sigma_global=1.0)
+    setup = RunSetup(scenario, constants, 3, 2, False)
+    task, calls = setup.task, {}
+    for name in ("global_loss", "global_grad"):
+        def counted(w, method=getattr(task, name), name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return method(w)
+        monkeypatch.setattr(task, name, counted)
+    for strategy in ALL_STRATEGIES:
+        calls.clear()
+        scheduler.STRATEGIES[strategy].run(setup, strategy)
+        assert calls == {"global_loss": constants.T + 1, "global_grad": constants.T + 1}, strategy
 
 
 def _assert_same_run(shared, fresh):

@@ -448,6 +448,41 @@ def test_logistic_rejects_non_zero_padding_rows():
         LogisticTask(signed, sizes, 0.05)
 
 
+def _bad_quadratic(piece, value):
+    """Two clients with identity curvatures, zero centers and four zero
+    offsets each, but client 1's ``piece`` replaced by ``value``."""
+    pieces = {"curvature": np.repeat(np.eye(2)[None], 2, axis=0), "center": np.zeros((2, 2)),
+              "offsets": np.zeros((2, 4, 2))}
+    pieces[piece][1] = value
+    return QuadraticTask(pieces["curvature"], pieces["center"], pieces["offsets"], [4, 4])
+
+
+@pytest.mark.parametrize(("piece", "value", "problem"), [
+    ("curvature", [[1.0, np.nan], [np.nan, 1.0]], "curvature is not finite"),
+    ("curvature", [[np.inf, 0.0], [0.0, 1.0]], "curvature is not finite"),
+    # eigvalsh reads one triangle: this passed as the identity, while the
+    # loss read the whole matrix and fell below its own minimum.
+    ("curvature", [[1.0, 5.0], [0.0, 1.0]], "curvature is not symmetric"),
+    ("curvature", [[1.0, 1e-9], [0.0, 1.0]], "curvature is not symmetric"),
+    ("curvature", [[1.0, 0.0], [0.0, 0.0]], "curvature is not positive definite"),
+    ("curvature", [[1.0, 2.0], [2.0, 1.0]], "curvature is not positive definite"),
+    ("center", [0.0, np.nan], "center is not finite"),
+    ("center", [-np.inf, 0.0], "center is not finite"),
+    ("offsets", [[np.nan, 0.0]] * 4, "offsets are not finite"),
+    ("offsets", [[0.0, np.inf]] + [[0.0, 0.0]] * 3, "offsets are not finite"),
+    ("offsets", [[1e200, 0.0], [-1e200, 0.0]] * 2, "offsets are not finite"),  # kappa overflows
+])
+def test_quadratic_task_rejects_pieces_it_cannot_evaluate(piece, value, problem):
+    with pytest.raises(ValueError, match=rf"^client 1: {problem}$"):
+        _bad_quadratic(piece, value)
+
+
+def test_generated_curvatures_are_symmetric_to_rounding():
+    # (q * eigs) @ q.mT is symmetric only to rounding, so the check allows it.
+    task = QuadraticTask.generate(TaskSpec(dimension=128), [2] * 3, np.random.default_rng(2))
+    assert not np.array_equal(task.curvatures, task.curvatures.mT)
+
+
 @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
 @pytest.mark.parametrize(("sizes", "message"), [
     ([5, 9], r"^client 1 has 9 samples; a client of this block holds 1 to 7$"),
@@ -527,17 +562,6 @@ def test_signed_rows_compute_the_labelled_arithmetic_bit_for_bit(layout):
         losses = [_labelled_loss(x[i, : m[i]], y[i, : m[i]], w[0], l2) for i in range(n)]
         assert [task.local_loss(i, w[0]) for i in range(n)] == losses
         assert task.global_loss(w[0]) == float(np.mean(losses))
-
-
-@pytest.mark.parametrize("dimension", [3, 8])
-@pytest.mark.parametrize("layout", SIGNED_LAYOUTS)
-def test_logistic_loss_and_grad_is_the_two_calls_bit_for_bit(layout, dimension):
-    # At d = 8 a product over fewer rows often rounds its last rows apart
-    # from the padded block's: a group short of m_max takes its own margins.
-    task, _, _ = _labelled_task(SIGNED_LAYOUTS[layout], dimension=dimension)
-    for w in np.random.default_rng(9).normal(scale=3.0, size=(20, dimension)):
-        loss, grad = task.global_loss_and_grad(w)
-        assert loss == task.global_loss(w) and np.array_equal(grad, task.global_grad(w))
 
 
 def _short_descents(monkeypatch, max_iter=3):
