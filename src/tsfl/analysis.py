@@ -72,7 +72,7 @@ def verify_convergence(log: RunLog, constants: SystemConstants | None = None) ->
     c = constants if constants is not None else log.constants
     f0 = float(log.records[0].global_loss)
     f_star = float(log.analysis_inputs["f_star"])
-    lhs = float(log.grad_norms().mean())
+    lhs = float(log.records.global_grad_norm_sq.mean())
     applicable = c.eta < c.step_size_limit
     rhs = convergence_rhs(c, log.intervals, f0 - f_star) if applicable else None
     return ConvergenceReport(
@@ -101,8 +101,8 @@ def evaluate_bound(log: RunLog) -> BoundReport:
     start = np.asarray(log.initial_model, dtype=float)
     optimum = np.asarray(inputs["w_star"], dtype=float)
 
-    rho = log.rho_matrix()
-    tau = log.tau_matrix().astype(float)
+    rho = log.records.rho
+    tau = log.records.tau.astype(float)
     observed_h = int(tau.max()) if tau.size else 0
     h_used = max(c.H, observed_h)
     coefs = bound_coefficients(c, h=h_used)

@@ -405,7 +405,7 @@ def log_from_dict(data: dict) -> RunLog:
         analysis_inputs=data["analysis_inputs"],
     )
     for t, row in enumerate(rows):
-        log.records[t] = IntervalRecord(**row)
+        log.records[t] = IntervalRecord(**{"model": None, **row})
     return log
 
 
@@ -573,7 +573,8 @@ def _summarize(cells: list[dict], out_dir: Path) -> None:
 
 def _write_plotdata(results: list[tuple[dict, list | None]], out_dir: Path) -> None:
     """One loss-curve file per (scenario, strategy): the mean, min and max
-    over the loss curves of its cells that ran."""
+    over the loss curves of its cells that ran, which all have ``T + 1``
+    points, as a config has one ``T``."""
     plot_dir = out_dir / "plotdata"
     plot_dir.mkdir(parents=True, exist_ok=True)
     groups: dict[tuple[str, str], list[list]] = {}
@@ -581,13 +582,12 @@ def _write_plotdata(results: list[tuple[dict, list | None]], out_dir: Path) -> N
         if curve is not None:
             groups.setdefault((cell["scenario"], cell["strategy"]), []).append(curve)
     for (scenario, strategy), curves in sorted(groups.items()):
-        length = min(len(c) for c in curves)
-        stacked = np.array([c[:length] for c in curves])
+        stacked = np.array(curves)
         _write_csv(
             plot_dir / f"{scenario}__{strategy}__loss.csv",
             ["t", "mean_loss", "min_loss", "max_loss"],
-            [[t, float(stacked[:, t].mean()), float(stacked[:, t].min()), float(stacked[:, t].max())]
-             for t in range(length)],
+            [[t, float(column.mean()), float(column.min()), float(column.max())]
+             for t, column in enumerate(stacked.T)],
         )
 
 

@@ -7,8 +7,8 @@ array that the runners fill in place, one row per interval, and that
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -127,9 +127,9 @@ def validate_constants(constants: SystemConstants) -> list[str]:
     return warnings
 
 
-class IntervalRecord(NamedTuple):
-    """One row of ``RunLog.records``, in column order: ``log.records[t] =
-    IntervalRecord(...)`` writes interval ``t``.
+def interval_records(intervals: int, n_clients: int, dimension: int) -> np.recarray:
+    """Zeroed record array of ``intervals`` rows, one per interval: its dtype
+    is the one list of a run's columns, and ``IntervalRecord`` is a row of it.
 
     ``global_loss`` and ``global_grad_norm_sq`` are evaluated on the global
     model at the start of the interval; ``tau``, ``beta``, ``rho`` describe
@@ -137,20 +137,6 @@ class IntervalRecord(NamedTuple):
     it (NaN when not kept). ``aggregated`` is False when the model was carried
     over unchanged.
     """
-
-    t: int
-    tau: np.ndarray
-    beta: np.ndarray
-    rho: np.ndarray
-    global_loss: float
-    global_grad_norm_sq: float
-    wall_clock: float
-    aggregated: bool = True
-    model: np.ndarray | None = None
-
-
-def interval_records(intervals: int, n_clients: int, dimension: int) -> np.recarray:
-    """Zeroed record array of ``intervals`` rows with ``IntervalRecord``'s columns."""
     dtype = np.dtype(
         [
             ("t", int),
@@ -166,6 +152,11 @@ def interval_records(intervals: int, n_clients: int, dimension: int) -> np.recar
         align=True,
     )
     return np.zeros(intervals, dtype=dtype).view(np.recarray)
+
+
+# One row of ``RunLog.records``, in column order: ``log.records[t] =
+# IntervalRecord(...)`` writes interval ``t``.
+IntervalRecord = namedtuple("IntervalRecord", interval_records(0, 0, 0).dtype.names)
 
 
 @dataclass
@@ -229,6 +220,7 @@ class RunLog:
         then ``beta`` and ``rho`` say nothing about who contributed."""
         return bool(self.records.beta.any() or not self.records.aggregated.any())
 
+    # perfbench's workloads and the tests call these; src/ reads the columns.
     def tau_matrix(self) -> np.ndarray:
         return self.records.tau
 

@@ -554,9 +554,7 @@ def draw_batches(rngs, n, b, counts) -> list[np.ndarray]:
     out: list = [None] * k
     stacks: dict[tuple[int, int], list[int]] = {}
     for i, rng in enumerate(rngs):
-        if counts[i] == 0:
-            out[i] = np.empty((0, b[i]), dtype=_index_type(n[i]))
-        elif (type(rng.bit_generator) is not np.random.PCG64 or n[i] >= 2**32
+        if (type(rng.bit_generator) is not np.random.PCG64 or n[i] >= 2**32
                 or (n[i] > 10000 and b[i] > n[i] // 50)):
             out[i] = _replay(rng, n[i], b[i], counts[i])
         else:

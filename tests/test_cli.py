@@ -420,6 +420,11 @@ def test_report_verb_fails_cleanly_without_logs(tmp_path):
         (lambda raw: {"schema_version": METRICS_SCHEMA_VERSION, "records": 3}, "KeyError: 'scenario'"),
         # An older log's constants were resolved by other rules.
         (lambda raw: {**raw, "schema_version": 1}, f"ValueError: schema_version 1, expected {METRICS_SCHEMA_VERSION}"),
+        # A record is a row of the record dtype: an unknown key or a missing column is named.
+        (lambda raw: {**raw, "records": [{**raw["records"][0], "clock": 1.0}, *raw["records"][1:]]},
+         "TypeError: IntervalRecord.__new__() got an unexpected keyword argument 'clock'"),
+        (lambda raw: {**raw, "records": [{k: v for k, v in row.items() if k != "wall_clock"} for row in raw["records"]]},
+         "TypeError: IntervalRecord.__new__() missing 1 required positional argument: 'wall_clock'"),
     ],
 )
 def test_report_verb_names_each_log_it_cannot_read(tmp_path, capsys, edit, reason):

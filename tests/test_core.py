@@ -80,6 +80,8 @@ def _record(**overrides):
         global_loss=1.0,
         global_grad_norm_sq=0.5,
         wall_clock=1.0,
+        aggregated=True,
+        model=None,
     )
     base.update(overrides)
     return IntervalRecord(**base)
@@ -93,6 +95,11 @@ def _log(*rows):
         records[t] = _record(**{"t": t, "wall_clock": t + 1.0, **overrides})
     return RunLog(scenario={"name": "x"}, seed=0, strategy="fedavg",
                   constants=SystemConstants(), records=records)
+
+
+@pytest.mark.parametrize("intervals, n_clients, dimension", [(0, 0, 0), (1, 1, 1), (3, 5, 2), (40, 20, 300)])
+def test_interval_record_is_a_row_of_the_record_dtype(intervals, n_clients, dimension):
+    assert IntervalRecord._fields == interval_records(intervals, n_clients, dimension).dtype.names
 
 
 def test_interval_record_accepts_valid_row():
