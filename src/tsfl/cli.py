@@ -9,10 +9,10 @@ Seed scheme: each cell's rng seed is derived as the first eight bytes of
 sha256("<master>|<scenario>|<strategy>|<index>"), so adding scenarios,
 strategies, or seeds never perturbs existing cells.
 
-Metrics CSV columns: t, wall_clock, global_loss, grad_norm_sq, then tau_i,
-beta_i, rho_i for clients 1..N. One row per interval, evaluated at the
-interval's starting model, plus a final row (t = T, tau/beta/rho zero)
-carrying the final model's metrics. The JSON files carry the schema version.
+Metrics CSV columns follow the record dtype (``core.interval_records``); see
+``write_metrics_csv``. One row per interval, evaluated at the interval's
+starting model, plus a final row (t = T) carrying the final model's metrics.
+The JSON files carry the schema version.
 """
 
 from __future__ import annotations
@@ -434,14 +434,6 @@ def _write_csv(path: Path, header: list, rows) -> None:
         writer.writerows(rows)
 
 
-def metrics_header(n_clients: int) -> list[str]:
-    header = ["t", "wall_clock", "global_loss", "grad_norm_sq"]
-    header += [f"tau_{i}" for i in range(1, n_clients + 1)]
-    header += [f"beta_{i}" for i in range(1, n_clients + 1)]
-    header += [f"rho_{i}" for i in range(1, n_clients + 1)]
-    return header
-
-
 def _final_clock(log: RunLog) -> float:
     return float(log.records.wall_clock[-1]) if log.intervals else 0.0
 
@@ -451,17 +443,24 @@ def _participation(log: RunLog) -> list | None:
     return None if frequency is None else frequency.tolist()
 
 
+# The record columns metrics.csv leaves out, and the one it heads by another name.
+CSV_OMITS = ("aggregated", "model")
+CSV_HEADINGS = {"global_grad_norm_sq": "grad_norm_sq"}
+
+
 def write_metrics_csv(path: Path, log: RunLog) -> None:
-    r = log.records
-    n = r.tau.shape[1]
-    columns = (r.t, r.wall_clock, r.global_loss, r.global_grad_norm_sq, r.tau, r.beta, r.rho)
-    rows = [
-        [t, clock, loss, grad, *tau, *beta, *rho]
-        for t, clock, loss, grad, tau, beta, rho in zip(*(c.tolist() for c in columns))
-    ]
-    final = [log.intervals, _final_clock(log), log.final_loss, log.final_grad_norm_sq]
-    rows.append(final + [0] * n + [0] * n + [0.0] * n)
-    _write_csv(path, metrics_header(n), rows)
+    """Every record column but ``CSV_OMITS`` in dtype order, a per-client one as
+    ``<name>_1`` ... ``<name>_n``: a row per interval, then a final row of
+    ``t = T``, the final clock and metrics, and zero in every other column."""
+    r, last = log.records, np.zeros(1, log.records.dtype).view(np.recarray)
+    last.t, last.wall_clock = log.intervals, _final_clock(log)
+    last.global_loss, last.global_grad_norm_sq = log.final_loss, log.final_grad_norm_sq
+    header, columns = [], []  # each column as its T + 1 rows of cells
+    for name in [name for name in r.dtype.names if name not in CSV_OMITS]:
+        column, heading = np.concatenate([r[name], last[name]]), CSV_HEADINGS.get(name, name)
+        header += [f"{heading}_{i}" for i in range(1, column.shape[1] + 1)] if column.ndim == 2 else [heading]
+        columns.append(column.reshape(len(column), -1).tolist())
+    _write_csv(path, header, ([cell for cells in row for cell in cells] for row in zip(*columns)))
 
 
 def build_report(log: RunLog) -> dict:

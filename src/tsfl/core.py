@@ -129,7 +129,8 @@ def validate_constants(constants: SystemConstants) -> list[str]:
 
 def interval_records(intervals: int, n_clients: int, dimension: int) -> np.recarray:
     """Zeroed record array of ``intervals`` rows, one per interval: its dtype
-    is the one list of a run's columns, and ``IntervalRecord`` is a row of it.
+    is the one list of a run's columns, in the order ``metrics.csv`` writes
+    them, and ``IntervalRecord`` is a row of it.
 
     ``global_loss`` and ``global_grad_norm_sq`` are evaluated on the global
     model at the start of the interval; ``tau``, ``beta``, ``rho`` describe
@@ -140,12 +141,12 @@ def interval_records(intervals: int, n_clients: int, dimension: int) -> np.recar
     dtype = np.dtype(
         [
             ("t", int),
+            ("wall_clock", float),
+            ("global_loss", float),
+            ("global_grad_norm_sq", float),
             ("tau", int, (n_clients,)),
             ("beta", int, (n_clients,)),
             ("rho", float, (n_clients,)),
-            ("global_loss", float),
-            ("global_grad_norm_sq", float),
-            ("wall_clock", float),
             ("aggregated", bool),
             ("model", float, (dimension,)),
         ],

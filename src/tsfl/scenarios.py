@@ -163,6 +163,8 @@ class Scenario:
     full_batch: bool = False
 
     def __post_init__(self) -> None:
+        if any(char in self.name for char in "/\\\0"):  # it starts every output file name
+            raise FieldError(f"name: {self.name!r} must not contain '/', '\\' or NUL")
         _at_least("n_clients", self.n_clients, 1)
         if len(self.data_sizes) != self.n_clients:
             raise FieldError(f"data_sizes: {len(self.data_sizes)} sizes for n_clients={self.n_clients}")

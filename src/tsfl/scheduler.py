@@ -411,14 +411,9 @@ def _per_arrival(setup: RunSetup, strategy: str, variant: AsyncVariant = "footno
     """
     if variant not in get_args(AsyncVariant):
         raise ValueError(f"unknown asynchronous variant {variant!r}")
-    latest = None
+    latest = np.tile(setup.w0, (setup.scenario.n_clients, 1))  # slots start at w0, global until the first arrival
 
     def upload(_, w, clients, models):
-        nonlocal latest
-        if latest is None:
-            # Slots start at the initial global model, which is still current
-            # on the first arrival.
-            latest = np.tile(w, (setup.scenario.n_clients, 1))
         for i, model in zip(clients, models):
             latest[i] = model
             w = fedasync_update(w, latest if variant == "footnote-mean" else model[None], setup.constants.gamma)

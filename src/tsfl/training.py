@@ -234,8 +234,6 @@ class QuadraticTask(_Task):
         steps on them: their ``(k, d)`` batch-mean offsets, the means
         ``sample_grads`` takes, bit for bit."""
         z = self._block[client]
-        if not len(indices):
-            return np.empty((0, self.dimension))
         if self.dimension == 1:
             # At d = 1 the mean runs over a contiguous axis and sums pairwise;
             # a gather through strided indices would round differently.

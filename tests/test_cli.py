@@ -31,9 +31,9 @@ from tsfl.cli import (
     log_from_dict,
     log_to_dict,
     main,
-    metrics_header,
     run_experiment,
     validate_run_config,
+    write_metrics_csv,
 )
 from tsfl.core import RunLog, SystemConstants, default_weight_limit, interval_records
 from tsfl.scenarios import PRESETS
@@ -255,8 +255,25 @@ def test_explicit_seed_list(tmp_path, capsys):
     assert "config.master_seed (or --seed): unread" in capsys.readouterr().err
 
 
-def test_metrics_header_golden():
-    assert metrics_header(3) == [
+def _metrics_header(n):
+    """The metrics.csv header of an n-client run's record columns."""
+    per_client = [f"{name}_{i}" for name in ("tau", "beta", "rho") for i in range(1, n + 1)]
+    return ["t", "wall_clock", "global_loss", "grad_norm_sq", *per_client]
+
+
+def _metrics_rows(directory, records, **finals):
+    """The header and rows of the metrics.csv that a log of ``records``
+    writes in ``directory``."""
+    log = RunLog(scenario={"n_clients": records.tau.shape[1]}, seed=0, strategy="fedavg",
+                 constants=SystemConstants(), records=records, **finals)
+    path = Path(directory) / "metrics.csv"
+    write_metrics_csv(path, log)
+    return list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
+
+
+def test_metrics_header_golden(tmp_path):
+    header, *_ = _metrics_rows(tmp_path, interval_records(2, 3, 2))
+    assert header == [
         "t", "wall_clock", "global_loss", "grad_norm_sq",
         "tau_1", "tau_2", "tau_3",
         "beta_1", "beta_2", "beta_3",
@@ -270,12 +287,31 @@ def test_metrics_csv_shape_and_final_row(tmp_path):
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
     csv_path = out / "runs" / "case1__fedavg__s000" / "metrics.csv"
     lines = csv_path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == ",".join(metrics_header(4))
+    assert lines[0] == ",".join(_metrics_header(4))
     assert len(lines) == 1 + 4 + 1  # header + T intervals + final row
     final = lines[-1].split(",")
     assert final[0] == "4"
     report = json.loads((out / "runs" / "case1__fedavg__s000" / "report.json").read_text())
     assert float(final[2]) == report["final"]["loss"]
+
+
+def test_metrics_csv_writes_a_new_record_column_in_place(tmp_path):
+    # A per-client column added to the record dtype reaches metrics.csv, as
+    # <name>_1 ... <name>_n at its place, with no other edit.
+    base = interval_records(0, 3, 2).dtype
+    fields = [(name, base[name]) for name in base.names]
+    at = base.names.index("aggregated")
+    records = np.zeros(2, fields[:at] + [("staleness", float, (3,))] + fields[at:]).view(np.recarray)
+    records.t, records.wall_clock, records.tau = [0, 1], [1.0, 2.0], [[1, 2, 3], [4, 5, 6]]
+    records.staleness = [[0.5, 1.5, 2.5], [3.5, 4.5, 5.5]]
+    header, *rows = _metrics_rows(tmp_path, records, final_loss=0.25, final_grad_norm_sq=0.5)
+    assert header == _metrics_header(3) + ["staleness_1", "staleness_2", "staleness_3"]
+    assert [row[:1] + row[4:7] + row[-3:] for row in rows] == [
+        ["0", "1", "2", "3", "0.5", "1.5", "2.5"],
+        ["1", "4", "5", "6", "3.5", "4.5", "5.5"],
+        ["2", "0", "0", "0", "0.0", "0.0", "0.0"],
+    ]
+    assert rows[-1][1:4] == ["2.0", "0.25", "0.5"]
 
 
 def test_runlog_roundtrip_preserves_analysis(tmp_path):
@@ -328,6 +364,25 @@ def test_record_columns_round_trip_through_runlog_json(records):
         if name != "model":
             assert np.array_equal(back.records[name], records[name], equal_nan=records[name].dtype.kind == "f"), name
     assert back.records.model.shape == records.model.shape and np.isnan(back.records.model).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(record_arrays(), st.floats(allow_infinity=False), st.floats(allow_infinity=False))
+def test_metrics_csv_rows_are_the_record_rows(records, final_loss, final_grad_norm_sq):
+    t, n = records.tau.shape
+    with tempfile.TemporaryDirectory() as tmp:
+        header, *rows = _metrics_rows(tmp, records, final_loss=final_loss, final_grad_norm_sq=final_grad_norm_sq)
+    assert header == _metrics_header(n) and len(rows) == t + 1
+    columns = [records.t, records.wall_clock, records.global_loss, records.global_grad_norm_sq,
+               *records.tau.T, *records.beta.T, *records.rho.T]
+    for k, column in enumerate(columns):
+        kind = column.dtype.kind
+        read = np.array([int(row[k]) if kind == "i" else float(row[k]) for row in rows[:-1]])
+        assert read.dtype == column.dtype and np.array_equal(read, column, equal_nan=kind == "f"), header[k]
+    final = rows[-1]
+    assert (int(final[0]), float(final[1])) == (t, records.wall_clock[-1])
+    assert np.array_equal([float(final[2]), float(final[3])], [final_loss, final_grad_norm_sq], equal_nan=True)
+    assert final[4:] == ["0"] * (2 * n) + ["0.0"] * n
 
 
 def _refuse_constant(token):
@@ -659,6 +714,10 @@ INLINE = {"n_clients": 4, "processes": [{"kind": "fixed", "tau": 1}], "data_size
         ({"scenario": {**INLINE, "processes": [{"kind": "fixd", "tau": 1}]}},
          "config.scenario.processes[0].kind: expected one of ['fixed', 'gaussian-floor'], got 'fixd'"),
         ({"scenario": {**INLINE, "name": 5}}, "config.scenario.name: expected str, got 5"),
+        # A scenario name starts every cell directory and plot file name.
+        ({"scenario": {**INLINE, "name": "../../escaped"}},
+         "config.scenario.name: '../../escaped' must not contain '/', '\\' or NUL"),
+        ({"scenario": {**INLINE, "name": "a\\b"}}, "config.scenario.name: 'a\\\\b' must not contain"),
         ({"scenario": {**INLINE, "data_sizes": [64, 64, 64]}}, "config.scenario.data_sizes: 3 sizes for n_clients=4"),
         ({"scenario": {**INLINE, "processes": [{"kind": "fixed", "tau": 1}] * 5}},
          "config.scenario.n_clients: must be at least 5, got 4"),

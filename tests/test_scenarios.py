@@ -145,6 +145,15 @@ def test_data_sizes_give_one_size_per_client(kind, count):
         Scenario(name="x", processes=[FixedIterations(1)] * 4, data_sizes=[16] * count, task=TaskSpec(kind=kind))
 
 
+@pytest.mark.parametrize("name", ["../../escaped", "a/b", "a\\b", "a\0b"])
+def test_scenario_name_cannot_leave_the_output_directory(name):
+    # The name starts every cell directory and plot file name, so it holds no
+    # path separator; ".." alone becomes "..__<strategy>__s000", a plain name.
+    with pytest.raises(FieldError, match=r"^name: .* must not contain '/', '\\' or NUL$"):
+        Scenario(name=name, processes=[FixedIterations(1)] * 2, data_sizes=[16] * 2)
+    assert Scenario(name="..", processes=[FixedIterations(1)] * 2, data_sizes=[16] * 2).name == ".."
+
+
 # Every recipe field but kind, and a changed value for each.
 RECIPE_CHANGES = {
     "dimension": 4,

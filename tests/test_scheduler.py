@@ -438,7 +438,7 @@ def _choice_batches(run, steps):
     if setup.scenario.full_batch:
         return {}
     batches = [setup.task.reduce_batches(i, np.array([rng.choice(m, size=b, replace=False)
-                                                      for _ in range(k)]).reshape(k, b))
+                                                      for _ in range(k)], dtype=int).reshape(k, b))
                for i, (rng, m, b, k) in enumerate(zip(run.batch_rngs, setup.sizes, setup.batch, steps))]
     return {"stream": np.concatenate(batches), "first": np.cumsum([0] + list(steps))[:-1]}
 

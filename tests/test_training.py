@@ -643,7 +643,7 @@ def _choice_batches(task, rngs, clients, batch_sizes, tau):
     one ``rng.choice`` call per step, reduced by ``task.reduce_batches`` as the
     trainer takes them."""
     return [task.reduce_batches(i, np.array([rng.choice(task.data_size(i), size=b, replace=False)
-                                             for _ in range(k)]).reshape(k, b))
+                                             for _ in range(k)], dtype=int).reshape(k, b))
             for rng, i, b, k in zip(rngs, clients, batch_sizes, tau)]
 
 
