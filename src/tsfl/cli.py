@@ -590,6 +590,13 @@ def _write_plotdata(results: list[tuple[dict, list | None]], out_dir: Path) -> N
         )
 
 
+def _make_out_dir(out_dir: Path) -> None:
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{out_dir}: cannot make the output directory: {exc.strerror or exc}") from exc
+
+
 def run_experiment(config: dict, out_dir: Path, parallel: int = 1) -> int:
     """Execute every (scenario x strategy x seed) cell of a validated config.
     The cells of one (scenario entry, seed) run on one shared setup, one
@@ -600,7 +607,7 @@ def run_experiment(config: dict, out_dir: Path, parallel: int = 1) -> int:
     """
     groups, emit = validate_run_config(config)
     tasks = [(*group, out_dir, emit) for group in groups]
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     # A forked pool starts every worker at its first task, so it gets no more
     # workers than groups, and one group runs serially.
     workers = min(parallel, len(tasks))
@@ -635,7 +642,7 @@ def compare_latency(config: dict, out_dir: Path) -> int:
     """Write and print config.latency's table; any run key is a ConfigError."""
     root = _coerce({key: _TYPES[_Root][key] for key in ("latency", "out_dir")}, config, "config")
     rows = _build(latency_table, root.get("latency", {}), "config.latency")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     _write_csv(
         out_dir / "latency.csv",
         ["delta", "rounds", "required_iterations", "sfl_seconds", "tsfl_seconds", "ratio"],
@@ -687,7 +694,7 @@ def list_presets() -> int:
 
 def _resolve_out_dir(args, config: dict) -> Path:
     out_dir = args.out or _coerce(_TYPES[_Root], config, "config").get("out_dir")
-    return Path(out_dir or os.environ.get(ENV_OUT_DIR, "tsfl-out"))
+    return Path(out_dir or os.environ.get(ENV_OUT_DIR) or "tsfl-out")
 
 
 def main(argv=None) -> int:

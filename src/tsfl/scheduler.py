@@ -124,7 +124,7 @@ class RunSetup:
 
 class _Run:
     """One run on a setup: the seed's server, iteration and batch streams,
-    and, once planned, the mini-batch steps of its window."""
+    and, once planned, its window's mini-batch steps, one stream per batch size."""
 
     def __init__(self, setup: RunSetup):
         self.setup = setup
@@ -136,36 +136,32 @@ class _Run:
     def plan_batches(self, steps) -> None:
         """Plan the next window's local steps: client i may take ``steps[i]`` of
         them. Their mini-batches are drawn now, in one ``draw_batches`` call,
-        each from its client's stream where the last window left it, and reduced
-        at once to what the SGD steps read (``task.reduce_batches``). Each width
-        of a reduced step has one stream, its clients' reductions concatenated
-        in client order: client i's steps are rows ``offset[i]`` on of
-        ``streams[width[i]]``. A full-batch run plans no stream."""
-        setup, task = self.setup, self.setup.task
+        each from its client's stream where the last window left it. Each batch
+        size has one stream: its clients' draws concatenated in client order
+        and reduced in one ``task.reduce_batches`` call to what the SGD steps
+        read. Client i's steps are rows ``offset[i]`` on of
+        ``streams[setup.batch[i]]``. A full-batch run plans no stream."""
+        setup = self.setup
         self.planned = np.asarray(steps, dtype=int)
-        self.used = np.zeros_like(self.planned)
-        self.width = np.zeros_like(self.planned)
-        self.offset = np.zeros_like(self.planned)
+        self.used, self.offset = np.zeros_like(self.planned), np.zeros_like(self.planned)
         self.streams = {}
         if setup.scenario.full_batch:
             return
-        reduced = draw_batches(self.batch_rngs, setup.sizes, setup.batch, self.planned)
-        for i, indices in enumerate(reduced):
-            reduced[i] = task.reduce_batches(i, indices)  # a client's indices are dropped once reduced
-        self.width = np.array([r.shape[1] for r in reduced])
-        for width in set(self.width.tolist()):
-            members = np.flatnonzero(self.width == width)
+        drawn = draw_batches(self.batch_rngs, setup.sizes, setup.batch, self.planned)
+        for b in set(setup.batch.tolist()):
+            members = np.flatnonzero(setup.batch == b)
             counts = self.planned[members]
             self.offset[members] = np.cumsum(counts) - counts
-            self.streams[width] = np.concatenate([reduced[i] for i in members])
+            self.streams[b] = setup.task.reduce_batches(np.repeat(members, counts),
+                                                        np.concatenate([drawn[i] for i in members]))
 
     def train(self, clients, starts, steps, interval: int, prox_center=None) -> np.ndarray:
         """Lock-step local SGD: client ``clients[i]`` takes ``steps[i]`` steps
         from ``starts[i]`` on its next ``steps[i]`` planned mini-batches, one
-        ``train_clients`` call per stream width. Rows of different widths
-        train apart; no row's arithmetic reads another's. A client that asks
-        for more steps than were planned raises, and so does a local model
-        that is not finite, naming every diverged client of the group."""
+        ``train_clients`` call per batch size, in full-batch runs too; no
+        row's arithmetic reads another's. A client that asks for more steps
+        than were planned raises, and so does a local model that is not
+        finite, naming every diverged client of the group."""
         task, c = self.setup.task, self.setup.constants
         clients, steps = np.asarray(clients, dtype=int), np.asarray(steps, dtype=int)
         used = self.used.take(clients)
@@ -176,15 +172,15 @@ class _Run:
                                "ask for more local steps than were planned")
         self.used[clients] = end
         first = self.offset.take(clients) + used
-        width = self.width.take(clients)
+        batch = self.setup.batch.take(clients)
         starts = np.asarray(starts, dtype=float)
         out = np.empty((len(clients), task.dimension))
-        widths = set(width.tolist())
-        for w in widths:
-            # A group of one width reads its rows as views.
-            rows = slice(None) if len(widths) == 1 else np.flatnonzero(width == w)
+        sizes = set(batch.tolist())
+        for b in sizes:
+            # A group of one batch size reads its rows as views.
+            rows = slice(None) if len(sizes) == 1 else np.flatnonzero(batch == b)
             out[rows] = train_clients(task, clients[rows], starts[rows], steps[rows], c.eta,
-                                      stream=self.streams.get(w), first=first[rows],
+                                      stream=self.streams.get(b), first=first[rows],
                                       prox_center=prox_center, mu=c.mu)
         if not np.isfinite(out).all():
             diverged = sorted(clients[~np.isfinite(out).all(axis=1)].tolist())

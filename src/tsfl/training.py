@@ -74,8 +74,8 @@ class _Task:
     copy, in one zero-padded block ``(n, m_max, d)`` whose row i starts with
     client i's ``sizes[i]`` samples; it holds the sizes ``_sizes``, their
     groups ``_groups`` (see ``_size_groups``) and its local optima
-    ``_optima``. Its one-client gradients are the one-row cases of its
-    stacked ``local_grads`` and ``sample_grads``."""
+    ``_optima``. Its stacked calls take a client per row, and its one-client
+    gradients are the one-row cases of ``local_grads`` and ``reduced_grads``."""
 
     def __init__(self, block: np.ndarray, sizes):
         block, sizes = np.asarray(block, dtype=float), np.asarray(sizes)
@@ -103,7 +103,7 @@ class _Task:
         return self.local_grads([client], w[None])[0]
 
     def sample_grad(self, client: int, w: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        return self.sample_grads([client], w[None], np.asarray(indices)[None])[0]
+        return self.reduced_grads([client], w[None], self.reduce_batches([client], np.asarray(indices)[None]))[0]
 
     @cached_property
     def gamma_noniid(self) -> np.ndarray:
@@ -225,25 +225,23 @@ class QuadraticTask(_Task):
         """Full-batch gradients at a stack of points, row i on client ``clients[i]``."""
         return (self.curvatures[clients] @ (w - self._optima[clients])[:, :, None])[:, :, 0]
 
-    def sample_grads(self, clients, w: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """Mini-batch gradients, row i on the offsets ``indices[i]`` of client ``clients[i]``."""
-        return self.reduced_grads(clients, w, self._block[np.asarray(clients)[:, None], indices].mean(axis=1))
-
-    def reduce_batches(self, client: int, indices: np.ndarray) -> np.ndarray:
-        """Client ``client``'s planned mini-batches ``(k, b)`` as ``reduced_grads``
-        steps on them: their ``(k, d)`` batch-mean offsets, the means
-        ``sample_grads`` takes, bit for bit."""
-        z = self._block[client]
+    def reduce_batches(self, clients, indices: np.ndarray) -> np.ndarray:
+        """Mini-batches ``(k, b)`` as ``reduced_grads`` steps on them, row i a
+        batch of client ``clients[i]``: their ``(k, d)`` batch-mean offsets,
+        the gathered batches' ``mean(axis=1)``, bit for bit."""
+        block, clients = self._block, np.asarray(clients)
         if self.dimension == 1:
             # At d = 1 the mean runs over a contiguous axis and sums pairwise;
             # a gather through strided indices would round differently.
-            return z[np.ascontiguousarray(indices)].mean(axis=1)
+            return block[clients[:, None], np.ascontiguousarray(indices)].mean(axis=1)
         # mean(axis=1) adds a batch's positions in order, so a running sum of one
-        # (k, d) gather per position gives its bits, and holds no (b, k, d) one.
+        # (k, d) gather per position gives its bits, and holds no (k, b, d) one;
+        # client c's sample j is row c * m_max + j of the block.
+        samples, base = block.reshape(-1, self.dimension), clients * block.shape[1]
         columns = np.ascontiguousarray(indices.T)
-        out = z.take(columns[0], axis=0)
+        out = samples.take(base + columns[0], axis=0)
         for column in columns[1:]:
-            out += z.take(column, axis=0)
+            out += samples.take(base + column, axis=0)
         out /= len(columns)
         return out
 
@@ -348,15 +346,13 @@ class LogisticTask(_Task):
             out[rows] = self._grads(self._block[picked, :m], w[rows], m)
         return out
 
-    def sample_grads(self, clients, w: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """Mini-batch gradients, row i on the samples ``indices[i]`` of client ``clients[i]``."""
-        return self._grads(self._block[np.asarray(clients)[:, None], indices], w, indices.shape[1])
-
-    def reduce_batches(self, client: int, indices: np.ndarray) -> np.ndarray:
-        """Planned mini-batches as ``reduced_grads`` steps on them: the indices."""
+    def reduce_batches(self, clients, indices: np.ndarray) -> np.ndarray:
+        """Mini-batches as ``reduced_grads`` steps on them: the indices."""
         return indices
 
-    reduced_grads = sample_grads
+    def reduced_grads(self, clients, w: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        """Mini-batch gradients, row i on the samples ``indices[i]`` of client ``clients[i]``."""
+        return self._grads(self._block[np.asarray(clients)[:, None], indices], w, indices.shape[1])
 
     def global_loss(self, w: np.ndarray) -> float:
         """Mean of the clients' ``local_loss``, one stacked call per data size."""
@@ -611,8 +607,8 @@ def train_clients(
     shared by every row) and takes exactly ``tau[i]`` SGD steps on client
     ``clients[i]``; each step's gradients for all running rows come from one
     stacked task call. ``stream=None`` uses full-batch gradients; otherwise
-    ``stream`` holds planned steps as ``task.reduce_batches`` returns them, one
-    per row of one width, and row i's step s takes ``task.reduced_grads`` on
+    ``stream`` holds planned steps of one batch size as ``task.reduce_batches``
+    returns them, and row i's step s takes ``task.reduced_grads`` on
     ``stream[first[i] + s]``. A non-zero ``mu`` with a ``prox_center`` (one
     center for every row) adds the proximal pull mu*(w - center) to every
     step. Rows with tau=0 return their start and read no step. Rows come
@@ -685,7 +681,7 @@ def local_train(
     stream = None
     if batch_size is not None:
         [drawn] = draw_batches([rng], task.data_size(client), batch_size, [tau])
-        stream = task.reduce_batches(client, drawn)
+        stream = task.reduce_batches(np.full(tau, client), drawn)
     [w] = train_clients(
         task, [client], np.asarray(w_start, dtype=float)[None], [tau], eta,
         stream=stream, first=[0], prox_center=prox_center, mu=mu,
@@ -720,8 +716,8 @@ def estimate_constants(task, batch_sizes, probe_count: int, rng) -> EstimatedCon
     The values, and the state ``rng`` is left in, are those of one
     ``stochastic_gradient`` call per probe point and client, in that order:
     the probe points are drawn first, then every batch in that order, and
-    then each probe point takes one ``local_grads`` call and one
-    ``sample_grads`` call per batch size.
+    then each probe point takes one ``local_grads`` call and each batch size
+    one stochastic pass, row ``p * n + i`` being client i at probe point p.
     """
     if probe_count < 1:
         raise ValueError("probe_count must be >= 1")
@@ -733,21 +729,17 @@ def estimate_constants(task, batch_sizes, probe_count: int, rng) -> EstimatedCon
     if np.any(batch > sizes):
         raise ValueError("batch_size exceeds the client's data size")
     probes = [rng.normal(size=d) for _ in range(probe_count)]
-    drawn = [[rng.choice(m, size=b, replace=False) for m, b in zip(sizes, batch.tolist())]
-             for _ in probes]
-    everyone = np.arange(n)
-    groups = [np.flatnonzero(batch == b) for b in set(batch.tolist())]
-    full = np.empty((probe_count, n, d))
-    stochastic = np.empty((probe_count, n, d))
-    for p, w in enumerate(probes):
-        stacked = np.tile(w, (n, 1))
-        full[p] = task.local_grads(everyone, stacked)
-        for rows in groups:
-            indices = np.array([drawn[p][i] for i in rows.tolist()])
-            stochastic[p, rows] = task.sample_grads(rows, stacked[rows], indices)
+    drawn = [rng.choice(m, size=b, replace=False) for _ in probes for m, b in zip(sizes, batch.tolist())]
+    full = np.array([task.local_grads(np.arange(n), np.tile(w, (n, 1))) for w in probes])
+    points, row_batch = np.repeat(probes, n, axis=0), np.tile(batch, probe_count)
+    stochastic = np.empty((probe_count * n, d))
+    for b in set(batch.tolist()):
+        rows = np.flatnonzero(row_batch == b)
+        steps = task.reduce_batches(rows % n, np.array([drawn[r] for r in rows.tolist()]))
+        stochastic[rows] = task.reduced_grads(rows % n, points[rows], steps)
     # fmax, like the running max(...) of the probe loop, passes over NaNs.
-    g_max = np.fmax.reduce(_row_norms(stochastic.reshape(-1, d)), initial=0.0)
-    deviation = _row_norms((stochastic - full).reshape(-1, d)).reshape(probe_count, n)
+    g_max = np.fmax.reduce(_row_norms(stochastic), initial=0.0)
+    deviation = _row_norms(stochastic - full.reshape(-1, d)).reshape(probe_count, n)
     sampled = batch < sizes
     sigma_hat = np.where(sampled, np.fmax.reduce(deviation, axis=0, initial=0.0), 0.0)
     source = {"G": "probed", "sigma": "probed"}

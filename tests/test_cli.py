@@ -200,6 +200,28 @@ def test_undecodable_config_is_config_error_without_outputs(tmp_path, capsys, co
     assert f"config error: {path}: {reason}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "latency"])
+def test_output_directory_that_names_a_file_is_config_error(tmp_path, capsys, command):
+    config = small_config() if command == "run" else {"latency": {"deltas": [0.0, 1.25], "rounds": 5}}
+    path = write_config(tmp_path, config)
+    out = tmp_path / "taken"
+    out.write_text("kept", encoding="utf-8")
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert out.read_text(encoding="utf-8") == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+    assert f"config error: {out}: cannot make the output directory: File exists" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "latency"])
+def test_empty_env_var_falls_back_to_the_default_out_dir(tmp_path, monkeypatch, command):
+    monkeypatch.setenv("TSFL_OUT_DIR", "")
+    monkeypatch.chdir(tmp_path)
+    config = small_config(seeds=1, strategies=["fedavg"]) if command == "run" else {"latency": {"rounds": 5}}
+    path = write_config(tmp_path, config)
+    assert main([command, "--config", str(path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "tsfl-out"]
+
+
 def test_failing_cell_does_not_stop_matrix(tmp_path):
     # A batch of a client's whole data set probes no noise, so tsfl-theorem2
     # has no noise bounds and must fail, while the fedavg cells still complete.

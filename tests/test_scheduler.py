@@ -437,8 +437,8 @@ def _choice_batches(run, steps):
     setup = run.setup
     if setup.scenario.full_batch:
         return {}
-    batches = [setup.task.reduce_batches(i, np.array([rng.choice(m, size=b, replace=False)
-                                                      for _ in range(k)], dtype=int).reshape(k, b))
+    batches = [setup.task.reduce_batches(np.full(k, i), np.array([rng.choice(m, size=b, replace=False)
+                                                                  for _ in range(k)], dtype=int).reshape(k, b))
                for i, (rng, m, b, k) in enumerate(zip(run.batch_rngs, setup.sizes, setup.batch, steps))]
     return {"stream": np.concatenate(batches), "first": np.cumsum([0] + list(steps))[:-1]}
 
@@ -673,12 +673,12 @@ class _ChoiceRun(_Run):
     for s in ALL_STRATEGIES if s != "tsfl-theorem2" for full in (False, True)
 ])
 def test_planned_streams_train_as_per_step_choice(monkeypatch, strategy, full_batch, kind):
-    # Clients 0 and 5 hold fewer samples than a batch: a logistic run keeps
-    # three streams, of widths 10, 16 and 8. Client 4 takes no step in some
+    # Clients 0 and 5 hold fewer samples than a batch: a run keeps three
+    # streams, of batch sizes 10, 16 and 8. Client 4 takes no step in some
     # intervals, and client 5 none at all outside sfl (where every client
     # must iterate), so its offset is the end of its stream. fedasync and
-    # semiasync train groups of arrivals. A full-batch run trains on its one
-    # stream entry, which holds no steps.
+    # semiasync train groups of arrivals. A full-batch run plans no stream
+    # and trains one group per batch size.
     idle = FixedIterations(int(strategy == "sfl"))
     scenario = Scenario(
         name="mixed",
@@ -704,39 +704,41 @@ def _small_clients_setup(kind, full_batch=False):
     return RunSetup(scenario, constants, 0, 0, False)
 
 
-@pytest.mark.parametrize("kind, widths, shapes, offsets, dtype", [
-    ("logistic", [10, 16, 16, 16, 16, 8], {10: (3, 10), 16: (7, 16), 8: (0, 8)}, [0, 0, 2, 2, 6, 0], np.int16),
-    ("quadratic", [3] * 6, {3: (10, 3)}, [0, 3, 5, 5, 9, 10], np.float64),
-], ids=["logistic", "quadratic"])
-def test_planned_streams_hold_one_width_each(kind, widths, shapes, offsets, dtype):
+@pytest.mark.parametrize("kind, width, dtype", [("logistic", None, np.int16), ("quadratic", 3, np.float64)],
+                         ids=["logistic", "quadratic"])
+def test_planned_streams_hold_one_batch_size_each(kind, width, dtype):
     run = _Run(_small_clients_setup(kind))
     run.plan_batches([3, 2, 0, 4, 1, 0])
-    assert run.width.tolist() == widths
-    assert {w: s.shape for w, s in run.streams.items()} == shapes
-    assert run.offset.tolist() == offsets
-    # Logistic steps are indices: int16 in every stream, the one that holds
-    # the idle client 2 too.
+    # Batch sizes 10, 16, 16, 16, 16 and 8; a logistic step is its batch's
+    # indices, a quadratic one its (d,) mean offset.
+    assert {b: s.shape for b, s in run.streams.items()} == {b: (k, width or b) for b, k in [(10, 3), (16, 7), (8, 0)]}
+    assert run.offset.tolist() == [0, 0, 2, 2, 6, 0]
+    # Logistic steps are indices: int16 in every stream, the empty one of
+    # the idle client 5 too.
     assert all(s.dtype == dtype for s in run.streams.values())
     full = _Run(_small_clients_setup(kind, full_batch=True))
     full.plan_batches([3, 2, 0, 4, 1, 0])
-    assert full.streams == {} and not full.width.any() and not full.offset.any()
+    assert full.streams == {} and not full.offset.any()
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
-def test_planning_a_window_reduces_each_clients_draw_once(kind):
+def test_planning_a_window_reduces_once_per_batch_size(kind):
     run = _Run(_small_clients_setup(kind))
     task, calls = run.setup.task, []
     reduce_batches = task.reduce_batches
 
-    def spy(client, indices):
-        calls.append((client, indices.shape))
-        return reduce_batches(client, indices)
+    def spy(clients, indices):
+        calls.append((clients.tolist(), indices.shape))
+        return reduce_batches(clients, indices)
 
     task.reduce_batches = spy
     for steps in ([3, 2, 0, 4, 1, 0], [1, 0, 5, 2, 2, 3]):
         calls.clear()
         run.plan_batches(steps)
-        assert calls == list(enumerate(zip(steps, [10, 16, 16, 16, 16, 8])))
+        # Members in client order, each repeated by its planned steps.
+        want = {b: np.repeat(members, np.take(steps, members)).tolist()
+                for b, members in [(10, [0]), (16, [1, 2, 3, 4]), (8, [5])]}
+        assert sorted(calls) == sorted((rows, (len(rows), b)) for b, rows in want.items())
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "logistic"])

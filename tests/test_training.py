@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsfl.scenarios import TaskSpec, preset
 from tsfl.training import (
@@ -558,7 +560,7 @@ def test_signed_rows_compute_the_labelled_arithmetic_bit_for_bit(layout):
         idx = np.array([rng.choice(m[c], size=b, replace=False) for c in clients])
         rows = clients[:, None]
         want = _labelled_grads(x[rows, idx], y[rows, idx], w, b, l2)
-        assert np.array_equal(task.sample_grads(clients, w, idx), want)
+        assert np.array_equal(task.reduced_grads(clients, w, task.reduce_batches(clients, idx)), want)
         losses = [_labelled_loss(x[i, : m[i]], y[i, : m[i]], w[0], l2) for i in range(n)]
         assert [task.local_loss(i, w[0]) for i in range(n)] == losses
         assert task.global_loss(w[0]) == float(np.mean(losses))
@@ -642,8 +644,8 @@ def _choice_batches(task, rngs, clients, batch_sizes, tau):
     """Row i's ``tau[i]`` mini-batches of client ``clients[i]`` from ``rngs[i]``,
     one ``rng.choice`` call per step, reduced by ``task.reduce_batches`` as the
     trainer takes them."""
-    return [task.reduce_batches(i, np.array([rng.choice(task.data_size(i), size=b, replace=False)
-                                             for _ in range(k)], dtype=int).reshape(k, b))
+    return [task.reduce_batches(np.full(k, i), np.array([rng.choice(task.data_size(i), size=b, replace=False)
+                                                         for _ in range(k)], dtype=int).reshape(k, b))
             for rng, i, b, k in zip(rngs, clients, batch_sizes, tau)]
 
 
@@ -823,6 +825,16 @@ def _reduction_task(kind, dimension, sizes):
     return spec.build(sizes, np.random.default_rng(8))
 
 
+def _gathered_grads(task, clients, w, indices):
+    """Mini-batch gradients by gather and mean, row i on the samples
+    ``indices[i]`` of client ``clients[i]``: a quadratic task's batch-mean
+    offsets are one ``mean(axis=1)`` of the gathered ``(k, b, d)`` batches."""
+    batches = task._block[np.asarray(clients)[:, None], indices]
+    if task.kind == "logistic":
+        return task._grads(batches, w, indices.shape[1])
+    return task.reduced_grads(clients, w, batches.mean(axis=1))
+
+
 @pytest.mark.parametrize("kind, dimension",
                          [("quadratic", 1), ("quadratic", 2), ("quadratic", 3), ("quadratic", 8), ("logistic", 3)])
 def test_reduced_batches_step_as_per_step_sample_grads(kind, dimension):
@@ -837,14 +849,39 @@ def test_reduced_batches_step_as_per_step_sample_grads(kind, dimension):
     w = np.random.default_rng(9).normal(size=(len(sizes), task.dimension))
     for i, stream in enumerate(streams):
         for layout in (stream, np.ascontiguousarray(stream), np.asfortranarray(stream)):
-            reduced = task.reduce_batches(i, layout)
+            reduced = task.reduce_batches(np.full(len(stream), i), layout)
             assert len(reduced) == len(stream)
             for s in range(len(stream)):
                 got = task.reduced_grads([i], w[i][None], reduced[s : s + 1])[0]
-                assert np.array_equal(got, task.sample_grad(i, w[i], stream[s])), (i, s)
+                want = _gathered_grads(task, [i], w[i][None], stream[s][None])[0]
+                assert np.array_equal(got, want), (i, s)
+                assert np.array_equal(task.sample_grad(i, w[i], stream[s]), want), (i, s)
     # A stacked step equals each row's own.
-    rows = task.reduced_grads([0, 0], w[:2], task.reduce_batches(0, streams[0][:2]))
-    assert np.array_equal(rows, [task.sample_grad(0, w[k], streams[0][k]) for k in range(2)])
+    rows = task.reduced_grads([0, 0], w[:2], task.reduce_batches([0, 0], streams[0][:2]))
+    assert np.array_equal(rows, _gathered_grads(task, [0, 0], w[:2], streams[0][:2]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([("quadratic", 1), ("quadratic", 2), ("quadratic", 8), ("logistic", 3)]),
+       st.sampled_from([[24] * 5, [24, 9, 40, 9, 17]]), st.sampled_from("CF"), st.integers(0, 2**32 - 1))
+def test_one_reduction_over_mixed_clients_equals_each_row_alone(task, sizes, order, seed):
+    # Clients come shuffled and some are idle; every batch size up to the
+    # smallest client, so d = 1 batches of more than 8 sum pairwise.
+    task = _reduction_task(*task, sizes)
+    rng = np.random.default_rng(seed)
+    b = int(rng.integers(1, min(sizes) + 1))
+    clients = rng.permutation(np.repeat(np.arange(len(sizes)), rng.integers(0, 4, size=len(sizes))))
+    idx = np.array([rng.choice(sizes[c], size=b, replace=False) for c in clients], dtype=np.int16)
+    idx = np.asarray(idx.reshape(len(clients), b), order=order)
+    w = rng.normal(size=(len(clients), task.dimension))
+    together = task.reduce_batches(clients, idx)
+    alone = [task.reduce_batches([c], idx[r : r + 1]) for r, c in enumerate(clients.tolist())]
+    assert np.array_equal(together, np.concatenate([*alone, together[:0]]))
+    steps = [task.reduced_grads([c], w[r : r + 1], a) for r, (c, a) in enumerate(zip(clients.tolist(), alone))]
+    assert np.array_equal(task.reduced_grads(clients, w, together), np.concatenate([*steps, w[:0]]))
+    # A batch size whose clients are all idle reduces to no steps.
+    width = b if task.kind == "logistic" else task.dimension
+    assert task.reduce_batches(clients[:0], idx[:0]).shape == (0, width)
 
 
 def _probe_loop(task, batch, probe_count, rng):
